@@ -8,8 +8,14 @@ measured while the probe takes ``p`` ms is reported as
 where the probe takes ``PROBE_REF_MS``.  Machine-wide
 speed changes then cancel, because they slow the probe and the op alike.
 
-Both the probe code and ``PROBE_REF_MS`` are frozen: changing either changes
-every calibrated number the benchmark reports.
+Cold starts are calibrated the same way, by a probe of their own kind: a
+reference cold start (``COLD_REF_CODE``) that does everything a ``ptosc``
+cold start does except import ``ptosc`` -- exec, numpy and the standard
+library, the benchmark's input generation.  In-process work tracks a cold
+start's exec, dynamic loading and imports poorly.
+
+The probe code, ``COLD_REF_CODE`` and both reference times are frozen:
+changing any of them changes every calibrated number the benchmark reports.
 """
 
 import statistics
@@ -69,10 +75,6 @@ def probe_ms() -> float:
     return (time.perf_counter() - start) * 1e3
 
 
-def probe_median(n: int = 3) -> float:
-    return statistics.median(probe_ms() for _ in range(n))
-
-
 def local_probe(probes: list[float], i: int, half_width: int = 4) -> float:
     """Median of the probes taken around position ``i``."""
     lo = max(0, i - half_width)
@@ -82,3 +84,25 @@ def local_probe(probes: list[float], i: int, half_width: int = 4) -> float:
 def calibrate(raw: float, probe: float) -> float:
     """Rescale a raw time measured at probe speed ``probe`` to reference speed."""
     return raw * PROBE_REF_MS / probe
+
+
+#: A reference cold start, run as ``python -c COLD_REF_CODE BENCH_DIR WORKLOAD
+#: SEED``: the modules ``ptosc`` imports today from numpy and the standard
+#: library, then the workload inputs.  Frozen.
+COLD_REF_CODE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy, numpy.random, json, argparse, dataclasses, concurrent.futures, tempfile, inputs
+inputs.make_inputs(sys.argv[2], int(sys.argv[3]))
+print("ready", flush=True)
+"""
+
+#: Reference cold-start time.  On the 2-core VM the benchmark was built on
+#: the median reference cold start of a run was 0.14-0.20 s, median 0.18 s,
+#: over sixty runs.  Frozen.
+COLD_REF_S = 0.15
+
+
+def calibrate_cold_start(raw: float, ref: float) -> float:
+    """Rescale a cold start measured next to reference starts of ``ref`` s."""
+    return raw * COLD_REF_S / ref

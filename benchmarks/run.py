@@ -44,17 +44,13 @@ COLD_STARTS = 9
 #: stop dealing new decks after this long, whatever --seconds says
 LOOP_CAP_S = 130.0
 
-# A cold start: import ptosc, generate the inputs, say "ready", then probe the
-# speed of the CPU this interpreter ran on (after the ready line; untimed).
+# A cold start: import ptosc, generate the workload inputs, say "ready".
 SETUP_CODE = """
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import ptosc, ptosc.cli, inputs
 inputs.make_inputs(sys.argv[3], int(sys.argv[4]))
 print("ready", flush=True)
-import calib
-calib.probe_ms()
-print(calib.probe_median(5), flush=True)
 """
 
 
@@ -77,29 +73,38 @@ def import_cli():
 # set-up time
 
 
-def measure_setup(workload: str, seed: int) -> tuple[list, list]:
-    """Raw and calibrated seconds of fresh-interpreter cold starts.
+def _cold_start(cmd: list) -> float:
+    """Wall seconds from spawning ``cmd`` until it prints its ready line."""
+    start = time.perf_counter()
+    with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True) as child:
+        ready = child.stdout.readline()
+        elapsed = time.perf_counter() - start
+        child.stdout.close()
+        if child.wait(timeout=60) != 0 or ready.strip() != "ready":
+            raise BenchError(f"cold start exited with {child.returncode}")
+    return elapsed
+
+
+def measure_setup(workload: str, seed: int) -> tuple[list, list, list]:
+    """Raw and calibrated seconds of fresh-interpreter cold starts, and of the reference starts.
 
     Each start is timed from spawning an interpreter until it has imported
-    ptosc and generated the workload inputs, and is calibrated by the probe
-    that the same interpreter runs afterwards.  One untimed start first
-    leaves the byte-code caches as every later start finds them.
+    ptosc and generated the workload inputs.  It is bracketed by two
+    reference cold starts (``calib.COLD_REF_CODE``) and calibrated by their
+    mean.  One untimed pair first leaves the byte-code caches as every later
+    start finds them.
     """
-    cmd = [sys.executable, "-c", SETUP_CODE, SRC, BENCH_DIR, workload, str(seed)]
+    args = [BENCH_DIR, workload, str(seed)]
+    cmd = [sys.executable, "-c", SETUP_CODE, SRC, *args]
+    ref_cmd = [sys.executable, "-c", calib.COLD_REF_CODE, *args]
+    _cold_start(cmd)
+    refs = [_cold_start(ref_cmd)]
     raw, cal = [], []
-    for k in range(COLD_STARTS + 1):
-        start = time.perf_counter()
-        with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True) as child:
-            ready = child.stdout.readline()
-            elapsed = time.perf_counter() - start
-            probe = child.stdout.readline()
-            child.stdout.close()
-            if child.wait(timeout=60) != 0 or ready.strip() != "ready":
-                raise BenchError(f"cold start exited with {child.returncode}")
-        if k:
-            raw.append(elapsed)
-            cal.append(calib.calibrate(elapsed, float(probe)))
-    return raw, cal
+    for _ in range(COLD_STARTS):
+        raw.append(_cold_start(cmd))
+        refs.append(_cold_start(ref_cmd))
+        cal.append(calib.calibrate_cold_start(raw[-1], (refs[-2] + refs[-1]) / 2))
+    return raw, cal, refs
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +129,16 @@ class Runner:
             self.argvs.append([a.replace("{dir}", op_dir) for a in op.argv])
 
     def prepare(self, n: int):
-        """Remove the previous outputs of op n (untimed)."""
-        out = os.path.join(self.dirs[n], "out")
-        if os.path.isdir(out):
-            shutil.rmtree(out)
+        """Remove everything but op n's own input files from its directory (untimed)."""
+        op_dir = self.dirs[n]
+        for entry in os.listdir(op_dir):
+            if entry in self.ops[n].files:
+                continue
+            path = os.path.join(op_dir, entry)
+            if os.path.isdir(path) and not os.path.islink(path):
+                shutil.rmtree(path)
+            else:
+                os.remove(path)
 
     def call(self, n: int) -> tuple[int, str, str, float]:
         """Run op n; return exit code, stdout, stderr and wall seconds."""
@@ -248,7 +259,7 @@ def run(args) -> dict:
     for slot in slots:
         slot_ops.append(list(range(first, first + len(slot))))
         first += len(slot)
-    setup_raw, setup_cal = ([], []) if args.trace else measure_setup(args.workload, args.seed)
+    setup = ([], [], []) if args.trace else measure_setup(args.workload, args.seed)
 
     tracer = None
     if args.trace:
@@ -277,8 +288,11 @@ def run(args) -> dict:
             traced = tracer is not None and deck % 2 == 1
             order = list(range(len(slots)))
             order_rng.shuffle(order)
+            # a traced run deals every variant once untraced and once traced,
+            # so the two halves compare the same inputs
+            variant = deck // 2 if tracer is not None else deck
             for slot in order:
-                n = slot_ops[slot][deck % len(slot_ops[slot])]
+                n = slot_ops[slot][variant % len(slot_ops[slot])]
                 runner.prepare(n)
                 probes.append(calib.probe_ms())
                 if traced:
@@ -303,7 +317,7 @@ def run(args) -> dict:
                 )
             deck += 1
             elapsed_loop = time.perf_counter() - loop_start
-            enough = elapsed_loop >= args.seconds and len(records) >= args.min_ops and (tracer is None or deck >= 2)
+            enough = elapsed_loop >= args.seconds and len(records) >= MIN_OPS and (tracer is None or deck % 2 == 0)
             if enough or elapsed_loop >= LOOP_CAP_S:
                 break
         probes.append(calib.probe_ms())
@@ -324,15 +338,7 @@ def run(args) -> dict:
             for key, thread, start, end, own in tracer.spans:
                 fh.write(json.dumps({"key": key, "thread": thread, "start": start, "end": end, "self": own}) + "\n")
 
-    return summarize(args, ops, records, probes, setup_raw, setup_cal, layer, len(op_totals), tracer, loop_s, reference, cpu)
-
-
-def _quantile(values: list, q: float) -> float:
-    ordered = sorted(values)
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+    return summarize(args, ops, records, probes, setup, layer, len(op_totals), tracer, loop_s, reference, cpu)
 
 
 def _deck_sums(recs: list, field: str) -> list[tuple[float, int]]:
@@ -346,15 +352,15 @@ def _deck_sums(recs: list, field: str) -> list[tuple[float, int]]:
 
 def _latency_stats(recs: list, field: str) -> dict:
     """p50, p90 over ops; goodput as the median over decks (all decks hold the same op kinds)."""
-    ms = [r[field] * 1e3 for r in recs]
+    deciles = statistics.quantiles([r[field] * 1e3 for r in recs], n=10, method="inclusive")
     return {
-        "latency_p50_ms": _quantile(ms, 0.5),
-        "latency_p90_ms": _quantile(ms, 0.9),
+        "latency_p50_ms": deciles[4],
+        "latency_p90_ms": deciles[8],
         "goodput_ops_per_s": statistics.median(good / seconds for seconds, good in _deck_sums(recs, field)),
     }
 
 
-def summarize(args, ops, records, probes, setup_raw, setup_cal, layer, traced_ops, tracer, loop_s, reference, cpu) -> dict:
+def summarize(args, ops, records, probes, setup, layer, traced_ops, tracer, loop_s, reference, cpu) -> dict:
     timed = [r for r in records if not r["traced"]]
     failed = [r for r in records if r["problem"] is not None]
     unexpected = [r for r in failed if not ops[r["op"]].known_failure]
@@ -388,8 +394,10 @@ def summarize(args, ops, records, probes, setup_raw, setup_cal, layer, traced_op
             for kind in sorted({r["kind"] for r in timed})
         },
     }
+    setup_raw, setup_cal, setup_refs = setup
     if setup_raw:
         diagnostics["raw"]["setup_s"] = statistics.median(setup_raw)
+        diagnostics["raw"]["cold_ref_s"] = statistics.median(setup_refs)
         diagnostics["setup_cold_starts"] = len(setup_raw)
 
     if args.trace:
@@ -432,7 +440,6 @@ def parse_args(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True, help="minimum length of the timed loop")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--min-ops", type=int, default=MIN_OPS, help="minimum number of ops in the timed loop")
     parser.add_argument("--spans-out", help="with --trace 1: write every span as JSON lines to this file")
     return parser.parse_args(argv)
 

@@ -46,23 +46,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--runs", type=int, default=1)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--json-out", help="also write every run's result and diagnostics to this file")
     args = parser.parse_args(argv)
 
     bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"]}
-    results = {w: [] for w in args.workloads}
+    results = {w["name"]: [] for w in bench["workloads"]}
     for seed in range(args.first_seed, args.first_seed + args.runs):
-        for workload in args.workloads:
-            result, diag = run_one(workload, seed, args.seconds, args.trace)
+        for workload in results:
+            result, diag = run_one(workload, seed, bench["run_seconds"], args.trace)
             results[workload].append((result, diag))
-            if args.json_out:
-                with open(args.json_out, "w") as fh:
-                    json.dump(results, fh)
             print(f"# {workload} seed {seed}: attempted {result['attempted']} failed {result['failed']} "
                   f"correct {result['correct']} probe {diag['probe_ms_median']:.3f} ms", file=sys.stderr)
 

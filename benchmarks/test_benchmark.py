@@ -95,6 +95,19 @@ def test_checker_flags_a_wrong_sweep_status():
     assert "disagrees with the phase" in checks.check_sweep(expect, 0, skipped)
 
 
+def test_prepare_leaves_only_the_op_inputs(tmp_path):
+    import run
+
+    op = inputs.make_inputs("oscillate_long", 1)[0][0]
+    runner = run.Runner(None, [op], str(tmp_path))
+    op_dir = tmp_path / "op00"
+    (op_dir / "table.csv").write_text("stale")
+    (op_dir / "out").mkdir()
+    (op_dir / "out" / "index.json").write_text("[]")
+    runner.prepare(0)
+    assert sorted(p.name for p in op_dir.iterdir()) == sorted(op.files)
+
+
 def _declared():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         return json.load(fh)
@@ -104,7 +117,7 @@ def _declared():
 def test_every_declared_metric_is_reported_with_its_unit(trace, section, tmp_path):
     declared = {m["name"]: m["unit"] for m in _declared()[section]}
     cmd = [sys.executable, os.path.join(BENCH_DIR, "run.py"), "--workload", "verify_mix", "--seed", "3",
-           "--seconds", "0", "--min-ops", "1", "--trace", str(trace)]
+           "--seconds", "0", "--trace", str(trace)]
     if trace:
         cmd += ["--spans-out", str(tmp_path / "spans.jsonl")]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=170, check=True)
@@ -123,6 +136,15 @@ def test_probe_never_imports_ptosc():
     code = "import sys; sys.path.insert(0, sys.argv[1]); import calib; calib.probe_ms(); print(any(m == 'ptosc' or m.startswith('ptosc.') for m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code, BENCH_DIR], capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_cold_reference_never_imports_ptosc():
+    import calib
+
+    code = calib.COLD_REF_CODE + "print(any(m == 'ptosc' or m.startswith('ptosc.') for m in sys.modules))\n"
+    out = subprocess.run([sys.executable, "-c", code, BENCH_DIR, "verify_mix", "1"], cwd=ROOT,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["ready", "False"]
 
 
 def _import_tracer():
