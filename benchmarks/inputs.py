@@ -3,7 +3,10 @@
 Each workload is a fixed *deck* of op kinds; the seed draws every op's
 parameters, and the runner deals the deck in a fresh seeded order each round.
 The kind mix is the same for every seed, so runs with different seeds cost
-about the same and their timings are comparable.
+about the same and their timings are comparable.  Every op of a deck passes
+its check today.  The inputs that fail today form a separate fixed panel per
+workload (``known_defects``), the same for every seed, which a run checks
+once, untimed, and reports on its own.
 
 The benchmark decides the phase of every input itself (never by asking
 ``ptosc``): the h8 family is unbroken iff |m2| < m0 at any momentum, the
@@ -28,15 +31,13 @@ class Op:
 
     ``argv`` and the contents of ``files`` may contain ``{dir}``, the op's own
     scratch directory, substituted when the op is materialized.  ``expect``
-    carries what the correctness check needs; ``known_failure`` marks the
-    input classes that fail today (counted, not filtered).
+    carries what the correctness check needs.
     """
 
     kind: str
     argv: tuple
     files: dict = field(default_factory=dict)
     expect: dict = field(default_factory=dict)
-    known_failure: bool = False
 
 
 def phase_unbroken(model: str, params: dict) -> bool:
@@ -126,24 +127,27 @@ def _generic(rng: random.Random, unbroken: bool) -> tuple:
 # ---------------------------------------------------------------------------
 # verify_mix
 
-# (kind, count, variants) per deck of 20; the counts fix the latency mix for
-# every seed.  Near the exceptional point, roundoff decides per input whether
-# C construction fails at once or the suite runs on (about half of h8r inputs,
-# a tenth of h8v ones), so those slots hold 16 seeded variants, one per round:
-# a run then averages over both outcomes instead of inheriting one per seed.
+# (kind, count) per deck of 16; the counts fix the latency mix for every seed
 VERIFY_DECK = (
-    ("broken_h8v", 1, 1),
-    ("broken_generic", 1, 1),
-    ("h8r_p", 1, 1),
-    ("h8_p", 1, 1),
-    ("near_ep_h8v", 1, 16),
-    ("near_ep_h8r", 1, 16),
-    ("sfdm", 3, 1),
-    ("generic", 2, 1),
-    ("h8r_p0", 3, 1),
-    ("h8_p0", 2, 1),
-    ("h8v_p0", 2, 1),
-    ("h8v_p", 2, 1),
+    ("broken_h8v", 1),
+    ("broken_generic", 1),
+    ("sfdm", 3),
+    ("generic", 2),
+    ("h8r_p0", 3),
+    ("h8_p0", 2),
+    ("h8v_p0", 2),
+    ("h8v_p", 2),
+)
+
+# The verify inputs that fail today: h8r and h8 at p != 0 (no eigenbasis, 6 of
+# 9 checks skipped) and h8v/h8r near the exceptional point, where roundoff
+# decides per input whether C construction fails at once or the suite runs on
+# and fails; (kind, count).
+VERIFY_KNOWN_DEFECTS = (
+    ("h8r_p", 2),
+    ("h8_p", 2),
+    ("near_ep_h8v", 4),
+    ("near_ep_h8r", 4),
 )
 
 
@@ -162,13 +166,11 @@ def _verify_op(rng: random.Random, kind: str) -> Op:
         params = _sfdm(rng)
         return Op(kind, ("verify", *_model_argv("sfdm", params)), expect={"unbroken": True})
     model = {"broken_h8v": "h8v", "near_ep_h8v": "h8v", "near_ep_h8r": "h8r"}.get(kind, kind.split("_")[0])
-    known = False
     p = 0.0
     if kind.startswith("near_ep"):
         # |m2| = m0 (1 - delta): unbroken, but fp64 cannot build C there today
         delta = 10.0 ** rng.uniform(-9.0, -7.5)
         ratio = rng.choice((-1.0, 1.0)) * (1.0 - delta)
-        known = True
         if model == "h8v":
             p = rng.uniform(0.1, 2.0)
     elif kind == "broken_h8v":
@@ -178,11 +180,10 @@ def _verify_op(rng: random.Random, kind: str) -> Op:
         ratio = _unbroken_ratio(rng)
         if kind.endswith("_p"):
             p = rng.uniform(0.2, 2.5)
-            known = model in ("h8r", "h8")  # no eigenbasis at p != 0 today
     params = _h8(rng, model, ratio)
     theta_p, phi_p = _direction(rng)
     argv = ("verify", *_model_argv(model, params, p, theta_p, phi_p))
-    return Op(kind, argv, expect={"unbroken": phase_unbroken(model, params)}, known_failure=known)
+    return Op(kind, argv, expect={"unbroken": phase_unbroken(model, params)})
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +216,12 @@ def _oscillate_op(rng: random.Random, model: str, fmt: str) -> Op:
 # ---------------------------------------------------------------------------
 # sweep_grid
 
-# per deck of 10: (kind, format, grid points).  Grid sizes are fixed per slot
-# so every seed costs the same.  Sorted by cost, a deck is: the failing h8r
-# grid, two cheaper grids (h8v crossing, where a third of the points are
-# broken, and h8r at p = 0), five grids of similar cost and the two alike JSON
-# grids, so p50 falls inside the five and p90 between the two JSON ops.
+# per deck of 9: (kind, format, grid points).  Grid sizes are fixed per slot
+# so every seed costs the same.  Sorted by cost, a deck is: six CSV grids of
+# similar cost (the h8v crossing has a third of its points broken), the
+# dearer h8v p axis and the two alike JSON grids, so p50 falls inside the six
+# and p90 inside the two JSON ops.
 SWEEP_DECK = (
-    ("h8r_p_m2_axis", "csv", 28),
     ("h8v_m2_cross", "csv", 32),
     ("h8r_m2_axis", "csv", 28),
     ("h8_m3_axis", "csv", 26),
@@ -232,6 +232,10 @@ SWEEP_DECK = (
     ("sfdm_chi_axis", "json", 24),
     ("sfdm_chi_axis", "json", 24),
 )
+
+# the sweep that fails today: an h8r grid at p != 0, where no point has an
+# eigenbasis
+SWEEP_KNOWN_DEFECTS = (("h8r_p_m2_axis", "csv", 28),)
 
 
 def _sweep_op(rng: random.Random, kind: str, fmt: str, steps: int) -> Op:
@@ -275,23 +279,29 @@ def _sweep_op(rng: random.Random, kind: str, fmt: str, steps: int) -> Op:
         ("sweep", "--config", "{dir}/sweep.json"),
         files={"sweep.json": json.dumps(config)},
         expect={"format": fmt, "t_points": SWEEP_T_POINTS, "model": model, "params": params, "param": axis, "steps": steps},
-        known_failure=kind == "h8r_p_m2_axis",
     )
 
 
-def make_inputs(workload: str, seed: int) -> list[list[Op]]:
-    """The deck of one workload: a list of slots, each holding one or more
-    variants of an op; round r of a run uses variant r mod len(slot).  Equal
-    seeds give equal decks."""
+def make_inputs(workload: str, seed: int) -> list[Op]:
+    """The deck of one workload, one op per slot.  Equal seeds give equal decks."""
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; expected one of {WORKLOADS}")
     rng = random.Random(f"{workload}:{seed}")
     if workload == "verify_mix":
-        return [
-            [_verify_op(rng, kind) for _ in range(variants)]
-            for kind, count, variants in VERIFY_DECK
-            for _ in range(count)
-        ]
+        return [_verify_op(rng, kind) for kind, count in VERIFY_DECK for _ in range(count)]
     if workload == "oscillate_long":
-        return [[_oscillate_op(rng, model, fmt)] for model, fmt in OSCILLATE_DECK]
-    return [[_sweep_op(rng, kind, fmt, steps)] for kind, fmt, steps in SWEEP_DECK]
+        return [_oscillate_op(rng, model, fmt) for model, fmt in OSCILLATE_DECK]
+    return [_sweep_op(rng, kind, fmt, steps) for kind, fmt, steps in SWEEP_DECK]
+
+
+def known_defects(workload: str) -> list[Op]:
+    """The fixed panel of inputs of one workload that fail today; the same
+    for every seed, so the number that fail is comparable across runs."""
+    if workload not in WORKLOADS:
+        raise ValueError(f"unknown workload {workload!r}; expected one of {WORKLOADS}")
+    rng = random.Random(f"known_defects:{workload}")
+    if workload == "verify_mix":
+        return [_verify_op(rng, kind) for kind, count in VERIFY_KNOWN_DEFECTS for _ in range(count)]
+    if workload == "sweep_grid":
+        return [_sweep_op(rng, kind, fmt, steps) for kind, fmt, steps in SWEEP_KNOWN_DEFECTS]
+    return []

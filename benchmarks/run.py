@@ -9,7 +9,8 @@ against the probe in ``calib.py``.  With ``--trace 0`` the last line of
 stdout is a JSON object with the end-to-end metrics; with ``--trace 1`` it
 holds the per-layer metrics of a run whose decks alternate between traced
 and untraced.  A diagnostics JSON line (raw wall-clock twins, failures by
-kind, output digest) comes just before it.  See README.md.
+kind, output digest, the known-defect panel) comes just before it.  See
+README.md.
 """
 
 import os
@@ -168,6 +169,29 @@ class Runner:
         return problem, digest.hexdigest(), len(files), sum(len(t.encode()) for t in files.values())
 
 
+def check_known_defects(cli, workload: str, workdir: str) -> dict:
+    """Run and check, untimed, the workload's fixed panel of inputs that fail today.
+
+    The panel is kept out of the timed decks, so ``attempted`` and ``failed``
+    do not depend on how many decks a run deals; its outcome is reported here
+    instead, so a fix (or a new failure) of these inputs shows.
+    """
+    ops = inputs.known_defects(workload)
+    os.makedirs(workdir)
+    runner = Runner(cli, ops, workdir)
+    failed_by_kind, skipped = {}, 0
+    for n, op in enumerate(ops):
+        rc, out, err, _ = runner.call(n)
+        if runner.outcome(n, rc, out, err)[0] is not None:
+            failed_by_kind[op.kind] = failed_by_kind.get(op.kind, 0) + 1
+        if op.argv[0] != "verify":
+            continue
+        for line in out.splitlines():
+            with contextlib.suppress(ValueError, AttributeError):
+                skipped += json.loads(line).get("note", "").startswith("skipped")
+    return {"ops": len(ops), "failed": sum(failed_by_kind.values()), "failed_by_kind": failed_by_kind, "checks_skipped": skipped}
+
+
 # ---------------------------------------------------------------------------
 # per-layer metrics
 
@@ -253,12 +277,7 @@ def pin_to_one_cpu() -> int:
 def run(args) -> dict:
     cli = import_cli()
     cpu = pin_to_one_cpu()
-    slots = inputs.make_inputs(args.workload, args.seed)
-    ops = [op for slot in slots for op in slot]
-    slot_ops, first = [], 0
-    for slot in slots:
-        slot_ops.append(list(range(first, first + len(slot))))
-        first += len(slot)
+    ops = inputs.make_inputs(args.workload, args.seed)
     setup = ([], [], []) if args.trace else measure_setup(args.workload, args.seed)
 
     tracer = None
@@ -271,8 +290,7 @@ def run(args) -> dict:
     os.makedirs(workdir)
     try:
         runner = Runner(cli, ops, workdir)
-        # warm-up pass over every variant: lazy imports and caches settle;
-        # reference digests
+        # warm-up deck: lazy imports and caches settle; reference digests
         reference = []
         for n in range(len(ops)):
             runner.prepare(n)
@@ -286,13 +304,9 @@ def run(args) -> dict:
         deck = 0
         while True:
             traced = tracer is not None and deck % 2 == 1
-            order = list(range(len(slots)))
+            order = list(range(len(ops)))
             order_rng.shuffle(order)
-            # a traced run deals every variant once untraced and once traced,
-            # so the two halves compare the same inputs
-            variant = deck // 2 if tracer is not None else deck
-            for slot in order:
-                n = slot_ops[slot][variant % len(slot_ops[slot])]
+            for n in order:
                 runner.prepare(n)
                 probes.append(calib.probe_ms())
                 if traced:
@@ -322,6 +336,7 @@ def run(args) -> dict:
                 break
         probes.append(calib.probe_ms())
         loop_s = time.perf_counter() - loop_start
+        known = check_known_defects(cli, args.workload, os.path.join(workdir, "known"))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         with contextlib.suppress(OSError):
@@ -338,7 +353,7 @@ def run(args) -> dict:
             for key, thread, start, end, own in tracer.spans:
                 fh.write(json.dumps({"key": key, "thread": thread, "start": start, "end": end, "self": own}) + "\n")
 
-    return summarize(args, ops, records, probes, setup, layer, len(op_totals), tracer, loop_s, reference, cpu)
+    return summarize(args, records, probes, setup, layer, len(op_totals), tracer, loop_s, reference, cpu, known)
 
 
 def _deck_sums(recs: list, field: str) -> list[tuple[float, int]]:
@@ -360,10 +375,9 @@ def _latency_stats(recs: list, field: str) -> dict:
     }
 
 
-def summarize(args, ops, records, probes, setup, layer, traced_ops, tracer, loop_s, reference, cpu) -> dict:
+def summarize(args, records, probes, setup, layer, traced_ops, tracer, loop_s, reference, cpu, known) -> dict:
     timed = [r for r in records if not r["traced"]]
     failed = [r for r in records if r["problem"] is not None]
-    unexpected = [r for r in failed if not ops[r["op"]].known_failure]
     unstable = [r for r in records if not r["stable"]]
     failed_by_kind = {}
     for r in failed:
@@ -383,9 +397,10 @@ def summarize(args, ops, records, probes, setup, layer, traced_ops, tracer, loop
         "loop_s": loop_s,
         "failed_share": len(failed) / len(records),
         "failed_by_kind": failed_by_kind,
-        "unexpected_failures": [f"{r['kind']}: {r['problem']}" for r in unexpected[:5]],
+        "failures": [f"{r['kind']}: {r['problem']}" for r in failed[:5]],
         "unstable_outputs": len(unstable),
         "output_digest": run_digest,
+        "known_defects": known,
         "probe_ms_median": probe_med,
         "raw": raw,
         "raw_over_probe_p50": raw["latency_p50_ms"] / probe_med,
@@ -411,6 +426,8 @@ def summarize(args, ops, records, probes, setup, layer, traced_ops, tracer, loop
             {
                 "cli.files_written": {"value": sum(files) / len(files), "unit": "count/op"},
                 "cli.bytes_written": {"value": sum(written) / len(written), "unit": "bytes/op"},
+                "known_defects.failed": {"value": float(known["failed"]), "unit": "count"},
+                "known_defects.checks_skipped": {"value": float(known["checks_skipped"]), "unit": "count"},
                 "trace.overhead_frac": {"value": overhead, "unit": "frac"},
                 "machine.probe_ms": {"value": probe_med, "unit": "ms"},
             }
@@ -427,7 +444,7 @@ def summarize(args, ops, records, probes, setup, layer, traced_ops, tracer, loop
         }
     print(json.dumps({"diagnostics": diagnostics}))
     return {
-        "correct": not unexpected and not unstable,
+        "correct": not failed and not unstable,
         "attempted": len(records),
         "failed": len(failed),
         "metrics": metrics,

@@ -19,10 +19,7 @@ ROOT = os.path.dirname(BENCH_DIR)
 
 
 def _deck(workload, seed):
-    return [
-        [(op.kind, op.argv, op.files, op.expect, op.known_failure) for op in slot]
-        for slot in inputs.make_inputs(workload, seed)
-    ]
+    return [(op.kind, op.argv, op.files, op.expect) for op in inputs.make_inputs(workload, seed)]
 
 
 @pytest.mark.parametrize("workload", inputs.WORKLOADS)
@@ -33,8 +30,17 @@ def test_inputs_repeat_for_a_seed_and_differ_across_seeds(workload):
 
 @pytest.mark.parametrize("workload", inputs.WORKLOADS)
 def test_kind_mix_is_the_same_for_every_seed(workload):
-    kinds = [sorted(op.kind for slot in inputs.make_inputs(workload, seed) for op in slot) for seed in range(5)]
+    kinds = [sorted(op.kind for op in inputs.make_inputs(workload, seed)) for seed in range(5)]
     assert all(k == kinds[0] for k in kinds)
+
+
+@pytest.mark.parametrize("workload", inputs.WORKLOADS)
+def test_known_defects_are_fixed_and_kept_out_of_the_decks(workload):
+    panel = inputs.known_defects(workload)
+    assert panel == inputs.known_defects(workload)
+    deck_kinds = {op.kind for seed in range(5) for op in inputs.make_inputs(workload, seed)}
+    assert not deck_kinds & {op.kind for op in panel}
+    assert bool(panel) == (workload != "oscillate_long")
 
 
 def test_phase_rule():
@@ -98,7 +104,7 @@ def test_checker_flags_a_wrong_sweep_status():
 def test_prepare_leaves_only_the_op_inputs(tmp_path):
     import run
 
-    op = inputs.make_inputs("oscillate_long", 1)[0][0]
+    op = inputs.make_inputs("oscillate_long", 1)[0]
     runner = run.Runner(None, [op], str(tmp_path))
     op_dir = tmp_path / "op00"
     (op_dir / "table.csv").write_text("stale")
