@@ -18,16 +18,12 @@ from .errors import (
 from .linalg import Eigendecomposition, eig_oracle, operator_norm
 from .symmetry import SymmetryPair, apply_PT, apply_T, block_pair, canonical_pair, dirac_pair
 from .inner import (
-    MomentumState,
     cpt_ip,
-    cpt_ip_momentum,
     dirac_ip,
     jsm_cs_comparison,
     pt_adjoint,
     pt_ip,
-    pt_ip_momentum,
     pt_normalize,
-    superpose,
 )
 from .models import (
     Dirac8Params,

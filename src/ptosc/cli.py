@@ -180,7 +180,7 @@ def _sweep_point(template: ModelSpec, axis: str, value: float, args, tol: float)
     spec = ModelSpec(model=template.model, params=params, momentum=momentum or None)
     try:
         table, _ = _build_table(spec, args, tol)
-    except (BrokenPTError, PtoscError) as exc:
+    except PtoscError as exc:
         return value, None, f"broken: {exc}"
     return value, table, "ok"
 
@@ -266,9 +266,6 @@ def main(argv=None) -> int:
     except (ParameterError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPTError as exc:
-        print(f"physics failure: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
     except PtoscError as exc:
         print(f"physics failure: {exc}", file=sys.stderr)
         return EXIT_PHYSICS

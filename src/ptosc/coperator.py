@@ -1,19 +1,19 @@
 """Construction and validation of the C operator.
 
-C is built spectrally from a PT-orthonormal eigenbasis as
+C is built spectrally from a PT-orthonormal eigenbasis.  With K the kets at
+the working momentum p as columns and B the same kets at -p (the bra side of
+the CS convention; B = K for static models),
 
-    C = sum_j e_j (e_j^dag S)        (static kets), or
-    C(p) = sum_j e_j(p) (e_j(-p)^dag S)   (momentum kets, CS convention),
+    C(p) = K B^dag S = sum_j e_j(p) (e_j(-p)^dag S),    C(-p) = B K^dag S,
 
 with *no* PT-sign weights: acting on the basis this gives C e_k = s_k e_k,
 so C has eigenvalues equal to the PT signs, squares to the identity and
-commutes with the Hamiltonian.  The sign-weighted sum
-sum_j s_j e_j (e_j^dag S) is instead the resolution of the identity in the
-CPT inner product, measured by :func:`completeness_defect`.
+commutes with the Hamiltonian.  The sign-weighted sum K diag(s) B^dag S is
+instead the resolution of the identity in the CPT inner product, measured by
+:func:`completeness_defect`.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,30 +26,25 @@ from .symmetry import SymmetryPair
 class COperator:
     """A validated C operator.
 
-    ``matrix`` is C at the working momentum; ``matrix_at`` (present when the
-    eigenbasis carries momentum states) evaluates C at any signed momentum,
-    as needed for the bra side of CPT products.
+    ``matrix`` is C at the working momentum p and ``reflected`` is C(-p), as
+    needed for the bra side of CPT products; for static models the two are
+    equal.
     """
 
     matrix: np.ndarray
-    matrix_at: Callable[[float], np.ndarray] | None = None
+    reflected: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def at(self, q: float) -> np.ndarray:
-        if self.matrix_at is None:
-            return self.matrix
-        return self.matrix_at(q)
+    def at(self, sign: int) -> np.ndarray:
+        """C at momentum sign * p: ``matrix`` for +1, ``reflected`` for -1.
 
-
-def _spectral_sum(sym: SymmetryPair, kets, bra_kets, weights=None) -> np.ndarray:
-    total = np.zeros((sym.dim, sym.dim), dtype=complex)
-    for j, (ket, bra_ket) in enumerate(zip(kets, bra_kets)):
-        w = 1.0 if weights is None else weights[j]
-        total += w * np.outer(ket, bra_ket.conj() @ sym.s)
-    return total
+        Unused by the package; kept with the entry points at the end of
+        :mod:`ptosc.inner` (see there).
+        """
+        return self.reflected if sign < 0 else self.matrix
 
 
 def build_C(sym: SymmetryPair, eigensystem, hamiltonian=None, tol: float = 1e-10) -> COperator:
@@ -57,18 +52,13 @@ def build_C(sym: SymmetryPair, eigensystem, hamiltonian=None, tol: float = 1e-10
 
     Checks C^2 = 1 and, when the Hamiltonian is supplied, [C, H] = 0, both
     to ``tol`` in operator norm; a violation raises
-    :class:`ConstructionError`.  If every eigenpair carries a momentum state
-    the returned operator can also be evaluated at reflected momenta.
+    :class:`ConstructionError`.
     """
-    kets = eigensystem.kets
-    states = eigensystem.states
-    momentum = all(st is not None for st in states)
-    if momentum:
-        p = states[0].p
-        bra_kets = [st.spinor_at(-p) for st in states]
-    else:
-        bra_kets = kets
-    c = _spectral_sum(sym, kets, bra_kets)
+    kets, bra_kets = eigensystem.K, eigensystem.B
+    # einsum accumulates each entry term by term, as the spectral sum does;
+    # BLAS gemm rounds worse where large ket entries cancel (|m2| -> m0) and
+    # there fails the C^2 check markedly more often.
+    c = np.einsum("ij,jk->ik", kets, bra_kets.conj().T @ sym.s)
     defect = operator_norm(c @ c - np.eye(sym.dim))
     if defect > tol:
         raise ConstructionError(f"C^2 != 1 (defect {defect:.3e} > {tol:.1e})")
@@ -77,15 +67,7 @@ def build_C(sym: SymmetryPair, eigensystem, hamiltonian=None, tol: float = 1e-10
         comm = operator_norm(c @ h - h @ c)
         if comm > tol * max(1.0, operator_norm(h)):
             raise ConstructionError(f"[C, H] != 0 (defect {comm:.3e})")
-    matrix_at = None
-    if momentum:
-        def matrix_at(q: float) -> np.ndarray:
-            return _spectral_sum(
-                sym,
-                [st.spinor_at(q) for st in states],
-                [st.spinor_at(-q) for st in states],
-            )
-    return COperator(matrix=c, matrix_at=matrix_at)
+    return COperator(matrix=c, reflected=np.einsum("ij,jk->ik", bra_kets, kets.conj().T @ sym.s))
 
 
 def closed_form_C_h8v(m0: float, m2: float, p: float) -> np.ndarray:
@@ -103,20 +85,11 @@ def closed_form_C_h8v(m0: float, m2: float, p: float) -> np.ndarray:
 def completeness_defect(sym: SymmetryPair, eigensystem, drop: int | None = None) -> float:
     """Operator-norm defect of the CPT resolution of the identity.
 
-    ``sum_j s_j e_j (e_j(-p)^dag S)`` should equal the identity; dropping any
-    term (``drop`` = index) makes the defect at least 1.
+    ``K diag(s) B^dag S`` should equal the identity; dropping any term
+    (``drop`` = index) makes the defect at least 1.
     """
-    kets = eigensystem.kets
-    states = eigensystem.states
-    signs = eigensystem.signs
-    if all(st is not None for st in states):
-        p = states[0].p
-        bra_kets = [st.spinor_at(-p) for st in states]
-    else:
-        bra_kets = kets
+    weights = np.array(eigensystem.signs, dtype=float)
     if drop is not None:
-        kets = [k for j, k in enumerate(kets) if j != drop]
-        bra_kets = [k for j, k in enumerate(bra_kets) if j != drop]
-        signs = [s for j, s in enumerate(signs) if j != drop]
-    total = _spectral_sum(sym, kets, bra_kets, weights=signs)
+        weights[drop] = 0.0
+    total = np.einsum("ij,jk->ik", eigensystem.K * weights, eigensystem.B.conj().T @ sym.s)
     return operator_norm(total - np.eye(sym.dim))

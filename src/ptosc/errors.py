@@ -26,7 +26,10 @@ class NumericalError(PtoscError, RuntimeError):
 class BrokenPTError(PtoscError, ValueError):
     """PT-broken parameter regime: the spectrum is complex.
 
-    Carries the offending eigenvalues so callers can report them.
+    Carries the offending eigenvalues so callers can report them.  For h8v
+    and h8r the phase rule is |m2| >= m0 at every momentum, so at
+    p^2 > m2^2 - m0^2 the reported eigenvalues +/-sqrt(p^2 + m0^2 - m2^2)
+    are in fact real (ROADMAP item 4).
     """
 
     def __init__(self, message: str, eigenvalues=None):

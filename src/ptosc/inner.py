@@ -1,8 +1,8 @@
-"""Inner products: Dirac, PT (indefinite), momentum-space PT and CPT.
+"""Inner products: Dirac, PT (indefinite) and CPT.
 
 The PT product is evaluated in its matrix form a^dag S b, which the symmetry
 pair construction has already checked to agree with the formal antilinear
-expression (PT a)^T Z b.  For momentum-carrying states the CS convention is
+expression (PT a)^T Z b.  For momentum-carrying kets the CS convention is
 used: the bra spinor is evaluated at -p (parity flips the momentum), so a
 state has a nonvanishing overlap with itself.  The historical JSM convention,
 under which that self-overlap vanishes, survives only inside
@@ -10,7 +10,6 @@ under which that self-overlap vanishes, survives only inside
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,37 +19,6 @@ from .symmetry import SymmetryPair
 
 #: PT self-overlaps smaller than this are treated as vanishing norm.
 NORM_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class MomentumState:
-    """A reduced-subspace spinor parametrized by a signed momentum scalar.
-
-    ``spinor_at(q)`` evaluates the 4-component spinor at momentum ``q`` along
-    the direction of motion; reflections (parity) are realized as evaluation
-    at ``-p``.  The helicity factor is carried separately: overlaps between
-    opposite-helicity states vanish and same-helicity spinor factors
-    contribute xi^dag xi = 1.
-    """
-
-    spinor_at: Callable[[float], np.ndarray]
-    p: float
-    helicity: int = +1
-
-
-def superpose(coeffs: Sequence[complex], states: Sequence[MomentumState]) -> MomentumState:
-    """Linear combination of momentum states sharing the same (p, helicity)."""
-    ps = {s.p for s in states}
-    hs = {s.helicity for s in states}
-    if len(ps) != 1 or len(hs) != 1:
-        raise ShapeError("can only superpose states with identical momentum and helicity")
-    coeffs = [complex(c) for c in coeffs]
-    members = list(states)
-
-    def spinor_at(q: float) -> np.ndarray:
-        return sum(c * s.spinor_at(q) for c, s in zip(coeffs, members))
-
-    return MomentumState(spinor_at=spinor_at, p=ps.pop(), helicity=hs.pop())
 
 
 def dirac_ip(a, b) -> complex:
@@ -68,15 +36,6 @@ def pt_ip(sym: SymmetryPair, a, b) -> complex:
     return complex(a.conj() @ sym.s @ b)
 
 
-def pt_ip_momentum(sym: SymmetryPair, a: MomentumState, b: MomentumState) -> complex:
-    """CS momentum-space PT product: a(-p)^dag S b(p), delta on p and helicity."""
-    if a.helicity != b.helicity or a.p != b.p:
-        return 0j
-    bra = as_cvector(a.spinor_at(-a.p), sym.dim)
-    ket = as_cvector(b.spinor_at(b.p), sym.dim)
-    return complex(bra.conj() @ sym.s @ ket)
-
-
 @dataclass(frozen=True)
 class InnerProductComparison:
     """Self-overlap of a momentum state under the JSM and CS conventions."""
@@ -90,17 +49,18 @@ class InnerProductComparison:
         return abs(self.jsm_self - self.cs_self) < 1e-12
 
 
-def jsm_cs_comparison(sym: SymmetryPair, a: MomentumState) -> InnerProductComparison:
-    """Contrast the JSM and CS self-overlaps of a momentum state.
+def jsm_cs_comparison(sym: SymmetryPair, ket, bra_ket, p: float) -> InnerProductComparison:
+    """Contrast the JSM and CS self-overlaps of a momentum ket.
 
-    JSM pairs momenta k and -k, so for p != 0 the self-overlap is identically
+    ``ket`` is the spinor at p and ``bra_ket`` the same spinor at -p.  JSM
+    pairs momenta k and -k, so for p != 0 the self-overlap is identically
     zero (the selection rule k = -p is never met by the state itself); CS
-    pairs equal momenta and gives a finite value.  At p = 0 both coincide.
+    pairs equal momenta and gives the finite value bra_ket^dag S ket.  At
+    p = 0 both coincide.
     """
-    spinor = as_cvector(a.spinor_at(-a.p), sym.dim)
-    cs = complex(spinor.conj() @ sym.s @ as_cvector(a.spinor_at(a.p), sym.dim))
-    jsm = cs if a.p == 0 else 0j
-    return InnerProductComparison(p=a.p, jsm_self=jsm, cs_self=cs)
+    cs = pt_ip(sym, bra_ket, ket)
+    jsm = cs if p == 0 else 0j
+    return InnerProductComparison(p=p, jsm_self=jsm, cs_self=cs)
 
 
 def pt_adjoint(sym: SymmetryPair, h) -> np.ndarray:
@@ -139,15 +99,16 @@ def cpt_ip(sym: SymmetryPair, c, a, b) -> complex:
     return complex((c @ a).conj() @ sym.s @ b)
 
 
-def cpt_ip_momentum(
-    sym: SymmetryPair,
-    c_at: Callable[[float], np.ndarray],
-    a: MomentumState,
-    b: MomentumState,
-) -> complex:
-    """CPT product for momentum states: (C(-p) a(-p))^dag S b(p)."""
-    if a.helicity != b.helicity or a.p != b.p:
-        return 0j
-    bra = require_square(c_at(-a.p)) @ as_cvector(a.spinor_at(-a.p), sym.dim)
-    ket = as_cvector(b.spinor_at(b.p), sym.dim)
-    return complex(bra.conj() @ sym.s @ ket)
+# The former momentum-state entry points, on arrays.  Nothing in the package
+# calls them; they stay only while the traced benchmark still names them
+# (ROADMAP item 6) and go with that change.
+
+
+def superpose(coeffs, kets) -> np.ndarray:
+    """The ket sum_j coeffs[j] kets[:, j], for kets given as columns."""
+    return np.asarray(kets, dtype=complex) @ as_cvector(coeffs)
+
+
+def cpt_ip_momentum(sym: SymmetryPair, c_reflected, bra_ket, ket) -> complex:
+    """CS-convention CPT product (C(-p) a(-p))^dag S b(p); ``bra_ket`` is a(-p)."""
+    return cpt_ip(sym, c_reflected, bra_ket, ket)

@@ -26,10 +26,3 @@ def matrix_to_json(a: np.ndarray) -> list:
 def matrix_from_json(rows) -> np.ndarray:
     return np.array([[complex_from_json(z) for z in row] for row in rows], dtype=complex)
 
-
-def vector_to_json(v: np.ndarray) -> list:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
-
-
-def vector_from_json(entries) -> np.ndarray:
-    return np.array([complex_from_json(z) for z in entries], dtype=complex)

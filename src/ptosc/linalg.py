@@ -55,13 +55,6 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def mat_mul(a, b) -> np.ndarray:
-    a, b = as_cmatrix(a), as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_cmatrix(a).conj().T

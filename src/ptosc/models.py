@@ -13,8 +13,10 @@ both fixed against the numerical eigensolver:
   and its conjugate, and the printed normalization n is then exact.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .inner import MomentumState, pt_normalize
+from .inner import pt_normalize
 from .io import matrix_from_json, matrix_to_json
 from .linalg import (
     SIGMA,
@@ -47,7 +49,6 @@ class EigenPair:
     value: float
     ket: np.ndarray
     pt_sign: int
-    state: MomentumState | None = None
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,14 @@ class EigenSystem:
     """Ordered eigenvalues with PT-normalized kets and degeneracy clusters.
 
     Pairs are sorted ascending by eigenvalue; ``clusters`` partitions the
-    index range into groups of equal eigenvalues.
+    index range into groups of equal eigenvalues.  ``reflected`` holds the
+    same kets evaluated at the reflected momentum -p, as columns; it is None
+    for static models, whose bra kets are the kets themselves.
     """
 
     pairs: tuple[EigenPair, ...]
     clusters: tuple[tuple[int, ...], ...] = field(default=())
+    reflected: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.clusters:
@@ -80,9 +84,15 @@ class EigenSystem:
     def signs(self) -> list[int]:
         return [p.pt_sign for p in self.pairs]
 
+    @cached_property
+    def K(self) -> np.ndarray:
+        """The kets at the working momentum, as columns."""
+        return np.column_stack(self.kets)
+
     @property
-    def states(self) -> list[MomentumState | None]:
-        return [p.state for p in self.pairs]
+    def B(self) -> np.ndarray:
+        """The bra kets (kets at -p), as columns; K itself for static models."""
+        return self.K if self.reflected is None else self.reflected
 
     @property
     def dim(self) -> int:
@@ -327,11 +337,9 @@ def effective_mass(m0: float, m2: float) -> float:
 
 def _require_unbroken(m0: float, m2: float, p: float = 0.0) -> None:
     if m0 <= abs(m2):
-        imag = math.sqrt(m2 * m2 - m0 * m0)
-        lam = complex(0.0, math.hypot(imag, 0.0))
-        eigs = [p + lam, p - lam, -p + lam, -p - lam] if p else [lam, lam, -lam, -lam]
+        lam = cmath.sqrt(p * p + m0 * m0 - m2 * m2)
         raise BrokenPTError(
-            f"PT-broken regime: |m2| = {abs(m2)} >= m0 = {m0}", eigenvalues=eigs
+            f"PT-broken regime: |m2| = {abs(m2)} >= m0 = {m0}", eigenvalues=[lam, lam, -lam, -lam]
         )
 
 
@@ -410,38 +418,33 @@ def helicity_spinors(theta_p: float, phi_p: float) -> tuple[np.ndarray, np.ndarr
     return xi_plus, xi_minus
 
 
-def h8v_reduced_eigensystem(m0: float, m2: float, p: float, helicity: int = +1) -> EigenSystem:
+def h8v_reduced_eigensystem(m0: float, m2: float, p: float) -> EigenSystem:
     """Closed-form eigensystem of the 4x4 reduced h8v block at momentum p.
 
     Eigenvalues -eps (v kets) and +eps (u kets) with
     eps = sqrt(p^2 + m0^2 - m2^2); the kets carry the 1/sqrt(2 m0 eps)
-    normalization and are exposed as momentum states whose spinors evaluate
-    the closed form at any signed momentum (the bra side uses -p).
+    normalization.  The closed form is evaluated at p for the kets and at -p
+    for the reflected kets that the CS convention uses on the bra side.
     """
     _require_unbroken(m0, m2, p)
     meff = effective_mass(m0, m2)
     eps = math.hypot(p, meff)
+    norm = 1.0 / math.sqrt(2.0 * m0 * eps)
 
-    def make(kind: str) -> MomentumState:
-        def spinor_at(q: float) -> np.ndarray:
-            norm = 1.0 / math.sqrt(2.0 * m0 * eps)
-            if kind == "v1":
-                vec = [1j * m2 * (eps - q) / meff, m0 * (q - eps) / meff, 0, meff]
-            elif kind == "v2":
-                vec = [1j * (q - eps), 0, 1j * m0, m2]
-            elif kind == "u1":
-                vec = [-1j * m2 * (eps + q) / meff, m0 * (q + eps) / meff, 0, meff]
-            else:  # u2
-                vec = [1j * (q + eps), 0, 1j * m0, m2]
-            return norm * np.array(vec, dtype=complex)
+    def rows_at(q: float) -> np.ndarray:
+        return norm * np.array(
+            [
+                [1j * m2 * (eps - q) / meff, m0 * (q - eps) / meff, 0, meff],  # v1
+                [1j * (q - eps), 0, 1j * m0, m2],  # v2
+                [-1j * m2 * (eps + q) / meff, m0 * (q + eps) / meff, 0, meff],  # u1
+                [1j * (q + eps), 0, 1j * m0, m2],  # u2
+            ],
+            dtype=complex,
+        )
 
-        return MomentumState(spinor_at=spinor_at, p=p, helicity=helicity)
-
-    pairs = []
-    for lam, kind, sign in ((-eps, "v1", -1), (-eps, "v2", -1), (eps, "u1", +1), (eps, "u2", +1)):
-        state = make(kind)
-        pairs.append(EigenPair(lam, state.spinor_at(p), sign, state=state))
-    return EigenSystem(tuple(pairs))
+    signed = ((-eps, -1), (-eps, -1), (eps, 1), (eps, 1))
+    pairs = tuple(EigenPair(lam, ket, sign) for (lam, sign), ket in zip(signed, rows_at(p)))
+    return EigenSystem(pairs, reflected=rows_at(-p).T)
 
 
 def lift_reduced_ket(spinor: np.ndarray, theta_p: float, phi_p: float, helicity: int = +1) -> np.ndarray:
@@ -539,6 +542,17 @@ class ModelSpec:
         mom = self.momentum or {}
         return float(mom.get("theta", 0.0)), float(mom.get("phi", 0.0))
 
+    @property
+    def masses(self) -> tuple[float, float, float, float]:
+        """(m0, m1, m2, m3) of an h8-family spec, with the member's zero masses imposed."""
+        m0 = float(self.params["m0"])
+        m1, m2, m3 = (float(self.params.get(key, 0.0)) for key in ("m1", "m2", "m3"))
+        if self.model == "h8v":
+            m1 = m3 = 0.0
+        elif self.model == "h8r":
+            m3 = 0.0
+        return m0, m1, m2, m3
+
 
 def model_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """Working-space Hamiltonian for a model spec.
@@ -550,18 +564,7 @@ def model_hamiltonian(spec: ModelSpec) -> np.ndarray:
         return sfdm_hamiltonian(SfdmParams(**spec.params))
     if spec.model == "generic":
         return generic_t_odd_hamiltonian(GenericTOddParams(**spec.params))
-    m0 = float(spec.params["m0"])
-    m1 = float(spec.params.get("m1", 0.0))
-    m2 = float(spec.params.get("m2", 0.0))
-    m3 = float(spec.params.get("m3", 0.0))
-    if spec.model == "h8v":
-        m1 = m3 = 0.0
-    elif spec.model == "h8r":
-        m3 = 0.0
-    p = spec.p
-    block = mass_block(m0, m1, m2, m3)
-    block = block + p * np.diag([1.0, 1.0, -1.0, -1.0])
-    return block
+    return mass_block(*spec.masses) + spec.p * np.diag([1.0, 1.0, -1.0, -1.0])
 
 
 def model_full_hamiltonian(spec: ModelSpec) -> np.ndarray | None:
@@ -569,15 +572,7 @@ def model_full_hamiltonian(spec: ModelSpec) -> np.ndarray | None:
     if spec.model in ("sfdm", "generic"):
         return None
     theta, phi = spec.direction
-    m0 = float(spec.params["m0"])
-    m1 = float(spec.params.get("m1", 0.0))
-    m2 = float(spec.params.get("m2", 0.0))
-    m3 = float(spec.params.get("m3", 0.0))
-    if spec.model == "h8v":
-        m1 = m3 = 0.0
-    elif spec.model == "h8r":
-        m3 = 0.0
-    return h8_hamiltonian(Dirac8Params(m0=m0, m1=m1, m2=m2, m3=m3, p=spec.p, theta_p=theta, phi_p=phi))
+    return h8_hamiltonian(Dirac8Params(*spec.masses, p=spec.p, theta_p=theta, phi_p=phi))
 
 
 def model_symmetry(spec: ModelSpec) -> SymmetryPair:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import BrokenPTError, ConstructionError, NumericalError
 from .coperator import COperator
-from .inner import MomentumState, cpt_ip, cpt_ip_momentum, superpose
 from .linalg import as_cvector
 from .symmetry import SymmetryPair
 
@@ -32,13 +31,10 @@ class FlavourBasis:
 
     ``mixing[l, j]`` is the coefficient of flavour ket j in eigenket l, so
     for the standard basis it is a (1/sqrt(2))-scaled signed permutation.
-    ``states`` carries the momentum-state form of each ket when the
-    eigensystem provides one.
     """
 
     kets: tuple[np.ndarray, ...]
     mixing: np.ndarray
-    states: tuple[MomentumState, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -92,45 +88,29 @@ def _require_real_spectrum(eigsys) -> np.ndarray:
     return np.real(values)
 
 
-def _cpt_coefficient(sym: SymmetryPair, c: COperator, eigsys, j: int, v) -> complex:
-    """CPT expansion coefficient of v on eigenket j."""
-    state = eigsys.states[j]
-    if state is not None and isinstance(v, MomentumState):
-        return cpt_ip_momentum(sym, c.at, state, v)
-    return cpt_ip(sym, c.matrix, eigsys.kets[j], as_cvector(v, sym.dim))
+def _cpt_bras(sym: SymmetryPair, c: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Rows (C e_j)^dag S: row j times v is the CPT coefficient of v on ket j."""
+    return (c @ kets).conj().T @ sym.s
 
 
 def evolve(sym: SymmetryPair, eigsys, c: COperator, v, t: float) -> np.ndarray:
-    """U(t) v = sum_j exp(-i lam_j t) c_j e_j with CPT coefficients c_j."""
+    """U(t) v = sum_j exp(-i lam_j t) c_j e_j with CPT coefficients c_j = (C e_j)^dag S v."""
     values = _require_real_spectrum(eigsys)
-    out = np.zeros(sym.dim, dtype=complex)
-    for j, lam in enumerate(values):
-        out += np.exp(-1j * lam * t) * _cpt_coefficient(sym, c, eigsys, j, v) * eigsys.kets[j]
-    return out
+    coeffs = _cpt_bras(sym, c.matrix, eigsys.K) @ as_cvector(v, sym.dim)
+    return eigsys.K @ (np.exp(-1j * values * t) * coeffs)
 
 
 def standard_flavour_basis(sym: SymmetryPair, eigsys, c: COperator) -> FlavourBasis:
     """The (e1 +/- e3)/sqrt(2), (e2 +/- e4)/sqrt(2) flavour combinations.
 
-    Validates that the input eigenkets are CPT-orthonormal (to 1e-10) and
-    returns kets ordered f'1 = (e1+e3), f'2 = (e2+e4), f'3 = (e1-e3),
-    f'4 = (e2-e4), all over sqrt(2).
+    Validates that the input eigenkets are CPT-orthonormal (to 1e-10): the
+    Gram matrix (C(-p) B)^dag S K is the identity.  Returns kets ordered
+    f'1 = (e1+e3), f'2 = (e2+e4), f'3 = (e1-e3), f'4 = (e2-e4), all over
+    sqrt(2).
     """
     if len(eigsys.pairs) != 4:
         raise ConstructionError("flavour bases require a 4-level eigensystem")
-    gram = np.array(
-        [
-            [_cpt_coefficient(sym, c, eigsys, j, eigsys.kets[k]) for k in range(4)]
-            for j in range(4)
-        ]
-    )
-    if eigsys.states is not None and all(st is not None for st in eigsys.states):
-        gram = np.array(
-            [
-                [cpt_ip_momentum(sym, c.at, eigsys.states[j], eigsys.states[k]) for k in range(4)]
-                for j in range(4)
-            ]
-        )
+    gram = _cpt_bras(sym, c.reflected, eigsys.B) @ eigsys.K
     defect = float(np.max(np.abs(gram - np.eye(4))))
     if defect > 1e-10:
         raise ConstructionError(f"eigenkets are not CPT-orthonormal (defect {defect:.3e})")
@@ -142,31 +122,21 @@ def standard_flavour_basis(sym: SymmetryPair, eigsys, c: COperator) -> FlavourBa
     mixing = r * np.array(
         [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]], dtype=complex
     )
-    states = None
-    if all(st is not None for st in eigsys.states):
-        states = tuple(
-            superpose([r, sgn * r], [eigsys.states[a], eigsys.states[b]])
-            for a, b, sgn in combos
-        )
-    return FlavourBasis(kets=kets, mixing=mixing, states=states)
+    return FlavourBasis(kets=kets, mixing=mixing)
 
 
 def transition_table(sym: SymmetryPair, basis: FlavourBasis, eigsys, c: COperator, t_grid) -> TransitionTable:
     """P(f_i -> f_j)(t) = |((f'_j | f'_i(t)))|^2 with the CPT inner product."""
     values = _require_real_spectrum(eigsys)
-    sources = basis.states if basis.states is not None else basis.kets
-    coeff = np.array(
-        [[_cpt_coefficient(sym, c, eigsys, j, sources[i]) for i in range(4)] for j in range(4)]
-    )
+    # coeff[j, i] = ((e_j | f'_i)); the bra side is evaluated at -p.
+    coeff = _cpt_bras(sym, c.reflected, eigsys.B) @ np.column_stack(basis.kets)
     # CPT-Hermiticity: ((f'_m | e_j)) = conj(((e_j | f'_m))).
     bra = coeff.conj().T
     t_grid = np.asarray(t_grid, dtype=float)
-    probs = np.empty((len(t_grid), 4, 4))
-    for k, t in enumerate(t_grid):
-        phases = np.exp(-1j * values * t)
-        amp = bra @ (phases[:, None] * coeff)
-        probs[k] = np.abs(amp.T) ** 2  # rows: initial flavour i
-    return TransitionTable(t_grid=t_grid, probs=probs)
+    phases = np.exp(-1j * np.outer(t_grid, values))
+    # amp[t, i, m] = sum_j ((f'_m | e_j)) exp(-i lam_j t) ((e_j | f'_i)); rows: initial flavour i
+    amp = (phases[:, None, :] * coeff.T) @ bra.T
+    return TransitionTable(t_grid=t_grid, probs=np.abs(amp) ** 2)
 
 
 def naive_flavour_B(sym: SymmetryPair, eigsys, c: COperator) -> np.ndarray:
@@ -177,13 +147,7 @@ def naive_flavour_B(sym: SymmetryPair, eigsys, c: COperator) -> np.ndarray:
     Dirac-orthonormal; its deviation from 1 quantifies the failure of the
     canonical completeness relation in the coordinate flavour basis.
     """
-    dim = sym.dim
-    alpha = np.array(
-        [
-            [_cpt_coefficient(sym, c, eigsys, l, np.eye(dim)[:, k]) for k in range(dim)]
-            for l in range(dim)
-        ]
-    )
+    alpha = _cpt_bras(sym, c.matrix, eigsys.K)
     return alpha.T @ alpha.conj()
 
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from .coperator import COperator, build_C, completeness_defect
 from .errors import BrokenPTError, DegenerateCombinationError, PtoscError
-from .inner import cpt_ip, cpt_ip_momentum, pt_ip_momentum, superpose
-from .linalg import adjoint, eig_oracle, operator_norm, require_square, random_cvector
+from .linalg import adjoint, eig_oracle, operator_norm, require_square
 from .models import (
     EigenSystem,
     ModelSpec,
@@ -207,15 +206,10 @@ def realize(spec: ModelSpec) -> Realization:
         elif spec.model == "generic":
             eigsys = pt_orthonormal_eigensystem(sym, h)
         elif spec.model == "h8v":
-            m0 = float(spec.params["m0"])
-            m2 = float(spec.params.get("m2", 0.0))
+            m0, _, m2, _ = spec.masses
             eigsys = h8v_reduced_eigensystem(m0, m2, spec.p)
         elif spec.model == "h8r" and spec.p == 0:
-            eigsys = h8r_p0_eigensystem(
-                float(spec.params["m0"]),
-                float(spec.params.get("m1", 0.0)),
-                float(spec.params.get("m2", 0.0)),
-            )
+            eigsys = h8r_p0_eigensystem(*spec.masses[:3])
         elif spec.model == "h8" and spec.p == 0:
             eigsys = pt_orthonormal_eigensystem(sym, h)
         else:
@@ -242,36 +236,32 @@ def _skip(name: str, reason: str, tol: float) -> CheckReport:
 
 
 def _pt_gram_defect(sym: SymmetryPair, eigsys: EigenSystem) -> float:
-    states = eigsys.states
-    if all(st is not None for st in states):
-        gram = np.array(
-            [[pt_ip_momentum(sym, states[j], states[k]) for k in range(len(states))] for j in range(len(states))]
-        )
-    else:
-        v = np.column_stack(eigsys.kets)
-        gram = v.conj().T @ sym.s @ v
+    gram = eigsys.B.conj().T @ sym.s @ eigsys.K
     return operator_norm(gram - np.diag(np.array(eigsys.signs, dtype=float)))
 
 
 def _cpt_positivity_defect(sym: SymmetryPair, c: COperator, eigsys: EigenSystem, n_random: int, seed: int = 0xC0) -> float:
-    """Worst deviation from positivity/reality of random CPT self-overlaps."""
+    """Worst deviation from positivity/reality of random CPT self-overlaps.
+
+    Static models sample coordinate vectors v, with self-overlap
+    (C v)^dag S v; momentum models sample coefficient vectors x on the
+    eigenbasis, with self-overlap (C(-p) B x)^dag S K x.  Each sample draws a
+    coefficient vector first, then (static only) the coordinate vector.
+    """
     rng = np.random.default_rng(seed)
-    states = eigsys.states
-    momentum = all(st is not None for st in states)
-    worst = 0.0
-    for _ in range(n_random):
-        coeffs = random_cvector(rng, sym.dim)
-        if momentum:
-            v = superpose(coeffs, states)
-            norm = cpt_ip_momentum(sym, c.at, v, v)
-        else:
-            v = random_cvector(rng, sym.dim)
-            norm = cpt_ip(sym, c.matrix, v, v)
-        scale = float(np.vdot(coeffs, coeffs).real) if momentum else float(np.vdot(v, v).real)
-        worst = max(worst, abs(norm.imag) / scale, max(0.0, -norm.real) / scale)
-        if norm.real <= 0:
-            worst = max(worst, 1.0)
-    return worst
+    static = eigsys.reflected is None
+    draws = rng.standard_normal((n_random, 4 if static else 2, sym.dim))
+    x = draws[:, -2] + 1j * draws[:, -1]
+    if static:
+        metric = c.matrix.conj().T @ sym.s
+    else:
+        metric = (c.reflected @ eigsys.B).conj().T @ sym.s @ eigsys.K
+    norms = np.einsum("ni,ij,nj->n", x.conj(), metric, x)
+    scale = np.einsum("ni,ni->n", x.conj(), x).real
+    worst = max(np.max(np.abs(norms.imag) / scale, initial=0.0), np.max(-norms.real / scale, initial=0.0))
+    if np.any(norms.real <= 0):
+        worst = max(worst, 1.0)
+    return float(worst)
 
 
 SUITE_NAMES = (

@@ -61,8 +61,8 @@ def test_closed_form_C_h8v_matches_spectral(p):
     es = h8v_reduced_eigensystem(2.0, 1.0, p)
     c = build_C(sym, es, hamiltonian=h8v_reduced_hamiltonian(2.0, 1.0, p))
     assert operator_norm(c.matrix - closed_form_C_h8v(2.0, 1.0, p)) < 1e-10
-    # momentum form evaluates the reflected C used on bra sides
-    assert operator_norm(c.at(-p) - closed_form_C_h8v(2.0, 1.0, -p)) < 1e-10
+    # the reflected C used on bra sides
+    assert operator_norm(c.reflected - closed_form_C_h8v(2.0, 1.0, -p)) < 1e-10
 
 
 def test_C_large_momentum_asymptote():

@@ -3,15 +3,12 @@ import pytest
 
 from ptosc.errors import DegenerateNormError, ShapeError
 from ptosc.inner import (
-    MomentumState,
     cpt_ip,
     dirac_ip,
     jsm_cs_comparison,
     pt_adjoint,
     pt_ip,
-    pt_ip_momentum,
     pt_normalize,
-    superpose,
 )
 from ptosc.linalg import operator_norm, random_cmatrix, random_cvector
 from ptosc.models import h8v_reduced_eigensystem
@@ -58,36 +55,17 @@ def test_pt_normalize_fixes_phase_and_sign():
         pt_normalize(SYM4, np.array([1.0, 0, 1.0, 0]))  # null vector of the metric
 
 
-def test_momentum_pt_ip_deltas():
-    sym = block_pair()
-    es = h8v_reduced_eigensystem(2.0, 1.0, 1.0)
-    other_p = h8v_reduced_eigensystem(2.0, 1.0, 0.5)
-    u = es.states[2]
-    assert pt_ip_momentum(sym, u, u) == pytest.approx(1.0)
-    assert pt_ip_momentum(sym, u, other_p.states[2]) == 0
-    flipped = MomentumState(spinor_at=u.spinor_at, p=u.p, helicity=-1)
-    assert pt_ip_momentum(sym, u, flipped) == 0
-
-
 def test_jsm_cs_conventions():
     sym = block_pair()
-    moving = h8v_reduced_eigensystem(2.0, 1.0, 1.0).states[2]
-    rest = h8v_reduced_eigensystem(2.0, 1.0, 0.0).states[2]
-    cmp_moving = jsm_cs_comparison(sym, moving)
+    moving = h8v_reduced_eigensystem(2.0, 1.0, 1.0)
+    rest = h8v_reduced_eigensystem(2.0, 1.0, 0.0)
+    cmp_moving = jsm_cs_comparison(sym, moving.K[:, 2], moving.B[:, 2], 1.0)
+    assert cmp_moving.p == 1.0
     assert cmp_moving.jsm_self == 0
     assert abs(cmp_moving.cs_self - 1) < 1e-12
     assert not cmp_moving.conventions_coincide
     # the two conventions agree at p = 0
-    assert jsm_cs_comparison(sym, rest).conventions_coincide
-
-
-def test_superpose_rejects_mixed_momenta():
-    a = h8v_reduced_eigensystem(2.0, 1.0, 1.0).states[0]
-    b = h8v_reduced_eigensystem(2.0, 1.0, 0.5).states[0]
-    with pytest.raises(ShapeError):
-        superpose([1.0, 1.0], [a, b])
-    combo = superpose([1.0, 2j], [a, a])
-    np.testing.assert_allclose(combo.spinor_at(1.0), (1 + 2j) * a.spinor_at(1.0))
+    assert jsm_cs_comparison(sym, rest.K[:, 2], rest.B[:, 2], 0.0).conventions_coincide
 
 
 def test_cpt_ip_positive_definite_for_valid_c():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ptosc.errors import BrokenPTError, DegenerateCombinationError, ParameterError
-from ptosc.inner import pt_ip, pt_ip_momentum
+from ptosc.inner import pt_ip
 from ptosc.linalg import SIGMA, eig_oracle, operator_norm
 from ptosc.models import (
     Dirac8Params,
@@ -146,7 +146,7 @@ def test_h8_helicity_factorization():
     m0, m2, p, th, ph = 2.0, 1.0, 1.3, 0.7, 2.1
     h8 = h8_hamiltonian(Dirac8Params(m0=m0, m2=m2, p=p, theta_p=th, phi_p=ph))
     for hel, q in ((+1, p), (-1, -p)):
-        es = h8v_reduced_eigensystem(m0, m2, q, helicity=hel)
+        es = h8v_reduced_eigensystem(m0, m2, q)
         for pair in es.pairs:
             full = lift_reduced_ket(pair.ket, th, ph, helicity=hel)
             assert np.linalg.norm(h8 @ full - pair.value * full) < 1e-12
@@ -187,15 +187,14 @@ def test_h8v_reduced_closed_form_momentum():
         h = h8v_reduced_hamiltonian(m0, m2, p)
         eps = math.hypot(p, effective_mass(m0, m2))
         np.testing.assert_allclose(es.values, [-eps, -eps, eps, eps], atol=1e-12)
-        gram = np.array(
-            [[pt_ip_momentum(sym, a, b) for b in es.states] for a in es.states]
-        )
+        # CS momentum-space PT Gram: bra kets at -p, kets at p
+        gram = es.B.conj().T @ sym.s @ es.K
         np.testing.assert_allclose(gram, np.diag([-1.0, -1.0, 1.0, 1.0]), atol=1e-12)
-        for pair in es.pairs:
+        # the -p evaluation solves the reflected problem
+        hm = h8v_reduced_hamiltonian(m0, m2, -p)
+        for j, pair in enumerate(es.pairs):
             assert np.linalg.norm(h @ pair.ket - pair.value * pair.ket) < 1e-12
-            # the -p evaluation solves the reflected problem
-            hm = h8v_reduced_hamiltonian(m0, m2, -p)
-            bra = pair.state.spinor_at(-p)
+            bra = es.B[:, j]
             assert np.linalg.norm(hm @ bra - pair.value * bra) < 1e-12
 
 
@@ -224,6 +223,19 @@ def test_broken_phase_raises():
     assert info.value.eigenvalues is not None
     with pytest.raises(BrokenPTError):
         h8r_p0_eigensystem(1.0, 0.5, 1.0)  # boundary |m2| = m0 counts as broken
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_broken_phase_reports_true_eigenvalues(p):
+    # the reduced h8v block has eigenvalues +/- sqrt(p^2 + m0^2 - m2^2), each twice
+    with pytest.raises(BrokenPTError) as info:
+        h8v_reduced_eigensystem(1.0, 2.0, p)
+    expected = np.linalg.eigvals(h8v_reduced_hamiltonian(1.0, 2.0, p))
+
+    def key(z):
+        return round(z.imag, 9), round(z.real, 9)
+
+    np.testing.assert_allclose(sorted(info.value.eigenvalues, key=key), sorted(expected, key=key), atol=1e-12)
 
 
 def test_pt_orthonormal_eigensystem_oracle_route():

@@ -5,7 +5,7 @@ import pytest
 
 from ptosc.coperator import build_C
 from ptosc.errors import ConstructionError, NumericalError
-from ptosc.inner import cpt_ip, cpt_ip_momentum
+from ptosc.inner import cpt_ip
 from ptosc.linalg import operator_norm, random_cvector
 from ptosc.models import (
     EigenPair,
@@ -79,10 +79,10 @@ def test_standard_flavour_basis_rejects_bad_input():
 def test_momentum_flavour_basis_orthonormal():
     sym, es, c = h8v_setup()
     basis = standard_flavour_basis(sym, es, c)
-    assert basis.states is not None
-    gram = np.array(
-        [[cpt_ip_momentum(sym, c.at, a, b) for b in basis.states] for a in basis.states]
-    )
+    # flavour kets at p and at -p share the mixing: F = K M^T, F(-p) = B M^T
+    flavours = es.K @ basis.mixing.T
+    np.testing.assert_allclose(flavours, np.column_stack(basis.kets), atol=1e-15)
+    gram = (c.reflected @ es.B @ basis.mixing.T).conj().T @ sym.s @ flavours
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
 
@@ -157,6 +157,28 @@ def test_h8v_table_pattern(p):
             [[c2, 0, s2, 0], [0, c2, 0, s2], [s2, 0, c2, 0], [0, s2, 0, c2]]
         )
         np.testing.assert_allclose(table.probs[k], expected, atol=1e-10)
+
+
+def reference_table(sym, basis, es, c, t_grid) -> np.ndarray:
+    """The transition table one time point at a time."""
+    coeff = np.array(
+        [[complex((c.reflected @ es.B[:, j]).conj() @ sym.s @ f) for f in basis.kets] for j in range(4)]
+    )
+    bra = coeff.conj().T
+    probs = np.empty((len(t_grid), 4, 4))
+    for k, t in enumerate(t_grid):
+        phases = np.exp(-1j * es.values * t)
+        probs[k] = np.abs((bra @ (phases[:, None] * coeff)).T) ** 2
+    return probs
+
+
+@pytest.mark.parametrize("setup", [sfdm_setup, h8v_setup])
+def test_batched_table_matches_per_time_loop(setup):
+    sym, es, c = setup()
+    basis = standard_flavour_basis(sym, es, c)
+    grid = np.linspace(0.0, 40.0, 4096)
+    table = transition_table(sym, basis, es, c, grid)
+    assert np.max(np.abs(table.probs - reference_table(sym, basis, es, c, grid))) <= 1e-13
 
 
 def test_table_serialization():

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ptosc.linalg import SIGMA, random_cmatrix
+from ptosc.coperator import COperator, build_C
+from ptosc.inner import cpt_ip
+from ptosc.linalg import SIGMA, random_cmatrix, random_cvector
 from ptosc.models import (
     GenericTOddParams,
     ModelSpec,
@@ -18,6 +20,7 @@ from ptosc.models import (
 )
 from ptosc.symmetry import canonical_pair, dirac_pair
 from ptosc.verify import (
+    _cpt_positivity_defect,
     check_alpha_beta_conditions,
     check_generator_constraints,
     check_pseudo_hermiticity,
@@ -192,3 +195,56 @@ def test_suite_is_deterministic():
     a = run_full_suite(CATALOGUE[0], n_random=50)
     b = run_full_suite(CATALOGUE[0], n_random=50)
     assert [(r.name, r.defect) for r in a] == [(r.name, r.defect) for r in b]
+
+
+# ---------------------------------------------------------------------------
+# sampled CPT positivity
+
+
+def reference_positivity_defect(sym, c, eigsys, n_random, seed=0xC0) -> float:
+    """The sampled CPT-positivity check, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    momentum = eigsys.reflected is not None
+    worst = 0.0
+    for _ in range(n_random):
+        coeffs = random_cvector(rng, sym.dim)
+        if momentum:
+            bra, ket = eigsys.B @ coeffs, eigsys.K @ coeffs
+            norm = complex((c.reflected @ bra).conj() @ sym.s @ ket)
+            scale = float(np.vdot(coeffs, coeffs).real)
+        else:
+            v = random_cvector(rng, sym.dim)
+            norm = cpt_ip(sym, c.matrix, v, v)
+            scale = float(np.vdot(v, v).real)
+        worst = max(worst, abs(norm.imag) / scale, max(0.0, -norm.real) / scale)
+        if norm.real <= 0:
+            worst = max(worst, 1.0)
+    return worst
+
+
+POSITIVITY_SPECS = [
+    ModelSpec("sfdm", {"chi": 0.5, "psi": 0.3, "theta": 0.7, "phi": 0.2}),
+    ModelSpec("h8", {"m0": 2.0, "m1": 0.3, "m2": 0.5, "m3": 0.4}),
+    ModelSpec("h8v", {"m0": 2.0, "m2": 1.0}, {"p": 1.0}),
+]
+
+
+def _realized_c(spec):
+    real = realize(spec)
+    return real.sym, build_C(real.sym, real.eigensystem, hamiltonian=real.hamiltonian), real.eigensystem
+
+
+@pytest.mark.parametrize("spec", POSITIVITY_SPECS, ids=lambda s: f"{s.model}@p={s.p}")
+def test_cpt_positivity_matches_per_sample_loop(spec):
+    sym, c, es = _realized_c(spec)
+    vectorised = _cpt_positivity_defect(sym, c, es, 1000)
+    assert abs(vectorised - reference_positivity_defect(sym, c, es, 1000)) <= 1e-14
+    assert _cpt_positivity_defect(sym, c, es, 0) == 0.0
+
+
+@pytest.mark.parametrize("spec", [POSITIVITY_SPECS[0], POSITIVITY_SPECS[2]], ids=["static", "momentum"])
+def test_cpt_positivity_detects_negated_c(spec):
+    sym, c, es = _realized_c(spec)
+    negated = COperator(matrix=-c.matrix, reflected=-c.reflected)
+    assert _cpt_positivity_defect(sym, negated, es, 1000) >= 1.0
+    assert reference_positivity_defect(sym, negated, es, 1000) >= 1.0
