@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 physics failure (broken phase or a failed check),
 2 usage error.  ``PTOSC_TOL`` overrides the default check tolerance.  Output
-files are written atomically (temp file + rename) and identical invocations
-produce byte-identical files.
+files are written atomically (temp file + rename) with mode 0o666 masked by
+the umask, as ``open`` would create them, and identical invocations produce
+byte-identical files.
 """
 
 import argparse
@@ -43,7 +44,11 @@ def default_tol() -> float:
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ptosc-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        # mkstemp creates the file 0o600 and os.replace keeps that mode
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -93,6 +98,15 @@ def _add_tgrid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-max", type=float, help="grid end (default: one oscillation period)")
 
 
+def _grid_args(t_points: int, t_max) -> argparse.Namespace:
+    """Time-grid settings, validated; a bad value is a usage error."""
+    if t_points < 1:
+        raise SystemExit2(f"the time grid needs at least 1 point, got {t_points}")
+    if t_max is not None and not math.isfinite(t_max):
+        raise SystemExit2(f"the time grid end must be finite, got {t_max}")
+    return argparse.Namespace(t_points=t_points, t_max=t_max)
+
+
 def _t_grid(args, eigsys) -> np.ndarray:
     if args.t_max is not None:
         return np.linspace(0.0, args.t_max, args.t_points)
@@ -117,15 +131,17 @@ def analytic_pattern(eigsys, t_grid) -> np.ndarray:
     its eigenvalue gap and the pairs do not mix.
     """
     values = np.real(eigsys.values)
-    g13 = 0.5 * (values[2] - values[0])
-    g24 = 0.5 * (values[3] - values[1])
+    phase = np.outer(t_grid, 0.5 * (values[2:] - values[:2]))
+    cos, sin = np.cos(phase), np.sin(phase)
     out = np.zeros((len(t_grid), 4, 4))
-    for k, t in enumerate(t_grid):
-        for (i, j, g) in ((0, 2, g13), (1, 3, g24)):
-            c2, s2 = math.cos(g * t) ** 2, math.sin(g * t) ** 2
-            out[k, i, i] = out[k, j, j] = c2
-            out[k, i, j] = out[k, j, i] = s2
+    for n, (i, j) in enumerate(((0, 2), (1, 3))):
+        out[:, i, i] = out[:, j, j] = cos[:, n] * cos[:, n]
+        out[:, i, j] = out[:, j, i] = sin[:, n] * sin[:, n]
     return out
+
+
+def _table_text(table, fmt: str) -> str:
+    return table.to_json() if fmt == "json" else table.to_csv()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -154,16 +170,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_oscillate(args) -> int:
     spec = model_spec_from_args(args)
-    table, eigsys = _build_table(spec, args, default_tol())
-    if args.format == "json":
-        text = json.dumps(table.to_json_dict(), indent=2) + "\n"
-    else:
-        text = table.to_csv()
-    _emit(text, args.out)
+    grid = _grid_args(args.t_points, args.t_max)
+    table, eigsys = _build_table(spec, grid, default_tol())
+    _emit(_table_text(table, args.format), args.out)
     if args.golden:
         deviation = float(np.max(np.abs(table.probs - analytic_pattern(eigsys, table.t_grid))))
         print(f"golden max deviation: {deviation:.3e}", file=sys.stderr)
-        if deviation > default_tol():
+        if not deviation <= default_tol():
             return EXIT_PHYSICS
     return EXIT_OK
 
@@ -201,23 +214,18 @@ def cmd_sweep(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     fmt = config.get("format", "csv")
     tol = default_tol()
-
-    class GridArgs:
-        t_points = int(config.get("t_grid", {}).get("points", 64))
-        t_max = config.get("t_grid", {}).get("t_max")
+    t_grid = config.get("t_grid", {})
+    grid = _grid_args(int(t_grid.get("points", 64)), t_grid.get("t_max"))
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(lambda v: _sweep_point(template, name, v, GridArgs, tol), values))
+        results = list(pool.map(lambda v: _sweep_point(template, name, v, grid, tol), values))
     index = []
     for value, table, status in results:
         entry = {"param": name, "value": float(value), "status": status}
         if table is not None:
             fname = f"sweep_{name}={value:.12g}.{fmt}"
             path = os.path.join(out_dir, fname)
-            if fmt == "json":
-                _atomic_write(path, json.dumps(table.to_json_dict(), indent=2) + "\n")
-            else:
-                _atomic_write(path, table.to_csv())
+            _atomic_write(path, _table_text(table, fmt))
             entry["file"] = fname
         index.append(entry)
     _atomic_write(os.path.join(out_dir, "index.json"), json.dumps(index, indent=2) + "\n")

@@ -8,7 +8,6 @@ reproduces the diagnostic showing that coordinate-basis flavour kets fail
 the canonical completeness relation (B != 1 generically).
 """
 
-import io as _io
 import math
 from dataclasses import dataclass
 
@@ -37,13 +36,33 @@ class FlavourBasis:
     mixing: np.ndarray
 
 
+#: Rows formatted by one ``%`` operation; bounds the per-block temporaries.
+BLOCK_ROWS = 4096
+
+_CSV_HEADER = ",".join(["t"] + [f"P{i}{j}" for i in range(1, 5) for j in range(1, 5)]) + "\n"
+# "%.12g" % x is f"{x:.12g}"; for finite floats "%r" % x is what json.dumps writes.
+_CSV_ROW = ",".join(["%.12g"] * 17) + "\n"
+_JSON_TIME = "    %r"
+_JSON_MATRIX = "    [\n" + ",\n".join(["      [\n" + ",\n".join(["        %r"] * 4) + "\n      ]"] * 4) + "\n    ]"
+
+
+def _fill(template: str, sep: str, rows: np.ndarray) -> str:
+    """``sep.join(template % tuple(row) for row in rows)``, one ``%`` per block of rows."""
+    blocks = []
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start : start + BLOCK_ROWS]
+        blocks.append(sep.join([template] * len(block)) % tuple(block.ravel().tolist()))
+    return sep.join(blocks)
+
+
 @dataclass(frozen=True)
 class TransitionTable:
     """P(f_i -> f_j) on a time grid; every row sums to 1.
 
     ``probs[k]`` is the 4x4 matrix at ``t_grid[k]`` with rows indexed by the
-    initial flavour.  Construction enforces row-stochasticity to 1e-10 and
-    clamps entries below 1e-14 to exactly 0.
+    initial flavour.  Construction rejects an empty grid and any non-finite
+    time or probability, enforces row-stochasticity to 1e-10 and clamps
+    entries below 1e-14 to exactly 0.
     """
 
     t_grid: np.ndarray
@@ -54,8 +73,13 @@ class TransitionTable:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (len(t), 4, 4):
             raise NumericalError(f"probability array shape {probs.shape} != ({len(t)}, 4, 4)")
+        if len(t) == 0:
+            raise NumericalError("transition table has no time points")
+        if not np.isfinite(t).all():
+            raise NumericalError("transition table times are not finite")
+        # A NaN or infinite probability makes its row sum and so `worst` NaN or inf.
         worst = float(np.max(np.abs(probs.sum(axis=2) - 1.0)))
-        if worst > ROW_SUM_TOL:
+        if not worst <= ROW_SUM_TOL:
             raise NumericalError("transition rows are not stochastic", residual=worst)
         if probs.min() < -ROW_SUM_TOL or probs.max() > 1 + ROW_SUM_TOL:
             raise NumericalError("transition probabilities leave [0, 1]")
@@ -66,19 +90,17 @@ class TransitionTable:
 
     def to_csv(self) -> str:
         """CSV with header t,P11,...,P44 and 12-significant-digit floats."""
-        buf = _io.StringIO()
-        header = ["t"] + [f"P{i}{j}" for i in range(1, 5) for j in range(1, 5)]
-        buf.write(",".join(header) + "\n")
-        for t, mat in zip(self.t_grid, self.probs):
-            row = [f"{t:.12g}"] + [f"{x:.12g}" for x in mat.reshape(-1)]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        rows = np.column_stack([self.t_grid, self.probs.reshape(len(self.t_grid), 16)])
+        return _CSV_HEADER + _fill(_CSV_ROW, "", rows)
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, formatted from a template."""
+        times = _fill(_JSON_TIME, ",\n", self.t_grid[:, None])
+        probs = _fill(_JSON_MATRIX, ",\n", self.probs.reshape(len(self.t_grid), 16))
+        return '{\n  "t_grid": [\n%s\n  ],\n  "probs": [\n%s\n  ]\n}\n' % (times, probs)
 
     def to_json_dict(self) -> dict:
-        return {
-            "t_grid": [float(t) for t in self.t_grid],
-            "probs": [[[float(x) for x in row] for row in mat] for mat in self.probs],
-        }
+        return {"t_grid": self.t_grid.tolist(), "probs": self.probs.tolist()}
 
 
 def _require_real_spectrum(eigsys) -> np.ndarray:
@@ -133,6 +155,9 @@ def transition_table(sym: SymmetryPair, basis: FlavourBasis, eigsys, c: COperato
     # CPT-Hermiticity: ((f'_m | e_j)) = conj(((e_j | f'_m))).
     bra = coeff.conj().T
     t_grid = np.asarray(t_grid, dtype=float)
+    # Python floats overflow to inf silently, where numpy would warn and fill the table with NaN.
+    if not math.isfinite(float(np.abs(values).max()) * float(np.abs(t_grid).max(initial=0.0))):
+        raise NumericalError("the phases lambda * t overflow on this time grid")
     phases = np.exp(-1j * np.outer(t_grid, values))
     # amp[t, i, m] = sum_j ((f'_m | e_j)) exp(-i lam_j t) ((e_j | f'_i)); rows: initial flavour i
     amp = (phases[:, None, :] * coeff.T) @ bra.T

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -121,6 +122,36 @@ def test_identical_invocations_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+H8V_FLAGS = ["--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"]
+
+
+@pytest.mark.parametrize(
+    "grid_flags",
+    [["--t-points", "0"], ["--t-points", "-3"], ["--t-max", "inf", "--golden"], ["--t-max", "nan", "--golden"]],
+)
+def test_bad_time_grid_is_usage_error(grid_flags, capsys):
+    assert run(["oscillate", *H8V_FLAGS, *grid_flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the time grid") and captured.out == ""
+
+
+def test_overflowing_time_grid_is_numerical_failure(capsys):
+    assert run(["oscillate", *H8V_FLAGS, "--t-max", "1e308", "--golden"]) == 1
+    captured = capsys.readouterr()
+    assert "overflow" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_file_mode_follows_umask(tmp_path, umask, mode):
+    out = tmp_path / "table.csv"
+    old = os.umask(umask)
+    try:
+        assert run(["oscillate", *H8V_FLAGS, "--t-points", "4", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -178,6 +209,16 @@ def test_sweep_bad_axis_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg_doc))
     assert run(["sweep", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("t_grid", [{"points": 0}, {"points": -3}, {"points": 4, "t_max": math.inf}])
+def test_sweep_bad_time_grid_is_usage_error(tmp_path, t_grid, capsys):
+    cfg_doc = json.loads(sweep_config(tmp_path, 0.1, 0.9, 2).read_text())
+    cfg_doc["t_grid"] = t_grid
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg_doc))
+    assert run(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: the time grid")
 
 
 def test_ptosc_tol_env_override(capsys, monkeypatch):

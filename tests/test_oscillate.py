@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from ptosc.cli import analytic_pattern, main
 from ptosc.coperator import build_C
 from ptosc.errors import ConstructionError, NumericalError
 from ptosc.inner import cpt_ip
@@ -10,6 +12,7 @@ from ptosc.linalg import operator_norm, random_cvector
 from ptosc.models import (
     EigenPair,
     EigenSystem,
+    ModelSpec,
     SfdmParams,
     h8v_reduced_eigensystem,
     h8v_reduced_hamiltonian,
@@ -25,6 +28,7 @@ from ptosc.oscillate import (
     transition_table,
 )
 from ptosc.symmetry import block_pair, canonical_pair
+from ptosc.verify import realize
 
 REF = SfdmParams(chi=0.5, psi=0.3, theta=0.7, phi=0.2)
 
@@ -201,12 +205,105 @@ def test_table_rejects_non_stochastic_rows():
         TransitionTable(np.array([0.0]), 0.5 * np.ones((1, 4, 4)))
 
 
+@pytest.mark.parametrize(
+    "t_grid, probs",
+    [
+        (np.zeros(0), np.zeros((0, 4, 4))),
+        (np.array([math.nan]), np.eye(4)[None]),
+        (np.array([math.inf]), np.eye(4)[None]),
+        (np.array([0.0]), np.where(np.eye(4) == 1, math.nan, 0.0)[None]),
+    ],
+    ids=["empty", "nan_t", "inf_t", "nan_probs"],
+)
+def test_table_rejects_empty_and_non_finite(t_grid, probs):
+    with pytest.raises(NumericalError):
+        TransitionTable(t_grid, probs)
+
+
+def test_table_rejects_overflowing_phases():
+    sym, es, c = h8v_setup()
+    basis = standard_flavour_basis(sym, es, c)
+    with pytest.raises(NumericalError):
+        transition_table(sym, basis, es, c, np.array([0.0, 1e308]))
+
+
 def test_clamping_of_tiny_probabilities():
     table = TransitionTable(
         np.array([0.0]),
         np.array([np.eye(4) * (1 - 1e-15) + np.diag([1e-15] * 3, 1) + np.diag([1e-15] * 3, -1)[:, :]]),
     )
     assert np.all(table.probs[0][np.eye(4) == 0] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# templated writers and the vectorised golden pattern against per-cell references
+
+CATALOGUE = {
+    "sfdm": ModelSpec("sfdm", {"chi": 0.5, "psi": 0.3, "theta": 0.7, "phi": 0.2}),
+    "h8v_p1": ModelSpec("h8v", {"m0": 2.0, "m2": 1.0}, {"p": 1.0, "theta": 0.0, "phi": 0.0}),
+    "h8r": ModelSpec("h8r", {"m0": 2.0, "m1": 0.5, "m2": 1.0}, {"p": 0.0, "theta": 0.0, "phi": 0.0}),
+    "h8": ModelSpec("h8", {"m0": 2.0, "m1": 0.5, "m2": 1.0, "m3": 0.3}, {"p": 0.0, "theta": 0.0, "phi": 0.0}),
+}
+
+
+def catalogue_table(name, n, default_grid=False):
+    real = realize(CATALOGUE[name])
+    es = real.eigensystem
+    c = build_C(real.sym, es, hamiltonian=real.hamiltonian)
+    basis = standard_flavour_basis(real.sym, es, c)
+    grid = default_t_grid(es, n) if default_grid else np.linspace(0.3, 40.0, n)
+    return transition_table(real.sym, basis, es, c, grid), es
+
+
+def reference_csv(table) -> str:
+    """The per-cell CSV writer."""
+    header = ["t"] + [f"P{i}{j}" for i in range(1, 5) for j in range(1, 5)]
+    lines = [",".join(header)]
+    for t, mat in zip(table.t_grid, table.probs):
+        lines.append(",".join([f"{t:.12g}"] + [f"{x:.12g}" for x in mat.reshape(-1)]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_pattern(eigsys, t_grid) -> np.ndarray:
+    """The golden cos^2/sin^2 pattern one time point at a time."""
+    values = np.real(eigsys.values)
+    g13 = 0.5 * (values[2] - values[0])
+    g24 = 0.5 * (values[3] - values[1])
+    out = np.zeros((len(t_grid), 4, 4))
+    for k, t in enumerate(t_grid):
+        for (i, j, g) in ((0, 2, g13), (1, 3, g24)):
+            c2, s2 = math.cos(g * t) ** 2, math.sin(g * t) ** 2
+            out[k, i, i] = out[k, j, j] = c2
+            out[k, i, j] = out[k, j, i] = s2
+    return out
+
+
+# 4,097 rows cross the 4,096-row block boundary of the writers.
+@pytest.mark.parametrize("n", [1, 4097])
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_writers_match_per_cell_references(name, n):
+    table, _ = catalogue_table(name, n)
+    assert table.to_csv() == reference_csv(table)
+    assert table.to_json() == json.dumps(table.to_json_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_analytic_pattern_matches_per_time_loop(name):
+    table, es = catalogue_table(name, 4097)
+    # c*c against libm pow(cos, 2): the last bit differs on ~0.08 % of inputs
+    assert np.max(np.abs(analytic_pattern(es, table.t_grid) - reference_pattern(es, table.t_grid))) <= 4.5e-16
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_golden_line_matches_per_time_loop(name, capsys):
+    spec = CATALOGUE[name]
+    flags = [f"--{key}={value}" for key, value in spec.params.items()]
+    if spec.momentum:
+        flags.append(f"--p={spec.momentum['p']}")
+    main(["oscillate", "--model", spec.model, *flags, "--t-points", "4096", "--golden"])
+    table, es = catalogue_table(name, 4096, default_grid=True)
+    deviation = float(np.max(np.abs(table.probs - reference_pattern(es, table.t_grid))))
+    assert capsys.readouterr().err == f"golden max deviation: {deviation:.3e}\n"
 
 
 # ---------------------------------------------------------------------------
