@@ -38,7 +38,7 @@ from .linalg import (
     kron,
     operator_norm,
 )
-from .symmetry import SymmetryPair, block_pair, canonical_pair, dirac_pair
+from .symmetry import SymmetryPair, block_pair, canonical_pair
 
 # ---------------------------------------------------------------------------
 # eigensystem containers
@@ -101,6 +101,16 @@ class EigenSystem:
     def cluster_projector(self, cluster) -> np.ndarray:
         q, _ = np.linalg.qr(np.column_stack([self.pairs[k].ket for k in cluster]))
         return q @ q.conj().T
+
+
+def pt_normalized_eigensystem(sym: SymmetryPair, entries) -> EigenSystem:
+    """The EigenSystem of (eigenvalue, ket) entries, each ket PT-normalized.
+
+    Entries are sorted ascending by eigenvalue; the sort is stable, so kets
+    of equal eigenvalue keep their given order.
+    """
+    ordered = sorted(entries, key=lambda entry: entry[0])
+    return EigenSystem(tuple(EigenPair(lam, *pt_normalize(sym, ket)) for lam, ket in ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +182,6 @@ def sfdm_eigensystem(params: SfdmParams) -> EigenSystem:
     At chi = 0 the parametrization of the eigenvectors degenerates (the
     Hamiltonian is diag(1, 1, -1, -1)); coordinate eigenvectors are used.
     """
-    sym = canonical_pair(2)
     chi, psi, th, ph = params.chi, params.psi, params.theta, params.phi
     if abs(math.sinh(chi / 2)) < 1e-12:
         kets = [
@@ -219,11 +228,7 @@ def sfdm_eigensystem(params: SfdmParams) -> EigenSystem:
             ]
         )
         raw = [e1, e2, e3, e4]
-    pairs = []
-    for lam, ket in zip((-1.0, -1.0, 1.0, 1.0), raw):
-        normed, sign = pt_normalize(sym, ket)
-        pairs.append(EigenPair(lam, normed, sign))
-    return EigenSystem(tuple(pairs))
+    return pt_normalized_eigensystem(canonical_pair(2), zip((-1.0, -1.0, 1.0, 1.0), raw))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +375,6 @@ def h8v_p0_eigensystem(m0: float, m2: float) -> EigenSystem:
             "the paired-ket combination has a 1/m2 pole at m2 = 0; "
             "use the Hermitian-limit eigenbasis (h8v_reduced_eigensystem with p = 0)"
         )
-    sym = block_pair()
     b2 = effective_mass(m0, m2)
     v1 = np.array([1j * m2 / b2, -m0 / b2, 0, 1], dtype=complex)
     v2p = np.array([-m0 / b2, -1j * m2 / b2, 1, 0], dtype=complex)
@@ -378,11 +382,7 @@ def h8v_p0_eigensystem(m0: float, m2: float) -> EigenSystem:
     u2p = np.array([m0 / b2, 1j * m2 / b2, 1, 0], dtype=complex)
     u2 = u1 + (1j * m0 / m2) * u2p
     v2 = v1 + (1j * m0 / m2) * v2p
-    pairs = []
-    for lam, ket in ((-b2, v1), (-b2, v2), (b2, u1), (b2, u2)):
-        normed, sign = pt_normalize(sym, ket)
-        pairs.append(EigenPair(lam, normed, sign))
-    return EigenSystem(tuple(pairs))
+    return pt_normalized_eigensystem(block_pair(), ((-b2, v1), (-b2, v2), (b2, u1), (b2, u2)))
 
 
 def h8r_p0_eigensystem(m0: float, m1: float, m2: float) -> EigenSystem:
@@ -400,14 +400,8 @@ def h8r_p0_eigensystem(m0: float, m1: float, m2: float) -> EigenSystem:
     tv2 = n * np.array([1, -a.conjugate(), -a.conjugate(), 1], dtype=complex)
     tu1 = n * np.array([-1, a.conjugate(), -a.conjugate(), 1], dtype=complex)
     tu2 = n * np.array([1, a, a, 1], dtype=complex)
-    sym = block_pair()
     entries = [(-m1 - sq, tv1), (m1 - sq, tv2), (sq - m1, tu1), (sq + m1, tu2)]
-    entries.sort(key=lambda t: t[0])
-    pairs = []
-    for lam, ket in entries:
-        normed, sign = pt_normalize(sym, ket)
-        pairs.append(EigenPair(lam, normed, sign))
-    return EigenSystem(tuple(pairs))
+    return pt_normalized_eigensystem(block_pair(), entries)
 
 
 def helicity_spinors(theta_p: float, phi_p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -471,19 +465,13 @@ def pt_orthonormal_eigensystem(sym: SymmetryPair, h: np.ndarray, tol: float = 1e
     scale = max(operator_norm(h), 1.0)
     if np.max(np.abs(decomp.values.imag)) > tol * scale:
         raise BrokenPTError("complex spectrum: no PT-orthonormal basis", decomp.values)
-    pairs = []
+    entries = []
     for cluster in decomp.clusters:
         block = decomp.vectors[:, list(cluster)]
-        gram = block.conj().T @ sym.s @ block
-        evals, u = np.linalg.eigh(gram)
-        rotated = block @ u
-        for k, g in enumerate(evals):
-            normed, sign = pt_normalize(sym, rotated[:, k])
-            if sign != (1 if g > 0 else -1):  # pragma: no cover - defensive
-                sign = 1 if g > 0 else -1
-            pairs.append(EigenPair(float(decomp.values[cluster[0]].real), normed, sign))
-    pairs.sort(key=lambda pr: pr.value)
-    return EigenSystem(tuple(pairs))
+        _, u = np.linalg.eigh(block.conj().T @ sym.s @ block)
+        value = float(decomp.values[cluster[0]].real)
+        entries.extend((value, ket) for ket in (block @ u).T)
+    return pt_normalized_eigensystem(sym, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +568,3 @@ def model_symmetry(spec: ModelSpec) -> SymmetryPair:
     if spec.model in ("sfdm", "generic"):
         return canonical_pair(2)
     return block_pair()
-
-
-def model_full_symmetry(spec: ModelSpec) -> SymmetryPair | None:
-    if spec.model in ("sfdm", "generic"):
-        return None
-    return dirac_pair()

@@ -3,9 +3,14 @@
 Parity acts as a linear matrix S with S^2 = 1.  Time reversal is antilinear,
 T = Z K with K complex conjugation, and is deliberately never materialized as
 a matrix: only :func:`apply_T` / :func:`apply_PT` exist.
+
+The pairs of the fixed representations (:func:`canonical_pair`,
+:func:`block_pair`, :func:`dirac_pair`) are built and validated once per
+argument tuple and shared; a pair's S and Z are read-only.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -23,7 +28,8 @@ class SymmetryPair:
     S^2 = 1, Z conj(Z) = -1 (T odd), S Z = Z conj(S) ([P, T] = 0) and
     Z antisymmetric, each to 1e-14 in operator norm.  It also spot-checks
     that the two equivalent forms of the PT inner product,
-    (PT a)^T Z b and a^dag S b, agree on random vectors.
+    (PT a)^T Z b and a^dag S b, agree on random vectors.  S and Z are stored
+    as read-only copies.
     """
 
     s: np.ndarray
@@ -31,8 +37,9 @@ class SymmetryPair:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        s = require_square(self.s)
-        z = require_square(self.z)
+        s = require_square(self.s).copy()
+        z = require_square(self.z).copy()
+        s.flags.writeable = z.flags.writeable = False
         if s.shape != z.shape:
             raise ShapeError(f"S and Z shapes differ: {s.shape} vs {z.shape}")
         n = s.shape[0]
@@ -82,6 +89,7 @@ def build_canonical_S(m: int, dim: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(m), -np.ones(dim - m)])).astype(complex)
 
 
+@cache
 def canonical_pair(n_pairs: int, m: int | None = None) -> SymmetryPair:
     """Canonical-basis pair: S = diag(1...,-1...), Z = diag(e2,...)."""
     dim = 2 * n_pairs
@@ -99,11 +107,13 @@ def build_dirac_S() -> np.ndarray:
     return kron(swap, np.eye(2))
 
 
+@cache
 def dirac_pair() -> SymmetryPair:
     """8D Dirac-basis pair; Z acts as e2 on each spin doublet."""
     return SymmetryPair(build_dirac_S(), kron(np.eye(4), E2))
 
 
+@cache
 def block_pair() -> SymmetryPair:
     """4x4 pair for the helicity-reduced Dirac blocks.
 

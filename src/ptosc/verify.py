@@ -26,15 +26,15 @@ from .models import (
     ModelSpec,
     h8r_p0_eigensystem,
     h8v_reduced_eigensystem,
+    SfdmParams,
     model_full_hamiltonian,
-    model_full_symmetry,
     model_hamiltonian,
     model_symmetry,
     pt_orthonormal_eigensystem,
     sfdm_eigensystem,
 )
 from .oscillate import default_t_grid, standard_flavour_basis, transition_table
-from .symmetry import SymmetryPair
+from .symmetry import SymmetryPair, dirac_pair
 
 DEFAULT_TOL = 1e-10
 
@@ -157,22 +157,17 @@ def check_generator_constraints(alphas, sym: SymmetryPair, tol: float = 1e-12) -
 
 @dataclass(frozen=True)
 class Realization:
-    """Everything run_full_suite needs for one model."""
+    """The working-space model: symmetry pair, Hamiltonian and eigensystem."""
 
     spec: ModelSpec
     sym: SymmetryPair
     hamiltonian: np.ndarray
-    hamiltonian_reflected: np.ndarray
-    full_sym: SymmetryPair | None = None
-    full_hamiltonian: np.ndarray | None = None
-    full_hamiltonian_reflected: np.ndarray | None = None
     eigensystem: EigenSystem | None = None
     eigensystem_note: str = ""
 
 
 def _reflect(spec: ModelSpec) -> ModelSpec:
-    if spec.p == 0:
-        return spec
+    """The spec at momentum -p."""
     mom = dict(spec.momentum or {})
     params = dict(spec.params)
     if "p" in params:
@@ -183,25 +178,18 @@ def _reflect(spec: ModelSpec) -> ModelSpec:
 
 
 def realize(spec: ModelSpec) -> Realization:
-    """Build the symmetry pair, Hamiltonians and eigensystem for a spec.
+    """Build the working symmetry pair, Hamiltonian and eigensystem for a spec.
 
     The eigensystem uses the closed form where one exists (sfdm; h8v at any
     momentum; h8r at p = 0), the oracle-backed PT-orthonormalization for
     generic and for full h8 at p = 0, and is absent (with a note) otherwise.
     """
     sym = model_symmetry(spec)
-    refl = _reflect(spec)
     h = model_hamiltonian(spec)
-    h_r = model_hamiltonian(refl)
-    full_sym = model_full_symmetry(spec)
-    full_h = model_full_hamiltonian(spec)
-    full_h_r = model_full_hamiltonian(refl)
     eigsys = None
     note = ""
     try:
         if spec.model == "sfdm":
-            from .models import SfdmParams
-
             eigsys = sfdm_eigensystem(SfdmParams(**spec.params))
         elif spec.model == "generic":
             eigsys = pt_orthonormal_eigensystem(sym, h)
@@ -218,17 +206,7 @@ def realize(spec: ModelSpec) -> Realization:
         note = f"broken PT phase: {exc}"
     except DegenerateCombinationError as exc:
         note = str(exc)
-    return Realization(
-        spec=spec,
-        sym=sym,
-        hamiltonian=h,
-        hamiltonian_reflected=h_r,
-        full_sym=full_sym,
-        full_hamiltonian=full_h,
-        full_hamiltonian_reflected=full_h_r,
-        eigensystem=eigsys,
-        eigensystem_note=note,
-    )
+    return Realization(spec=spec, sym=sym, hamiltonian=h, eigensystem=eigsys, eigensystem_note=note)
 
 
 def _skip(name: str, reason: str, tol: float) -> CheckReport:
@@ -282,37 +260,32 @@ def run_full_suite(spec: ModelSpec, tol: float = DEFAULT_TOL, n_random: int = 10
     (reported failed with a reason) when the spectrum is broken or no
     PT-orthonormal eigenbasis exists."""
     real = realize(spec)
-    reports = []
     # Matrix-level symmetry checks run on the full 8D Hamiltonian for the h8
     # family (the reduced block loses PT covariance at p != 0) and on the
     # working 4D one otherwise.
-    if real.full_hamiltonian is not None:
-        sym_m, h_m, h_m_r = real.full_sym, real.full_hamiltonian, real.full_hamiltonian_reflected
+    h_m = model_full_hamiltonian(spec)
+    if h_m is None:
+        sym_m, h_m, build = real.sym, real.hamiltonian, model_hamiltonian
     else:
-        sym_m, h_m, h_m_r = real.sym, real.hamiltonian, real.hamiltonian_reflected
-    reports.append(check_pt_commute(sym_m, h_m, tol))
-    reports.append(
-        check_pseudo_hermiticity(sym_m, h_m, h_reflected=None if spec.p == 0 else h_m_r, tol=tol)
-    )
+        sym_m, build = dirac_pair(), model_full_hamiltonian
+    h_m_r = None if spec.p == 0 else build(_reflect(spec))
     spectrum = check_real_spectrum(real.hamiltonian, tol)
-    reports.append(spectrum)
+    reports = [check_pt_commute(sym_m, h_m, tol), check_pseudo_hermiticity(sym_m, h_m, h_m_r, tol), spectrum]
+
+    def skip_rest(reason: str) -> list[CheckReport]:
+        return reports + [_skip(name, reason, tol) for name in SUITE_NAMES[len(reports) :]]
+
     if not spectrum.passed:
-        for name in SUITE_NAMES[3:]:
-            reports.append(_skip(name, "broken PT phase (complex spectrum)", tol))
-        return reports
+        return skip_rest("broken PT phase (complex spectrum)")
     if real.eigensystem is None:
-        for name in SUITE_NAMES[3:]:
-            reports.append(_skip(name, real.eigensystem_note or "no eigenbasis", tol))
-        return reports
+        return skip_rest(real.eigensystem_note or "no eigenbasis")
     eigsys = real.eigensystem
     sym = real.sym
     reports.append(_report("pt_orthonormality", _pt_gram_defect(sym, eigsys), tol))
     try:
         c = build_C(sym, eigsys, hamiltonian=real.hamiltonian, tol=tol)
     except PtoscError as exc:
-        for name in SUITE_NAMES[4:]:
-            reports.append(_skip(name, f"C construction failed: {exc}", tol))
-        return reports
+        return skip_rest(f"C construction failed: {exc}")
     eye = np.eye(sym.dim)
     reports.append(_report("c_squares_to_identity", operator_norm(c.matrix @ c.matrix - eye), tol))
     comm = operator_norm(c.matrix @ real.hamiltonian - real.hamiltonian @ c.matrix)
@@ -327,5 +300,5 @@ def run_full_suite(spec: ModelSpec, tol: float = DEFAULT_TOL, n_random: int = 10
         row_defect = float(np.max(np.abs(table.probs.sum(axis=2) - 1.0)))
         reports.append(_report("row_stochastic_table", row_defect, tol))
     except PtoscError as exc:
-        reports.append(_skip("row_stochastic_table", f"oscillation table unavailable: {exc}", tol))
+        return skip_rest(f"oscillation table unavailable: {exc}")
     return reports

@@ -203,6 +203,17 @@ def test_sweep_single_point_matches_oscillate(tmp_path, capsys):
     assert capsys.readouterr().out == sweep_text
 
 
+def test_table_commands_build_no_8d_input(tmp_path, monkeypatch, capsys):
+    def refuse(params):
+        raise AssertionError("the 8D Hamiltonian is only for the matrix checks of verify")
+
+    monkeypatch.setattr("ptosc.models.h8_hamiltonian", refuse)
+    assert run(["oscillate", *H8V_FLAGS, "--t-points", "4"]) == 0
+    assert run(["sweep", "--config", str(sweep_config(tmp_path, 0.1, 0.9, 2))]) == 0
+    index = json.loads((tmp_path / "out" / "index.json").read_text())
+    assert [entry["status"] for entry in index] == ["ok", "ok"]
+
+
 def test_sweep_bad_axis_is_usage_error(tmp_path, capsys):
     cfg_doc = json.loads(sweep_config(tmp_path, 0.1, 0.9, 2).read_text())
     cfg_doc["sweep"][0]["param"] = "nonesuch"

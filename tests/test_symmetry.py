@@ -74,3 +74,23 @@ def test_dirac_pair_shape():
     # parity swaps the upper and lower 4-blocks
     v = np.arange(8, dtype=complex)
     np.testing.assert_allclose(sym.s @ v, np.concatenate([v[4:], v[:4]]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: canonical_pair(2), lambda: canonical_pair(3, m=2), block_pair, dirac_pair],
+    ids=["canonical", "canonical_m2", "block", "dirac"],
+)
+def test_fixed_pairs_are_shared_and_read_only(build):
+    sym = build()
+    assert build() is sym
+    for matrix in (sym.s, sym.z):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 5.0
+
+
+def test_pair_keeps_a_copy_of_its_inputs():
+    s, z = np.eye(2, dtype=complex), build_canonical_Z(1)
+    sym = SymmetryPair(s, z)
+    s[0, 0] = -1.0
+    assert sym.s[0, 0] == 1.0 and s.flags.writeable

@@ -69,14 +69,9 @@ def test_pseudo_hermiticity_models_pass():
 
 
 def test_pseudo_hermiticity_momentum_needs_reflection():
-    spec = ModelSpec("h8v", {"m0": 2.0, "m2": 1.0}, {"p": 1.0})
-    real = realize(spec)
-    plain = check_pseudo_hermiticity(real.full_sym, real.full_hamiltonian)
-    assert not plain.passed
-    reflected = check_pseudo_hermiticity(
-        real.full_sym, real.full_hamiltonian, h_reflected=real.full_hamiltonian_reflected
-    )
-    assert reflected.passed
+    h, h_reflected = (h8_hamiltonian(Dirac8Params(m0=2.0, m2=1.0, p=p)) for p in (1.0, -1.0))
+    assert not check_pseudo_hermiticity(dirac_pair(), h).passed
+    assert check_pseudo_hermiticity(dirac_pair(), h, h_reflected=h_reflected).passed
 
 
 def test_pseudo_hermiticity_random_fails():
