@@ -19,6 +19,7 @@ import numpy as np
 
 from .coperator import build_C
 from .errors import BrokenPTError, ParameterError, PtoscError, ShapeError
+from .io import json_finite, json_integer, json_number, json_object
 from .linalg import eig_oracle
 from .models import ModelSpec
 from .oscillate import default_t_grid, standard_flavour_basis, transition_table
@@ -37,8 +38,17 @@ MODEL_FLAGS = {
 
 
 def default_tol() -> float:
+    """The check tolerance: ``PTOSC_TOL`` if set, else 1e-10."""
     raw = os.environ.get("PTOSC_TOL")
-    return float(raw) if raw else 1e-10
+    if not raw:
+        return 1e-10
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise SystemExit2(f"PTOSC_TOL must be a finite positive number, got {raw!r}")
+    return tol
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -198,24 +208,47 @@ def _sweep_point(template: ModelSpec, axis: str, value: float, args, tol: float)
     return value, table, "ok"
 
 
-def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
+def _read_sweep(config, out_dir: str | None) -> tuple:
+    """(template, axis name, axis values, time grid, format, out_dir) of a sweep
+    configuration.  A missing, unknown or mistyped field raises ParameterError."""
+    config = json_object(config, "the configuration", ("model",), ("sweep", "t_grid", "out_dir", "format"))
     template = ModelSpec.from_json_dict(config["model"])
     axes = config.get("sweep", [])
+    if not isinstance(axes, list):
+        raise ParameterError(f"sweep must be a list, got {type(axes).__name__}")
     if len(axes) != 1:
         raise SystemExit2("exactly one sweep axis is supported")
-    axis = axes[0]
-    name, start, stop, steps = axis["param"], float(axis["start"]), float(axis["stop"]), int(axis["steps"])
+    axis = json_object(axes[0], "the sweep axis", ("param", "start", "stop", "steps"))
+    if not isinstance(axis["param"], str):
+        raise ParameterError(f"sweep param must be a string, got {axis['param']!r}")
+    start, stop = (json_finite(axis[key], f"sweep {key}") for key in ("start", "stop"))
+    steps = json_integer(axis["steps"], "sweep steps")
     if steps < 1:
         raise SystemExit2("steps must be >= 1")
     values = [start] if steps == 1 else list(np.linspace(start, stop, steps))
-    out_dir = config.get("out_dir", args.out_dir or ".")
-    os.makedirs(out_dir, exist_ok=True)
+    t_grid = json_object(config.get("t_grid", {}), "t_grid", optional=("points", "t_max"))
+    t_max = t_grid.get("t_max")
+    if t_max is not None:
+        t_max = json_number(t_max, "t_grid.t_max")
+    grid = _grid_args(json_integer(t_grid.get("points", 64), "t_grid.points"), t_max)
     fmt = config.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ParameterError(f"format must be 'csv' or 'json', got {fmt!r}")
+    out_dir = config.get("out_dir", out_dir or ".")
+    if not isinstance(out_dir, str):
+        raise ParameterError(f"out_dir must be a string, got {out_dir!r}")
+    return template, axis["param"], values, grid, fmt, out_dir
+
+
+def cmd_sweep(args) -> int:
+    with open(args.config) as fh:
+        config = json.load(fh)
+    try:
+        template, name, values, grid, fmt, out_dir = _read_sweep(config, args.out_dir)
+    except ParameterError as exc:
+        raise SystemExit2(f"malformed configuration: {exc}") from exc
     tol = default_tol()
-    t_grid = config.get("t_grid", {})
-    grid = _grid_args(int(t_grid.get("points", 64)), t_grid.get("t_max"))
+    os.makedirs(out_dir, exist_ok=True)
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         results = list(pool.map(lambda v: _sweep_point(template, name, v, grid, tol), values))

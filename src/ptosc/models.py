@@ -23,11 +23,12 @@ import numpy as np
 from .errors import (
     BrokenPTError,
     DegenerateCombinationError,
+    NumericalError,
     ParameterError,
     ShapeError,
 )
 from .inner import pt_normalize
-from .io import matrix_from_json, matrix_to_json
+from .io import json_finite, json_object, matrix_from_json, matrix_to_json
 from .linalg import (
     SIGMA,
     SIGMA0,
@@ -143,13 +144,20 @@ class SfdmParams:
     """Hyperbolic parametrization of the det = 1 canonical 4D family.
 
     a0 = cosh(chi) and the quaternion components b0..b3 sit on the unit
-    hyperboloid a0^2 - b0^2 - b1^2 - b2^2 - b3^2 = 1 by construction.
+    hyperboloid a0^2 - b0^2 - b1^2 - b2^2 - b3^2 = 1 by construction.  A chi
+    whose cosh overflows a float raises :class:`NumericalError`.
     """
 
     chi: float
     psi: float
     theta: float
     phi: float
+
+    def __post_init__(self):
+        try:
+            math.cosh(self.chi)
+        except OverflowError:
+            raise NumericalError(f"sfdm entries cosh(chi), sinh(chi) overflow at chi = {self.chi}") from None
 
     @property
     def a0(self) -> float:
@@ -477,7 +485,17 @@ def pt_orthonormal_eigensystem(sym: SymmetryPair, h: np.ndarray, tol: float = 1e
 # ---------------------------------------------------------------------------
 # model specification records
 
-MODEL_NAMES = ("sfdm", "generic", "h8", "h8r", "h8v")
+# (required, optional) parameter keys of a model document, per model
+_H8_KEYS = (("m0",), ("m1", "m2", "m3", "p"))
+PARAM_KEYS = {
+    "sfdm": (("chi", "psi", "theta", "phi"), ()),
+    "generic": (("a", "d", "b"), ()),
+    "h8": _H8_KEYS,
+    "h8r": _H8_KEYS,
+    "h8v": _H8_KEYS,
+}
+MODEL_NAMES = tuple(PARAM_KEYS)
+MOMENTUM_KEYS = ("p", "theta", "phi")
 
 
 @dataclass(frozen=True)
@@ -491,7 +509,10 @@ class ModelSpec:
          "momentum": {"p": x, "theta": t, "phi": f}}
 
     ``momentum`` is optional and applies to the h8 family only; ``generic``
-    serializes its blocks as complex matrices.
+    serializes its blocks as complex matrices.  :meth:`from_json_dict`
+    accepts only these keys, the parameter keys of :data:`PARAM_KEYS` and
+    the momentum keys of :data:`MOMENTUM_KEYS`, with finite numbers as
+    values.
     """
 
     model: str
@@ -513,13 +534,20 @@ class ModelSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelSpec":
-        if not isinstance(doc, dict) or "model" not in doc:
-            raise ParameterError("model document must be an object with a 'model' key")
-        params = dict(doc.get("params", {}))
-        if doc["model"] == "generic":
+        """Read and validate a model document; a malformed one raises ParameterError."""
+        model = json_object(doc, "the model document", ("model",), ("params", "momentum"))["model"]
+        if model not in MODEL_NAMES:
+            raise ParameterError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
+        params = json_object(doc.get("params", {}), "params", *PARAM_KEYS[model])
+        if model == "generic":
             params = {key: matrix_from_json(val) for key, val in params.items()}
+        else:
+            params = {key: json_finite(val, f"params.{key}") for key, val in params.items()}
         momentum = doc.get("momentum")
-        return cls(model=doc["model"], params=params, momentum=None if momentum is None else dict(momentum))
+        if momentum is not None:
+            momentum = json_object(momentum, "momentum", optional=MOMENTUM_KEYS)
+            momentum = {key: json_finite(val, f"momentum.{key}") for key, val in momentum.items()}
+        return cls(model=model, params=params, momentum=momentum)
 
     @property
     def p(self) -> float:

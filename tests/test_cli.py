@@ -55,6 +55,23 @@ def test_malformed_model_file(tmp_path, capsys):
     assert run(["verify", "--model-file", str(path)]) == 2
 
 
+def test_model_file_with_a_misspelt_mass_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": "h8v", "params": {"m0": 2.0, "m_2": 1.0}}))
+    assert run(["verify", "--model-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "m_2" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "oscillate"])
+def test_sfdm_overflow_is_numerical_failure(command, capsys):
+    flags = ["--model", "sfdm", "--chi", "711", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"]
+    assert run([command, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("physics failure:") and "overflow" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -230,6 +247,71 @@ def test_sweep_bad_time_grid_is_usage_error(tmp_path, t_grid, capsys):
     path.write_text(json.dumps(cfg_doc))
     assert run(["sweep", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: the time grid")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"t_grid": {"points": "abc"}},
+        {"t_grid": {"points": 4.7}},
+        {"t_grid": {"points": True}},
+        {"t_grid": {"points": 4, "t_max": "5"}},
+        {"t_grid": [4]},
+        {"steps": "x"},
+        {"steps": 2.5},
+        {"start": "a"},
+        {"stop": math.nan},
+        {"param": 3},
+        {"format": "xml"},
+        {"out_dir": 7},
+        {"sweep": {"param": "m2"}},
+        {"sweep": [1]},
+        {"sweep": [{"param": "m2", "start": 0.1, "stop": 0.9}]},
+        {"t_grid": {"point": 8}},
+        {"fromat": "json"},
+        {"model": {"model": "h8v", "params": {"m0": 2.0, "m2": "one"}}},
+    ],
+    ids=lambda change: json.dumps(change),
+)
+def test_sweep_malformed_configuration_is_usage_error(tmp_path, change, capsys):
+    cfg_doc = json.loads(sweep_config(tmp_path, 0.1, 0.9, 2).read_text())
+    for key, value in change.items():
+        if key in ("param", "start", "stop", "steps"):
+            cfg_doc["sweep"][0][key] = value
+        else:
+            cfg_doc[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg_doc))
+    assert run(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed configuration:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_configuration_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([json.loads(sweep_config(tmp_path, 0.1, 0.9, 2).read_text())]))
+    assert run(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed configuration:")
+
+
+def test_sweep_accepts_integral_float_counts(tmp_path):
+    cfg_doc = json.loads(sweep_config(tmp_path, 0.1, 0.9, 2).read_text())
+    cfg_doc["sweep"][0]["steps"] = 2.0
+    cfg_doc["t_grid"] = {"points": 3.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg_doc))
+    assert run(["sweep", "--config", str(path)]) == 0
+    index = json.loads((tmp_path / "out" / "index.json").read_text())
+    assert len(index) == 2
+    assert len((tmp_path / "out" / index[0]["file"]).read_text().strip().split("\n")) == 1 + 3
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1", "0", "inf"])
+def test_bad_ptosc_tol_is_usage_error(value, capsys, monkeypatch):
+    monkeypatch.setenv("PTOSC_TOL", value)
+    assert run(["verify", *SFDM_FLAGS]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: PTOSC_TOL") and captured.out == ""
 
 
 def test_ptosc_tol_env_override(capsys, monkeypatch):

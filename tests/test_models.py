@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -281,3 +282,33 @@ def test_model_spec_generic_serializes_matrices():
 def test_model_spec_rejects_unknown_model():
     with pytest.raises(ParameterError):
         ModelSpec("nonesuch", {})
+
+
+SFDM_DOC = {"model": "sfdm", "params": {"chi": 0.5, "psi": 0.3, "theta": 0.7, "phi": 0.2}}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"model": "h8v", "params": {"m0": 2.0, "m_2": 1.0}},
+        {"model": "h8", "params": {"m1": 1.0}},
+        {"model": "h8v", "params": {"m0": "two"}},
+        {"model": "h8r", "params": {"m0": 2.0, "m1": True}},
+        {"model": "h8v", "params": {"m0": float("inf")}},
+        {"model": "h8v", "params": [2.0]},
+        {"model": "sfdm", "params": {"chi": 0.5, "psi": 0.3, "theta": 0.7}},
+        {"model": "sfdm", "params": {**SFDM_DOC["params"], "m0": 1.0}},
+        {"model": "sfdm", "params": {**SFDM_DOC["params"], "chi": None}},
+        {**SFDM_DOC, "momentum": [1.0]},
+        {**SFDM_DOC, "momentum": {"p": "1"}},
+        {"model": "h8v", "params": {"m0": 2.0}, "momentum": {"q": 1.0}},
+        {"model": "generic", "params": {"a": [[1.0, 0.0], [0.0, 1.0]]}},
+        {"model": ["h8v"], "params": {"m0": 2.0}},
+        {"model": "h8v", "params": {"m0": 2.0}, "momentun": {"p": 1.0}},
+        [SFDM_DOC],
+    ],
+    ids=lambda doc: json.dumps(doc),
+)
+def test_model_spec_rejects_malformed_documents(doc):
+    with pytest.raises(ParameterError):
+        ModelSpec.from_json_dict(doc)
