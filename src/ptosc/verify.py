@@ -24,9 +24,9 @@ from .linalg import adjoint, eig_oracle, operator_norm, require_square
 from .models import (
     EigenSystem,
     ModelSpec,
+    SfdmParams,
     h8r_p0_eigensystem,
     h8v_reduced_eigensystem,
-    SfdmParams,
     model_full_hamiltonian,
     model_hamiltonian,
     model_symmetry,
