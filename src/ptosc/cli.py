@@ -21,7 +21,7 @@ from .coperator import build_C
 from .errors import BrokenPTError, ParameterError, PtoscError, ShapeError
 from .io import json_finite, json_integer, json_number, json_object
 from .linalg import eig_oracle
-from .models import ModelSpec
+from .models import PARAM_KEYS, ModelSpec
 from .oscillate import default_t_grid, standard_flavour_basis, transition_table
 from .verify import realize, run_full_suite
 
@@ -29,12 +29,10 @@ EXIT_OK = 0
 EXIT_PHYSICS = 1
 EXIT_USAGE = 2
 
-MODEL_FLAGS = {
-    "sfdm": ("chi", "psi", "theta", "phi"),
-    "h8": ("m0", "m1", "m2", "m3"),
-    "h8r": ("m0", "m1", "m2"),
-    "h8v": ("m0", "m2"),
-}
+# the model flags, named as their parameter keys, and the momentum flags
+# (argparse dest -> momentum key)
+PARAM_FLAGS = ("chi", "psi", "theta", "phi", "m0", "m1", "m2", "m3")
+MOMENTUM_FLAGS = {"p": "p", "theta_p": "theta", "phi_p": "phi"}
 
 
 def default_tol() -> float:
@@ -71,32 +69,23 @@ def _atomic_write(path: str, text: str) -> None:
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", choices=("sfdm", "h8", "h8r", "h8v"), help="model name")
     parser.add_argument("--model-file", help="JSON ModelSpec file (any model, incl. generic)")
-    for flag in ("chi", "psi", "theta", "phi", "m0", "m1", "m2", "m3"):
+    for flag in PARAM_FLAGS:
         parser.add_argument(f"--{flag}", type=float)
-    parser.add_argument("--p", type=float, default=0.0, help="momentum magnitude")
-    parser.add_argument("--theta-p", type=float, default=0.0, help="momentum polar angle")
-    parser.add_argument("--phi-p", type=float, default=0.0, help="momentum azimuthal angle")
+    parser.add_argument("--p", type=float, help="momentum magnitude (h8 family)")
+    parser.add_argument("--theta-p", type=float, help="momentum polar angle (h8 family)")
+    parser.add_argument("--phi-p", type=float, help="momentum azimuthal angle (h8 family)")
 
 
 def model_spec_from_args(args) -> ModelSpec:
+    """The spec of --model-file, or of --model and the flags given with it."""
     if args.model_file:
         with open(args.model_file) as fh:
             return ModelSpec.from_json_dict(json.load(fh))
     if not args.model:
         raise SystemExit2("one of --model or --model-file is required")
-    params = {}
-    for flag in MODEL_FLAGS[args.model]:
-        value = getattr(args, flag)
-        if value is None:
-            if flag in ("m1", "m2", "m3"):
-                value = 0.0
-            else:
-                raise SystemExit2(f"--{flag} is required for model {args.model}")
-        params[flag] = value
-    momentum = None
-    if args.model != "sfdm":
-        momentum = {"p": args.p, "theta": args.theta_p, "phi": args.phi_p}
-    return ModelSpec(model=args.model, params=params, momentum=momentum)
+    params = {key: getattr(args, key) for key in PARAM_FLAGS if getattr(args, key) is not None}
+    momentum = {key: getattr(args, flag) for flag, key in MOMENTUM_FLAGS.items() if getattr(args, flag) is not None}
+    return ModelSpec(args.model, params, momentum or None)
 
 
 class SystemExit2(Exception):
@@ -191,26 +180,26 @@ def cmd_oscillate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(template: ModelSpec, axis: str, value: float, args, tol: float):
-    params = dict(template.params)
-    momentum = dict(template.momentum or {})
-    if axis in params:
-        params[axis] = value
-    elif axis in ("p", "theta", "phi") and template.model != "sfdm":
-        momentum[axis] = value
-    else:
-        raise SystemExit2(f"sweep axis {axis!r} does not resolve against model {template.model!r}")
-    spec = ModelSpec(model=template.model, params=params, momentum=momentum or None)
+def _sweep_spec(template: ModelSpec, axis: str, value: float) -> ModelSpec:
+    """The template with the axis set: a parameter key of the model if it is
+    one, else a momentum key."""
+    if axis in sum(PARAM_KEYS[template.model], ()):
+        return ModelSpec(template.model, {**template.params, axis: value}, template.momentum)
+    return ModelSpec(template.model, template.params, {**(template.momentum or {}), axis: value})
+
+
+def _sweep_point(spec: ModelSpec, args, tol: float):
     try:
         table, _ = _build_table(spec, args, tol)
     except PtoscError as exc:
-        return value, None, f"broken: {exc}"
-    return value, table, "ok"
+        return None, f"broken: {exc}"
+    return table, "ok"
 
 
 def _read_sweep(config, out_dir: str | None) -> tuple:
-    """(template, axis name, axis values, time grid, format, out_dir) of a sweep
-    configuration.  A missing, unknown or mistyped field raises ParameterError."""
+    """(axis name, axis values, their specs, time grid, format, out_dir) of a
+    sweep configuration.  A missing, unknown or mistyped field, or an axis
+    that is not a key of the model, raises ParameterError."""
     config = json_object(config, "the configuration", ("model",), ("sweep", "t_grid", "out_dir", "format"))
     template = ModelSpec.from_json_dict(config["model"])
     axes = config.get("sweep", [])
@@ -219,13 +208,18 @@ def _read_sweep(config, out_dir: str | None) -> tuple:
     if len(axes) != 1:
         raise SystemExit2("exactly one sweep axis is supported")
     axis = json_object(axes[0], "the sweep axis", ("param", "start", "stop", "steps"))
-    if not isinstance(axis["param"], str):
-        raise ParameterError(f"sweep param must be a string, got {axis['param']!r}")
+    name = axis["param"]
+    if not isinstance(name, str):
+        raise ParameterError(f"sweep param must be a string, got {name!r}")
     start, stop = (json_finite(axis[key], f"sweep {key}") for key in ("start", "stop"))
     steps = json_integer(axis["steps"], "sweep steps")
     if steps < 1:
         raise SystemExit2("steps must be >= 1")
     values = [start] if steps == 1 else list(np.linspace(start, stop, steps))
+    try:
+        specs = [_sweep_spec(template, name, value) for value in values]
+    except ParameterError as exc:
+        raise ParameterError(f"sweep axis {name!r}: {exc}") from None
     t_grid = json_object(config.get("t_grid", {}), "t_grid", optional=("points", "t_max"))
     t_max = t_grid.get("t_max")
     if t_max is not None:
@@ -237,23 +231,23 @@ def _read_sweep(config, out_dir: str | None) -> tuple:
     out_dir = config.get("out_dir", out_dir or ".")
     if not isinstance(out_dir, str):
         raise ParameterError(f"out_dir must be a string, got {out_dir!r}")
-    return template, axis["param"], values, grid, fmt, out_dir
+    return name, values, specs, grid, fmt, out_dir
 
 
 def cmd_sweep(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
     try:
-        template, name, values, grid, fmt, out_dir = _read_sweep(config, args.out_dir)
+        name, values, specs, grid, fmt, out_dir = _read_sweep(config, args.out_dir)
     except ParameterError as exc:
         raise SystemExit2(f"malformed configuration: {exc}") from exc
     tol = default_tol()
     os.makedirs(out_dir, exist_ok=True)
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(lambda v: _sweep_point(template, name, v, grid, tol), values))
+        results = list(pool.map(lambda spec: _sweep_point(spec, grid, tol), specs))
     index = []
-    for value, table, status in results:
+    for value, (table, status) in zip(values, results):
         entry = {"param": name, "value": float(value), "status": status}
         if table is not None:
             fname = f"sweep_{name}={value:.12g}.{fmt}"

@@ -29,7 +29,7 @@ class BrokenPTError(PtoscError, ValueError):
     Carries the offending eigenvalues so callers can report them.  For h8v
     and h8r the phase rule is |m2| >= m0 at every momentum, so at
     p^2 > m2^2 - m0^2 the reported eigenvalues +/-sqrt(p^2 + m0^2 - m2^2)
-    are in fact real (ROADMAP item 4).
+    are in fact real (ROADMAP item 2(c)).
     """
 
     def __init__(self, message: str, eigenvalues=None):

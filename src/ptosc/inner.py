@@ -101,7 +101,7 @@ def cpt_ip(sym: SymmetryPair, c, a, b) -> complex:
 
 # The former momentum-state entry points, on arrays.  Nothing in the package
 # calls them; they stay only while the traced benchmark still names them
-# (ROADMAP item 6) and go with that change.
+# (ROADMAP item 1) and go with that change.
 
 
 def superpose(coeffs, kets) -> np.ndarray:

@@ -13,7 +13,7 @@ def json_object(value, what: str, required=(), optional=()) -> dict:
     if not isinstance(value, dict):
         raise ParameterError(f"{what} must be an object, got {type(value).__name__}")
     if not set(required) <= set(value) <= set(required) | set(optional):
-        raise ParameterError(f"{what} takes the keys {list(required)} and optionally {list(optional)}, got {sorted(value)}")
+        raise ParameterError(f"{what} takes the required keys {list(required)} and optionally {list(optional)}, got {sorted(value)}")
     return value
 
 

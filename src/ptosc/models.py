@@ -325,14 +325,6 @@ def h8_hamiltonian(params: Dirac8Params) -> np.ndarray:
     return alpha_part + mass_part
 
 
-def h8r_params(m0: float, m1: float, m2: float, p: float = 0.0, theta_p: float = 0.0, phi_p: float = 0.0) -> Dirac8Params:
-    return Dirac8Params(m0=m0, m1=m1, m2=m2, m3=0.0, p=p, theta_p=theta_p, phi_p=phi_p)
-
-
-def h8v_params(m0: float, m2: float, p: float = 0.0, theta_p: float = 0.0, phi_p: float = 0.0) -> Dirac8Params:
-    return Dirac8Params(m0=m0, m1=0.0, m2=m2, m3=0.0, p=p, theta_p=theta_p, phi_p=phi_p)
-
-
 def h8_alphas() -> list[np.ndarray]:
     """The three 8x8 velocity matrices (coefficients of the momentum components)."""
     block = np.diag([1.0, 1.0, -1.0, -1.0])
@@ -449,13 +441,6 @@ def h8v_reduced_eigensystem(m0: float, m2: float, p: float) -> EigenSystem:
     return EigenSystem(pairs, reflected=rows_at(-p).T)
 
 
-def lift_reduced_ket(spinor: np.ndarray, theta_p: float, phi_p: float, helicity: int = +1) -> np.ndarray:
-    """Tensor a reduced 4-spinor with a helicity spinor into the full 8D basis."""
-    xi_plus, xi_minus = helicity_spinors(theta_p, phi_p)
-    xi = xi_plus if helicity > 0 else xi_minus
-    return np.kron(np.asarray(spinor, dtype=complex), xi)
-
-
 # ---------------------------------------------------------------------------
 # oracle-backed PT-orthonormal eigensystems
 
@@ -485,14 +470,13 @@ def pt_orthonormal_eigensystem(sym: SymmetryPair, h: np.ndarray, tol: float = 1e
 # ---------------------------------------------------------------------------
 # model specification records
 
-# (required, optional) parameter keys of a model document, per model
-_H8_KEYS = (("m0",), ("m1", "m2", "m3", "p"))
+# (required, optional) parameter keys, per model
 PARAM_KEYS = {
     "sfdm": (("chi", "psi", "theta", "phi"), ()),
     "generic": (("a", "d", "b"), ()),
-    "h8": _H8_KEYS,
-    "h8r": _H8_KEYS,
-    "h8v": _H8_KEYS,
+    "h8": (("m0",), ("m1", "m2", "m3")),
+    "h8r": (("m0",), ("m1", "m2")),
+    "h8v": (("m0",), ("m2",)),
 }
 MODEL_NAMES = tuple(PARAM_KEYS)
 MOMENTUM_KEYS = ("p", "theta", "phi")
@@ -508,11 +492,16 @@ class ModelSpec:
          "params": {...},
          "momentum": {"p": x, "theta": t, "phi": f}}
 
-    ``momentum`` is optional and applies to the h8 family only; ``generic``
-    serializes its blocks as complex matrices.  :meth:`from_json_dict`
-    accepts only these keys, the parameter keys of :data:`PARAM_KEYS` and
-    the momentum keys of :data:`MOMENTUM_KEYS`, with finite numbers as
-    values.
+    Construction validates the record, so every reader (CLI flags, model
+    files, sweep points) gets the same rules; a violation raises
+    :class:`ParameterError`.  ``params`` takes exactly the keys of
+    :data:`PARAM_KEYS` for its model: sfdm ``chi``, ``psi``, ``theta``,
+    ``phi``; h8 ``m0`` and optionally ``m1``-``m3``; h8r ``m0`` and
+    optionally ``m1``, ``m2``; h8v ``m0`` and optionally ``m2`` (an omitted
+    mass is 0); generic the blocks ``a``, ``d``, ``b``, serialized as complex
+    matrices.  ``momentum`` is optional, for the h8 family only, and takes
+    the keys of :data:`MOMENTUM_KEYS`.  Every value but the generic blocks
+    is a finite number, stored as a float.
     """
 
     model: str
@@ -522,6 +511,14 @@ class ModelSpec:
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
             raise ParameterError(f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
+        json_object(self.params, f"{self.model} params", *PARAM_KEYS[self.model])
+        if self.model != "generic":
+            object.__setattr__(self, "params", {key: json_finite(val, f"params.{key}") for key, val in self.params.items()})
+        if self.momentum is not None:
+            if self.model in ("sfdm", "generic"):
+                raise ParameterError(f"{self.model} takes no momentum; momentum is for the h8 family only")
+            momentum = json_object(self.momentum, "momentum", optional=MOMENTUM_KEYS)
+            object.__setattr__(self, "momentum", {key: json_finite(val, f"momentum.{key}") for key, val in momentum.items()})
 
     def to_json_dict(self) -> dict:
         params = dict(self.params)
@@ -534,40 +531,26 @@ class ModelSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelSpec":
-        """Read and validate a model document; a malformed one raises ParameterError."""
-        model = json_object(doc, "the model document", ("model",), ("params", "momentum"))["model"]
-        if model not in MODEL_NAMES:
-            raise ParameterError(f"unknown model {model!r}; expected one of {MODEL_NAMES}")
-        params = json_object(doc.get("params", {}), "params", *PARAM_KEYS[model])
-        if model == "generic":
+        """Read a model document; a malformed one raises ParameterError."""
+        json_object(doc, "the model document", ("model",), ("params", "momentum"))
+        params = doc.get("params", {})
+        if doc["model"] == "generic" and isinstance(params, dict):
             params = {key: matrix_from_json(val) for key, val in params.items()}
-        else:
-            params = {key: json_finite(val, f"params.{key}") for key, val in params.items()}
-        momentum = doc.get("momentum")
-        if momentum is not None:
-            momentum = json_object(momentum, "momentum", optional=MOMENTUM_KEYS)
-            momentum = {key: json_finite(val, f"momentum.{key}") for key, val in momentum.items()}
-        return cls(model=model, params=params, momentum=momentum)
+        return cls(model=doc["model"], params=params, momentum=doc.get("momentum"))
 
     @property
     def p(self) -> float:
-        return float((self.momentum or {}).get("p", self.params.get("p", 0.0)))
+        return (self.momentum or {}).get("p", 0.0)
 
     @property
     def direction(self) -> tuple[float, float]:
         mom = self.momentum or {}
-        return float(mom.get("theta", 0.0)), float(mom.get("phi", 0.0))
+        return mom.get("theta", 0.0), mom.get("phi", 0.0)
 
     @property
     def masses(self) -> tuple[float, float, float, float]:
-        """(m0, m1, m2, m3) of an h8-family spec, with the member's zero masses imposed."""
-        m0 = float(self.params["m0"])
-        m1, m2, m3 = (float(self.params.get(key, 0.0)) for key in ("m1", "m2", "m3"))
-        if self.model == "h8v":
-            m1 = m3 = 0.0
-        elif self.model == "h8r":
-            m3 = 0.0
-        return m0, m1, m2, m3
+        """(m0, m1, m2, m3) of an h8-family spec; an omitted mass is 0."""
+        return tuple(self.params.get(key, 0.0) for key in ("m0", "m1", "m2", "m3"))
 
 
 def model_hamiltonian(spec: ModelSpec) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coperator import COperator, build_C, completeness_defect
-from .errors import BrokenPTError, DegenerateCombinationError, PtoscError
+from .errors import BrokenPTError, PtoscError
 from .linalg import adjoint, eig_oracle, operator_norm, require_square
 from .models import (
     EigenSystem,
@@ -168,13 +168,7 @@ class Realization:
 
 def _reflect(spec: ModelSpec) -> ModelSpec:
     """The spec at momentum -p."""
-    mom = dict(spec.momentum or {})
-    params = dict(spec.params)
-    if "p" in params:
-        params["p"] = -float(params["p"])
-    if "p" in mom:
-        mom["p"] = -float(mom["p"])
-    return ModelSpec(model=spec.model, params=params, momentum=mom or None)
+    return ModelSpec(spec.model, spec.params, {**spec.momentum, "p": -spec.p})
 
 
 def realize(spec: ModelSpec) -> Realization:
@@ -182,7 +176,8 @@ def realize(spec: ModelSpec) -> Realization:
 
     The eigensystem uses the closed form where one exists (sfdm; h8v at any
     momentum; h8r at p = 0), the oracle-backed PT-orthonormalization for
-    generic and for full h8 at p = 0, and is absent (with a note) otherwise.
+    generic and for full h8 at p = 0, and is absent otherwise, with a note
+    that gives the reason or the error its builder raised.
     """
     sym = model_symmetry(spec)
     h = model_hamiltonian(spec)
@@ -204,7 +199,7 @@ def realize(spec: ModelSpec) -> Realization:
             note = "no PT-orthonormal eigenbasis construction for this member at p != 0"
     except BrokenPTError as exc:
         note = f"broken PT phase: {exc}"
-    except DegenerateCombinationError as exc:
+    except PtoscError as exc:
         note = str(exc)
     return Realization(spec=spec, sym=sym, hamiltonian=h, eigensystem=eigsys, eigensystem_note=note)
 

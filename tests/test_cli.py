@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,77 @@ def test_sfdm_overflow_is_numerical_failure(command, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("physics failure:") and "overflow" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--model", "sfdm", "--chi", "inf", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"],
+        ["--model", "sfdm", "--chi", "0.5", "--psi", "nan", "--theta", "0.7", "--phi", "0.2"],
+        ["--model", "h8v", "--m0", "2", "--m2", "1", "--p", "inf"],
+        ["--model", "h8r", "--m0", "nan", "--m1", "0.5"],
+        ["--model", "h8", "--m0", "2", "--theta-p=-inf"],
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("command", ["verify", "spectrum", "oscillate"])
+def test_non_finite_flag_is_usage_error(command, flags, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--model", "h8v", "--m0", "2", "--m2", "1", "--m1", "0.5"], "m1"),
+        (["--model", "h8r", "--m0", "2", "--m3", "0.5"], "m3"),
+        (["--model", "h8", "--m0", "2", "--theta", "0.5"], "theta"),
+        ([*SFDM_FLAGS, "--p", "1"], "momentum"),
+        ([*SFDM_FLAGS, "--theta-p", "0"], "momentum"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else x,
+)
+def test_flag_outside_the_model_is_usage_error(flags, key, capsys):
+    assert run(["verify", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and key in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, doc",
+    [
+        (SFDM_FLAGS, {"model": "sfdm", "params": {"chi": 0.5, "psi": 0.3, "theta": 0.7, "phi": 0.2}}),
+        (["--model", "h8", "--m0", "2", "--m1", "0.3", "--m2", "0.5", "--m3", "0.4"],
+         {"model": "h8", "params": {"m0": 2.0, "m1": 0.3, "m2": 0.5, "m3": 0.4}}),
+        (["--model", "h8", "--m0", "2", "--m3", "0.4", "--p", "0.7"],
+         {"model": "h8", "params": {"m0": 2.0, "m3": 0.4}, "momentum": {"p": 0.7}}),
+        (["--model", "h8r", "--m0", "2", "--m1", "0.5", "--m2", "1"],
+         {"model": "h8r", "params": {"m0": 2.0, "m1": 0.5, "m2": 1.0}}),
+        (["--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1", "--theta-p", "0.4", "--phi-p", "1.1"],
+         {"model": "h8v", "params": {"m0": 2.0, "m2": 1.0}, "momentum": {"p": 1.0, "theta": 0.4, "phi": 1.1}}),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+)
+def test_flags_and_model_file_give_the_same_report(tmp_path, flags, doc, capsys):
+    code = run(["verify", *flags])
+    from_flags = capsys.readouterr().out
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", "--model-file", str(path)]) == code
+    assert capsys.readouterr().out == from_flags
+    assert len(from_flags.strip().split("\n")) == 9
+
+
+def test_eigensystem_failure_still_gets_a_report(capsys):
+    # at chi = 30 the sfdm closed-form kets lose their PT norm to rounding
+    flags = ["--model", "sfdm", "--chi", "30", "--psi", ".3", "--theta", ".7", "--phi", ".2"]
+    assert run(["verify", *flags]) == 1
+    reports = [json.loads(line) for line in capsys.readouterr().out.strip().split("\n")]
+    assert len(reports) == 9 and not all(r["passed"] for r in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +309,7 @@ def test_sweep_bad_axis_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg_doc))
     assert run(["sweep", "--config", str(path)]) == 2
+    assert "sweep axis 'nonesuch'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t_grid", [{"points": 0}, {"points": -3}, {"points": 4, "t_max": math.inf}])
@@ -270,6 +343,9 @@ def test_sweep_bad_time_grid_is_usage_error(tmp_path, t_grid, capsys):
         {"t_grid": {"point": 8}},
         {"fromat": "json"},
         {"model": {"model": "h8v", "params": {"m0": 2.0, "m2": "one"}}},
+        {"param": "nonesuch"},
+        {"param": "m1"},
+        {"model": {"model": "sfdm", "params": {"chi": 0.5, "psi": 0.3, "theta": 0.7, "phi": 0.2}}, "param": "p"},
     ],
     ids=lambda change: json.dumps(change),
 )
@@ -285,6 +361,18 @@ def test_sweep_malformed_configuration_is_usage_error(tmp_path, change, capsys):
     assert run(["sweep", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed configuration:")
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_over_an_omitted_mass(tmp_path, capsys):
+    cfg_doc = json.loads(sweep_config(tmp_path, 0.1, 0.9, 3).read_text())
+    cfg_doc["model"] = {"model": "h8r", "params": {"m0": 2.0, "m1": 0.5}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg_doc))
+    assert run(["sweep", "--config", str(path)]) == 0
+    index = json.loads((tmp_path / "out" / "index.json").read_text())
+    assert [(entry["value"], entry["status"]) for entry in index] == [(0.1, "ok"), (0.5, "ok"), (0.9, "ok")]
+    assert run(["oscillate", "--model", "h8r", "--m0", "2", "--m1", "0.5", "--m2", "0.5", "--t-points", "4"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "out" / index[1]["file"]).read_text()
 
 
 def test_sweep_configuration_must_be_an_object(tmp_path, capsys):

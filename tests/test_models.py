@@ -22,7 +22,6 @@ from ptosc.models import (
     h8v_reduced_eigensystem,
     h8v_reduced_hamiltonian,
     helicity_spinors,
-    lift_reduced_ket,
     mass_block,
     model_hamiltonian,
     pt_orthonormal_eigensystem,
@@ -144,12 +143,16 @@ def test_h8_residual_structure():
 def test_h8_helicity_factorization():
     # an eigenvector of the reduced block at +/-p, tensored with xi_+/-,
     # is an eigenvector of the full 8x8 Hamiltonian
+    def lift_reduced_ket(spinor, theta_p, phi_p, helicity):
+        xi_plus, xi_minus = helicity_spinors(theta_p, phi_p)
+        return np.kron(spinor, xi_plus if helicity > 0 else xi_minus)
+
     m0, m2, p, th, ph = 2.0, 1.0, 1.3, 0.7, 2.1
     h8 = h8_hamiltonian(Dirac8Params(m0=m0, m2=m2, p=p, theta_p=th, phi_p=ph))
     for hel, q in ((+1, p), (-1, -p)):
         es = h8v_reduced_eigensystem(m0, m2, q)
         for pair in es.pairs:
-            full = lift_reduced_ket(pair.ket, th, ph, helicity=hel)
+            full = lift_reduced_ket(pair.ket, th, ph, hel)
             assert np.linalg.norm(h8 @ full - pair.value * full) < 1e-12
 
 
@@ -306,9 +309,40 @@ SFDM_DOC = {"model": "sfdm", "params": {"chi": 0.5, "psi": 0.3, "theta": 0.7, "p
         {"model": ["h8v"], "params": {"m0": 2.0}},
         {"model": "h8v", "params": {"m0": 2.0}, "momentun": {"p": 1.0}},
         [SFDM_DOC],
+        {**SFDM_DOC, "momentum": {"p": 1.0}},
+        {"model": "h8v", "params": {"m0": 2.0, "m1": 0.5}},
+        {"model": "h8r", "params": {"m0": 2.0, "m3": 0.5}},
+        {"model": "h8", "params": {"m0": 2.0, "p": 0.5}, "momentum": {"p": 1.0}},
     ],
     ids=lambda doc: json.dumps(doc),
 )
 def test_model_spec_rejects_malformed_documents(doc):
     with pytest.raises(ParameterError):
         ModelSpec.from_json_dict(doc)
+
+
+GENERIC_PARAMS = {"a": SIGMA[0], "d": -SIGMA[0], "b": real_quaternion(0.3, 0.1, -0.2, 0.5)}
+
+
+@pytest.mark.parametrize(
+    "model, params, momentum",
+    [
+        ("h8v", {"m0": 2.0, "m1": 0.5}, None),
+        ("h8v", {"m0": math.nan}, None),
+        ("sfdm", SFDM_DOC["params"], {"p": 0.0}),
+        ("generic", GENERIC_PARAMS, {"p": 1.0}),
+        ("generic", {**GENERIC_PARAMS, "m0": 1.0}, None),
+    ],
+    ids=["h8v-m1", "h8v-nan", "sfdm-momentum", "generic-momentum", "generic-extra-key"],
+)
+def test_model_spec_validates_direct_construction(model, params, momentum):
+    with pytest.raises(ParameterError):
+        ModelSpec(model, params, momentum)
+
+
+def test_model_spec_stores_floats_and_reads_momentum_only():
+    spec = ModelSpec("h8r", {"m0": 2, "m2": 1}, {"p": 1})
+    assert spec.params == {"m0": 2.0, "m2": 1.0} and all(type(v) is float for v in spec.params.values())
+    assert spec.masses == (2.0, 0.0, 1.0, 0.0)
+    assert (spec.p, spec.direction) == (1.0, (0.0, 0.0))
+    assert ModelSpec("h8v", {"m0": 2.0}).p == 0.0

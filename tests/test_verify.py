@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ptosc.coperator import COperator, build_C
+from ptosc.errors import NumericalError
 from ptosc.inner import cpt_ip
 from ptosc.linalg import SIGMA, random_cmatrix, random_cvector
 from ptosc.models import (
@@ -26,6 +27,7 @@ from ptosc.verify import (
     check_pseudo_hermiticity,
     check_pt_commute,
     check_real_spectrum,
+    SUITE_NAMES,
     realize,
     run_full_suite,
 )
@@ -165,6 +167,24 @@ def test_full_suite_broken_phase_skips_downstream():
     assert by_name["pt_commute"].passed
     assert not by_name["real_spectrum"].passed
     assert by_name["completeness"].note.startswith("skipped")
+
+
+def test_realize_turns_every_eigensystem_failure_into_a_note(monkeypatch):
+    # the sfdm kets lose their PT norm to rounding at large chi
+    real = realize(ModelSpec("sfdm", {"chi": 30.0, "psi": 0.3, "theta": 0.7, "phi": 0.2}))
+    assert real.eigensystem is None and real.eigensystem_note == "vector has vanishing PT norm"
+    broken = realize(ModelSpec("h8v", {"m0": 1.0, "m2": 2.0}))
+    assert broken.eigensystem is None and broken.eigensystem_note.startswith("broken PT phase: ")
+
+    def fail(*args):
+        raise NumericalError("no accuracy")
+
+    monkeypatch.setattr("ptosc.verify.h8v_reduced_eigensystem", fail)
+    spec = ModelSpec("h8v", {"m0": 2.0, "m2": 1.0}, {"p": 1.0})
+    assert realize(spec).eigensystem_note == "no accuracy"
+    reports = run_full_suite(spec, n_random=10)
+    assert [r.name for r in reports] == list(SUITE_NAMES)
+    assert reports[3].note == "skipped: no accuracy"
 
 
 def test_full_suite_generic_model():
