@@ -197,9 +197,11 @@ def _sweep_point(spec: ModelSpec, args, tol: float):
 
 
 def _read_sweep(config, out_dir: str | None) -> tuple:
-    """(axis name, axis values, their specs, time grid, format, out_dir) of a
-    sweep configuration.  A missing, unknown or mistyped field, or an axis
-    that is not a key of the model, raises ParameterError."""
+    """(axis name, axis values, their specs, their file names, time grid,
+    format, out_dir) of a sweep configuration.  A missing, unknown or
+    mistyped field, an axis that is not a key of the model, an axis span
+    that overflows, or two points with the same file name raise
+    ParameterError."""
     config = json_object(config, "the configuration", ("model",), ("sweep", "t_grid", "out_dir", "format"))
     template = ModelSpec.from_json_dict(config["model"])
     axes = config.get("sweep", [])
@@ -215,6 +217,9 @@ def _read_sweep(config, out_dir: str | None) -> tuple:
     steps = json_integer(axis["steps"], "sweep steps")
     if steps < 1:
         raise SystemExit2("steps must be >= 1")
+    # Python floats overflow to inf silently, where numpy would warn and return NaN.
+    if steps > 1 and not math.isfinite(stop - start):
+        raise ParameterError(f"sweep axis {name!r}: stop - start overflows")
     values = [start] if steps == 1 else list(np.linspace(start, stop, steps))
     try:
         specs = [_sweep_spec(template, name, value) for value in values]
@@ -228,17 +233,23 @@ def _read_sweep(config, out_dir: str | None) -> tuple:
     fmt = config.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ParameterError(f"format must be 'csv' or 'json', got {fmt!r}")
+    files = [f"sweep_{name}={value:.12g}.{fmt}" for value in values]
+    seen = set()
+    for fname in files:
+        if fname in seen:
+            raise ParameterError(f"sweep axis {name!r}: two points share the file name {fname!r}")
+        seen.add(fname)
     out_dir = config.get("out_dir", out_dir or ".")
     if not isinstance(out_dir, str):
         raise ParameterError(f"out_dir must be a string, got {out_dir!r}")
-    return name, values, specs, grid, fmt, out_dir
+    return name, values, specs, files, grid, fmt, out_dir
 
 
 def cmd_sweep(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
     try:
-        name, values, specs, grid, fmt, out_dir = _read_sweep(config, args.out_dir)
+        name, values, specs, files, grid, fmt, out_dir = _read_sweep(config, args.out_dir)
     except ParameterError as exc:
         raise SystemExit2(f"malformed configuration: {exc}") from exc
     tol = default_tol()
@@ -247,12 +258,10 @@ def cmd_sweep(args) -> int:
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         results = list(pool.map(lambda spec: _sweep_point(spec, grid, tol), specs))
     index = []
-    for value, (table, status) in zip(values, results):
+    for value, fname, (table, status) in zip(values, files, results):
         entry = {"param": name, "value": float(value), "status": status}
         if table is not None:
-            fname = f"sweep_{name}={value:.12g}.{fmt}"
-            path = os.path.join(out_dir, fname)
-            _atomic_write(path, _table_text(table, fmt))
+            _atomic_write(os.path.join(out_dir, fname), _table_text(table, fmt))
             entry["file"] = fname
         index.append(entry)
     _atomic_write(os.path.join(out_dir, "index.json"), json.dumps(index, indent=2) + "\n")

@@ -46,12 +46,22 @@ _JSON_TIME = "    %r"
 _JSON_MATRIX = "    [\n" + ",\n".join(["      [\n" + ",\n".join(["        %r"] * 4) + "\n      ]"] * 4) + "\n    ]"
 
 
-def _fill(template: str, sep: str, rows: np.ndarray) -> str:
-    """``sep.join(template % tuple(row) for row in rows)``, one ``%`` per block of rows."""
+def _fill(template: str, spec: str, sep: str, rows: np.ndarray) -> str:
+    """``sep.join(template % tuple(row) for row in rows)``, one ``%`` per block of rows.
+
+    ``template`` has one ``spec`` slot per column.  A column that is +0.0 in
+    every row of a block is written into that block's row template as the
+    literal ``spec % 0.0``, so only the live columns are formatted.  -0.0 is
+    not folded: it prints with its sign.
+    """
+    gaps = template.split(spec)
+    zero = spec % 0.0
     blocks = []
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
-        blocks.append(sep.join([template] * len(block)) % tuple(block.ravel().tolist()))
+        dead = ((block == 0.0) & ~np.signbit(block)).all(axis=0)
+        row = gaps[0] + "".join((zero if d else spec) + gap for d, gap in zip(dead, gaps[1:]))
+        blocks.append(sep.join([row] * len(block)) % tuple(block[:, ~dead].ravel().tolist()))
     return sep.join(blocks)
 
 
@@ -91,12 +101,12 @@ class TransitionTable:
     def to_csv(self) -> str:
         """CSV with header t,P11,...,P44 and 12-significant-digit floats."""
         rows = np.column_stack([self.t_grid, self.probs.reshape(len(self.t_grid), 16)])
-        return _CSV_HEADER + _fill(_CSV_ROW, "", rows)
+        return _CSV_HEADER + _fill(_CSV_ROW, "%.12g", "", rows)
 
     def to_json(self) -> str:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, formatted from a template."""
-        times = _fill(_JSON_TIME, ",\n", self.t_grid[:, None])
-        probs = _fill(_JSON_MATRIX, ",\n", self.probs.reshape(len(self.t_grid), 16))
+        times = _fill(_JSON_TIME, "%r", ",\n", self.t_grid[:, None])
+        probs = _fill(_JSON_MATRIX, "%r", ",\n", self.probs.reshape(len(self.t_grid), 16))
         return '{\n  "t_grid": [\n%s\n  ],\n  "probs": [\n%s\n  ]\n}\n' % (times, probs)
 
     def to_json_dict(self) -> dict:
@@ -159,8 +169,9 @@ def transition_table(sym: SymmetryPair, basis: FlavourBasis, eigsys, c: COperato
     if not math.isfinite(float(np.abs(values).max()) * float(np.abs(t_grid).max(initial=0.0))):
         raise NumericalError("the phases lambda * t overflow on this time grid")
     phases = np.exp(-1j * np.outer(t_grid, values))
-    # amp[t, i, m] = sum_j ((f'_m | e_j)) exp(-i lam_j t) ((e_j | f'_i)); rows: initial flavour i
-    amp = (phases[:, None, :] * coeff.T) @ bra.T
+    # amp[t, i, m] = sum_j ((f'_m | e_j)) exp(-i lam_j t) ((e_j | f'_i)); rows: initial flavour i.
+    # One (4T, 4) @ (4, 4) product: a stacked (T, 4, 4) operand costs one BLAS call per time.
+    amp = ((phases[:, None, :] * coeff.T).reshape(-1, 4) @ bra.T).reshape(-1, 4, 4)
     return TransitionTable(t_grid=t_grid, probs=np.abs(amp) ** 2)
 
 

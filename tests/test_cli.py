@@ -375,6 +375,26 @@ def test_sweep_over_an_omitted_mass(tmp_path, capsys):
     assert capsys.readouterr().out == (tmp_path / "out" / index[1]["file"]).read_text()
 
 
+@pytest.mark.parametrize("start, stop, steps", [(0.5, 0.5000000000001, 3), (0.5, 0.5, 2)])
+def test_sweep_points_sharing_a_file_name_are_usage_error(tmp_path, start, stop, steps, capsys):
+    cfg_doc = json.loads(sweep_config(tmp_path, start, stop, steps).read_text())
+    cfg_doc["model"] = {"model": "h8v", "params": {"m0": 2.0, "m2": 0.5}}
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(cfg_doc))
+    assert run(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed configuration: sweep axis 'm2':")
+    assert "'sweep_m2=0.5.csv'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_overflowing_span_is_usage_error(tmp_path, capsys):
+    path = sweep_config(tmp_path, -1e308, 1e308, 3)
+    assert run(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed configuration: sweep axis 'm2':")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_configuration_must_be_an_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text(json.dumps([json.loads(sweep_config(tmp_path, 0.1, 0.9, 2).read_text())]))

@@ -47,6 +47,20 @@ def h8v_setup(m0=2.0, m2=1.0, p=1.0):
     return sym, es, c
 
 
+def realized_setup(spec):
+    real = realize(spec)
+    es = real.eigensystem
+    return real.sym, es, build_C(real.sym, es, hamiltonian=real.hamiltonian)
+
+
+def h8r_setup():
+    return realized_setup(ModelSpec("h8r", {"m0": 2.0, "m1": 0.5, "m2": 1.0}))
+
+
+def h8_setup():
+    return realized_setup(ModelSpec("h8", {"m0": 2.0, "m1": 0.5, "m2": 1.0, "m3": 0.3}))
+
+
 # ---------------------------------------------------------------------------
 # flavour basis
 
@@ -176,7 +190,7 @@ def reference_table(sym, basis, es, c, t_grid) -> np.ndarray:
     return probs
 
 
-@pytest.mark.parametrize("setup", [sfdm_setup, h8v_setup])
+@pytest.mark.parametrize("setup", [sfdm_setup, h8v_setup, h8r_setup, h8_setup])
 def test_batched_table_matches_per_time_loop(setup):
     sym, es, c = setup()
     basis = standard_flavour_basis(sym, es, c)
@@ -247,12 +261,10 @@ CATALOGUE = {
 
 
 def catalogue_table(name, n, default_grid=False):
-    real = realize(CATALOGUE[name])
-    es = real.eigensystem
-    c = build_C(real.sym, es, hamiltonian=real.hamiltonian)
-    basis = standard_flavour_basis(real.sym, es, c)
+    sym, es, c = realized_setup(CATALOGUE[name])
+    basis = standard_flavour_basis(sym, es, c)
     grid = default_t_grid(es, n) if default_grid else np.linspace(0.3, 40.0, n)
-    return transition_table(real.sym, basis, es, c, grid), es
+    return transition_table(sym, basis, es, c, grid), es
 
 
 def reference_csv(table) -> str:
@@ -278,13 +290,55 @@ def reference_pattern(eigsys, t_grid) -> np.ndarray:
     return out
 
 
+def assert_writers_match_references(table):
+    assert table.to_csv() == reference_csv(table)
+    assert table.to_json() == json.dumps(table.to_json_dict(), indent=2) + "\n"
+
+
 # 4,097 rows cross the 4,096-row block boundary of the writers.
 @pytest.mark.parametrize("n", [1, 4097])
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
 def test_writers_match_per_cell_references(name, n):
     table, _ = catalogue_table(name, n)
-    assert table.to_csv() == reference_csv(table)
-    assert table.to_json() == json.dumps(table.to_json_dict(), indent=2) + "\n"
+    assert_writers_match_references(table)
+
+
+def test_writers_fold_zero_columns_per_block():
+    # P12 is +0.0 in every row of the first 4,096-row block but not in the
+    # second; P34 is the other way round.
+    rng = np.random.default_rng(7)
+    probs = rng.random((4097, 4, 4))
+    probs[:4096, 0, 1] = 0.0
+    probs[4096, 2, 3] = 0.0
+    probs /= probs.sum(axis=2, keepdims=True)
+    table = TransitionTable(np.linspace(0.0, 5.0, 4097), probs)
+    assert table.probs[4096, 0, 1] > 0.0 and np.all(table.probs[:4096, 2, 3] > 0.0)
+    assert_writers_match_references(table)
+
+
+def test_writers_keep_the_sign_of_negative_zero_times():
+    sym, es, c = h8v_setup(m0=2.0, m2=0.5, p=0.0)
+    table = transition_table(sym, standard_flavour_basis(sym, es, c), es, c, [0.0, 0.0, -0.0])
+    assert_writers_match_references(table)
+    assert table.to_csv().split("\n")[3].startswith("-0,1,0,")
+    assert "\n    -0.0\n" in table.to_json()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_oscillate_keeps_a_negative_zero_end_time(fmt, capsys):
+    argv = ["oscillate", "--model", "h8v", "--m0", "2", "--m2", ".5", "--t-points", "3", "--t-max", "-0"]
+    assert main([*argv, "--format", fmt]) == 0
+    sym, es, c = h8v_setup(m0=2.0, m2=0.5, p=0.0)
+    table = transition_table(sym, standard_flavour_basis(sym, es, c), es, c, [0.0, 0.0, -0.0])
+    out = capsys.readouterr().out
+    assert out == (table.to_csv() if fmt == "csv" else table.to_json())
+    assert ("\n-0,1,0," if fmt == "csv" else "\n    -0.0\n") in out
+
+
+def test_writers_on_one_row_at_t0():
+    table = TransitionTable(np.array([0.0]), np.eye(4)[None])
+    assert_writers_match_references(table)
+    assert table.to_csv().split("\n")[1] == "0,1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
