@@ -8,11 +8,11 @@ byte-identical files.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -51,12 +51,15 @@ def default_tol() -> float:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ptosc-")
-    umask = os.umask(0)
-    os.umask(umask)
+    while True:
+        tmp = os.path.join(directory, f".ptosc-{os.urandom(6).hex()}")
+        try:
+            # the kernel masks 0o666 with the umask, as open() would
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
-        # mkstemp creates the file 0o600 and os.replace keeps that mode
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -268,7 +271,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ptosc`` parser, built on first use and shared by later calls;
+    parsing keeps no state in it."""
     parser = argparse.ArgumentParser(prog="ptosc", description="T-odd PT-symmetric models: verification and oscillation tables")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -297,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit2 as exc:

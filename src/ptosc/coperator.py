@@ -28,11 +28,15 @@ class COperator:
 
     ``matrix`` is C at the working momentum p and ``reflected`` is C(-p), as
     needed for the bra side of CPT products; for static models the two are
-    equal.
+    equal.  :func:`build_C` records the defects it measured:
+    ``square_defect`` = ||C^2 - 1|| and ``commutator_defect`` = ||[C, H]||
+    (None when it was given no Hamiltonian).
     """
 
     matrix: np.ndarray
     reflected: np.ndarray
+    square_defect: float | None = None
+    commutator_defect: float | None = None
 
     @property
     def dim(self) -> int:
@@ -51,8 +55,9 @@ def build_C(sym: SymmetryPair, eigensystem, hamiltonian=None, tol: float = 1e-10
     """Assemble C from a PT-orthonormal eigensystem and validate it.
 
     Checks C^2 = 1 and, when the Hamiltonian is supplied, [C, H] = 0, both
-    to ``tol`` in operator norm; a violation raises
-    :class:`ConstructionError`.
+    to ``tol`` in operator norm (the commutator relative to max(1, ||H||));
+    a violation raises :class:`ConstructionError`.  The measured defects are
+    kept on the result.
     """
     kets, bra_kets = eigensystem.K, eigensystem.B
     # einsum accumulates each entry term by term, as the spectral sum does;
@@ -62,12 +67,14 @@ def build_C(sym: SymmetryPair, eigensystem, hamiltonian=None, tol: float = 1e-10
     defect = operator_norm(c @ c - np.eye(sym.dim))
     if defect > tol:
         raise ConstructionError(f"C^2 != 1 (defect {defect:.3e} > {tol:.1e})")
+    comm = None
     if hamiltonian is not None:
         h = require_square(hamiltonian)
         comm = operator_norm(c @ h - h @ c)
         if comm > tol * max(1.0, operator_norm(h)):
             raise ConstructionError(f"[C, H] != 0 (defect {comm:.3e})")
-    return COperator(matrix=c, reflected=np.einsum("ij,jk->ik", bra_kets, kets.conj().T @ sym.s))
+    reflected = np.einsum("ij,jk->ik", bra_kets, kets.conj().T @ sym.s)
+    return COperator(matrix=c, reflected=reflected, square_defect=defect, commutator_defect=comm)
 
 
 def closed_form_C_h8v(m0: float, m2: float, p: float) -> np.ndarray:

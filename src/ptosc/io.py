@@ -57,6 +57,9 @@ def matrix_to_json(a: np.ndarray) -> list:
     return [[complex_to_json(z) for z in row] for row in a]
 
 
-def matrix_from_json(rows) -> np.ndarray:
+def matrix_from_json(rows, what: str = "a matrix") -> np.ndarray:
+    """A complex matrix from a list of equal-length rows; ShapeError otherwise."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows) and len({len(row) for row in rows}) <= 1):
+        raise ShapeError(f"{what} must be a list of equal-length lists, got {rows!r}")
     return np.array([[complex_from_json(z) for z in row] for row in rows], dtype=complex)
 

@@ -535,7 +535,7 @@ class ModelSpec:
         json_object(doc, "the model document", ("model",), ("params", "momentum"))
         params = doc.get("params", {})
         if doc["model"] == "generic" and isinstance(params, dict):
-            params = {key: matrix_from_json(val) for key, val in params.items()}
+            params = {key: matrix_from_json(val, f"params.{key}") for key, val in params.items()}
         return cls(model=doc["model"], params=params, momentum=doc.get("momentum"))
 
     @property

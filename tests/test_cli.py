@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ptosc.cli import main
+from ptosc.cli import build_parser, main
 
 SFDM_FLAGS = ["--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"]
 
@@ -144,6 +144,52 @@ def test_eigensystem_failure_still_gets_a_report(capsys):
     assert len(reports) == 9 and not all(r["passed"] for r in reports)
 
 
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("a", [5, [1, 2], [[1, 0], [0]]], ids=json.dumps)
+def test_malformed_generic_matrix_is_usage_error(tmp_path, a, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": "generic", "params": {"a": a, "d": EYE2, "b": EYE2}}))
+    assert run(["verify", "--model-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: params.a must be a list of equal-length lists")
+
+
+def outputs(argv, capsys):
+    """Exit code, stdout and stderr of one in-process call, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+H8V_P0_FLAGS = ["--model", "h8v", "--m0", "2", "--m2", "1"]
+
+
+@pytest.mark.parametrize(
+    "first, then, mark",
+    [
+        (["oscillate", *H8V_P0_FLAGS, "--t-points", "4", "--golden"], ["oscillate", *H8V_P0_FLAGS, "--t-points", "4"],
+         "golden max deviation"),
+        (["verify", *H8V_P0_FLAGS, "--p", "1"], ["verify", *H8V_P0_FLAGS], "momentum-reflected"),
+        (["verify", "--model", "nonesuch"], ["verify", *SFDM_FLAGS], "invalid choice"),
+    ],
+    ids=["golden", "momentum", "usage-error"],
+)
+def test_cached_parser_carries_no_state_between_calls(first, then, mark, capsys):
+    build_parser.cache_clear()
+    alone = outputs(then, capsys)
+    assert alone[0] == 0 and mark not in alone[1] + alone[2]
+    _, out, err = outputs(first, capsys)
+    assert mark in out + err
+    assert outputs(then, capsys) == alone
+    assert build_parser() is build_parser()
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -239,6 +285,21 @@ def test_output_file_mode_follows_umask(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert out.stat().st_mode & 0o777 == mode
+
+
+def test_output_file_is_written_without_touching_the_umask(tmp_path, monkeypatch, capsys):
+    args = ["oscillate", *H8V_FLAGS, "--t-points", "4"]
+    assert run(args) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    out = tmp_path / "table.csv"
+    assert run([*args, "--out", str(out)]) == 0
+    assert out.read_text() == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 # ---------------------------------------------------------------------------

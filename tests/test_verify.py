@@ -6,7 +6,7 @@ import pytest
 from ptosc.coperator import COperator, build_C
 from ptosc.errors import NumericalError
 from ptosc.inner import cpt_ip
-from ptosc.linalg import SIGMA, random_cmatrix, random_cvector
+from ptosc.linalg import SIGMA, operator_norm, random_cmatrix, random_cvector
 from ptosc.models import (
     GenericTOddParams,
     ModelSpec,
@@ -21,7 +21,9 @@ from ptosc.models import (
 )
 from ptosc.symmetry import canonical_pair, dirac_pair
 from ptosc.verify import (
+    DEFAULT_TOL,
     _cpt_positivity_defect,
+    _cpt_samples,
     check_alpha_beta_conditions,
     check_generator_constraints,
     check_pseudo_hermiticity,
@@ -263,3 +265,28 @@ def test_cpt_positivity_detects_negated_c(spec):
     negated = COperator(matrix=-c.matrix, reflected=-c.reflected)
     assert _cpt_positivity_defect(sym, negated, es, 1000) >= 1.0
     assert reference_positivity_defect(sym, negated, es, 1000) >= 1.0
+
+
+@pytest.mark.parametrize("rows", [4, 2], ids=["static", "momentum"])
+def test_cpt_samples_are_drawn_once_and_read_only(rows):
+    x = _cpt_samples(1000, rows, 4, 0xC0)
+    assert _cpt_samples(1000, rows, 4, 0xC0) is x
+    assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0, 0] = 0.0
+    draws = np.random.default_rng(0xC0).standard_normal((1000, rows, 4))
+    np.testing.assert_array_equal(x, draws[:, -2] + 1j * draws[:, -1])
+
+
+@pytest.mark.parametrize("spec", POSITIVITY_SPECS, ids=lambda s: f"{s.model}@p={s.p}")
+def test_suite_reports_the_c_defects_build_c_measured(spec):
+    sym, c, _ = _realized_c(spec)
+    h = realize(spec).hamiltonian
+    square = operator_norm(c.matrix @ c.matrix - np.eye(sym.dim))
+    comm = operator_norm(c.matrix @ h - h @ c.matrix)
+    assert (c.square_defect, c.commutator_defect) == (square, comm)
+    assert build_C(sym, realize(spec).eigensystem).commutator_defect is None
+    by_name = {r.name: r for r in run_full_suite(spec)}
+    assert by_name["c_squares_to_identity"].defect == square
+    assert by_name["c_commutes_with_h"].defect == comm
+    assert by_name["c_commutes_with_h"].tolerance == DEFAULT_TOL * max(1.0, operator_norm(h))
