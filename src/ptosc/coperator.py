@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError
-from .linalg import operator_norm, require_square
+from .linalg import DEFAULT_TOL, operator_norm, require_square
 from .symmetry import SymmetryPair
 
 
@@ -51,7 +51,7 @@ class COperator:
         return self.reflected if sign < 0 else self.matrix
 
 
-def build_C(sym: SymmetryPair, eigensystem, hamiltonian=None, tol: float = 1e-10) -> COperator:
+def build_C(sym: SymmetryPair, eigensystem, hamiltonian=None, tol: float = DEFAULT_TOL) -> COperator:
     """Assemble C from a PT-orthonormal eigensystem and validate it.
 
     Checks C^2 = 1 and, when the Hamiltonian is supplied, [C, H] = 0, both

@@ -76,7 +76,7 @@ def det(a) -> complex:
 
 def operator_norm(a) -> float:
     """Largest singular value; the defect measure used throughout."""
-    return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
+    return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)[0])
 
 
 @dataclass

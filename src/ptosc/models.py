@@ -15,7 +15,7 @@ both fixed against the numerical eigensolver:
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,6 +30,7 @@ from .errors import (
 from .inner import pt_normalize
 from .io import json_finite, json_object, matrix_from_json, matrix_to_json
 from .linalg import (
+    DEFAULT_TOL,
     SIGMA,
     SIGMA0,
     adjoint,
@@ -56,22 +57,20 @@ class EigenPair:
 class EigenSystem:
     """Ordered eigenvalues with PT-normalized kets and degeneracy clusters.
 
-    Pairs are sorted ascending by eigenvalue; ``clusters`` partitions the
-    index range into groups of equal eigenvalues.  ``reflected`` holds the
-    same kets evaluated at the reflected momentum -p, as columns; it is None
-    for static models, whose bra kets are the kets themselves.
+    Pairs are sorted ascending by eigenvalue.  ``reflected`` holds the same
+    kets evaluated at the reflected momentum -p, as columns; it is None for
+    static models, whose bra kets are the kets themselves.
     """
 
     pairs: tuple[EigenPair, ...]
-    clusters: tuple[tuple[int, ...], ...] = field(default=())
     reflected: np.ndarray | None = None
 
-    def __post_init__(self):
-        if not self.clusters:
-            values = np.array([p.value for p in self.pairs])
-            scale = float(np.max(np.abs(values))) if len(values) else 1.0
-            groups = cluster_indices(values, scale)
-            object.__setattr__(self, "clusters", tuple(tuple(g) for g in groups))
+    @cached_property
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
+        """The index range partitioned into groups of equal eigenvalues."""
+        values = self.values
+        scale = float(np.max(np.abs(values))) if len(values) else 1.0
+        return tuple(tuple(g) for g in cluster_indices(values, scale))
 
     @property
     def values(self) -> np.ndarray:
@@ -317,18 +316,21 @@ def mass_block(m0: float, m1: float, m2: float, m3: float) -> np.ndarray:
     )
 
 
+# block-level coefficient of the momentum: +1 on the upper, -1 on the lower blocks
+MOMENTUM_BLOCK = np.diag([1.0, 1.0, -1.0, -1.0])
+
+
 def h8_hamiltonian(params: Dirac8Params) -> np.ndarray:
     """Full 8x8 Hamiltonian in the momentum basis."""
     sp = params.p * sigma_dot_n(params.theta_p, params.phi_p)
-    alpha_part = kron(np.diag([1.0, 1.0, -1.0, -1.0]), sp)
+    alpha_part = kron(MOMENTUM_BLOCK, sp)
     mass_part = kron(mass_block(params.m0, params.m1, params.m2, params.m3), np.eye(2))
     return alpha_part + mass_part
 
 
 def h8_alphas() -> list[np.ndarray]:
     """The three 8x8 velocity matrices (coefficients of the momentum components)."""
-    block = np.diag([1.0, 1.0, -1.0, -1.0])
-    return [kron(block, SIGMA[i]) for i in (1, 2, 3)]
+    return [kron(MOMENTUM_BLOCK, SIGMA[i]) for i in (1, 2, 3)]
 
 
 def h8_beta() -> np.ndarray:
@@ -350,15 +352,7 @@ def _require_unbroken(m0: float, m2: float, p: float = 0.0) -> None:
 
 def h8v_reduced_hamiltonian(m0: float, m2: float, p: float) -> np.ndarray:
     """4x4 helicity-reduced block of h8v at signed momentum p."""
-    return np.array(
-        [
-            [p, 0, m0, -1j * m2],
-            [0, p, 1j * m2, m0],
-            [m0, 1j * m2, -p, 0],
-            [-1j * m2, m0, 0, -p],
-        ],
-        dtype=complex,
-    )
+    return mass_block(m0, 0.0, m2, 0.0) + p * MOMENTUM_BLOCK
 
 
 def h8v_p0_eigensystem(m0: float, m2: float) -> EigenSystem:
@@ -445,7 +439,7 @@ def h8v_reduced_eigensystem(m0: float, m2: float, p: float) -> EigenSystem:
 # oracle-backed PT-orthonormal eigensystems
 
 
-def pt_orthonormal_eigensystem(sym: SymmetryPair, h: np.ndarray, tol: float = 1e-10) -> EigenSystem:
+def pt_orthonormal_eigensystem(sym: SymmetryPair, h: np.ndarray, tol: float = DEFAULT_TOL) -> EigenSystem:
     """PT-orthonormalize the numerical eigenvectors of a matrix.
 
     Used for family members without closed forms (h8 with m3 != 0).  Within
@@ -480,6 +474,8 @@ PARAM_KEYS = {
 }
 MODEL_NAMES = tuple(PARAM_KEYS)
 MOMENTUM_KEYS = ("p", "theta", "phi")
+# the members with a static 4D working space: no momentum, no 8D form
+STATIC_MODELS = ("sfdm", "generic")
 
 
 @dataclass(frozen=True)
@@ -515,7 +511,7 @@ class ModelSpec:
         if self.model != "generic":
             object.__setattr__(self, "params", {key: json_finite(val, f"params.{key}") for key, val in self.params.items()})
         if self.momentum is not None:
-            if self.model in ("sfdm", "generic"):
+            if self.model in STATIC_MODELS:
                 raise ParameterError(f"{self.model} takes no momentum; momentum is for the h8 family only")
             momentum = json_object(self.momentum, "momentum", optional=MOMENTUM_KEYS)
             object.__setattr__(self, "momentum", {key: json_finite(val, f"momentum.{key}") for key, val in momentum.items()})
@@ -563,12 +559,12 @@ def model_hamiltonian(spec: ModelSpec) -> np.ndarray:
         return sfdm_hamiltonian(SfdmParams(**spec.params))
     if spec.model == "generic":
         return generic_t_odd_hamiltonian(GenericTOddParams(**spec.params))
-    return mass_block(*spec.masses) + spec.p * np.diag([1.0, 1.0, -1.0, -1.0])
+    return mass_block(*spec.masses) + spec.p * MOMENTUM_BLOCK
 
 
 def model_full_hamiltonian(spec: ModelSpec) -> np.ndarray | None:
     """Full 8x8 Hamiltonian for the h8 family; None for 4D models."""
-    if spec.model in ("sfdm", "generic"):
+    if spec.model in STATIC_MODELS:
         return None
     theta, phi = spec.direction
     return h8_hamiltonian(Dirac8Params(*spec.masses, p=spec.p, theta_p=theta, phi_p=phi))
@@ -576,6 +572,6 @@ def model_full_hamiltonian(spec: ModelSpec) -> np.ndarray | None:
 
 def model_symmetry(spec: ModelSpec) -> SymmetryPair:
     """Symmetry pair of the working space."""
-    if spec.model in ("sfdm", "generic"):
+    if spec.model in STATIC_MODELS:
         return canonical_pair(2)
     return block_pair()

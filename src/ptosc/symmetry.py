@@ -19,6 +19,9 @@ from .linalg import E2, as_cvector, kron, operator_norm, require_square
 
 PAIR_TOL = 1e-14
 
+# Block-swap parity: exchanges the upper and lower pairs of (spinor) blocks.
+BLOCK_SWAP = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex)
+
 
 @dataclass(frozen=True)
 class SymmetryPair:
@@ -98,19 +101,10 @@ def canonical_pair(n_pairs: int, m: int | None = None) -> SymmetryPair:
     return SymmetryPair(build_canonical_S(m, dim), build_canonical_Z(n_pairs))
 
 
-def build_dirac_S() -> np.ndarray:
-    """8x8 parity in the Dirac-representation momentum basis.
-
-    Identity 2x2 blocks swap the upper and lower pairs of spinor blocks.
-    """
-    swap = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex)
-    return kron(swap, np.eye(2))
-
-
 @cache
 def dirac_pair() -> SymmetryPair:
-    """8D Dirac-basis pair; Z acts as e2 on each spin doublet."""
-    return SymmetryPair(build_dirac_S(), kron(np.eye(4), E2))
+    """8D Dirac-basis pair: S = (block swap) x 1_2, Z acts as e2 on each spin doublet."""
+    return SymmetryPair(kron(BLOCK_SWAP, np.eye(2)), kron(np.eye(4), E2))
 
 
 @cache
@@ -120,8 +114,7 @@ def block_pair() -> SymmetryPair:
     S is the block-swap parity (the 8D Dirac S at block level) and Z is the
     canonical diag(e2, e2).
     """
-    swap = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex)
-    return SymmetryPair(swap, build_canonical_Z(2))
+    return SymmetryPair(BLOCK_SWAP, build_canonical_Z(2))
 
 
 def apply_T(sym: SymmetryPair, v) -> np.ndarray:

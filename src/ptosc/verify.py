@@ -21,7 +21,8 @@ import numpy as np
 
 from .coperator import COperator, build_C, completeness_defect
 from .errors import BrokenPTError, PtoscError
-from .linalg import adjoint, eig_oracle, operator_norm, require_square
+from .inner import pt_adjoint
+from .linalg import DEFAULT_TOL, adjoint, eig_oracle, operator_norm, require_square
 from .models import (
     EigenSystem,
     ModelSpec,
@@ -36,8 +37,6 @@ from .models import (
 )
 from .oscillate import default_t_grid, standard_flavour_basis, transition_table
 from .symmetry import SymmetryPair, dirac_pair
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ def check_pseudo_hermiticity(sym: SymmetryPair, h, h_reflected=None, tol: float 
     """S^-1 H^dag S = H (or H(-p) when the reflected Hamiltonian is given)."""
     h = require_square(h)
     target = h if h_reflected is None else require_square(h_reflected)
-    defect = operator_norm(sym.s @ adjoint(h) @ sym.s - target)
+    defect = operator_norm(pt_adjoint(sym, h) - target)
     note = "" if h_reflected is None else "compared against the momentum-reflected Hamiltonian"
     return _report("pseudo_hermiticity", defect, tol * max(1.0, operator_norm(h)), note)
 
@@ -160,7 +159,6 @@ def check_generator_constraints(alphas, sym: SymmetryPair, tol: float = 1e-12) -
 class Realization:
     """The working-space model: symmetry pair, Hamiltonian and eigensystem."""
 
-    spec: ModelSpec
     sym: SymmetryPair
     hamiltonian: np.ndarray
     eigensystem: EigenSystem | None = None
@@ -202,7 +200,7 @@ def realize(spec: ModelSpec) -> Realization:
         note = f"broken PT phase: {exc}"
     except PtoscError as exc:
         note = str(exc)
-    return Realization(spec=spec, sym=sym, hamiltonian=h, eigensystem=eigsys, eigensystem_note=note)
+    return Realization(sym=sym, hamiltonian=h, eigensystem=eigsys, eigensystem_note=note)
 
 
 def _skip(name: str, reason: str, tol: float) -> CheckReport:

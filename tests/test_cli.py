@@ -158,13 +158,24 @@ def test_malformed_generic_matrix_is_usage_error(tmp_path, a, capsys):
 
 
 def outputs(argv, capsys):
-    """Exit code, stdout and stderr of one in-process call, argparse exits included."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    """Exit code, stdout and stderr of one in-process call."""
+    code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, mark",
+    [
+        (["verify", "--model", "nonesuch"], 2, "err", "invalid choice"),
+        (["sweep"], 2, "err", "--config"),
+        (["--help"], 0, "out", "usage: ptosc"),
+    ],
+    ids=["bad-choice", "missing-config", "help"],
+)
+def test_main_returns_argparse_exit_codes(argv, code, stream, mark, capsys):
+    assert main(argv) == code
+    assert mark in getattr(capsys.readouterr(), stream)
 
 
 H8V_P0_FLAGS = ["--model", "h8v", "--m0", "2", "--m2", "1"]
@@ -321,7 +332,7 @@ def sweep_config(tmp_path, start, stop, steps):
 
 def test_sweep_produces_tables_and_index(tmp_path):
     cfg = sweep_config(tmp_path, 0.1, 1.9, 10)
-    assert run(["sweep", "--config", str(cfg), "--jobs", "4"]) == 0
+    assert run(["sweep", "--config", str(cfg)]) == 0
     index = json.loads((tmp_path / "out" / "index.json").read_text())
     assert len(index) == 10
     assert all(entry["status"] == "ok" for entry in index)
@@ -380,7 +391,7 @@ def test_sweep_bad_time_grid_is_usage_error(tmp_path, t_grid, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg_doc))
     assert run(["sweep", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: the time grid")
+    assert capsys.readouterr().err.startswith("error: malformed configuration: the time grid")
 
 
 @pytest.mark.parametrize(
@@ -401,6 +412,9 @@ def test_sweep_bad_time_grid_is_usage_error(tmp_path, t_grid, capsys):
         {"sweep": {"param": "m2"}},
         {"sweep": [1]},
         {"sweep": [{"param": "m2", "start": 0.1, "stop": 0.9}]},
+        {"steps": 0},
+        {"sweep": []},
+        {"sweep": [{"param": "m2", "start": 0.1, "stop": 0.9, "steps": 2}] * 2},
         {"t_grid": {"point": 8}},
         {"fromat": "json"},
         {"model": {"model": "h8v", "params": {"m0": 2.0, "m2": "one"}}},

@@ -48,6 +48,17 @@ def test_det_and_norm():
     assert operator_norm(np.diag([3.0, -1.0])) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_operator_norm_matches_numpy_2_norm(dim):
+    rng = np.random.default_rng(dim)
+    cases = [np.zeros((dim, dim), dtype=complex)]
+    for _ in range(50):
+        a = random_cmatrix(rng, dim)
+        cases += [a, 1e-12 * a]
+    for a in cases:
+        assert operator_norm(a) == np.linalg.norm(a, 2)
+
+
 def test_cluster_indices_groups_degenerate_values():
     values = np.array([-1.0, -1.0 + 1e-12, 0.5, 2.0, 2.0])
     clusters = cluster_indices(values, scale=2.0)

@@ -202,6 +202,12 @@ def test_h8v_reduced_closed_form_momentum():
             assert np.linalg.norm(hm @ bra - pair.value * bra) < 1e-12
 
 
+def test_h8v_reduced_hamiltonian_is_the_working_hamiltonian():
+    for m0, m2, p in ((2.0, 1.0, 1.0), (3.0, -0.5, -2.0), (2.0, 0.0, 0.0), (1.5, 1.2, -0.3)):
+        spec = ModelSpec("h8v", {"m0": m0, "m2": m2}, {"p": p})
+        assert np.array_equal(h8v_reduced_hamiltonian(m0, m2, p), model_hamiltonian(spec))
+
+
 def test_h8r_p0_closed_form():
     sym = block_pair()
     rng = np.random.default_rng(53)

@@ -74,6 +74,20 @@ def test_dirac_pair_shape():
     # parity swaps the upper and lower 4-blocks
     v = np.arange(8, dtype=complex)
     np.testing.assert_allclose(sym.s @ v, np.concatenate([v[4:], v[:4]]))
+    s = np.array(
+        [
+            [0, 0, 0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 0, 1, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1],
+            [1, 0, 0, 0, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0, 0, 0],
+        ],
+        dtype=complex,
+    )
+    np.testing.assert_array_equal(sym.s, s)
 
 
 @pytest.mark.parametrize(
