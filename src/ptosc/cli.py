@@ -17,12 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .coperator import build_C
 from .errors import BrokenPTError, ParameterError, PtoscError, ShapeError
-from .io import json_finite, json_integer, json_number, json_object
+from .io import json_finite, json_integer, json_number, json_object, read_json
 from .linalg import DEFAULT_TOL, eig_oracle
 from .models import PARAM_KEYS, ModelSpec, model_hamiltonian
-from .oscillate import default_t_grid, standard_flavour_basis, transition_table
+from .oscillate import transition_tables
 from .verify import realize, run_full_suite
 
 EXIT_OK = 0
@@ -50,23 +49,28 @@ def default_tol() -> float:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename; an
+    OS error is a usage error naming the path."""
     directory = os.path.dirname(os.path.abspath(path))
-    while True:
-        tmp = os.path.join(directory, f".ptosc-{os.urandom(6).hex()}")
-        try:
-            # the kernel masks 0o666 with the umask, as open() would
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        while True:
+            tmp = os.path.join(directory, f".ptosc-{os.urandom(6).hex()}")
+            try:
+                # the kernel masks 0o666 with the umask, as open() would
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                continue
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ParameterError(f"cannot write the output file {path!r}: {exc.strerror or exc}") from None
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -82,8 +86,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 def model_spec_from_args(args) -> ModelSpec:
     """The spec of --model-file, or of --model and the flags given with it."""
     if args.model_file:
-        with open(args.model_file) as fh:
-            return ModelSpec.from_json_dict(json.load(fh))
+        return ModelSpec.from_json_dict(read_json(args.model_file, "the model file"))
     if not args.model:
         raise ParameterError("one of --model or --model-file is required")
     params = {key: getattr(args, key) for key in PARAM_FLAGS if getattr(args, key) is not None}
@@ -105,21 +108,28 @@ def _grid_args(t_points: int, t_max) -> argparse.Namespace:
     return argparse.Namespace(t_points=t_points, t_max=t_max)
 
 
-def _t_grid(args, eigsys) -> np.ndarray:
-    if args.t_max is not None:
-        return np.linspace(0.0, args.t_max, args.t_points)
-    return default_t_grid(eigsys, args.t_points)
-
-
-def _build_table(spec: ModelSpec, args, tol: float):
-    real = realize(spec)
-    if real.eigensystem is None:
-        raise BrokenPTError(real.eigensystem_note or "no eigenbasis for this model")
-    eigsys = real.eigensystem
-    c = build_C(real.sym, eigsys, hamiltonian=real.hamiltonian, tol=tol)
-    basis = standard_flavour_basis(real.sym, eigsys, c)
-    t_grid = _t_grid(args, eigsys)
-    return transition_table(real.sym, basis, eigsys, c, t_grid), eigsys
+def _tables(specs, args, tol: float) -> list[tuple]:
+    """(table, eigensystem) of each spec of one model, on the grid of
+    ``args``: realized point by point, then tabled by
+    :func:`ptosc.oscillate.transition_tables`.  A failed point has the
+    PtoscError of its first failing step for a table."""
+    points, live = [], []
+    for spec in specs:
+        try:
+            real = realize(spec)
+        except PtoscError as exc:
+            # without its traceback, the error keeps no frame (and so no point) alive
+            points.append((exc.with_traceback(None), None))
+            continue
+        if real.eigensystem is None:
+            points.append((BrokenPTError(real.eigensystem_note or "no eigenbasis for this model"), None))
+            continue
+        points.append((None, real.eigensystem))
+        live.append(real)
+    if live:
+        tables = iter(transition_tables(live[0].sym, [r.eigensystem for r in live], [r.hamiltonian for r in live],
+                                        args.t_points, args.t_max, tol))
+    return [(exc if eigsys is None else next(tables), eigsys) for exc, eigsys in points]
 
 
 def analytic_pattern(eigsys, t_grid) -> np.ndarray:
@@ -167,7 +177,9 @@ def cmd_spectrum(args) -> int:
 def cmd_oscillate(args) -> int:
     spec = model_spec_from_args(args)
     grid = _grid_args(args.t_points, args.t_max)
-    table, eigsys = _build_table(spec, grid, default_tol())
+    [(table, eigsys)] = _tables([spec], grid, default_tol())
+    if isinstance(table, PtoscError):
+        raise table
     _emit(_table_text(table, args.format), args.out)
     if args.golden:
         deviation = float(np.max(np.abs(table.probs - analytic_pattern(eigsys, table.t_grid))))
@@ -183,14 +195,6 @@ def _sweep_spec(template: ModelSpec, axis: str, value: float) -> ModelSpec:
     if axis in sum(PARAM_KEYS[template.model], ()):
         return ModelSpec(template.model, {**template.params, axis: value}, template.momentum)
     return ModelSpec(template.model, template.params, {**(template.momentum or {}), axis: value})
-
-
-def _sweep_point(spec: ModelSpec, args, tol: float):
-    try:
-        table, _ = _build_table(spec, args, tol)
-    except PtoscError as exc:
-        return None, f"broken: {exc}"
-    return table, "ok"
 
 
 def _read_sweep(config, out_dir: str | None) -> tuple:
@@ -243,23 +247,27 @@ def _read_sweep(config, out_dir: str | None) -> tuple:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
+    config = read_json(args.config, "the sweep configuration")
     try:
         name, values, specs, files, grid, fmt, out_dir = _read_sweep(config, args.out_dir)
     except ParameterError as exc:
         raise ParameterError(f"malformed configuration: {exc}") from exc
     tol = default_tol()
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot make the output directory {out_dir!r}: {exc.strerror or exc}") from None
 
-    # One worker: the benchmark's tracer test asserts that grid points run
-    # in a worker thread, so the pool goes only with a change to the benchmark.
+    # The whole grid is one job for a single worker thread: the benchmark's
+    # tracer test asserts that grid points are realized off the main thread,
+    # so the pool goes only with a change to the benchmark.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        results = list(pool.map(lambda spec: _sweep_point(spec, grid, tol), specs))
+        tables = [table for table, _ in pool.submit(_tables, specs, grid, tol).result()]
     index = []
-    for value, fname, (table, status) in zip(values, files, results):
-        entry = {"param": name, "value": float(value), "status": status}
-        if table is not None:
+    for value, fname, table in zip(values, files, tables):
+        broken = isinstance(table, PtoscError)
+        entry = {"param": name, "value": float(value), "status": f"broken: {table}" if broken else "ok"}
+        if not broken:
             _atomic_write(os.path.join(out_dir, fname), _table_text(table, fmt))
             entry["file"] = fname
         index.append(entry)
@@ -305,9 +313,6 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
-        print(f"error: malformed configuration: {exc!r}", file=sys.stderr)
-        return EXIT_USAGE
     except (ParameterError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError
-from .linalg import DEFAULT_TOL, operator_norm, require_square
+from .linalg import DEFAULT_TOL, operator_norm, operator_norms, require_square
 from .symmetry import SymmetryPair
 
 
@@ -30,7 +30,8 @@ class COperator:
     needed for the bra side of CPT products; for static models the two are
     equal.  :func:`build_C` records the defects it measured:
     ``square_defect`` = ||C^2 - 1|| and ``commutator_defect`` = ||[C, H]||
-    (None when it was given no Hamiltonian).
+    (None when it was given no Hamiltonian).  The COperator of
+    :func:`stacked_C` holds N points: each field gains a leading point axis.
     """
 
     matrix: np.ndarray
@@ -40,7 +41,7 @@ class COperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def at(self, sign: int) -> np.ndarray:
         """C at momentum sign * p: ``matrix`` for +1, ``reflected`` for -1.
@@ -51,30 +52,50 @@ class COperator:
         return self.reflected if sign < 0 else self.matrix
 
 
+def stacked_C(sym: SymmetryPair, kets: np.ndarray, bra_kets: np.ndarray, hamiltonians=None, tol: float = DEFAULT_TOL):
+    """C of N points in one pass: ``kets`` and ``bra_kets`` are (N, d, d)
+    stacks of K and B, ``hamiltonians`` an (N, d, d) stack or None.
+
+    Returns the stacked COperator and, per point, the ConstructionError that
+    :func:`build_C` raises for it, or None.  The C^2 and [C, H] defects and,
+    where a defect exceeds ``tol``, ||H|| each come from one batched SVD.
+    """
+    # einsum accumulates each entry term by term, as the spectral sum does;
+    # BLAS gemm rounds worse where large ket entries cancel (|m2| -> m0) and
+    # there fails the C^2 check markedly more often.
+    c = np.einsum("nij,njk->nik", kets, bra_kets.conj().swapaxes(1, 2) @ sym.s)
+    square = operator_norms(c @ c - np.eye(sym.dim))
+    errors = [ConstructionError(f"C^2 != 1 (defect {d:.3e} > {tol:.1e})") if d > tol else None for d in square.tolist()]
+    comm = None
+    if hamiltonians is not None:
+        comm = operator_norms(c @ hamiltonians - hamiltonians @ c)
+        # the bound tol * max(1, ||H||) is at least tol, so ||H|| matters
+        # only where the defect exceeds tol
+        if (comm > tol).any():
+            # fmax, like Python's max, lets 1.0 win over a NaN norm
+            bounds = tol * np.fmax(1.0, operator_norms(hamiltonians))
+            for n, (d, bound) in enumerate(zip(comm.tolist(), bounds.tolist())):
+                if errors[n] is None and d > bound:
+                    errors[n] = ConstructionError(f"[C, H] != 0 (defect {d:.3e})")
+    reflected = np.einsum("nij,njk->nik", bra_kets, kets.conj().swapaxes(1, 2) @ sym.s)
+    return COperator(matrix=c, reflected=reflected, square_defect=square, commutator_defect=comm), errors
+
+
 def build_C(sym: SymmetryPair, eigensystem, hamiltonian=None, tol: float = DEFAULT_TOL) -> COperator:
-    """Assemble C from a PT-orthonormal eigensystem and validate it.
+    """Assemble C from a PT-orthonormal eigensystem and validate it: the
+    one-point case of :func:`stacked_C`.
 
     Checks C^2 = 1 and, when the Hamiltonian is supplied, [C, H] = 0, both
     to ``tol`` in operator norm (the commutator relative to max(1, ||H||));
     a violation raises :class:`ConstructionError`.  The measured defects are
     kept on the result.
     """
-    kets, bra_kets = eigensystem.K, eigensystem.B
-    # einsum accumulates each entry term by term, as the spectral sum does;
-    # BLAS gemm rounds worse where large ket entries cancel (|m2| -> m0) and
-    # there fails the C^2 check markedly more often.
-    c = np.einsum("ij,jk->ik", kets, bra_kets.conj().T @ sym.s)
-    defect = operator_norm(c @ c - np.eye(sym.dim))
-    if defect > tol:
-        raise ConstructionError(f"C^2 != 1 (defect {defect:.3e} > {tol:.1e})")
-    comm = None
-    if hamiltonian is not None:
-        h = require_square(hamiltonian)
-        comm = operator_norm(c @ h - h @ c)
-        if comm > tol * max(1.0, operator_norm(h)):
-            raise ConstructionError(f"[C, H] != 0 (defect {comm:.3e})")
-    reflected = np.einsum("ij,jk->ik", bra_kets, kets.conj().T @ sym.s)
-    return COperator(matrix=c, reflected=reflected, square_defect=defect, commutator_defect=comm)
+    hamiltonians = None if hamiltonian is None else require_square(hamiltonian)[None]
+    c, errors = stacked_C(sym, eigensystem.K[None], eigensystem.B[None], hamiltonians, tol)
+    if errors[0] is not None:
+        raise errors[0]
+    comm = None if c.commutator_defect is None else float(c.commutator_defect[0])
+    return COperator(c.matrix[0], c.reflected[0], float(c.square_defect[0]), comm)
 
 
 def closed_form_C_h8v(m0: float, m2: float, p: float) -> np.ndarray:

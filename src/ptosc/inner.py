@@ -77,14 +77,33 @@ def pt_normalize(sym: SymmetryPair, v) -> tuple[np.ndarray, int]:
     The overall phase is fixed by making the first component of magnitude
     above 1e-12 real and positive, so normalized kets are reproducible.
     """
-    v = as_cvector(v, sym.dim)
-    norm = pt_ip(sym, v, v).real
-    if abs(norm) <= NORM_FLOOR * float((v.conj() @ v).real):
+    kets, signs = pt_normalize_rows(sym, as_cvector(v, sym.dim)[None])
+    return kets[0], int(signs[0])
+
+
+def pt_normalize_rows(sym: SymmetryPair, vs) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pt_normalize` of every row of ``vs`` in one pass: the kets as
+    rows and their PT signs.
+
+    Raises what :func:`pt_normalize` raises for the first row that fails.
+    """
+    vs = np.asarray(vs, dtype=complex)
+    if vs.ndim != 2 or vs.shape[1] != sym.dim:
+        raise ShapeError(f"expected rows of dimension {sym.dim}, got shape {vs.shape}")
+    finite = np.isfinite(vs).all(axis=1)
+    head = vs if finite.all() else vs[: int(np.argmin(finite))]
+    bras = head.conj()[:, None, :]
+    # (m, 1, d) @ (d, d) and (m, 1, d) @ (m, d, 1) make, row by row, the
+    # vector-matrix and dot BLAS calls of pt_ip, so the norms are bit-identical
+    norms = ((bras @ sym.s) @ head[:, :, None])[:, 0, 0].real
+    if np.any(np.abs(norms) <= NORM_FLOOR * (bras @ head[:, :, None])[:, 0, 0].real):
         raise DegenerateNormError("vector has vanishing PT norm")
-    out = v / np.sqrt(abs(norm))
-    nz = int(np.argmax(np.abs(out) > 1e-12))
-    out = out * np.exp(-1j * np.angle(out[nz]))
-    return out, (1 if norm > 0 else -1)
+    if len(head) < len(vs):
+        raise ShapeError("vector entries must be finite")
+    out = head / np.sqrt(np.abs(norms))[:, None]
+    first = np.argmax(np.abs(out) > 1e-12, axis=1)
+    out = out * np.exp(-1j * np.angle(out[np.arange(len(out)), first]))[:, None]
+    return out, np.where(norms > 0, 1, -1)
 
 
 def cpt_ip(sym: SymmetryPair, c, a, b) -> complex:

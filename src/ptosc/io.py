@@ -1,11 +1,25 @@
 """JSON helpers: complex values are serialized as {"re": x, "im": y} pairs,
-and the objects and numbers read from documents are type-checked."""
+documents are read from files, and the objects and numbers read from
+documents are type-checked."""
 
+import json
 import math
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
+
+
+def read_json(path: str, what: str):
+    """The JSON document in the file ``path``; a file that cannot be read or
+    parsed raises ParameterError naming ``what`` and the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read {what} {path!r}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParameterError(f"{what} {path!r} is not valid JSON: {exc}") from None
 
 
 def json_object(value, what: str, required=(), optional=()) -> dict:

@@ -79,6 +79,16 @@ def operator_norm(a) -> float:
     return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)[0])
 
 
+def operator_norms(a) -> np.ndarray:
+    """:func:`operator_norm` of each matrix of an (N, n, n) stack, from one
+    batched SVD; inf for a matrix with a non-finite entry, on which the SVD
+    would fail for the whole stack."""
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=(1, 2))
+        return np.where(finite, operator_norms(np.where(finite[:, None, None], a, 0.0)), np.inf)
+    return np.linalg.svd(a, compute_uv=False)[:, 0]
+
+
 @dataclass
 class Eigendecomposition:
     """Numerically computed spectrum with degeneracy bookkeeping.

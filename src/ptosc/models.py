@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .inner import pt_normalize
+from .inner import pt_normalize_rows
 from .io import json_finite, json_object, matrix_from_json, matrix_to_json
 from .linalg import (
     DEFAULT_TOL,
@@ -104,13 +104,15 @@ class EigenSystem:
 
 
 def pt_normalized_eigensystem(sym: SymmetryPair, entries) -> EigenSystem:
-    """The EigenSystem of (eigenvalue, ket) entries, each ket PT-normalized.
+    """The EigenSystem of (eigenvalue, ket) entries, the kets PT-normalized
+    together by :func:`pt_normalize_rows`.
 
     Entries are sorted ascending by eigenvalue; the sort is stable, so kets
     of equal eigenvalue keep their given order.
     """
     ordered = sorted(entries, key=lambda entry: entry[0])
-    return EigenSystem(tuple(EigenPair(lam, *pt_normalize(sym, ket)) for lam, ket in ordered))
+    kets, signs = pt_normalize_rows(sym, [ket for _, ket in ordered])
+    return EigenSystem(tuple(EigenPair(lam, ket, sign) for (lam, _), ket, sign in zip(ordered, kets, signs.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BrokenPTError, ConstructionError, NumericalError
-from .coperator import COperator
-from .linalg import as_cvector
+from .errors import BrokenPTError, ConstructionError, NumericalError, PtoscError
+from .coperator import COperator, stacked_C
+from .linalg import DEFAULT_TOL, as_cvector
 from .symmetry import SymmetryPair
 
 #: Probabilities below this are clamped to zero in emitted tables.
@@ -113,23 +113,49 @@ class TransitionTable:
         return {"t_grid": self.t_grid.tolist(), "probs": self.probs.tolist()}
 
 
-def _require_real_spectrum(eigsys) -> np.ndarray:
-    values = eigsys.values
+def _real_spectrum(values: np.ndarray) -> np.ndarray:
     if np.max(np.abs(np.imag(values))) > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
         raise BrokenPTError("cannot evolve with a complex spectrum", values)
     return np.real(values)
 
 
 def _cpt_bras(sym: SymmetryPair, c: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Rows (C e_j)^dag S: row j times v is the CPT coefficient of v on ket j."""
-    return (c @ kets).conj().T @ sym.s
+    """Rows (C e_j)^dag S: row j times v is the CPT coefficient of v on ket j.
+    Works on (N, d, d) stacks of C and kets as well."""
+    return (c @ kets).conj().swapaxes(-1, -2) @ sym.s
 
 
 def evolve(sym: SymmetryPair, eigsys, c: COperator, v, t: float) -> np.ndarray:
     """U(t) v = sum_j exp(-i lam_j t) c_j e_j with CPT coefficients c_j = (C e_j)^dag S v."""
-    values = _require_real_spectrum(eigsys)
+    values = _real_spectrum(eigsys.values)
     coeffs = _cpt_bras(sym, c.matrix, eigsys.K) @ as_cvector(v, sym.dim)
     return eigsys.K @ (np.exp(-1j * values * t) * coeffs)
+
+
+# mixing[l, j]: coefficient of flavour ket j in eigenket l
+# e1 = (f'1 + f'3)/sqrt(2), e3 = (f'1 - f'3)/sqrt(2), similarly e2/e4.
+_R = 1.0 / math.sqrt(2.0)
+_MIXING = _R * np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]], dtype=complex)
+_MIXING.flags.writeable = False
+# flavour ket j is (e_a + sign e_b)/sqrt(2) for a, b, sign = _FIRST[j], _SECOND[j], _SIGN[j]
+_FIRST, _SECOND, _SIGN = [0, 1, 0, 1], [2, 3, 2, 3], np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _stacked_flavours(sym: SymmetryPair, c_reflected: np.ndarray, kets: np.ndarray, bra_kets: np.ndarray):
+    """:func:`standard_flavour_basis` of N points in one pass, on (N, 4, 4)
+    stacks of C(-p), K and B.
+
+    Returns the flavour kets (as columns), the CPT bras (C(-p) e_j(-p))^dag S,
+    the Gram defects max |(C(-p) B)^dag S K - 1| and, per point, the
+    ConstructionError of a defect above 1e-10, or None.
+    """
+    if kets.shape[-1] != 4:
+        raise ConstructionError("flavour bases require a 4-level eigensystem")
+    bras = _cpt_bras(sym, c_reflected, bra_kets)
+    defects = np.abs(bras @ kets - np.eye(4)).max(axis=(1, 2))
+    errors = [ConstructionError(f"eigenkets are not CPT-orthonormal (defect {d:.3e})") if d > 1e-10 else None for d in defects.tolist()]
+    flavours = _R * (kets[..., _FIRST] + _SIGN * kets[..., _SECOND])
+    return flavours, bras, defects, errors
 
 
 def standard_flavour_basis(sym: SymmetryPair, eigsys, c: COperator) -> FlavourBasis:
@@ -140,31 +166,18 @@ def standard_flavour_basis(sym: SymmetryPair, eigsys, c: COperator) -> FlavourBa
     f'1 = (e1+e3), f'2 = (e2+e4), f'3 = (e1-e3), f'4 = (e2-e4), all over
     sqrt(2).
     """
-    if len(eigsys.pairs) != 4:
-        raise ConstructionError("flavour bases require a 4-level eigensystem")
-    gram = _cpt_bras(sym, c.reflected, eigsys.B) @ eigsys.K
-    defect = float(np.max(np.abs(gram - np.eye(4))))
-    if defect > 1e-10:
-        raise ConstructionError(f"eigenkets are not CPT-orthonormal (defect {defect:.3e})")
-    r = 1.0 / math.sqrt(2.0)
-    combos = ((0, 2, 1.0), (1, 3, 1.0), (0, 2, -1.0), (1, 3, -1.0))
-    kets = tuple(r * (eigsys.kets[a] + sgn * eigsys.kets[b]) for a, b, sgn in combos)
-    # mixing[l, j]: coefficient of flavour ket j in eigenket l
-    # e1 = (f'1 + f'3)/sqrt(2), e3 = (f'1 - f'3)/sqrt(2), similarly e2/e4.
-    mixing = r * np.array(
-        [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]], dtype=complex
-    )
-    return FlavourBasis(kets=kets, mixing=mixing)
+    flavours, _, _, errors = _stacked_flavours(sym, c.reflected[None], eigsys.K[None], eigsys.B[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return FlavourBasis(kets=tuple(flavours[0].T), mixing=_MIXING)
 
 
-def transition_table(sym: SymmetryPair, basis: FlavourBasis, eigsys, c: COperator, t_grid) -> TransitionTable:
-    """P(f_i -> f_j)(t) = |((f'_j | f'_i(t)))|^2 with the CPT inner product."""
-    values = _require_real_spectrum(eigsys)
-    # coeff[j, i] = ((e_j | f'_i)); the bra side is evaluated at -p.
-    coeff = _cpt_bras(sym, c.reflected, eigsys.B) @ np.column_stack(basis.kets)
+def _table(values: np.ndarray, coeff: np.ndarray, t_grid: np.ndarray) -> TransitionTable:
+    """The table of one point from its spectrum and its coefficients
+    coeff[j, i] = ((e_j | f'_i)); the time-sized part of :func:`transition_table`."""
+    values = _real_spectrum(values)
     # CPT-Hermiticity: ((f'_m | e_j)) = conj(((e_j | f'_m))).
     bra = coeff.conj().T
-    t_grid = np.asarray(t_grid, dtype=float)
     # Python floats overflow to inf silently, where numpy would warn and fill the table with NaN.
     if not math.isfinite(float(np.abs(values).max()) * float(np.abs(t_grid).max(initial=0.0))):
         raise NumericalError("the phases lambda * t overflow on this time grid")
@@ -173,6 +186,13 @@ def transition_table(sym: SymmetryPair, basis: FlavourBasis, eigsys, c: COperato
     # One (4T, 4) @ (4, 4) product: a stacked (T, 4, 4) operand costs one BLAS call per time.
     amp = ((phases[:, None, :] * coeff.T).reshape(-1, 4) @ bra.T).reshape(-1, 4, 4)
     return TransitionTable(t_grid=t_grid, probs=np.abs(amp) ** 2)
+
+
+def transition_table(sym: SymmetryPair, basis: FlavourBasis, eigsys, c: COperator, t_grid) -> TransitionTable:
+    """P(f_i -> f_j)(t) = |((f'_j | f'_i(t)))|^2 with the CPT inner product."""
+    # coeff[j, i] = ((e_j | f'_i)); the bra side is evaluated at -p.
+    coeff = _cpt_bras(sym, c.reflected, eigsys.B) @ np.column_stack(basis.kets)
+    return _table(eigsys.values, coeff, np.asarray(t_grid, dtype=float))
 
 
 def naive_flavour_B(sym: SymmetryPair, eigsys, c: COperator) -> np.ndarray:
@@ -187,11 +207,76 @@ def naive_flavour_B(sym: SymmetryPair, eigsys, c: COperator) -> np.ndarray:
     return alpha.T @ alpha.conj()
 
 
+def _default_t_grids(values: np.ndarray, n: int) -> tuple[np.ndarray, list]:
+    """:func:`default_t_grid` of N spectra (N, d) in one pass: the (N, n)
+    grids and, per spectrum, the ConstructionError of one with no gap."""
+    values = np.sort(np.real(values), axis=1)
+    gaps = np.diff(values, axis=1)
+    kept = gaps > 1e-12 * np.fmax(1.0, np.abs(values).max(axis=1))[:, None]
+    period = 2.0 * math.pi / np.where(kept, gaps, np.inf).min(axis=1)
+    # np.linspace(0, period, n) row by row, in its arithmetic (k * step, the
+    # end set exactly), without its per-call cost
+    grids = np.arange(n) * (period / max(n - 1, 1))[:, None]
+    if n > 1:
+        grids[:, -1] = period
+    error = ConstructionError("spectrum has no nonzero gap; no oscillation period")
+    return grids, [None if ok else error for ok in kept.any(axis=1).tolist()]
+
+
 def default_t_grid(eigsys, n: int = 64) -> np.ndarray:
-    """64 uniform points on [0, 2 pi / min_gap] (one full oscillation period)."""
-    values = np.sort(np.real(eigsys.values))
-    gaps = np.diff(values)
-    gaps = gaps[gaps > 1e-12 * max(1.0, float(np.max(np.abs(values))))]
-    if len(gaps) == 0:
-        raise ConstructionError("spectrum has no nonzero gap; no oscillation period")
-    return np.linspace(0.0, 2.0 * math.pi / float(gaps.min()), n)
+    """n uniform points on [0, 2 pi / min_gap] (one full oscillation period)."""
+    grids, errors = _default_t_grids(eigsys.values[None], n)
+    if errors[0] is not None:
+        raise errors[0]
+    return grids[0]
+
+
+def transition_tables(sym: SymmetryPair, eigensystems, hamiltonians, t_points: int, t_max=None, tol: float = DEFAULT_TOL) -> list:
+    """The table of each of N points, or the PtoscError its first failing
+    step raises; the points share ``sym`` and have 4-level eigensystems.
+
+    The steps are those of one point: :func:`build_C` against its
+    Hamiltonian, :func:`standard_flavour_basis`, a ``t_points`` time grid
+    (on [0, t_max], else :func:`default_t_grid`) and
+    :func:`transition_table`.  C, the basis, the grids and the coefficients
+    run as stacked arrays over the points still live; only the time-sized
+    table is made point by point.
+    """
+    failed = {}
+    live = list(range(len(eigensystems)))
+
+    def keep(errors, *stacks):
+        """Record each live point's error and drop those points from ``live`` and the stacks."""
+        nonlocal live
+        ok = [k for k, exc in enumerate(errors) if exc is None]
+        if len(ok) == len(live):
+            return stacks
+        failed.update((point, exc) for point, exc in zip(live, errors) if exc is not None)
+        live = [live[k] for k in ok]
+        return [stack[ok] for stack in stacks]
+
+    kets = np.stack([es.K for es in eigensystems])
+    bra_kets = np.stack([es.B for es in eigensystems])
+    values = np.array([es.values for es in eigensystems])
+    c, errors = stacked_C(sym, kets, bra_kets, np.stack(hamiltonians), tol)
+    kets, bra_kets, values, c_reflected = keep(errors, kets, bra_kets, values, c.reflected)
+    flavours, bras, _, errors = _stacked_flavours(sym, c_reflected, kets, bra_kets)
+    flavours, bras, values = keep(errors, flavours, bras, values)
+    if t_max is None:
+        grids, errors = _default_t_grids(values, t_points)
+        grids, flavours, bras, values = keep(errors, grids, flavours, bras, values)
+    else:
+        grids = np.broadcast_to(np.linspace(0.0, t_max, t_points), (len(live), t_points))
+    # coeff[j, i] = ((e_j | f'_i)); the bra side is evaluated at -p.
+    rows = zip(values, bras @ flavours, grids)  # the live points, in order
+    tables = []
+    for point in range(len(eigensystems)):
+        if point in failed:
+            tables.append(failed[point])
+            continue
+        try:
+            tables.append(_table(*next(rows)))
+        except PtoscError as exc:
+            # without its traceback, the error keeps no frame alive
+            tables.append(exc.with_traceback(None))
+    return tables

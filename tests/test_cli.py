@@ -56,6 +56,56 @@ def test_malformed_model_file(tmp_path, capsys):
     assert run(["verify", "--model-file", str(path)]) == 2
 
 
+def _single_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    return line
+
+
+INPUT_FILES = [("verify", "--model-file", "the model file"), ("sweep", "--config", "the sweep configuration")]
+
+
+@pytest.mark.parametrize("command, flag, what", INPUT_FILES)
+def test_missing_input_file_is_usage_error_naming_it(tmp_path, command, flag, what, capsys):
+    path = str(tmp_path / "nonesuch.json")
+    assert run([command, flag, path]) == 2
+    assert _single_error_line(capsys) == f"error: cannot read {what} {path!r}: No such file or directory"
+
+
+@pytest.mark.parametrize("command, flag, what", INPUT_FILES)
+def test_truncated_input_file_is_usage_error_naming_it(tmp_path, command, flag, what, capsys):
+    text = '{"model": "h8v", "params": {"m0": 2'
+    path = tmp_path / "truncated.json"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads(text)
+    assert run([command, flag, str(path)]) == 2
+    assert _single_error_line(capsys) == f"error: {what} {str(path)!r} is not valid JSON: {decode.value}"
+
+
+def test_model_file_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    assert run(["verify", "--model-file", str(tmp_path)]) == 2
+    assert _single_error_line(capsys) == f"error: cannot read the model file {str(tmp_path)!r}: Is a directory"
+
+
+def test_sweep_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
+    cfg_doc = json.loads(sweep_config(tmp_path, 0.1, 0.9, 2).read_text())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg_doc["out_dir"] = str(taken)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg_doc))
+    assert run(["sweep", "--config", str(path)]) == 2
+    assert _single_error_line(capsys) == f"error: cannot make the output directory {str(taken)!r}: File exists"
+
+
+def test_output_file_in_a_missing_directory_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "table.csv")
+    assert run(["oscillate", *H8V_FLAGS, "--t-points", "4", "--out", out]) == 2
+    assert _single_error_line(capsys) == f"error: cannot write the output file {out!r}: No such file or directory"
+
+
 def test_model_file_with_a_misspelt_mass_is_usage_error(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"model": "h8v", "params": {"m0": 2.0, "m_2": 1.0}}))
@@ -502,3 +552,72 @@ def test_ptosc_tol_env_override(capsys, monkeypatch):
     assert run(["verify", *SFDM_FLAGS]) == 0
     reports = [json.loads(line) for line in capsys.readouterr().out.strip().split("\n")]
     assert any(r["tolerance"] >= 1e-1 for r in reports)
+
+
+# (model document, axis, start, stop, steps) of sweeps whose points take
+# different routes: broken points, points where C construction fails, and
+# static and momentum points on one axis
+MIXED_SWEEPS = {
+    "sfdm_chi": ({"model": "sfdm", "params": {"chi": 0.5, "psi": 0.3, "theta": 0.7, "phi": 0.2}}, "chi", 0.2, 1.4, 4),
+    "h8v_m2_crossing_m0": (
+        {"model": "h8v", "params": {"m0": 2.0, "m2": 0.0}, "momentum": {"p": 0.7, "theta": 0.4, "phi": 1.1}},
+        "m2", 0.5, 3.0, 6,
+    ),
+    "h8v_near_ep_c_squared": ({"model": "h8v", "params": {"m0": 2.0, "m2": 0.0}}, "m2", 1.9, 1.99999999, 2),
+    "h8v_near_ep_commutator": (
+        {"model": "h8v", "params": {"m0": 2.0, "m2": 0.0}, "momentum": {"p": 0.5}}, "m2", 1.9, 1.99999999, 2,
+    ),
+    "h8v_p_from_0": ({"model": "h8v", "params": {"m0": 2.0, "m2": 1.0}, "momentum": {"p": 0.0}}, "p", 0.0, 3.0, 4),
+    "h8r_m2": ({"model": "h8r", "params": {"m0": 2.0, "m1": 0.5, "m2": 0.0}}, "m2", -1.5, 1.5, 4),
+    "h8_m3": ({"model": "h8", "params": {"m0": 2.0, "m1": 0.3, "m2": 0.8, "m3": 0.0}}, "m3", -1.0, 1.0, 4),
+}
+MOMENTUM_FLAG = {"p": "--p", "theta": "--theta-p", "phi": "--phi-p"}
+
+
+def _point_flags(doc, axis, value):
+    """The oscillate model flags of the sweep point ``value`` on ``axis``."""
+    params, momentum = dict(doc["params"]), dict(doc.get("momentum", {}))
+    (params if axis in params else momentum)[axis] = value
+    flags = ["--model", doc["model"]]
+    for key, val in params.items():
+        flags += [f"--{key}", repr(val)]
+    for key, val in momentum.items():
+        flags += [MOMENTUM_FLAG[key], repr(val)]
+    return flags
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", MIXED_SWEEPS)
+def test_sweep_equals_oscillate_at_every_point(tmp_path, name, fmt, capsys):
+    doc, axis, start, stop, steps = MIXED_SWEEPS[name]
+    cfg = {
+        "model": doc,
+        "sweep": [{"param": axis, "start": start, "stop": stop, "steps": steps}],
+        "t_grid": {"points": 5},
+        "out_dir": str(tmp_path / "out"),
+        "format": fmt,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["sweep", "--config", str(path)]) == 0
+    capsys.readouterr()
+    index = json.loads((tmp_path / "out" / "index.json").read_text())
+    assert len(index) == steps
+    for entry in index:
+        code = run(["oscillate", *_point_flags(doc, axis, entry["value"]), "--t-points", "5", "--format", fmt])
+        captured = capsys.readouterr()
+        if entry["status"] == "ok":
+            assert code == 0
+            assert (tmp_path / "out" / entry["file"]).read_bytes() == captured.out.encode()
+        else:
+            assert code == 1 and "file" not in entry
+            assert captured.err.startswith("physics failure: ")
+            assert entry["status"] == "broken: " + captured.err[len("physics failure: ") : -1]
+    statuses = [entry["status"] for entry in index]
+    if name == "h8v_m2_crossing_m0":
+        assert "ok" in statuses and any(s.startswith("broken: broken PT phase:") for s in statuses)
+    elif name.startswith("h8v_near_ep"):
+        failure = "C^2 != 1" if name.endswith("c_squared") else "[C, H] != 0"
+        assert statuses[0] == "ok" and statuses[1].startswith(f"broken: {failure}")
+    else:
+        assert statuses == ["ok"] * steps
