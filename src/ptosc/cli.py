@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -260,7 +259,10 @@ def cmd_sweep(args) -> int:
 
     # The whole grid is one job for a single worker thread: the benchmark's
     # tracer test asserts that grid points are realized off the main thread,
-    # so the pool goes only with a change to the benchmark.
+    # so the pool goes only with a change to the benchmark.  It is imported
+    # here so that the other commands never load concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=1) as pool:
         tables = [table for table, _ in pool.submit(_tables, specs, grid, tol).result()]
     index = []

@@ -135,17 +135,8 @@ def eig_oracle(a, tol: float = DEFAULT_TOL) -> Eigendecomposition:
     order = np.argsort(values.real, kind="stable")
     values, vectors = values[order], vectors[:, order]
     scale = operator_norm(a)
-    worst = 0.0
-    for k in range(len(values)):
-        worst = max(worst, float(np.linalg.norm(a @ vectors[:, k] - values[k] * vectors[:, k])))
+    worst = float(np.linalg.norm(a @ vectors - vectors * values, axis=0).max())
     if worst > tol * max(scale, 1.0):
         raise NumericalError("eigenpair residual exceeds tolerance", residual=worst)
     return Eigendecomposition(values, vectors, cluster_indices(values, scale))
 
-
-def random_cmatrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
-def random_cvector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

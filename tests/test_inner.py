@@ -10,9 +10,11 @@ from ptosc.inner import (
     pt_ip,
     pt_normalize,
 )
-from ptosc.linalg import operator_norm, random_cmatrix, random_cvector
+from ptosc.linalg import operator_norm
 from ptosc.models import h8v_reduced_eigensystem
 from ptosc.symmetry import block_pair, canonical_pair
+
+from random_matrices import random_cmatrix, random_cvector
 
 SYM4 = canonical_pair(2)
 

@@ -12,9 +12,10 @@ from ptosc.linalg import (
     eig_oracle,
     kron,
     operator_norm,
-    random_cmatrix,
     require_square,
 )
+
+from random_matrices import random_cmatrix
 
 
 def test_pauli_algebra():

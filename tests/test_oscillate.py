@@ -8,7 +8,7 @@ from ptosc.cli import analytic_pattern, main
 from ptosc.coperator import build_C
 from ptosc.errors import ConstructionError, NumericalError
 from ptosc.inner import cpt_ip
-from ptosc.linalg import operator_norm, random_cvector
+from ptosc.linalg import operator_norm
 from ptosc.models import (
     EigenPair,
     EigenSystem,
@@ -29,6 +29,8 @@ from ptosc.oscillate import (
 )
 from ptosc.symmetry import block_pair, canonical_pair
 from ptosc.verify import realize
+
+from random_matrices import random_cvector
 
 REF = SfdmParams(chi=0.5, psi=0.3, theta=0.7, phi=0.2)
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ptosc.errors import ParameterError
-from ptosc.linalg import operator_norm, random_cvector
+from ptosc.linalg import operator_norm
+from ptosc.models import real_quaternion
 from ptosc.symmetry import (
     SymmetryPair,
     apply_PT,
@@ -13,6 +14,8 @@ from ptosc.symmetry import (
     canonical_pair,
     dirac_pair,
 )
+
+from random_matrices import random_cvector
 
 ALL_PAIRS = [canonical_pair(1, m=2), canonical_pair(2), canonical_pair(3, m=2), block_pair(), dirac_pair()]
 
@@ -108,3 +111,15 @@ def test_pair_keeps_a_copy_of_its_inputs():
     sym = SymmetryPair(s, z)
     s[0, 0] = -1.0
     assert sym.s[0, 0] == 1.0 and s.flags.writeable
+
+
+def test_pt_product_mismatch_rejected():
+    # S passes the four algebra identities exactly (the message shows the last
+    # check fails), but Z^T S^T Z differs from S, so (PT a)^T Z b and a^dag S b
+    # disagree
+    q = real_quaternion(0.3, 0.2, -0.1, 0.4)
+    s = np.block([[np.eye(2), q], [np.zeros((2, 2)), -np.eye(2)]])
+    z = build_canonical_Z(2)
+    assert operator_norm(z.T @ s.T @ z - s) == pytest.approx(0.548, abs=1e-3)
+    with pytest.raises(ParameterError, match=r"\(PT a\)\^T Z b does not reproduce a\^dag S b"):
+        SymmetryPair(s, z)

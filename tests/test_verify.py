@@ -6,7 +6,7 @@ import pytest
 from ptosc.coperator import COperator, build_C
 from ptosc.errors import NumericalError
 from ptosc.inner import cpt_ip
-from ptosc.linalg import SIGMA, operator_norm, random_cmatrix, random_cvector
+from ptosc.linalg import SIGMA, operator_norm
 from ptosc.models import (
     GenericTOddParams,
     ModelSpec,
@@ -33,6 +33,8 @@ from ptosc.verify import (
     realize,
     run_full_suite,
 )
+
+from random_matrices import random_cmatrix, random_cvector
 
 REF = SfdmParams(chi=0.5, psi=0.3, theta=0.7, phi=0.2)
 
