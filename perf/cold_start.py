@@ -2,11 +2,10 @@
 
     python3 perf/cold_start.py                             # this checkout's src/
     python3 perf/cold_start.py --src PARENT/src --src src  # two checkouts, interleaved
-    python3 perf/cold_start.py --starts 30
 
-Run from the repository root.  Each round starts, in a rotating order, one
-fresh interpreter per case and times each from spawn to exit.  The cases,
-for each ``--src`` given:
+Run from the repository root.  Each of ``STARTS`` rounds starts, in a
+rotating order, one fresh interpreter per case and times each from spawn to
+exit.  The cases, for each ``--src`` given:
 
 - ``import``: ``import ptosc.cli`` and nothing else;
 - ``oscillate``: ``ptosc oscillate`` of an sfdm model at 64 points to stdout;
@@ -38,6 +37,7 @@ BENCH_DIR = os.path.join(ROOT, "benchmarks")
 SFDM = ["--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"]
 IMPORT_CODE = "import sys; sys.path.insert(0, sys.argv[1]); import ptosc.cli"
 MAIN_CODE = "import sys; sys.path.insert(0, sys.argv[1]); from ptosc.cli import main; sys.exit(main(sys.argv[2:]))"
+STARTS = 30  # timed starts of each case
 
 
 def cases(srcs: list) -> dict:
@@ -67,17 +67,14 @@ def cold_start(cmd: list, env: dict) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", action="append", help="a src/ directory whose ptosc to start; repeat to interleave checkouts (default: this checkout's)")
-    parser.add_argument("--starts", type=int, default=30, help="timed starts of each case (default 30)")
     args = parser.parse_args(argv)
-    if args.starts < 2:
-        parser.error("--starts must be at least 2")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     commands = cases(args.src or [os.path.join(ROOT, "src")])
     names = list(commands)
     for name in names:  # one untimed start each, to warm the file cache
         cold_start(commands[name], env)
     times = {name: [] for name in names}
-    for round_ in range(args.starts):
+    for round_ in range(STARTS):
         for k in range(len(names)):
             name = names[(round_ + k) % len(names)]
             times[name].append(cold_start(commands[name], env))

@@ -2,13 +2,16 @@
 
 ``numpy.random`` and ``concurrent.futures`` cost a cold start about 14 ms and
 9 ms; only ``verify`` (its CPT samples) and ``sweep`` (its worker pool) use
-them, so importing the CLI or running ``oscillate`` must not load them.
+them, so importing the CLI or running ``oscillate`` or ``spectrum`` must not
+load them.
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 HEAVY = ("numpy.random", "concurrent.futures")
@@ -38,8 +41,9 @@ def test_importing_the_cli_loads_neither():
     assert loaded_after(None) == {"numpy.random": False, "concurrent.futures": False}
 
 
-def test_oscillate_does_not_load_numpy_random():
-    assert loaded_after(["oscillate", *SFDM, "--t-points", "8"])["numpy.random"] is False
+@pytest.mark.parametrize("argv", [["oscillate", *SFDM, "--t-points", "8"], ["spectrum", *SFDM]], ids=["oscillate", "spectrum"])
+def test_command_loads_neither(argv):
+    assert loaded_after(argv) == {"numpy.random": False, "concurrent.futures": False}
 
 
 def test_verify_loads_numpy_random():
