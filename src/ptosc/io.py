@@ -35,7 +35,10 @@ def json_number(value, what: str) -> float:
     """A JSON number (not a bool) as a float; ParameterError otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParameterError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ParameterError(f"{what} is an integer too large for a float") from None
 
 
 def json_finite(value, what: str) -> float:
@@ -58,12 +61,14 @@ def complex_to_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def complex_from_json(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
+def complex_from_json(obj, what: str = "a complex number") -> complex:
+    """{"re": x, "im": y} or a bare real x as a complex number: ParameterError
+    naming ``what`` if x or y is not a JSON number, ShapeError otherwise."""
+    if isinstance(obj, dict) and set(obj) == {"re", "im"}:
+        return complex(json_number(obj["re"], f"{what}.re"), json_number(obj["im"], f"{what}.im"))
+    if not isinstance(obj, (int, float)):
         raise ShapeError(f"not a serialized complex number: {obj!r}")
-    return complex(obj["re"], obj["im"])
+    return complex(json_number(obj, what))
 
 
 def matrix_to_json(a: np.ndarray) -> list:
@@ -75,5 +80,5 @@ def matrix_from_json(rows, what: str = "a matrix") -> np.ndarray:
     """A complex matrix from a list of equal-length rows; ShapeError otherwise."""
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows) and len({len(row) for row in rows}) <= 1):
         raise ShapeError(f"{what} must be a list of equal-length lists, got {rows!r}")
-    return np.array([[complex_from_json(z) for z in row] for row in rows], dtype=complex)
+    return np.array([[complex_from_json(z, f"{what}[{i}][{j}]") for j, z in enumerate(row)] for i, row in enumerate(rows)], dtype=complex)
 

@@ -32,7 +32,8 @@ def as_cmatrix(a, max_dim: int | None = MAX_DIM) -> np.ndarray:
         raise ShapeError(f"expected a matrix, got ndim={a.ndim}")
     if max_dim is not None and max(a.shape) > max_dim:
         raise ShapeError(f"matrix shape {a.shape} exceeds supported dimension {max_dim}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    # isfinite of a complex entry tests both parts
+    if not np.isfinite(a).all():
         raise ShapeError("matrix entries must be finite")
     return a
 
@@ -66,7 +67,8 @@ def kron(a, b) -> np.ndarray:
     cols = a.shape[1] * b.shape[1]
     if max(rows, cols) > MAX_DIM:
         raise ShapeError(f"Kronecker product shape ({rows}, {cols}) exceeds dimension {MAX_DIM}")
-    return np.kron(a, b)
+    # the broadcast product np.kron forms, without its generic-rank set-up
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 
 
 def det(a) -> complex:
@@ -95,12 +97,14 @@ class Eigendecomposition:
 
     ``values`` are sorted ascending by real part; ``vectors[:, k]`` is the
     (unit Euclidean norm) eigenvector of ``values[k]``; ``clusters`` partitions
-    the index range into groups of numerically degenerate eigenvalues.
+    the index range into groups of numerically degenerate eigenvalues;
+    ``norm`` is the operator norm of the decomposed matrix.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     clusters: list[list[int]] = field(default_factory=list)
+    norm: float = float("nan")
 
     def cluster_projector(self, cluster: list[int]) -> np.ndarray:
         """Euclidean orthogonal projector onto the span of a cluster."""
@@ -138,5 +142,5 @@ def eig_oracle(a, tol: float = DEFAULT_TOL) -> Eigendecomposition:
     worst = float(np.linalg.norm(a @ vectors - vectors * values, axis=0).max())
     if worst > tol * max(scale, 1.0):
         raise NumericalError("eigenpair residual exceeds tolerance", residual=worst)
-    return Eigendecomposition(values, vectors, cluster_indices(values, scale))
+    return Eigendecomposition(values, vectors, cluster_indices(values, scale), scale)
 

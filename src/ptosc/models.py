@@ -33,7 +33,7 @@ from .linalg import (
     DEFAULT_TOL,
     SIGMA,
     SIGMA0,
-    adjoint,
+    Eigendecomposition,
     as_cmatrix,
     cluster_indices,
     eig_oracle,
@@ -178,11 +178,17 @@ class SfdmParams:
         )
 
 
+def _t_odd_block(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The 4x4 matrix [[A, iB], [iB^dag, D]] of complex 2x2 blocks."""
+    h = np.empty((4, 4), dtype=complex)
+    h[:2, :2], h[:2, 2:], h[2:, :2], h[2:, 2:] = a, 1j * b, 1j * b.conj().T, d
+    return h
+
+
 def sfdm_hamiltonian(params: SfdmParams) -> np.ndarray:
     """4x4 block matrix [[a0, i b], [i b^dag, -a0]] in the canonical basis."""
-    b = real_quaternion(*params.b)
     a = params.a0 * SIGMA0
-    return np.block([[a, 1j * b], [1j * adjoint(b), -a]])
+    return _t_odd_block(a, real_quaternion(*params.b), -a)
 
 
 def sfdm_eigensystem(params: SfdmParams) -> EigenSystem:
@@ -264,7 +270,7 @@ class GenericTOddParams:
             if m.shape != (2, 2):
                 raise ShapeError(f"{name} must be 2x2")
         for name, m in (("A", a), ("D", d)):
-            if operator_norm(m - adjoint(m)) > 1e-12 * max(1.0, operator_norm(m)):
+            if operator_norm(m - m.conj().T) > 1e-12 * max(1.0, operator_norm(m)):
                 raise ParameterError(f"{name} must be Hermitian")
         quaternion_coefficients(b)  # raises if not a real quaternion
         object.__setattr__(self, "a", a)
@@ -273,9 +279,7 @@ class GenericTOddParams:
 
 
 def generic_t_odd_hamiltonian(params: GenericTOddParams) -> np.ndarray:
-    return np.block(
-        [[params.a, 1j * params.b], [1j * adjoint(params.b), params.d]]
-    )
+    return _t_odd_block(params.a, params.b, params.d)
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +329,7 @@ MOMENTUM_BLOCK = np.diag([1.0, 1.0, -1.0, -1.0])
 def h8_hamiltonian(params: Dirac8Params) -> np.ndarray:
     """Full 8x8 Hamiltonian in the momentum basis."""
     sp = params.p * sigma_dot_n(params.theta_p, params.phi_p)
-    alpha_part = kron(MOMENTUM_BLOCK, sp)
-    mass_part = kron(mass_block(params.m0, params.m1, params.m2, params.m3), np.eye(2))
-    return alpha_part + mass_part
+    return kron(MOMENTUM_BLOCK, sp) + kron(mass_block(params.m0, params.m1, params.m2, params.m3), np.eye(2))
 
 
 def h8_alphas() -> list[np.ndarray]:
@@ -441,18 +443,18 @@ def h8v_reduced_eigensystem(m0: float, m2: float, p: float) -> EigenSystem:
 # oracle-backed PT-orthonormal eigensystems
 
 
-def pt_orthonormal_eigensystem(sym: SymmetryPair, h: np.ndarray, tol: float = DEFAULT_TOL) -> EigenSystem:
+def pt_orthonormal_eigensystem(sym: SymmetryPair, h: np.ndarray, tol: float = DEFAULT_TOL, decomposition: Eigendecomposition | None = None) -> EigenSystem:
     """PT-orthonormalize the numerical eigenvectors of a matrix.
 
     Used for family members without closed forms (h8 with m3 != 0).  Within
     each degenerate cluster the indefinite Gram matrix V^dag S V is
     diagonalized, which yields PT-orthogonal kets with signs even when the
     cluster mixes positive and negative PT norms.  Raises
-    :class:`BrokenPTError` if the spectrum is complex.
+    :class:`BrokenPTError` if the spectrum is complex.  ``decomposition``,
+    if given, is ``eig_oracle(h, tol)`` made by the caller.
     """
-    decomp = eig_oracle(h, tol=tol)
-    scale = max(operator_norm(h), 1.0)
-    if np.max(np.abs(decomp.values.imag)) > tol * scale:
+    decomp = eig_oracle(h, tol=tol) if decomposition is None else decomposition
+    if np.max(np.abs(decomp.values.imag)) > tol * max(decomp.norm, 1.0):
         raise BrokenPTError("complex spectrum: no PT-orthonormal basis", decomp.values)
     entries = []
     for cluster in decomp.clusters:

@@ -22,7 +22,7 @@ import numpy as np
 from .coperator import COperator, build_C, completeness_defect
 from .errors import BrokenPTError, PtoscError
 from .inner import pt_adjoint
-from .linalg import DEFAULT_TOL, adjoint, eig_oracle, operator_norm, require_square
+from .linalg import DEFAULT_TOL, Eigendecomposition, adjoint, eig_oracle, operator_norm, require_square
 from .models import (
     EigenSystem,
     ModelSpec,
@@ -66,27 +66,28 @@ def _report(name: str, defect: float, tol: float, note: str = "") -> CheckReport
     return CheckReport(name=name, passed=bool(defect <= tol), defect=float(defect), tolerance=float(tol), note=note)
 
 
-def check_pt_commute(sym: SymmetryPair, h, tol: float = DEFAULT_TOL) -> CheckReport:
-    """[H, PT] = 0 in matrix form: H S Z = S Z conj(H)."""
+def check_pt_commute(sym: SymmetryPair, h, tol: float = DEFAULT_TOL, norm: float | None = None) -> CheckReport:
+    """[H, PT] = 0 in matrix form: H S Z = S Z conj(H); ``norm`` is ||H|| if known."""
     h = require_square(h)
     defect = operator_norm(h @ sym.s @ sym.z - sym.s @ sym.z @ h.conj())
-    return _report("pt_commute", defect, tol * max(1.0, operator_norm(h)))
+    return _report("pt_commute", defect, tol * max(1.0, operator_norm(h) if norm is None else norm))
 
 
-def check_pseudo_hermiticity(sym: SymmetryPair, h, h_reflected=None, tol: float = DEFAULT_TOL) -> CheckReport:
-    """S^-1 H^dag S = H (or H(-p) when the reflected Hamiltonian is given)."""
+def check_pseudo_hermiticity(sym: SymmetryPair, h, h_reflected=None, tol: float = DEFAULT_TOL, norm: float | None = None) -> CheckReport:
+    """S^-1 H^dag S = H (or H(-p) when the reflected Hamiltonian is given); ``norm`` is ||H|| if known."""
     h = require_square(h)
     target = h if h_reflected is None else require_square(h_reflected)
     defect = operator_norm(pt_adjoint(sym, h) - target)
     note = "" if h_reflected is None else "compared against the momentum-reflected Hamiltonian"
-    return _report("pseudo_hermiticity", defect, tol * max(1.0, operator_norm(h)), note)
+    return _report("pseudo_hermiticity", defect, tol * max(1.0, operator_norm(h) if norm is None else norm), note)
 
 
-def check_real_spectrum(h, tol: float = DEFAULT_TOL) -> CheckReport:
-    """max |Im lambda| over the numerically computed spectrum."""
-    values = eig_oracle(h).values
-    defect = float(np.max(np.abs(values.imag)))
-    return _report("real_spectrum", defect, tol * max(1.0, operator_norm(h)))
+def check_real_spectrum(h, tol: float = DEFAULT_TOL, decomposition: Eigendecomposition | None = None) -> CheckReport:
+    """max |Im lambda| over the numerically computed spectrum: that of
+    ``decomposition``, if given, which must be ``eig_oracle(h)``."""
+    decomp = eig_oracle(h) if decomposition is None else decomposition
+    defect = float(np.max(np.abs(decomp.values.imag)))
+    return _report("real_spectrum", defect, tol * max(1.0, decomp.norm))
 
 
 def check_alpha_beta_conditions(alphas, beta, sym: SymmetryPair, tol: float = 1e-12) -> list[CheckReport]:
@@ -157,17 +158,14 @@ def check_generator_constraints(alphas, sym: SymmetryPair, tol: float = 1e-12) -
 
 @dataclass(frozen=True)
 class Realization:
-    """The working-space model: symmetry pair, Hamiltonian and eigensystem."""
+    """The working-space model: symmetry pair, Hamiltonian and eigensystem,
+    and the Hamiltonian's ``eig_oracle`` decomposition if that was made."""
 
     sym: SymmetryPair
     hamiltonian: np.ndarray
     eigensystem: EigenSystem | None = None
     eigensystem_note: str = ""
-
-
-def _reflect(spec: ModelSpec) -> ModelSpec:
-    """The spec at momentum -p."""
-    return ModelSpec(spec.model, spec.params, {**spec.momentum, "p": -spec.p})
+    decomposition: Eigendecomposition | None = None
 
 
 def realize(spec: ModelSpec) -> Realization:
@@ -180,27 +178,26 @@ def realize(spec: ModelSpec) -> Realization:
     """
     sym = model_symmetry(spec)
     h = model_hamiltonian(spec)
-    eigsys = None
+    eigsys = decomp = None
     note = ""
     try:
         if spec.model == "sfdm":
             eigsys = sfdm_eigensystem(SfdmParams(**spec.params))
-        elif spec.model == "generic":
-            eigsys = pt_orthonormal_eigensystem(sym, h)
+        elif spec.model == "generic" or spec.model == "h8" and spec.p == 0:
+            decomp = eig_oracle(h)
+            eigsys = pt_orthonormal_eigensystem(sym, h, decomposition=decomp)
         elif spec.model == "h8v":
             m0, _, m2, _ = spec.masses
             eigsys = h8v_reduced_eigensystem(m0, m2, spec.p)
         elif spec.model == "h8r" and spec.p == 0:
             eigsys = h8r_p0_eigensystem(*spec.masses[:3])
-        elif spec.model == "h8" and spec.p == 0:
-            eigsys = pt_orthonormal_eigensystem(sym, h)
         else:
             note = "no PT-orthonormal eigenbasis construction for this member at p != 0"
     except BrokenPTError as exc:
         note = f"broken PT phase: {exc}"
     except PtoscError as exc:
         note = str(exc)
-    return Realization(sym=sym, hamiltonian=h, eigensystem=eigsys, eigensystem_note=note)
+    return Realization(sym=sym, hamiltonian=h, eigensystem=eigsys, eigensystem_note=note, decomposition=decomp)
 
 
 def _skip(name: str, reason: str, tol: float) -> CheckReport:
@@ -270,13 +267,15 @@ def run_full_suite(spec: ModelSpec, tol: float = DEFAULT_TOL, n_random: int = 10
     # family (the reduced block loses PT covariance at p != 0) and on the
     # working 4D one otherwise.
     h_m = model_full_hamiltonian(spec)
+    # the decomposition realize made, if any, is the one eig_oracle would make
+    decomp = eig_oracle(real.hamiltonian) if real.decomposition is None else real.decomposition
     if h_m is None:
-        sym_m, h_m, build = real.sym, real.hamiltonian, model_hamiltonian
+        sym_m, h_m, norm_m, build = real.sym, real.hamiltonian, decomp.norm, model_hamiltonian
     else:
-        sym_m, build = dirac_pair(), model_full_hamiltonian
-    h_m_r = None if spec.p == 0 else build(_reflect(spec))
-    spectrum = check_real_spectrum(real.hamiltonian, tol)
-    reports = [check_pt_commute(sym_m, h_m, tol), check_pseudo_hermiticity(sym_m, h_m, h_m_r, tol), spectrum]
+        sym_m, norm_m, build = dirac_pair(), operator_norm(h_m), model_full_hamiltonian
+    h_m_r = None if spec.p == 0 else build(ModelSpec(spec.model, spec.params, {**spec.momentum, "p": -spec.p}))
+    spectrum = check_real_spectrum(real.hamiltonian, tol, decomp)
+    reports = [check_pt_commute(sym_m, h_m, tol, norm_m), check_pseudo_hermiticity(sym_m, h_m, h_m_r, tol, norm_m), spectrum]
 
     def skip_rest(reason: str) -> list[CheckReport]:
         return reports + [_skip(name, reason, tol) for name in SUITE_NAMES[len(reports) :]]
@@ -285,8 +284,7 @@ def run_full_suite(spec: ModelSpec, tol: float = DEFAULT_TOL, n_random: int = 10
         return skip_rest("broken PT phase (complex spectrum)")
     if real.eigensystem is None:
         return skip_rest(real.eigensystem_note or "no eigenbasis")
-    eigsys = real.eigensystem
-    sym = real.sym
+    eigsys, sym = real.eigensystem, real.sym
     reports.append(_report("pt_orthonormality", _pt_gram_defect(sym, eigsys), tol))
     try:
         c = build_C(sym, eigsys, hamiltonian=real.hamiltonian, tol=tol)
@@ -296,9 +294,7 @@ def run_full_suite(spec: ModelSpec, tol: float = DEFAULT_TOL, n_random: int = 10
     # tol * max(1, ||H||), the scale of the commutator check
     reports.append(_report("c_squares_to_identity", c.square_defect, tol))
     reports.append(_report("c_commutes_with_h", c.commutator_defect, spectrum.tolerance))
-    reports.append(
-        _report("cpt_positive_definite", _cpt_positivity_defect(sym, c, eigsys, n_random), tol)
-    )
+    reports.append(_report("cpt_positive_definite", _cpt_positivity_defect(sym, c, eigsys, n_random), tol))
     reports.append(_report("completeness", completeness_defect(sym, eigsys), tol))
     try:
         basis = standard_flavour_basis(sym, eigsys, c)

@@ -207,6 +207,30 @@ def test_malformed_generic_matrix_is_usage_error(tmp_path, a, capsys):
     assert captured.err.startswith("error: params.a must be a list of equal-length lists")
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"re": "1", "im": 0}, "params.a[0][1].re must be a number, got '1'"),
+        ({"re": 1, "im": None}, "params.a[0][1].im must be a number, got None"),
+        (True, "params.a[0][1] must be a number, got True"),
+        (10**400, "params.a[0][1] is an integer too large for a float"),
+    ],
+    ids=["string-re", "null-im", "bool", "huge-int"],
+)
+def test_malformed_complex_entry_is_usage_error(tmp_path, entry, message, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": "generic", "params": {"a": [[1.0, entry], [0.0, 1.0]], "d": EYE2, "b": EYE2}}))
+    assert run(["verify", "--model-file", str(path)]) == 2
+    assert _single_error_line(capsys) == f"error: {message}"
+
+
+def test_mass_too_large_for_a_float_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": "h8v", "params": {"m0": 10**400}}))
+    assert run(["verify", "--model-file", str(path)]) == 2
+    assert _single_error_line(capsys) == "error: params.m0 is an integer too large for a float"
+
+
 def outputs(argv, capsys):
     """Exit code, stdout and stderr of one in-process call."""
     code = main(argv)

@@ -292,3 +292,67 @@ def test_suite_reports_the_c_defects_build_c_measured(spec):
     assert by_name["c_squares_to_identity"].defect == square
     assert by_name["c_commutes_with_h"].defect == comm
     assert by_name["c_commutes_with_h"].tolerance == DEFAULT_TOL * max(1.0, operator_norm(h))
+
+
+# ---------------------------------------------------------------------------
+# the suite's shared small-matrix work
+
+GENERIC = ModelSpec("generic", {"a": SIGMA[0], "d": -SIGMA[0], "b": real_quaternion(0.3, 0.1, -0.2, 0.5)})
+BROKEN_GENERIC = ModelSpec("generic", {"a": SIGMA[0], "d": -SIGMA[0], "b": real_quaternion(0.9, 0.5, 0.4, 0.3)})
+# the members whose eigensystem realize builds on an eig_oracle decomposition
+ORACLE_SPECS = [GENERIC, BROKEN_GENERIC, CATALOGUE[5]]
+SUITE_TOLS = [1e-14, 1e-10, 1e-6]
+
+
+@pytest.mark.parametrize("tol", SUITE_TOLS)
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["generic", "broken-generic", "h8-p0"])
+def test_suite_spectrum_from_the_shared_decomposition(spec, tol):
+    real = realize(spec)
+    assert real.decomposition is not None
+    assert (real.eigensystem is None) == (spec is BROKEN_GENERIC)
+    reports = run_full_suite(spec, tol=tol, n_random=10)
+    assert reports[2] == check_real_spectrum(real.hamiltonian, tol)
+
+
+@pytest.mark.parametrize("tol", SUITE_TOLS)
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["generic", "broken-generic", "h8-p0"])
+def test_suite_raises_the_independent_residual_error(spec, tol, monkeypatch):
+    eig = np.linalg.eig
+
+    def inaccurate(a):
+        values, vectors = eig(a)
+        return values + 1e-6, vectors  # every residual is 1e-6 > 1e-10 * max(1, ||H||)
+
+    monkeypatch.setattr(np.linalg, "eig", inaccurate)
+    real = realize(spec)
+    assert real.decomposition is None and real.eigensystem_note == "eigenpair residual exceeds tolerance"
+    with pytest.raises(NumericalError) as suite:
+        run_full_suite(spec, tol=tol, n_random=10)
+    with pytest.raises(NumericalError) as alone:
+        check_real_spectrum(real.hamiltonian, tol)
+    assert str(suite.value) == str(alone.value) and suite.value.residual == alone.value.residual
+
+
+# upper bounds on the np.linalg.svd and np.linalg.eig calls of one suite run:
+# each norm is taken once and the working Hamiltonian decomposed once
+CALL_BOUNDS = [
+    (CATALOGUE[0], 7, 1),  # sfdm
+    (GENERIC, 13, 1),  # generic, 6 of the SVDs validating the blocks
+    (CATALOGUE[5], 8, 1),  # h8 at p = 0
+    (CATALOGUE[2], 8, 1),  # h8v at p != 0
+]
+
+
+@pytest.mark.parametrize("spec, svd, eig", CALL_BOUNDS, ids=["sfdm", "generic", "h8-p0", "h8v-p"])
+def test_suite_decomposes_and_takes_each_norm_once(spec, svd, eig, monkeypatch):
+    run_full_suite(spec, n_random=10)  # fill the caches of pairs and samples first
+    counts = {"svd": 0, "eig": 0}
+    for name in counts:
+
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    run_full_suite(spec, n_random=10)
+    assert counts["svd"] <= svd and counts["eig"] <= eig, counts
