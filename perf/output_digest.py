@@ -10,8 +10,9 @@ workload's known-defect panel.  Each op runs in-process through
 ``ptosc.cli.main`` in a fresh directory.  One line per op gives the
 workload, the seed (``known`` for the panel), the op's index and kind, and
 the SHA-256 of its exit code, stdout, stderr and every file it wrote (name
-and bytes), with the op directory written as ``{dir}``.  A last line
-digests all the lines before it.
+and bytes), with the op directory written as ``{dir}``.  The ``all`` line
+digests all the lines before it.  After it come the ``extra`` lines, one per
+command of :data:`EXTRA`, which no benchmark deck runs.
 """
 
 import os
@@ -24,11 +25,39 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
+
+README_SWEEP = {
+    "model": {"model": "h8v", "params": {"m0": 2.0, "m2": 0.0}, "momentum": {"p": 0.0}},
+    "sweep": [{"param": "m2", "start": 0.1, "stop": 1.9, "steps": 10}],
+    "t_grid": {"points": 64},
+    "out_dir": "{dir}/out",
+    "format": "csv",
+}
+GENERIC_BLOCK_SWEEP = {
+    "model": {"model": "generic", "params": {"a": [[1, 0], [0, 1]], "d": [[-1, 0], [0, -1]], "b": [[0.3, 0], [0, 0.3]]}},
+    "sweep": [{"param": "a", "start": 0.5, "stop": 1.5, "steps": 3}],
+    "out_dir": "{dir}/out",
+}
+H8V_M2_0_P_0 = ("--model", "h8v", "--m0", "2", "--m2", "0", "--p", "0")
+# (kind, argv, files): README's CLI examples (the sweep with its sample
+# configuration), h8v at m2 = 0 and p = 0, and a sweep over a generic block
+EXTRA = (
+    ("readme_verify_sfdm", ("verify", "--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
+    ("readme_verify_h8v", ("verify", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"), {}),
+    ("readme_spectrum_h8r", ("spectrum", "--model", "h8r", "--m0", "2", "--m1", "0.5", "--m2", "1"), {}),
+    ("readme_oscillate_h8v", ("oscillate", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1", "--out", "{dir}/table.csv", "--golden"), {}),
+    ("readme_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(README_SWEEP)}),
+    ("h8v_m2_0_p_0_verify", ("verify", *H8V_M2_0_P_0), {}),
+    ("h8v_m2_0_p_0_spectrum", ("spectrum", *H8V_M2_0_P_0), {}),
+    ("h8v_m2_0_p_0_oscillate", ("oscillate", *H8V_M2_0_P_0, "--t-points", "16", "--golden"), {}),
+    ("generic_block_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(GENERIC_BLOCK_SWEEP)}),
+)
 
 
 def op_digest(main, op, op_dir: str) -> str:
@@ -65,14 +94,20 @@ def main(argv=None) -> int:
     decks += [(workload, "known", inputs.known_defects(workload)) for workload in inputs.WORKLOADS]
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work:
+
+        def digest_line(label: str, n: int, op) -> str:
+            op_dir = os.path.join(work, f"{label.replace(' ', '-')}-{n:02d}")
+            os.makedirs(op_dir)
+            return f"{label} {n:02d} {op.kind} {op_digest(ptosc_main, op, op_dir)}"
+
         for workload, seed, ops in decks:
             for n, op in enumerate(ops):
-                op_dir = os.path.join(work, f"{workload}-{seed}-{n:02d}")
-                os.makedirs(op_dir)
-                line = f"{workload} {seed} {n:02d} {op.kind} {op_digest(ptosc_main, op, op_dir)}"
+                line = digest_line(f"{workload} {seed}", n, op)
                 total.update(line.encode() + b"\n")
                 print(line)
-    print(f"all {total.hexdigest()}")
+        print(f"all {total.hexdigest()}")
+        for n, (kind, argv, files) in enumerate(EXTRA):
+            print(digest_line("extra -", n, inputs.Op(kind, argv, files)))
     return 0
 
 

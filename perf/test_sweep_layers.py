@@ -12,8 +12,6 @@ an h8v m2 axis at p 0.7.  ``stacked`` times what ``ptosc sweep`` runs,
 both include ``realize``.
 """
 
-import argparse
-
 import numpy as np
 import pytest
 
@@ -29,7 +27,7 @@ GRIDS = {
     "sfdm": [ModelSpec("sfdm", {"chi": chi, "psi": 0.3, "theta": 0.7, "phi": 0.2}) for chi in np.linspace(0.2, 1.6, POINTS)],
     "h8v": [ModelSpec("h8v", {"m0": 2.0, "m2": m2}, {"p": 0.7}) for m2 in np.linspace(-1.6, 1.6, POINTS)],
 }
-GRID_ARGS = argparse.Namespace(t_points=T_POINTS, t_max=None)
+GRID_ARGS = (T_POINTS, None)  # _tables' (t_points, t_max)
 
 
 def one_point_tables(specs):

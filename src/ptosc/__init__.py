@@ -8,7 +8,6 @@ verification and probability-conserving flavour-oscillation tables.
 from .errors import (
     BrokenPTError,
     ConstructionError,
-    DegenerateCombinationError,
     DegenerateNormError,
     NumericalError,
     ParameterError,

@@ -98,18 +98,18 @@ def _add_tgrid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-max", type=float, help="grid end (default: one oscillation period)")
 
 
-def _grid_args(t_points: int, t_max) -> argparse.Namespace:
-    """Time-grid settings, validated; a bad value is a usage error."""
+def _grid_args(t_points: int, t_max) -> tuple:
+    """The time grid's (t_points, t_max), validated; a bad value is a usage error."""
     if t_points < 1:
         raise ParameterError(f"the time grid needs at least 1 point, got {t_points}")
     if t_max is not None and not math.isfinite(t_max):
         raise ParameterError(f"the time grid end must be finite, got {t_max}")
-    return argparse.Namespace(t_points=t_points, t_max=t_max)
+    return t_points, t_max
 
 
-def _tables(specs, args, tol: float) -> list[tuple]:
-    """(table, eigensystem) of each spec of one model, on the grid of
-    ``args``: realized point by point, then tabled by
+def _tables(specs, grid: tuple, tol: float) -> list[tuple]:
+    """(table, eigensystem) of each spec of one model, on the time grid
+    ``grid`` = (t_points, t_max): realized point by point, then tabled by
     :func:`ptosc.oscillate.transition_tables`.  A failed point has the
     PtoscError of its first failing step for a table."""
     points, live = [], []
@@ -126,8 +126,7 @@ def _tables(specs, args, tol: float) -> list[tuple]:
         points.append((None, real.eigensystem))
         live.append(real)
     if live:
-        tables = iter(transition_tables(live[0].sym, [r.eigensystem for r in live], [r.hamiltonian for r in live],
-                                        args.t_points, args.t_max, tol))
+        tables = iter(transition_tables(live[0].sym, [r.eigensystem for r in live], [r.hamiltonian for r in live], *grid, tol))
     return [(exc if eigsys is None else next(tables), eigsys) for exc, eigsys in points]
 
 

@@ -39,10 +39,6 @@ class COperator:
     square_defect: float | None = None
     commutator_defect: float | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
-
     def at(self, sign: int) -> np.ndarray:
         """C at momentum sign * p: ``matrix`` for +1, ``reflected`` for -1.
 

@@ -29,7 +29,7 @@ class BrokenPTError(PtoscError, ValueError):
     Carries the offending eigenvalues so callers can report them.  For h8v
     and h8r the phase rule is |m2| >= m0 at every momentum, so at
     p^2 > m2^2 - m0^2 the reported eigenvalues +/-sqrt(p^2 + m0^2 - m2^2)
-    are in fact real (ROADMAP item 2(c)).
+    are in fact real (ROADMAP item 2's open phase-rule bullet).
     """
 
     def __init__(self, message: str, eigenvalues=None):
@@ -39,14 +39,6 @@ class BrokenPTError(PtoscError, ValueError):
 
 class DegenerateNormError(PtoscError, ValueError):
     """A ket has (numerically) vanishing PT norm and cannot be normalized."""
-
-
-class DegenerateCombinationError(PtoscError, ValueError):
-    """A closed-form eigenvector combination is singular for these parameters.
-
-    Raised e.g. at m2 == 0 where the paired-ket combination has a 1/m2 pole;
-    callers should use the Hermitian-limit eigenbasis instead.
-    """
 
 
 class ConstructionError(PtoscError, RuntimeError):

@@ -6,7 +6,7 @@ dimension cap, finite entries) and a numerical eigensolver that is used as an
 independent cross-check against the analytic eigensystems.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,8 @@ def as_cvector(v, dim: int | None = None) -> np.ndarray:
         raise ShapeError(f"expected a vector, got ndim={v.ndim}")
     if dim is not None and v.shape[0] != dim:
         raise ShapeError(f"expected dimension {dim}, got {v.shape[0]}")
-    if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+    # isfinite of a complex entry tests both parts
+    if not np.isfinite(v).all():
         raise ShapeError("vector entries must be finite")
     return v
 
@@ -69,11 +70,6 @@ def kron(a, b) -> np.ndarray:
         raise ShapeError(f"Kronecker product shape ({rows}, {cols}) exceeds dimension {MAX_DIM}")
     # the broadcast product np.kron forms, without its generic-rank set-up
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
-
-
-def det(a) -> complex:
-    """Determinant (LAPACK LU with partial pivoting)."""
-    return complex(np.linalg.det(require_square(a)))
 
 
 def operator_norm(a) -> float:
@@ -103,8 +99,8 @@ class Eigendecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
-    clusters: list[list[int]] = field(default_factory=list)
-    norm: float = float("nan")
+    clusters: list[list[int]]
+    norm: float
 
     def cluster_projector(self, cluster: list[int]) -> np.ndarray:
         """Euclidean orthogonal projector onto the span of a cluster."""
@@ -112,9 +108,9 @@ class Eigendecomposition:
         return q @ q.conj().T
 
 
-def cluster_indices(values: np.ndarray, scale: float, rel_tol: float = 1e-8) -> list[list[int]]:
-    """Group sorted eigenvalues that lie within ``rel_tol * scale`` of each other."""
-    gap = rel_tol * max(scale, 1.0)
+def cluster_indices(values: np.ndarray, scale: float) -> list[list[int]]:
+    """Group sorted eigenvalues that lie within 1e-8 * max(1, scale) of each other."""
+    gap = 1e-8 * max(scale, 1.0)
     clusters: list[list[int]] = []
     for k, lam in enumerate(values):
         if clusters and abs(lam - values[clusters[-1][0]]) <= gap:

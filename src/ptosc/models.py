@@ -20,13 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BrokenPTError,
-    DegenerateCombinationError,
-    NumericalError,
-    ParameterError,
-    ShapeError,
-)
+from .errors import BrokenPTError, NumericalError, ParameterError, ShapeError
 from .inner import pt_normalize_rows
 from .io import json_finite, json_object, matrix_from_json, matrix_to_json
 from .linalg import (
@@ -36,7 +30,6 @@ from .linalg import (
     Eigendecomposition,
     as_cmatrix,
     cluster_indices,
-    eig_oracle,
     kron,
     operator_norm,
 )
@@ -93,10 +86,6 @@ class EigenSystem:
     def B(self) -> np.ndarray:
         """The bra kets (kets at -p), as columns; K itself for static models."""
         return self.K if self.reflected is None else self.reflected
-
-    @property
-    def dim(self) -> int:
-        return self.pairs[0].ket.shape[0]
 
     def cluster_projector(self, cluster) -> np.ndarray:
         q, _ = np.linalg.qr(np.column_stack([self.pairs[k].ket for k in cluster]))
@@ -360,27 +349,11 @@ def h8v_reduced_hamiltonian(m0: float, m2: float, p: float) -> np.ndarray:
 
 
 def h8v_p0_eigensystem(m0: float, m2: float) -> EigenSystem:
-    """Closed-form eigensystem of the h8v block at p = 0.
-
-    Eigenvalues are +/- sqrt(m0^2 - m2^2), each doubly degenerate.  The
-    second ket of each pair is the combination u1 + (i m0 / m2) u2', which is
-    singular at m2 = 0: use :func:`h8v_reduced_eigensystem` with m2 = 0 for
-    the Hermitian limit.
+    """:func:`h8v_reduced_eigensystem` at p = 0, the basis ``realize`` uses
+    at every momentum.  Unused by the package; kept only while the traced
+    benchmark names it (ROADMAP item 1).
     """
-    _require_unbroken(m0, m2)
-    if m2 == 0:
-        raise DegenerateCombinationError(
-            "the paired-ket combination has a 1/m2 pole at m2 = 0; "
-            "use the Hermitian-limit eigenbasis (h8v_reduced_eigensystem with p = 0)"
-        )
-    b2 = effective_mass(m0, m2)
-    v1 = np.array([1j * m2 / b2, -m0 / b2, 0, 1], dtype=complex)
-    v2p = np.array([-m0 / b2, -1j * m2 / b2, 1, 0], dtype=complex)
-    u1 = np.array([-1j * m2 / b2, m0 / b2, 0, 1], dtype=complex)
-    u2p = np.array([m0 / b2, 1j * m2 / b2, 1, 0], dtype=complex)
-    u2 = u1 + (1j * m0 / m2) * u2p
-    v2 = v1 + (1j * m0 / m2) * v2p
-    return pt_normalized_eigensystem(block_pair(), ((-b2, v1), (-b2, v2), (b2, u1), (b2, u2)))
+    return h8v_reduced_eigensystem(m0, m2, 0.0)
 
 
 def h8r_p0_eigensystem(m0: float, m1: float, m2: float) -> EigenSystem:
@@ -443,24 +416,22 @@ def h8v_reduced_eigensystem(m0: float, m2: float, p: float) -> EigenSystem:
 # oracle-backed PT-orthonormal eigensystems
 
 
-def pt_orthonormal_eigensystem(sym: SymmetryPair, h: np.ndarray, tol: float = DEFAULT_TOL, decomposition: Eigendecomposition | None = None) -> EigenSystem:
-    """PT-orthonormalize the numerical eigenvectors of a matrix.
+def pt_orthonormal_eigensystem(sym: SymmetryPair, decomposition: Eigendecomposition) -> EigenSystem:
+    """PT-orthonormalize the eigenvectors of a matrix's ``eig_oracle`` decomposition.
 
     Used for family members without closed forms (h8 with m3 != 0).  Within
     each degenerate cluster the indefinite Gram matrix V^dag S V is
     diagonalized, which yields PT-orthogonal kets with signs even when the
     cluster mixes positive and negative PT norms.  Raises
-    :class:`BrokenPTError` if the spectrum is complex.  ``decomposition``,
-    if given, is ``eig_oracle(h, tol)`` made by the caller.
+    :class:`BrokenPTError` if the spectrum is complex.
     """
-    decomp = eig_oracle(h, tol=tol) if decomposition is None else decomposition
-    if np.max(np.abs(decomp.values.imag)) > tol * max(decomp.norm, 1.0):
-        raise BrokenPTError("complex spectrum: no PT-orthonormal basis", decomp.values)
+    if np.max(np.abs(decomposition.values.imag)) > DEFAULT_TOL * max(decomposition.norm, 1.0):
+        raise BrokenPTError("complex spectrum: no PT-orthonormal basis", decomposition.values)
     entries = []
-    for cluster in decomp.clusters:
-        block = decomp.vectors[:, list(cluster)]
+    for cluster in decomposition.clusters:
+        block = decomposition.vectors[:, list(cluster)]
         _, u = np.linalg.eigh(block.conj().T @ sym.s @ block)
-        value = float(decomp.values[cluster[0]].real)
+        value = float(decomposition.values[cluster[0]].real)
         entries.extend((value, ket) for ket in (block @ u).T)
     return pt_normalized_eigensystem(sym, entries)
 
@@ -499,7 +470,8 @@ class ModelSpec:
     ``phi``; h8 ``m0`` and optionally ``m1``-``m3``; h8r ``m0`` and
     optionally ``m1``, ``m2``; h8v ``m0`` and optionally ``m2`` (an omitted
     mass is 0); generic the blocks ``a``, ``d``, ``b``, serialized as complex
-    matrices.  ``momentum`` is optional, for the h8 family only, and takes
+    matrices, checked by :class:`GenericTOddParams` and stored as its
+    arrays.  ``momentum`` is optional, for the h8 family only, and takes
     the keys of :data:`MOMENTUM_KEYS`.  Every value but the generic blocks
     is a finite number, stored as a float.
     """
@@ -512,7 +484,13 @@ class ModelSpec:
         if self.model not in MODEL_NAMES:
             raise ParameterError(f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
         json_object(self.params, f"{self.model} params", *PARAM_KEYS[self.model])
-        if self.model != "generic":
+        if self.model == "generic":
+            try:
+                blocks = GenericTOddParams(**self.params)
+            except ShapeError as exc:
+                raise ParameterError(str(exc)) from None
+            object.__setattr__(self, "params", {"a": blocks.a, "d": blocks.d, "b": blocks.b})
+        else:
             object.__setattr__(self, "params", {key: json_finite(val, f"params.{key}") for key, val in self.params.items()})
         if self.momentum is not None:
             if self.model in STATIC_MODELS:
@@ -523,7 +501,7 @@ class ModelSpec:
     def to_json_dict(self) -> dict:
         params = dict(self.params)
         if self.model == "generic":
-            params = {key: matrix_to_json(np.asarray(val, dtype=complex)) for key, val in params.items()}
+            params = {key: matrix_to_json(val) for key, val in params.items()}
         doc = {"model": self.model, "params": params}
         if self.momentum is not None:
             doc["momentum"] = dict(self.momentum)
@@ -562,7 +540,8 @@ def model_hamiltonian(spec: ModelSpec) -> np.ndarray:
     if spec.model == "sfdm":
         return sfdm_hamiltonian(SfdmParams(**spec.params))
     if spec.model == "generic":
-        return generic_t_odd_hamiltonian(GenericTOddParams(**spec.params))
+        # the blocks were checked when the spec was made
+        return _t_odd_block(**spec.params)
     return mass_block(*spec.masses) + spec.p * MOMENTUM_BLOCK
 
 

@@ -24,16 +24,22 @@ CLAMP = 1e-14
 ROW_SUM_TOL = 1e-10
 
 
+# e1 = (f'1 + f'3)/sqrt(2), e3 = (f'1 - f'3)/sqrt(2), similarly e2/e4.
+_R = 1.0 / math.sqrt(2.0)
+_MIXING = _R * np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]], dtype=complex)
+_MIXING.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class FlavourBasis:
     """Four CPT-orthonormal flavour kets and the eigen/flavour mixing matrix.
 
-    ``mixing[l, j]`` is the coefficient of flavour ket j in eigenket l, so
-    for the standard basis it is a (1/sqrt(2))-scaled signed permutation.
+    ``mixing[l, j]`` is the coefficient of flavour ket j in eigenket l, the
+    same (1/sqrt(2))-scaled signed permutation for every standard basis.
     """
 
     kets: tuple[np.ndarray, ...]
-    mixing: np.ndarray
+    mixing = _MIXING
 
 
 #: Rows formatted by one ``%`` operation; bounds the per-block temporaries.
@@ -132,11 +138,6 @@ def evolve(sym: SymmetryPair, eigsys, c: COperator, v, t: float) -> np.ndarray:
     return eigsys.K @ (np.exp(-1j * values * t) * coeffs)
 
 
-# mixing[l, j]: coefficient of flavour ket j in eigenket l
-# e1 = (f'1 + f'3)/sqrt(2), e3 = (f'1 - f'3)/sqrt(2), similarly e2/e4.
-_R = 1.0 / math.sqrt(2.0)
-_MIXING = _R * np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]], dtype=complex)
-_MIXING.flags.writeable = False
 # flavour ket j is (e_a + sign e_b)/sqrt(2) for a, b, sign = _FIRST[j], _SECOND[j], _SIGN[j]
 _FIRST, _SECOND, _SIGN = [0, 1, 0, 1], [2, 3, 2, 3], np.array([1.0, 1.0, -1.0, -1.0])
 
@@ -169,7 +170,7 @@ def standard_flavour_basis(sym: SymmetryPair, eigsys, c: COperator) -> FlavourBa
     flavours, _, _, errors = _stacked_flavours(sym, c.reflected[None], eigsys.K[None], eigsys.B[None])
     if errors[0] is not None:
         raise errors[0]
-    return FlavourBasis(kets=tuple(flavours[0].T), mixing=_MIXING)
+    return FlavourBasis(kets=tuple(flavours[0].T))
 
 
 def _table(values: np.ndarray, coeff: np.ndarray, t_grid: np.ndarray) -> TransitionTable:

@@ -185,7 +185,7 @@ def realize(spec: ModelSpec) -> Realization:
             eigsys = sfdm_eigensystem(SfdmParams(**spec.params))
         elif spec.model == "generic" or spec.model == "h8" and spec.p == 0:
             decomp = eig_oracle(h)
-            eigsys = pt_orthonormal_eigensystem(sym, h, decomposition=decomp)
+            eigsys = pt_orthonormal_eigensystem(sym, decomp)
         elif spec.model == "h8v":
             m0, _, m2, _ = spec.masses
             eigsys = h8v_reduced_eigensystem(m0, m2, spec.p)
@@ -210,20 +210,20 @@ def _pt_gram_defect(sym: SymmetryPair, eigsys: EigenSystem) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _cpt_samples(n_random: int, rows: int, dim: int, seed: int) -> np.ndarray:
+def _cpt_samples(n_random: int, rows: int, dim: int) -> np.ndarray:
     """The (n_random, dim) complex sample vectors of the positivity check.
 
     Each sample draws ``rows`` real vectors of length dim from
-    ``default_rng(seed)``; the last two are the real and imaginary parts of
+    ``default_rng(0xC0)``; the last two are the real and imaginary parts of
     its vector.  Drawn once per argument tuple and shared, read-only.
     """
-    draws = np.random.default_rng(seed).standard_normal((n_random, rows, dim))
+    draws = np.random.default_rng(0xC0).standard_normal((n_random, rows, dim))
     x = draws[:, -2] + 1j * draws[:, -1]
     x.flags.writeable = False
     return x
 
 
-def _cpt_positivity_defect(sym: SymmetryPair, c: COperator, eigsys: EigenSystem, n_random: int, seed: int = 0xC0) -> float:
+def _cpt_positivity_defect(sym: SymmetryPair, c: COperator, eigsys: EigenSystem, n_random: int) -> float:
     """Worst deviation from positivity/reality of random CPT self-overlaps.
 
     Static models sample coordinate vectors v, with self-overlap
@@ -232,7 +232,7 @@ def _cpt_positivity_defect(sym: SymmetryPair, c: COperator, eigsys: EigenSystem,
     coefficient vector first, then (static only) the coordinate vector.
     """
     static = eigsys.reflected is None
-    x = _cpt_samples(n_random, 4 if static else 2, sym.dim, seed)
+    x = _cpt_samples(n_random, 4 if static else 2, sym.dim)
     if static:
         metric = c.matrix.conj().T @ sym.s
     else:
@@ -270,10 +270,11 @@ def run_full_suite(spec: ModelSpec, tol: float = DEFAULT_TOL, n_random: int = 10
     # the decomposition realize made, if any, is the one eig_oracle would make
     decomp = eig_oracle(real.hamiltonian) if real.decomposition is None else real.decomposition
     if h_m is None:
-        sym_m, h_m, norm_m, build = real.sym, real.hamiltonian, decomp.norm, model_hamiltonian
+        sym_m, h_m, norm_m = real.sym, real.hamiltonian, decomp.norm
     else:
-        sym_m, norm_m, build = dirac_pair(), operator_norm(h_m), model_full_hamiltonian
-    h_m_r = None if spec.p == 0 else build(ModelSpec(spec.model, spec.params, {**spec.momentum, "p": -spec.p}))
+        sym_m, norm_m = dirac_pair(), operator_norm(h_m)
+    # a static model has p = 0, so H(-p) is built only for the h8 family
+    h_m_r = None if spec.p == 0 else model_full_hamiltonian(ModelSpec(spec.model, spec.params, {**spec.momentum, "p": -spec.p}))
     spectrum = check_real_spectrum(real.hamiltonian, tol, decomp)
     reports = [check_pt_commute(sym_m, h_m, tol, norm_m), check_pseudo_hermiticity(sym_m, h_m, h_m_r, tol, norm_m), spectrum]
 

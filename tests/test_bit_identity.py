@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from ptosc.errors import ShapeError
-from ptosc.linalg import MAX_DIM, SIGMA0, as_cmatrix, kron
+from ptosc.linalg import MAX_DIM, SIGMA0, as_cmatrix, as_cvector, kron
 from ptosc.models import (
     GenericTOddParams,
     SfdmParams,
@@ -87,6 +87,18 @@ def _two_part_cmatrix(a, max_dim=MAX_DIM) -> np.ndarray:
     return a
 
 
+def _two_part_cvector(v, dim=None) -> np.ndarray:
+    """as_cvector as it was, testing the real and imaginary parts apart."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != 1:
+        raise ShapeError(f"expected a vector, got ndim={v.ndim}")
+    if dim is not None and v.shape[0] != dim:
+        raise ShapeError(f"expected dimension {dim}, got {v.shape[0]}")
+    if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+        raise ShapeError("vector entries must be finite")
+    return v
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -117,7 +129,32 @@ def test_as_cmatrix_accepts_and_rejects_as_the_two_part_test(a, max_dim, real):
         assert_same_bits(got, want)
 
 
-@pytest.mark.parametrize("entry", [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0), complex(0, -math.inf)])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    arrays(np.complex128, array_shapes(min_dims=0, max_dims=3, max_side=5), elements=st.builds(complex, ANY_PART, ANY_PART)),
+    st.sampled_from([None, 2, 4]),
+    st.booleans(),
+)
+def test_as_cvector_accepts_and_rejects_as_the_two_part_test(v, dim, real):
+    if real:
+        v = v.real.copy()
+    got, want = _outcome(as_cvector, v, dim), _outcome(_two_part_cvector, v, dim)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_bits(got, want)
+
+
+NON_FINITE_ENTRIES = [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0), complex(0, -math.inf)]
+
+
+@pytest.mark.parametrize("entry", NON_FINITE_ENTRIES)
 def test_as_cmatrix_rejects_a_non_finite_part(entry):
     with pytest.raises(ShapeError, match="^matrix entries must be finite$"):
         as_cmatrix(np.array([[1.0, entry], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("entry", NON_FINITE_ENTRIES)
+def test_as_cvector_rejects_a_non_finite_part(entry):
+    with pytest.raises(ShapeError, match="^vector entries must be finite$"):
+        as_cvector(np.array([1.0, entry]))

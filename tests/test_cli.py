@@ -224,6 +224,14 @@ def test_malformed_complex_entry_is_usage_error(tmp_path, entry, message, capsys
     assert _single_error_line(capsys) == f"error: {message}"
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_non_hermitian_generic_block_is_usage_error(tmp_path, command, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": "generic", "params": {"a": [[1.0, 1.0], [0.0, 1.0]], "d": EYE2, "b": EYE2}}))
+    assert run([command, "--model-file", str(path)]) == 2
+    assert _single_error_line(capsys) == "error: A must be Hermitian"
+
+
 def test_mass_too_large_for_a_float_is_usage_error(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"model": "h8v", "params": {"m0": 10**400}}))
@@ -541,6 +549,19 @@ def test_sweep_overflowing_span_is_usage_error(tmp_path, capsys):
     path = sweep_config(tmp_path, -1e308, 1e308, 3)
     assert run(["sweep", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed configuration: sweep axis 'm2':")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_over_a_generic_block_is_usage_error(tmp_path, capsys):
+    # a block axis would set a 2x2 block to a number: every point is malformed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": {"model": "generic", "params": {"a": [[1, 0], [0, 1]], "d": [[-1, 0], [0, -1]], "b": [[0.3, 0], [0, 0.3]]}},
+        "sweep": [{"param": "a", "start": 0.5, "stop": 1.5, "steps": 3}],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["sweep", "--config", str(path)]) == 2
+    assert _single_error_line(capsys) == "error: malformed configuration: sweep axis 'a': expected a matrix, got ndim=0"
     assert not (tmp_path / "out").exists()
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from ptosc.coperator import build_C, closed_form_C_h8v, completeness_defect
 from ptosc.errors import ConstructionError
-from ptosc.linalg import operator_norm
+from ptosc.linalg import eig_oracle, operator_norm
 from ptosc.models import (
     EigenPair,
     EigenSystem,
@@ -93,7 +93,7 @@ def test_h8v_p0_C_equals_h_over_effective_mass():
 def test_full_h8_C_via_oracle_route():
     sym = block_pair()
     h = model_hamiltonian(ModelSpec("h8", {"m0": 2.0, "m1": 0.3, "m2": 0.5, "m3": 0.4}))
-    es = pt_orthonormal_eigensystem(sym, h)
+    es = pt_orthonormal_eigensystem(sym, eig_oracle(h))
     c = build_C(sym, es, hamiltonian=h)
     assert operator_norm(c.matrix @ c.matrix - np.eye(4)) < 1e-10
     assert operator_norm(c.matrix @ sym.s @ sym.z - sym.s @ sym.z @ c.matrix.conj()) < 1e-10

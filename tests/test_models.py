@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ptosc.errors import BrokenPTError, DegenerateCombinationError, ParameterError
+from ptosc.errors import BrokenPTError, ParameterError
 from ptosc.inner import pt_ip
 from ptosc.linalg import SIGMA, eig_oracle, operator_norm
 from ptosc.models import (
@@ -179,9 +179,12 @@ def test_h8v_p0_closed_form():
     assert es.signs == [-1, -1, 1, 1]
 
 
-def test_h8v_p0_degenerate_combination():
-    with pytest.raises(DegenerateCombinationError):
-        h8v_p0_eigensystem(2.0, 0.0)
+@pytest.mark.parametrize("m0, m2", [(2.0, 1.0), (3.0, -0.5), (2.0, 0.0)])
+def test_h8v_p0_eigensystem_is_the_reduced_one_at_p0(m0, m2):
+    # m2 = 0 included: the basis has no 1/m2 pole
+    es, reduced = h8v_p0_eigensystem(m0, m2), h8v_reduced_eigensystem(m0, m2, 0.0)
+    for name in ("K", "B", "values", "signs"):
+        assert np.array_equal(getattr(es, name), getattr(reduced, name)), name
 
 
 def test_h8v_reduced_closed_form_momentum():
@@ -253,7 +256,7 @@ def test_pt_orthonormal_eigensystem_oracle_route():
     # the oracle route must still produce a PT-orthonormal basis
     sym = block_pair()
     h = model_hamiltonian(ModelSpec("h8", {"m0": 2.0, "m1": 0.3, "m2": 0.5, "m3": 0.4}))
-    es = pt_orthonormal_eigensystem(sym, h)
+    es = pt_orthonormal_eigensystem(sym, eig_oracle(h))
     gram = np.array([[pt_ip(sym, a, b) for b in es.kets] for a in es.kets])
     np.testing.assert_allclose(gram, np.diag(np.array(es.signs, dtype=float)), atol=1e-10)
     for pair in es.pairs:
@@ -264,7 +267,7 @@ def test_pt_orthonormal_eigensystem_broken_raises():
     sym = block_pair()
     h = h8v_reduced_hamiltonian(1.0, 2.0, 0.0)
     with pytest.raises(BrokenPTError):
-        pt_orthonormal_eigensystem(sym, h)
+        pt_orthonormal_eigensystem(sym, eig_oracle(h))
 
 
 # ---------------------------------------------------------------------------
