@@ -120,12 +120,12 @@ def cluster_indices(values: np.ndarray, scale: float) -> list[list[int]]:
     return clusters
 
 
-def eig_oracle(a, tol: float = DEFAULT_TOL) -> Eigendecomposition:
+def eig_oracle(a) -> Eigendecomposition:
     """Full eigendecomposition of a general complex matrix.
 
     Serves as the independent numerical oracle for the analytic eigensystems:
     it never sees the closed forms.  Residuals ``||A v - lam v||`` are checked
-    against ``tol * ||A||`` and a failure raises :class:`NumericalError`.
+    against ``DEFAULT_TOL * max(1, ||A||)`` and a failure raises :class:`NumericalError`.
     """
     a = require_square(a)
     try:
@@ -136,7 +136,7 @@ def eig_oracle(a, tol: float = DEFAULT_TOL) -> Eigendecomposition:
     values, vectors = values[order], vectors[:, order]
     scale = operator_norm(a)
     worst = float(np.linalg.norm(a @ vectors - vectors * values, axis=0).max())
-    if worst > tol * max(scale, 1.0):
+    if worst > DEFAULT_TOL * max(scale, 1.0):
         raise NumericalError("eigenpair residual exceeds tolerance", residual=worst)
     return Eigendecomposition(values, vectors, cluster_indices(values, scale), scale)
 

@@ -113,6 +113,12 @@ def real_quaternion(b0: float, b1: float, b2: float, b3: float) -> np.ndarray:
     return b0 * SIGMA[0] + 1j * (b1 * SIGMA[1] + b2 * SIGMA[2] + b3 * SIGMA[3])
 
 
+def _beyond_rounding(defect: float, m: np.ndarray) -> bool:
+    """defect > 1e-12 * max(1, ||m||).  The bound is at least 1e-12, so
+    ||m|| is taken only where the defect exceeds that."""
+    return defect > 1e-12 and defect > 1e-12 * max(1.0, operator_norm(m))
+
+
 def quaternion_coefficients(b) -> np.ndarray:
     """Inverse of :func:`real_quaternion`; raises if b is not a real quaternion."""
     b = as_cmatrix(b)
@@ -120,7 +126,7 @@ def quaternion_coefficients(b) -> np.ndarray:
         raise ShapeError("quaternions are 2x2 complex matrices")
     coeffs = np.array([np.trace(s @ b) / 2 for s in SIGMA])
     q = np.array([coeffs[0].real, coeffs[1].imag, coeffs[2].imag, coeffs[3].imag])
-    if operator_norm(real_quaternion(*q) - b) > 1e-12 * max(1.0, operator_norm(b)):
+    if _beyond_rounding(operator_norm(real_quaternion(*q) - b), b):
         raise ParameterError("matrix is not a real quaternion")
     return q
 
@@ -259,7 +265,7 @@ class GenericTOddParams:
             if m.shape != (2, 2):
                 raise ShapeError(f"{name} must be 2x2")
         for name, m in (("A", a), ("D", d)):
-            if operator_norm(m - m.conj().T) > 1e-12 * max(1.0, operator_norm(m)):
+            if _beyond_rounding(operator_norm(m - m.conj().T), m):
                 raise ParameterError(f"{name} must be Hermitian")
         quaternion_coefficients(b)  # raises if not a real quaternion
         object.__setattr__(self, "a", a)
@@ -513,7 +519,10 @@ class ModelSpec:
         json_object(doc, "the model document", ("model",), ("params", "momentum"))
         params = doc.get("params", {})
         if doc["model"] == "generic" and isinstance(params, dict):
-            params = {key: matrix_from_json(val, f"params.{key}") for key, val in params.items()}
+            try:
+                params = {key: matrix_from_json(val, f"params.{key}") for key, val in params.items()}
+            except ShapeError as exc:
+                raise ParameterError(str(exc)) from None
         return cls(model=doc["model"], params=params, momentum=doc.get("momentum"))
 
     @property

@@ -52,23 +52,97 @@ _JSON_TIME = "    %r"
 _JSON_MATRIX = "    [\n" + ",\n".join(["      [\n" + ",\n".join(["        %r"] * 4) + "\n      ]"] * 4) + "\n    ]"
 
 
+def _dead(block: np.ndarray) -> np.ndarray:
+    """The columns that are +0.0 in every row (-0.0 prints with its sign)."""
+    return ((block == 0.0) & ~np.signbit(block)).all(axis=0)
+
+
 def _fill(template: str, spec: str, sep: str, rows: np.ndarray) -> str:
     """``sep.join(template % tuple(row) for row in rows)``, one ``%`` per block of rows.
 
     ``template`` has one ``spec`` slot per column.  A column that is +0.0 in
     every row of a block is written into that block's row template as the
     literal ``spec % 0.0``, so only the live columns are formatted.  -0.0 is
-    not folded: it prints with its sign.
+    not folded: it prints with its sign.  The JSON writer formats every
+    block this way; the CSV writer only the blocks whose flavour twins
+    mostly print apart (see :func:`_csv_block`).
     """
     gaps = template.split(spec)
     zero = spec % 0.0
     blocks = []
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
-        dead = ((block == 0.0) & ~np.signbit(block)).all(axis=0)
+        dead = _dead(block)
         row = gaps[0] + "".join((zero if d else spec) + gap for d, gap in zip(dead, gaps[1:]))
         blocks.append(sep.join([row] * len(block)) % tuple(block[:, ~dead].ravel().tolist()))
     return sep.join(blocks)
+
+
+# The flavour swap (13)(24) leaves every table unchanged, so P33, P31, P44
+# and P42 are twins of P11, P13, P22 and P24: equal up to rounding.  As
+# columns of a CSV row (t first):
+_SOURCES, _TWINS = [1, 3, 6, 8], [11, 9, 16, 14]
+_POW10 = np.array([float(10**k) for k in range(23)])  # each exact
+
+
+def _same_12g(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """True where ``"%.12g" % a == "%.12g" % b`` is proven, elementwise.
+
+    Equal floats of equal sign print alike (``==`` alone would pair -0.0
+    with 0.0).  Otherwise, with k = 11 - floor(log10 a) in [0, 22] and an
+    exact 10^k, both f = x 10^k must lie in [1e11, 1e12), round to the same
+    integer N < 1e12 and sit more than 1e-3 from a half-integer.  f is exact
+    to 2^-14, so N is then the 12-digit rounding of both and they print
+    alike.  A k that is off by one fails the range checks, so log10 need not
+    be exact.  Any other pair, such as one below 1e-11, reads False.
+    """
+    with np.errstate(all="ignore"):
+        # log2, not log10, and no int64 compare below: numpy's loops for
+        # those run nowhere else in ptosc, and paging their code in raised
+        # the peak RSS of a sweep process by about 0.25 MB
+        k = 11.0 - np.floor(np.log2(a) * math.log10(2.0))
+        ok = (k >= 0.0) & (k <= 22.0)
+        scale = _POW10[np.where(ok, k, 0.0).astype(np.intp)]
+        fa, fb = a * scale, b * scale
+    n = np.rint(fa)
+    ok &= (fa >= 1e11) & (fb >= 1e11) & (n < 1e12) & (np.abs(fa - n) < 0.499) & (np.abs(fb - n) < 0.499)
+    return ok | ((a == b) & ~(np.signbit(a) ^ np.signbit(b)))
+
+
+def _texts(values: np.ndarray) -> list:
+    """``["%.12g" % x for x in values.ravel()]``, in one ``%``."""
+    return ("%.12g\n" * values.size % tuple(values.ravel().tolist())).splitlines()
+
+
+def _csv_block(block: np.ndarray) -> str:
+    """The CSV rows of one block, each twin column formatted only where its
+    text is not proven equal to its source's (:func:`_same_12g`).
+
+    The live non-twin columns are formatted column by column in one ``%``,
+    the twins' other rows in a second, and the columns are joined row by
+    row.  Where at most half of the live twin cells match, that split and
+    join cost more than the formatting they save, and :func:`_fill` writes
+    the block instead.
+    """
+    dead = _dead(block)
+    twins = [(s, w) for s, w in zip(_SOURCES, _TWINS) if not dead[w]]
+    sources, targets = [s for s, _ in twins], [w for _, w in twins]
+    miss = ~_same_12g(block[:, sources], block[:, targets])
+    if 2 * np.count_nonzero(miss) >= miss.size:
+        return _fill(_CSV_ROW, "%.12g", "", block)
+    n = len(block)
+    cols = [["0"] * n] * block.shape[1]  # a list, not an iterator: the dead columns can share it
+    live = [j for j in range(block.shape[1]) if not dead[j] and j not in targets]
+    texts = _texts(block[:, live].T)
+    for k, j in enumerate(live):
+        cols[j] = texts[k * n : (k + 1) * n]
+    redo = iter(_texts(block[:, targets].T[miss.T]))
+    for s, w, rows in zip(sources, targets, miss.T):
+        cols[w] = cols[s].copy()
+        # zip draws a row before a text: it leaves the next twin's texts in ``redo``
+        for r, text in zip(np.flatnonzero(rows).tolist(), redo):
+            cols[w][r] = text
+    return "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
 @dataclass(frozen=True)
@@ -94,23 +168,28 @@ class TransitionTable:
         if not np.isfinite(t).all():
             raise NumericalError("transition table times are not finite")
         # A NaN or infinite probability makes its row sum and so `worst` NaN or inf.
-        worst = float(np.max(np.abs(probs.sum(axis=2) - 1.0)))
+        # The sum in probs.sum(axis=2)'s order, without its per-row reduction cost.
+        sums = ((probs[..., 0] + probs[..., 1]) + probs[..., 2]) + probs[..., 3]
+        worst = float(np.max(np.abs(sums - 1.0)))
         if not worst <= ROW_SUM_TOL:
             raise NumericalError("transition rows are not stochastic", residual=worst)
         if probs.min() < -ROW_SUM_TOL or probs.max() > 1 + ROW_SUM_TOL:
             raise NumericalError("transition probabilities leave [0, 1]")
         probs = np.clip(probs, 0.0, 1.0)
-        probs[probs < CLAMP] = 0.0
+        np.putmask(probs, probs < CLAMP, 0.0)
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "probs", probs)
 
     def to_csv(self) -> str:
         """CSV with header t,P11,...,P44 and 12-significant-digit floats."""
         rows = np.column_stack([self.t_grid, self.probs.reshape(len(self.t_grid), 16)])
-        return _CSV_HEADER + _fill(_CSV_ROW, "%.12g", "", rows)
+        return _CSV_HEADER + "".join(_csv_block(rows[start : start + BLOCK_ROWS]) for start in range(0, len(rows), BLOCK_ROWS))
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, formatted from a template."""
+        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, formatted from a template.
+
+        ``%r`` texts are equal only for equal floats, and no two live columns
+        are bit-equal, so the flavour twins are formatted like any column."""
         times = _fill(_JSON_TIME, "%r", ",\n", self.t_grid[:, None])
         probs = _fill(_JSON_MATRIX, "%r", ",\n", self.probs.reshape(len(self.t_grid), 16))
         return '{\n  "t_grid": [\n%s\n  ],\n  "probs": [\n%s\n  ]\n}\n' % (times, probs)

@@ -1,6 +1,6 @@
 """The direct small-matrix constructions give, bit for bit and signed zeros
 included, what the numpy routines and the two-part finiteness test they
-replaced give."""
+replaced give; so do a transition table's row sums and clamp."""
 
 import math
 
@@ -10,15 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from ptosc.errors import ShapeError
+from ptosc import oscillate
+from ptosc.coperator import build_C
+from ptosc.errors import NumericalError, ShapeError
 from ptosc.linalg import MAX_DIM, SIGMA0, as_cmatrix, as_cvector, kron
 from ptosc.models import (
     GenericTOddParams,
+    ModelSpec,
     SfdmParams,
     generic_t_odd_hamiltonian,
     real_quaternion,
     sfdm_hamiltonian,
 )
+from ptosc.oscillate import CLAMP, TransitionTable, default_t_grid, standard_flavour_basis, transition_table
+from ptosc.verify import realize
 
 # finite parts seeded with signed zeros; products of two stay finite
 PART = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e150, 1e150))
@@ -158,3 +163,68 @@ def test_as_cmatrix_rejects_a_non_finite_part(entry):
 def test_as_cvector_rejects_a_non_finite_part(entry):
     with pytest.raises(ShapeError, match="^vector entries must be finite$"):
         as_cvector(np.array([1.0, entry]))
+
+
+# ---------------------------------------------------------------------------
+# a transition table's row sums and clamp
+
+TABLE_SPECS = [
+    ModelSpec("sfdm", {"chi": 0.5, "psi": 0.3, "theta": 0.7, "phi": 0.2}),
+    ModelSpec("h8v", {"m0": 2.0, "m2": 1.0}, {"p": 1.0}),
+    ModelSpec("h8", {"m0": 2.0, "m1": 0.5, "m2": 1.0, "m3": 0.3}),
+]
+
+
+def unclamped_probs(spec, monkeypatch) -> np.ndarray:
+    """The |amplitude|^2 array a catalogue table is made from, before its checks and clamp."""
+    real = realize(spec)
+    es = real.eigensystem
+    c = build_C(real.sym, es, hamiltonian=real.hamiltonian)
+    basis = standard_flavour_basis(real.sym, es, c)
+    monkeypatch.setattr(oscillate, "TransitionTable", lambda t_grid, probs: probs)
+    return transition_table(real.sym, basis, es, c, default_t_grid(es, 4097))
+
+
+def random_probs(seed: int) -> np.ndarray:
+    """Random stochastic rows with entries at and around the clamp, signed
+    zeros, and some rows just outside [0, 1]."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random((4097, 4, 4))
+    probs /= probs.sum(axis=2, keepdims=True)
+    edges = np.array([0.0, -0.0, 1e-15, CLAMP, np.nextafter(CLAMP, 0.0), 2e-14, -1e-12])
+    spots = rng.random(probs.shape) < 0.2
+    spots[..., 0] = False
+    probs[spots] = rng.choice(edges, size=np.count_nonzero(spots))
+    probs[..., 0] = 1.0 - probs[..., 1:].sum(axis=2)  # the row's remainder, at least its old entry
+    probs[rng.random(probs.shape[:2]) < 0.05] = [1.0 + 1e-12, -1e-12, 0.0, 0.0]
+    return probs
+
+
+def assert_clamped_as_the_boolean_mask(probs):
+    want = np.clip(probs, 0.0, 1.0)
+    want[want < CLAMP] = 0.0
+    got = TransitionTable(np.zeros(len(probs)), probs).probs
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_residual_is_that_of_sum(probs):
+    with pytest.raises(NumericalError) as exc:
+        TransitionTable(np.zeros(len(probs)), probs)
+    assert exc.value.residual == float(np.max(np.abs(probs.sum(axis=2) - 1.0)))
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda spec: spec.model)
+def test_catalogue_table_clamp_and_row_sums_are_those_of_numpy(spec, monkeypatch):
+    probs = unclamped_probs(spec, monkeypatch)
+    assert_clamped_as_the_boolean_mask(probs)
+    # rows scaled off stochastic by up to 1e-9: the residual comes from the sums
+    factors = 1.0 + np.random.default_rng(3).uniform(-1e-9, 1e-9, (len(probs), 1, 1))
+    assert_residual_is_that_of_sum(probs * factors)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_table_clamp_and_row_sums_are_those_of_numpy(seed):
+    probs = random_probs(seed)
+    assert_clamped_as_the_boolean_mask(probs)
+    factors = 1.0 + np.random.default_rng(seed).uniform(-1e-9, 1e-9, (len(probs), 1, 1))
+    assert_residual_is_that_of_sum(probs * factors)

@@ -565,6 +565,19 @@ def test_sweep_over_a_generic_block_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("a", [5, [[1, 0], [0]]], ids=json.dumps)
+def test_sweep_template_with_a_malformed_generic_matrix_is_a_malformed_configuration(tmp_path, a, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "model": {"model": "generic", "params": {"a": a, "d": EYE2, "b": EYE2}},
+        "sweep": [{"param": "d", "start": 0.5, "stop": 1.5, "steps": 3}],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["sweep", "--config", str(path)]) == 2
+    assert _single_error_line(capsys) == f"error: malformed configuration: params.a must be a list of equal-length lists, got {a!r}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_configuration_must_be_an_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text(json.dumps([json.loads(sweep_config(tmp_path, 0.1, 0.9, 2).read_text())]))

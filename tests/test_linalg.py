@@ -73,11 +73,18 @@ def test_eig_oracle_residuals_and_order():
             assert r <= 1e-10 * max(1.0, operator_norm(a))
 
 
-def test_eig_oracle_rejects_impossible_tolerance():
+def test_eig_oracle_rejects_a_residual_above_tolerance(monkeypatch):
     rng = np.random.default_rng(5)
     a = random_cmatrix(rng, 5)
-    with pytest.raises(NumericalError):
-        eig_oracle(a, tol=1e-30)
+    eig = np.linalg.eig
+
+    def inaccurate(m):
+        values, vectors = eig(m)
+        return values + 1e-6, vectors  # every residual is 1e-6 > 1e-10 * max(1, ||a||)
+
+    monkeypatch.setattr(np.linalg, "eig", inaccurate)
+    with pytest.raises(NumericalError, match="eigenpair residual exceeds tolerance"):
+        eig_oracle(a)
 
 
 def test_cluster_projector_is_projector():

@@ -1,9 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ptosc import oscillate
 from ptosc.cli import analytic_pattern, main
 from ptosc.coperator import build_C
 from ptosc.errors import ConstructionError, NumericalError
@@ -21,6 +25,7 @@ from ptosc.models import (
 )
 from ptosc.oscillate import (
     TransitionTable,
+    _same_12g,
     default_t_grid,
     evolve,
     naive_flavour_B,
@@ -316,6 +321,90 @@ def test_writers_fold_zero_columns_per_block():
     table = TransitionTable(np.linspace(0.0, 5.0, 4097), probs)
     assert table.probs[4096, 0, 1] > 0.0 and np.all(table.probs[:4096, 2, 3] > 0.0)
     assert_writers_match_references(table)
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer's flavour twins: P33, P31, P44, P42 take the texts of P11,
+# P13, P22, P24 where the %.12g rounding guard proves them equal
+
+
+def ulps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# 12-digit decimal midpoints (N + 0.5) * 10^-(e + 11), down to the 1e-11 edge of the guard
+MIDPOINT = st.builds(lambda n, e: (n + 0.5) / 10.0 ** (e + 11), st.integers(10**11, 10**12 - 1), st.integers(0, 11))
+# decade edges (1e-4 is the switch to exponent form) and what rounds onto them
+EDGE = st.sampled_from([1.0, 0.1, 1e-4, 1e-5, 1e-11, 0.99999999999995, 0.099999999999995, 9.9999999999995e-5, 9.9999999999995e-12])
+TINY = st.floats(1e-14, 1e-11)  # below the guard's range; from 1e-14 up, the clamp keeps them
+VALUE = st.one_of(MIDPOINT, EDGE, TINY, st.sampled_from([0.0, -0.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def twin_pairs(draw):
+    """(source, twin): a value and its twin at 0-3 ulps, at a relative 1e-14, or drawn apart."""
+    a = draw(VALUE)
+    twin = st.one_of(
+        st.integers(-3, 3).map(lambda k: ulps(a, k)),
+        st.floats(-1.0, 1.0).map(lambda r: a * (1.0 + 1e-14 * r)),
+        VALUE,
+    )
+    pair = (a, draw(twin))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+def twin_rows(p11, p33, p22, p44) -> np.ndarray:
+    """A stochastic 4x4 whose twins are (p11, p33), (p13, p31) = (1 - p11, 1 - p33),
+    (p22, p44) and (p24, p42) = (1 - p22, 1 - p44); the other entries are 0."""
+    x, y, u, v = (min(max(q, 0.0), 1.0) for q in (p11, p33, p22, p44))
+    return np.array([[x, 0.0, 1.0 - x, 0.0], [0.0, u, 0.0, 1.0 - u], [1.0 - y, 0.0, y, 0.0], [0.0, 1.0 - v, 0.0, v]])
+
+
+# A shift of log2 by +-log2(10) puts k off by one, as an inexact logarithm
+# near a power of ten would; the guard's range checks must then refuse, not
+# mismatch.
+@pytest.mark.parametrize("shift", [0.0, -math.log2(10.0), math.log2(10.0)], ids=["exact", "k_too_large", "k_too_small"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=twin_pairs())
+def test_same_12g_only_where_the_texts_are_equal(shift, pair):
+    a, b = pair
+    log2 = np.log2
+    with mock.patch.object(np, "log2", lambda x: log2(x) + shift):
+        for x, y in ((a, b), (-a, -b)):
+            if _same_12g(np.array([x]), np.array([y]))[0]:
+                assert "%.12g" % x == "%.12g" % y
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_csv_writer_matches_reference_on_twins_near_rounding_edges(data):
+    drawn = [twin_rows(*data.draw(twin_pairs()), *data.draw(twin_pairs())) for _ in range(data.draw(st.integers(1, 6)))]
+    # identity rows, whose twins are equal bits: with more of them than drawn
+    # rows, most twin cells match and the block takes the twin path
+    padding = [np.eye(4)] * data.draw(st.integers(0, 2 * len(drawn)))
+    probs = np.array(data.draw(st.permutations(drawn + padding)))
+    table = TransitionTable(np.linspace(0.0, 3.0, len(probs)), probs)
+    assert table.to_csv() == reference_csv(table)
+
+
+def test_csv_writer_matches_reference_where_no_twin_matches():
+    # 4,097 random rows: no twin text is reused, and the second block has one row
+    rng = np.random.default_rng(11)
+    probs = rng.random((4097, 4, 4))
+    probs /= probs.sum(axis=2, keepdims=True)
+    table = TransitionTable(np.linspace(0.0, 5.0, 4097), probs)
+    rows = table.probs.reshape(-1, 16)
+    assert not _same_12g(rows[:, [0, 2, 5, 7]], rows[:, [10, 8, 15, 13]]).any()
+    assert table.to_csv() == reference_csv(table)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_csv_writer_reuses_twin_texts_on_catalogue_tables(name, monkeypatch):
+    table, _ = catalogue_table(name, 4097)
+    monkeypatch.setattr(oscillate, "_fill", None)  # the row-template path would raise
+    assert table.to_csv() == reference_csv(table)
 
 
 def test_writers_keep_the_sign_of_negative_zero_times():
