@@ -46,7 +46,7 @@ def test_writer(benchmark, setup, points, writer):
 
 def test_to_csv_with_no_twin_text_reused(benchmark):
     # random stochastic rows: every column is live and no flavour twin
-    # prints like its source, so every block takes the row-template path
+    # prints like its source, the CSV writer's worst case
     rng = np.random.default_rng(0)
     probs = rng.random((4096, 4, 4))
     probs /= probs.sum(axis=2, keepdims=True)

@@ -47,7 +47,6 @@ BLOCK_ROWS = 4096
 
 _CSV_HEADER = ",".join(["t"] + [f"P{i}{j}" for i in range(1, 5) for j in range(1, 5)]) + "\n"
 # "%.12g" % x is f"{x:.12g}"; for finite floats "%r" % x is what json.dumps writes.
-_CSV_ROW = ",".join(["%.12g"] * 17) + "\n"
 _JSON_TIME = "    %r"
 _JSON_MATRIX = "    [\n" + ",\n".join(["      [\n" + ",\n".join(["        %r"] * 4) + "\n      ]"] * 4) + "\n    ]"
 
@@ -64,8 +63,7 @@ def _fill(template: str, spec: str, sep: str, rows: np.ndarray) -> str:
     every row of a block is written into that block's row template as the
     literal ``spec % 0.0``, so only the live columns are formatted.  -0.0 is
     not folded: it prints with its sign.  The JSON writer formats every
-    block this way; the CSV writer only the blocks whose flavour twins
-    mostly print apart (see :func:`_csv_block`).
+    block this way; the CSV writer uses :func:`_csv_block`.
     """
     gaps = template.split(spec)
     zero = spec % 0.0
@@ -120,16 +118,12 @@ def _csv_block(block: np.ndarray) -> str:
 
     The live non-twin columns are formatted column by column in one ``%``,
     the twins' other rows in a second, and the columns are joined row by
-    row.  Where at most half of the live twin cells match, that split and
-    join cost more than the formatting they save, and :func:`_fill` writes
-    the block instead.
+    row.
     """
     dead = _dead(block)
     twins = [(s, w) for s, w in zip(_SOURCES, _TWINS) if not dead[w]]
     sources, targets = [s for s, _ in twins], [w for _, w in twins]
     miss = ~_same_12g(block[:, sources], block[:, targets])
-    if 2 * np.count_nonzero(miss) >= miss.size:
-        return _fill(_CSV_ROW, "%.12g", "", block)
     n = len(block)
     cols = [["0"] * n] * block.shape[1]  # a list, not an iterator: the dead columns can share it
     live = [j for j in range(block.shape[1]) if not dead[j] and j not in targets]
@@ -142,7 +136,7 @@ def _csv_block(block: np.ndarray) -> str:
         # zip draws a row before a text: it leaves the next twin's texts in ``redo``
         for r, text in zip(np.flatnonzero(rows).tolist(), redo):
             cols[w][r] = text
-    return "\n".join(map(",".join, zip(*cols))) + "\n"
+    return "\n".join([*map(",".join, zip(*cols)), ""])  # the "" ends the last row
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptosc import oscillate
 from ptosc.cli import analytic_pattern, main
 from ptosc.coperator import build_C
 from ptosc.errors import ConstructionError, NumericalError
@@ -381,8 +380,8 @@ def test_same_12g_only_where_the_texts_are_equal(shift, pair):
 @given(st.data())
 def test_csv_writer_matches_reference_on_twins_near_rounding_edges(data):
     drawn = [twin_rows(*data.draw(twin_pairs()), *data.draw(twin_pairs())) for _ in range(data.draw(st.integers(1, 6)))]
-    # identity rows, whose twins are equal bits: with more of them than drawn
-    # rows, most twin cells match and the block takes the twin path
+    # identity rows, whose twins are equal bits, so reused and formatted twin
+    # texts interleave within a column
     padding = [np.eye(4)] * data.draw(st.integers(0, 2 * len(drawn)))
     probs = np.array(data.draw(st.permutations(drawn + padding)))
     table = TransitionTable(np.linspace(0.0, 3.0, len(probs)), probs)
@@ -397,13 +396,6 @@ def test_csv_writer_matches_reference_where_no_twin_matches():
     table = TransitionTable(np.linspace(0.0, 5.0, 4097), probs)
     rows = table.probs.reshape(-1, 16)
     assert not _same_12g(rows[:, [0, 2, 5, 7]], rows[:, [10, 8, 15, 13]]).any()
-    assert table.to_csv() == reference_csv(table)
-
-
-@pytest.mark.parametrize("name", sorted(CATALOGUE))
-def test_csv_writer_reuses_twin_texts_on_catalogue_tables(name, monkeypatch):
-    table, _ = catalogue_table(name, 4097)
-    monkeypatch.setattr(oscillate, "_fill", None)  # the row-template path would raise
     assert table.to_csv() == reference_csv(table)
 
 
