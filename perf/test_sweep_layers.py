@@ -6,10 +6,13 @@ one-point path run once per grid point.
 Run from the repository root.  ``perf`` is outside ``testpaths``, so the
 plain test run never collects these.  A grid is 27 points of one model at
 256 times, the size of a ``sweep_grid`` benchmark op: an sfdm chi axis and
-an h8v m2 axis at p 0.7.  ``stacked`` times what ``ptosc sweep`` runs,
-``one_point`` the same tables made point by point with ``build_C``,
-``standard_flavour_basis``, ``default_t_grid`` and ``transition_table``;
-both include ``realize``.
+an h8v m2 axis at p 0.7.  ``stacked`` times what ``ptosc sweep`` runs: C,
+the flavour bases, the time grids and the coefficients of all 27 points as
+stacked arrays in one pass, then one table per point.  ``one_point`` makes
+the same tables point by point with ``build_C``,
+``standard_flavour_basis`` (the (4, 4) matrix of flavour kets that
+``transition_table`` takes), ``default_t_grid`` and ``transition_table``.
+Both include ``realize``.
 """
 
 import numpy as np

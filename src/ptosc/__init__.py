@@ -45,7 +45,6 @@ from .models import (
 )
 from .coperator import COperator, build_C, closed_form_C_h8v, completeness_defect
 from .oscillate import (
-    FlavourBasis,
     TransitionTable,
     default_t_grid,
     evolve,

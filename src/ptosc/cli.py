@@ -121,7 +121,7 @@ def _tables(specs, grid: tuple, tol: float) -> list[tuple]:
             points.append((exc.with_traceback(None), None))
             continue
         if real.eigensystem is None:
-            points.append((BrokenPTError(real.eigensystem_note or "no eigenbasis for this model"), None))
+            points.append((BrokenPTError(real.eigensystem_note), None))
             continue
         points.append((None, real.eigensystem))
         live.append(real)

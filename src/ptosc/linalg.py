@@ -104,8 +104,13 @@ class Eigendecomposition:
 
     def cluster_projector(self, cluster: list[int]) -> np.ndarray:
         """Euclidean orthogonal projector onto the span of a cluster."""
-        q, _ = np.linalg.qr(self.vectors[:, cluster])
-        return q @ q.conj().T
+        return span_projector(self.vectors[:, cluster])
+
+
+def span_projector(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean orthogonal projector onto the span of the columns."""
+    q, _ = np.linalg.qr(vectors)
+    return q @ q.conj().T
 
 
 def cluster_indices(values: np.ndarray, scale: float) -> list[list[int]]:

@@ -32,6 +32,7 @@ from .linalg import (
     cluster_indices,
     kron,
     operator_norm,
+    span_projector,
 )
 from .symmetry import SymmetryPair, block_pair, canonical_pair
 
@@ -88,8 +89,7 @@ class EigenSystem:
         return self.K if self.reflected is None else self.reflected
 
     def cluster_projector(self, cluster) -> np.ndarray:
-        q, _ = np.linalg.qr(np.column_stack([self.pairs[k].ket for k in cluster]))
-        return q @ q.conj().T
+        return span_projector(self.K[:, list(cluster)])
 
 
 def pt_normalized_eigensystem(sym: SymmetryPair, entries) -> EigenSystem:

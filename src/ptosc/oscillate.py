@@ -23,25 +23,6 @@ CLAMP = 1e-14
 
 ROW_SUM_TOL = 1e-10
 
-
-# e1 = (f'1 + f'3)/sqrt(2), e3 = (f'1 - f'3)/sqrt(2), similarly e2/e4.
-_R = 1.0 / math.sqrt(2.0)
-_MIXING = _R * np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]], dtype=complex)
-_MIXING.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class FlavourBasis:
-    """Four CPT-orthonormal flavour kets and the eigen/flavour mixing matrix.
-
-    ``mixing[l, j]`` is the coefficient of flavour ket j in eigenket l, the
-    same (1/sqrt(2))-scaled signed permutation for every standard basis.
-    """
-
-    kets: tuple[np.ndarray, ...]
-    mixing = _MIXING
-
-
 #: Rows formatted by one ``%`` operation; bounds the per-block temporaries.
 BLOCK_ROWS = 4096
 
@@ -212,6 +193,7 @@ def evolve(sym: SymmetryPair, eigsys, c: COperator, v, t: float) -> np.ndarray:
 
 
 # flavour ket j is (e_a + sign e_b)/sqrt(2) for a, b, sign = _FIRST[j], _SECOND[j], _SIGN[j]
+_R = 1.0 / math.sqrt(2.0)
 _FIRST, _SECOND, _SIGN = [0, 1, 0, 1], [2, 3, 2, 3], np.array([1.0, 1.0, -1.0, -1.0])
 
 
@@ -232,40 +214,40 @@ def _stacked_flavours(sym: SymmetryPair, c_reflected: np.ndarray, kets: np.ndarr
     return flavours, bras, defects, errors
 
 
-def standard_flavour_basis(sym: SymmetryPair, eigsys, c: COperator) -> FlavourBasis:
+def standard_flavour_basis(sym: SymmetryPair, eigsys, c: COperator) -> np.ndarray:
     """The (e1 +/- e3)/sqrt(2), (e2 +/- e4)/sqrt(2) flavour combinations.
 
     Validates that the input eigenkets are CPT-orthonormal (to 1e-10): the
-    Gram matrix (C(-p) B)^dag S K is the identity.  Returns kets ordered
-    f'1 = (e1+e3), f'2 = (e2+e4), f'3 = (e1-e3), f'4 = (e2-e4), all over
-    sqrt(2).
+    Gram matrix (C(-p) B)^dag S K is the identity.  Returns the (4, 4)
+    matrix of flavour kets as columns, ordered f'1 = (e1+e3), f'2 = (e2+e4),
+    f'3 = (e1-e3), f'4 = (e2-e4), all over sqrt(2).
     """
     flavours, _, _, errors = _stacked_flavours(sym, c.reflected[None], eigsys.K[None], eigsys.B[None])
     if errors[0] is not None:
         raise errors[0]
-    return FlavourBasis(kets=tuple(flavours[0].T))
+    return flavours[0]
 
 
 def _table(values: np.ndarray, coeff: np.ndarray, t_grid: np.ndarray) -> TransitionTable:
     """The table of one point from its spectrum and its coefficients
     coeff[j, i] = ((e_j | f'_i)); the time-sized part of :func:`transition_table`."""
     values = _real_spectrum(values)
-    # CPT-Hermiticity: ((f'_m | e_j)) = conj(((e_j | f'_m))).
-    bra = coeff.conj().T
     # Python floats overflow to inf silently, where numpy would warn and fill the table with NaN.
     if not math.isfinite(float(np.abs(values).max()) * float(np.abs(t_grid).max(initial=0.0))):
         raise NumericalError("the phases lambda * t overflow on this time grid")
     phases = np.exp(-1j * np.outer(t_grid, values))
     # amp[t, i, m] = sum_j ((f'_m | e_j)) exp(-i lam_j t) ((e_j | f'_i)); rows: initial flavour i.
+    # By CPT-Hermiticity ((f'_m | e_j)) = conj(((e_j | f'_m))), so the right factor is conj(coeff).
     # One (4T, 4) @ (4, 4) product: a stacked (T, 4, 4) operand costs one BLAS call per time.
-    amp = ((phases[:, None, :] * coeff.T).reshape(-1, 4) @ bra.T).reshape(-1, 4, 4)
+    amp = ((phases[:, None, :] * coeff.T).reshape(-1, 4) @ coeff.conj()).reshape(-1, 4, 4)
     return TransitionTable(t_grid=t_grid, probs=np.abs(amp) ** 2)
 
 
-def transition_table(sym: SymmetryPair, basis: FlavourBasis, eigsys, c: COperator, t_grid) -> TransitionTable:
-    """P(f_i -> f_j)(t) = |((f'_j | f'_i(t)))|^2 with the CPT inner product."""
+def transition_table(sym: SymmetryPair, flavours: np.ndarray, eigsys, c: COperator, t_grid) -> TransitionTable:
+    """P(f_i -> f_j)(t) = |((f'_j | f'_i(t)))|^2 with the CPT inner product;
+    ``flavours`` holds the flavour kets as columns."""
     # coeff[j, i] = ((e_j | f'_i)); the bra side is evaluated at -p.
-    coeff = _cpt_bras(sym, c.reflected, eigsys.B) @ np.column_stack(basis.kets)
+    coeff = _cpt_bras(sym, c.reflected, eigsys.B) @ flavours
     return _table(eigsys.values, coeff, np.asarray(t_grid, dtype=float))
 
 
@@ -313,43 +295,25 @@ def transition_tables(sym: SymmetryPair, eigensystems, hamiltonians, t_points: i
     Hamiltonian, :func:`standard_flavour_basis`, a ``t_points`` time grid
     (on [0, t_max], else :func:`default_t_grid`) and
     :func:`transition_table`.  C, the basis, the grids and the coefficients
-    run as stacked arrays over the points still live; only the time-sized
-    table is made point by point.
+    run as stacked arrays over all N points, each matrix on its own, so a
+    failed point's (finite) data leave the other tables as they are; only
+    the time-sized table is made point by point.
     """
-    failed = {}
-    live = list(range(len(eigensystems)))
-
-    def keep(errors, *stacks):
-        """Record each live point's error and drop those points from ``live`` and the stacks."""
-        nonlocal live
-        ok = [k for k, exc in enumerate(errors) if exc is None]
-        if len(ok) == len(live):
-            return stacks
-        failed.update((point, exc) for point, exc in zip(live, errors) if exc is not None)
-        live = [live[k] for k in ok]
-        return [stack[ok] for stack in stacks]
-
     kets = np.stack([es.K for es in eigensystems])
     bra_kets = np.stack([es.B for es in eigensystems])
     values = np.array([es.values for es in eigensystems])
-    c, errors = stacked_C(sym, kets, bra_kets, np.stack(hamiltonians), tol)
-    kets, bra_kets, values, c_reflected = keep(errors, kets, bra_kets, values, c.reflected)
-    flavours, bras, _, errors = _stacked_flavours(sym, c_reflected, kets, bra_kets)
-    flavours, bras, values = keep(errors, flavours, bras, values)
+    c, c_errors = stacked_C(sym, kets, bra_kets, np.stack(hamiltonians), tol)
+    flavours, bras, _, basis_errors = _stacked_flavours(sym, c.reflected, kets, bra_kets)
     if t_max is None:
-        grids, errors = _default_t_grids(values, t_points)
-        grids, flavours, bras, values = keep(errors, grids, flavours, bras, values)
+        grids, grid_errors = _default_t_grids(values, t_points)
     else:
-        grids = np.broadcast_to(np.linspace(0.0, t_max, t_points), (len(live), t_points))
-    # coeff[j, i] = ((e_j | f'_i)); the bra side is evaluated at -p.
-    rows = zip(values, bras @ flavours, grids)  # the live points, in order
+        grids, grid_errors = np.broadcast_to(np.linspace(0.0, t_max, t_points), (len(values), t_points)), [None] * len(values)
     tables = []
-    for point in range(len(eigensystems)):
-        if point in failed:
-            tables.append(failed[point])
-            continue
+    # coeff[j, i] = ((e_j | f'_i)); the bra side is evaluated at -p.
+    for errors, point in zip(zip(c_errors, basis_errors, grid_errors), zip(values, bras @ flavours, grids)):
         try:
-            tables.append(_table(*next(rows)))
+            # the error of the point's first failing step, else its table
+            tables.append(next(filter(None, errors), None) or _table(*point))
         except PtoscError as exc:
             # without its traceback, the error keeps no frame alive
             tables.append(exc.with_traceback(None))

@@ -284,7 +284,7 @@ def run_full_suite(spec: ModelSpec, tol: float = DEFAULT_TOL, n_random: int = 10
     if not spectrum.passed:
         return skip_rest("broken PT phase (complex spectrum)")
     if real.eigensystem is None:
-        return skip_rest(real.eigensystem_note or "no eigenbasis")
+        return skip_rest(real.eigensystem_note)
     eigsys, sym = real.eigensystem, real.sym
     reports.append(_report("pt_orthonormality", _pt_gram_defect(sym, eigsys), tol))
     try:

@@ -625,6 +625,9 @@ MIXED_SWEEPS = {
     "h8v_near_ep_commutator": (
         {"model": "h8v", "params": {"m0": 2.0, "m2": 0.0}, "momentum": {"p": 0.5}}, "m2", 1.9, 1.99999999, 2,
     ),
+    "h8v_near_ep_first": (
+        {"model": "h8v", "params": {"m0": 2.0, "m2": 0.0}, "momentum": {"p": 0.5}}, "m2", 1.99999999, 1.9, 2,
+    ),
     "h8v_p_from_0": ({"model": "h8v", "params": {"m0": 2.0, "m2": 1.0}, "momentum": {"p": 0.0}}, "p", 0.0, 3.0, 4),
     "h8r_m2": ({"model": "h8r", "params": {"m0": 2.0, "m1": 0.5, "m2": 0.0}}, "m2", -1.5, 1.5, 4),
     "h8_m3": ({"model": "h8", "params": {"m0": 2.0, "m1": 0.3, "m2": 0.8, "m3": 0.0}}, "m3", -1.0, 1.0, 4),
@@ -674,6 +677,8 @@ def test_sweep_equals_oscillate_at_every_point(tmp_path, name, fmt, capsys):
     statuses = [entry["status"] for entry in index]
     if name == "h8v_m2_crossing_m0":
         assert "ok" in statuses and any(s.startswith("broken: broken PT phase:") for s in statuses)
+    elif name == "h8v_near_ep_first":
+        assert statuses[0].startswith("broken: [C, H] != 0") and statuses[1] == "ok"
     elif name.startswith("h8v_near_ep"):
         failure = "C^2 != 1" if name.endswith("c_squared") else "[C, H] != 0"
         assert statuses[0] == "ok" and statuses[1].startswith(f"broken: {failure}")

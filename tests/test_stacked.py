@@ -2,10 +2,12 @@
 at a time, and what the two-dimensional per-point forms it replaced give."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptosc.coperator import build_C, stacked_C
+from ptosc.errors import ConstructionError
 from ptosc.inner import pt_normalize, pt_normalize_rows
 from ptosc.linalg import operator_norm
 from ptosc.models import ModelSpec
@@ -36,11 +38,17 @@ H8V = st.builds(
 H8R = st.builds(lambda m0, r1, r2: ModelSpec("h8r", {"m0": m0, "m1": r1 * m0, "m2": r2 * m0}), MASS, RATIO, RATIO)
 # unbroken points of one model, as a sweep has them
 POINTS = st.one_of(*(st.lists(specs, min_size=1, max_size=6) for specs in (SFDM, H8V, H8R)))
+# an h8v point near the exceptional point, where C fails [C, H] = 0 inside the core
+NEAR_EP = ModelSpec("h8v", {"m0": 2.0, "m2": 1.99999999}, {"p": 0.5})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(POINTS, st.integers(1, 40))
-def test_stacked_core_equals_the_one_point_path(specs, t_points):
+@given(POINTS, st.integers(1, 40), st.integers(0, 6))
+def test_stacked_core_equals_the_one_point_path(specs, t_points, position):
+    # an h8v list gets the failing point at the drawn position
+    near_ep = min(position, len(specs)) if specs[0].model == "h8v" else None
+    if near_ep is not None:
+        specs = specs[:near_ep] + [NEAR_EP] + specs[near_ep:]
     reals = [realize(spec) for spec in specs]
     sym = reals[0].sym
     eigs = [real.eigensystem for real in reals]
@@ -53,6 +61,11 @@ def test_stacked_core_equals_the_one_point_path(specs, t_points):
     grids, grid_errors = _default_t_grids(np.array([es.values for es in eigs]), t_points)
     tables = transition_tables(sym, eigs, hamiltonians, t_points)
     for n, (real, es) in enumerate(zip(reals, eigs)):
+        if n == near_ep:
+            with pytest.raises(ConstructionError, match=r"^\[C, H\] != 0") as failure:
+                build_C(sym, es, hamiltonian=real.hamiltonian)
+            assert type(tables[n]) is ConstructionError and str(tables[n]) == str(failure.value)
+            continue
         one = build_C(sym, es, hamiltonian=real.hamiltonian)
         assert errors[n] is None and grid_errors[n] is None
         # the per-point forms of C, C(-p) and the C^2 defect
@@ -66,7 +79,7 @@ def test_stacked_core_equals_the_one_point_path(specs, t_points):
         assert c.commutator_defect[n] == one.commutator_defect
         assert defects[n] == _stacked_flavours(sym, one.reflected[None], es.K[None], es.B[None])[2][0]
         basis = standard_flavour_basis(sym, es, one)
-        assert np.array_equal(coeffs[n], _cpt_bras(sym, one.reflected, es.B) @ np.column_stack(basis.kets))
+        assert np.array_equal(coeffs[n], _cpt_bras(sym, one.reflected, es.B) @ basis)
         grid = default_t_grid(es, t_points)
         assert np.array_equal(grids[n], grid)
         # the per-point form of the default grid
