@@ -296,8 +296,8 @@ def transition_tables(sym: SymmetryPair, eigensystems, hamiltonians, t_points: i
     (on [0, t_max], else :func:`default_t_grid`) and
     :func:`transition_table`.  C, the basis, the grids and the coefficients
     run as stacked arrays over all N points, each matrix on its own, so a
-    failed point's (finite) data leave the other tables as they are; only
-    the time-sized table is made point by point.
+    point that fails a step, whose data stay finite, leaves the other tables
+    as they are; only the time-sized table is made point by point.
     """
     kets = np.stack([es.K for es in eigensystems])
     bra_kets = np.stack([es.B for es in eigensystems])
@@ -315,6 +315,6 @@ def transition_tables(sym: SymmetryPair, eigensystems, hamiltonians, t_points: i
             # the error of the point's first failing step, else its table
             tables.append(next(filter(None, errors), None) or _table(*point))
         except PtoscError as exc:
-            # without its traceback, the error keeps no frame alive
+            # without its traceback, the error pins no frame in memory
             tables.append(exc.with_traceback(None))
     return tables
