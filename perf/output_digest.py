@@ -44,9 +44,32 @@ GENERIC_BLOCK_SWEEP = {
     "sweep": [{"param": "a", "start": 0.5, "stop": 1.5, "steps": 3}],
     "out_dir": "{dir}/out",
 }
+# sweeps whose tables are written reusing the texts of the table before:
+# an h8v m2 axis broken at both ends (|m2| >= m0), an sfdm chi axis in JSON
+# on a set grid end, and a grid of 4,097 times, more than one writer block
+H8V_BROKEN_ENDS_SWEEP = {
+    "model": {"model": "h8v", "params": {"m0": 2.0, "m2": 0.0}, "momentum": {"p": 0.7, "theta": 0.4, "phi": 1.1}},
+    "sweep": [{"param": "m2", "start": -2.5, "stop": 2.5, "steps": 11}],
+    "t_grid": {"points": 256},
+    "out_dir": "{dir}/out",
+}
+SFDM_JSON_T_MAX_SWEEP = {
+    "model": {"model": "sfdm", "params": {"chi": 0.5, "psi": 0.3, "theta": 0.7, "phi": 0.2}},
+    "sweep": [{"param": "chi", "start": 0.2, "stop": 1.6, "steps": 6}],
+    "t_grid": {"points": 256, "t_max": 12.5},
+    "out_dir": "{dir}/out",
+    "format": "json",
+}
+LONG_SWEEP = {
+    "model": {"model": "h8v", "params": {"m0": 2.0, "m2": 0.0}, "momentum": {"p": 0.7}},
+    "sweep": [{"param": "m2", "start": 0.5, "stop": 1.5, "steps": 3}],
+    "t_grid": {"points": 4097},
+    "out_dir": "{dir}/out",
+}
 H8V_M2_0_P_0 = ("--model", "h8v", "--m0", "2", "--m2", "0", "--p", "0")
 # (kind, argv, files): README's CLI examples (the sweep with its sample
-# configuration), h8v at m2 = 0 and p = 0, and a sweep over a generic block
+# configuration), h8v at m2 = 0 and p = 0, a sweep over a generic block and
+# the sweeps above
 EXTRA = (
     ("readme_verify_sfdm", ("verify", "--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
     ("readme_verify_h8v", ("verify", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"), {}),
@@ -57,6 +80,9 @@ EXTRA = (
     ("h8v_m2_0_p_0_spectrum", ("spectrum", *H8V_M2_0_P_0), {}),
     ("h8v_m2_0_p_0_oscillate", ("oscillate", *H8V_M2_0_P_0, "--t-points", "16", "--golden"), {}),
     ("generic_block_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(GENERIC_BLOCK_SWEEP)}),
+    ("h8v_broken_ends_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8V_BROKEN_ENDS_SWEEP)}),
+    ("sfdm_json_t_max_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(SFDM_JSON_T_MAX_SWEEP)}),
+    ("long_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(LONG_SWEEP)}),
 )
 
 

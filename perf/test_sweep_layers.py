@@ -1,18 +1,23 @@
-"""Micro-benchmarks of a sweep's compute: the stacked core against the
-one-point path run once per grid point.
+"""Micro-benchmarks of a sweep: its compute, the stacked core against the
+one-point path run once per grid point, and its CSV writer.
 
     python3 -m pytest perf --benchmark-only -q
 
 Run from the repository root.  ``perf`` is outside ``testpaths``, so the
 plain test run never collects these.  A grid is 27 points of one model at
-256 times, the size of a ``sweep_grid`` benchmark op: an sfdm chi axis and
-an h8v m2 axis at p 0.7.  ``stacked`` times what ``ptosc sweep`` runs: C,
-the flavour bases, the time grids and the coefficients of all 27 points as
-stacked arrays in one pass, then one table per point.  ``one_point`` makes
-the same tables point by point with ``build_C``,
-``standard_flavour_basis`` (the (4, 4) matrix of flavour kets that
-``transition_table`` takes), ``default_t_grid`` and ``transition_table``.
-Both include ``realize``.
+256 times, the size of a ``sweep_grid`` benchmark op: an sfdm chi axis, an
+h8v m2 axis at p 0.7 and an h8r m2 axis at p 0.  ``stacked`` times what
+``ptosc sweep`` runs: C, the flavour bases, the time grids and the
+coefficients of all 27 points as stacked arrays in one pass, then one table
+per point.  ``one_point`` makes the same tables point by point with
+``build_C``, ``standard_flavour_basis`` (the (4, 4) matrix of flavour kets
+that ``transition_table`` takes), ``default_t_grid`` and
+``transition_table``.  Both include ``realize``.  ``write_csv`` times
+``to_csv`` over a grid's 27 tables in sequence, as ``ptosc sweep`` writes
+them: ``reuse`` passes one dict to every call, so each table takes the
+texts of the one before where the rounding guard proves them equal (sfdm
+and h8v neighbours print alike in almost every cell, h8r ones only in the
+zero columns); ``fresh`` formats every table on its own.
 """
 
 import numpy as np
@@ -29,6 +34,7 @@ T_POINTS = 256
 GRIDS = {
     "sfdm": [ModelSpec("sfdm", {"chi": chi, "psi": 0.3, "theta": 0.7, "phi": 0.2}) for chi in np.linspace(0.2, 1.6, POINTS)],
     "h8v": [ModelSpec("h8v", {"m0": 2.0, "m2": m2}, {"p": 0.7}) for m2 in np.linspace(-1.6, 1.6, POINTS)],
+    "h8r": [ModelSpec("h8r", {"m0": 2.0, "m1": 0.5, "m2": m2}) for m2 in np.linspace(-1.6, 1.6, POINTS)],
 }
 GRID_ARGS = (T_POINTS, None)  # _tables' (t_points, t_max)
 
@@ -55,3 +61,16 @@ def test_one_point(benchmark, model):
     tables = benchmark(one_point_tables, GRIDS[model])
     stacked = [table for table, _ in _tables(GRIDS[model], GRID_ARGS, 1e-10)]
     assert all(np.array_equal(a.probs, b.probs) for a, b in zip(tables, stacked))
+
+
+def write_csv(tables, reuse):
+    shared = {} if reuse else None
+    return [table.to_csv(shared) for table in tables]
+
+
+@pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "fresh"])
+@pytest.mark.parametrize("model", GRIDS)
+def test_write_csv(benchmark, model, reuse):
+    tables = [table for table, _ in _tables(GRIDS[model], GRID_ARGS, 1e-10)]
+    texts = benchmark(write_csv, tables, reuse)
+    assert texts == [table.to_csv() for table in tables]

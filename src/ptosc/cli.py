@@ -146,8 +146,9 @@ def analytic_pattern(eigsys, t_grid) -> np.ndarray:
     return out
 
 
-def _table_text(table, fmt: str) -> str:
-    return table.to_json() if fmt == "json" else table.to_csv()
+def _table_text(table, fmt: str, reuse: dict | None = None) -> str:
+    """The table as ``fmt`` text; ``reuse`` as in ``TransitionTable.to_csv``."""
+    return table.to_json(reuse) if fmt == "json" else table.to_csv(reuse)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -264,12 +265,12 @@ def cmd_sweep(args) -> int:
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         tables = [table for table, _ in pool.submit(_tables, specs, grid, tol).result()]
-    index = []
+    index, reuse = [], {}  # each table reuses the texts of the one written before it
     for value, fname, table in zip(values, files, tables):
         broken = isinstance(table, PtoscError)
         entry = {"param": name, "value": float(value), "status": f"broken: {table}" if broken else "ok"}
         if not broken:
-            _atomic_write(os.path.join(out_dir, fname), _table_text(table, fmt))
+            _atomic_write(os.path.join(out_dir, fname), _table_text(table, fmt, reuse))
             entry["file"] = fname
         index.append(entry)
     _atomic_write(os.path.join(out_dir, "index.json"), json.dumps(index, indent=2) + "\n")
@@ -313,13 +314,26 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except (ParameterError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PtoscError as exc:
         print(f"physics failure: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
+    except BrokenPipeError as exc:
+        # the reader is gone (`ptosc verify ... | head`): what stdout still
+        # buffers goes to os.devnull, so the flush at exit cannot fail again
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (AttributeError, OSError):
+            pass  # a stdout with no file descriptor flushes nothing at exit
+        print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

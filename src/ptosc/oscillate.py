@@ -26,7 +26,7 @@ ROW_SUM_TOL = 1e-10
 #: Rows formatted by one ``%`` operation; bounds the per-block temporaries.
 BLOCK_ROWS = 4096
 
-_CSV_HEADER = ",".join(["t"] + [f"P{i}{j}" for i in range(1, 5) for j in range(1, 5)]) + "\n"
+_CSV_HEADER = ",".join(["t"] + [f"P{i}{j}" for i in range(1, 5) for j in range(1, 5)])
 # "%.12g" % x is f"{x:.12g}"; for finite floats "%r" % x is what json.dumps writes.
 _JSON_TIME = "    %r"
 _JSON_MATRIX = "    [\n" + ",\n".join(["      [\n" + ",\n".join(["        %r"] * 4) + "\n      ]"] * 4) + "\n    ]"
@@ -44,7 +44,7 @@ def _fill(template: str, spec: str, sep: str, rows: np.ndarray) -> str:
     every row of a block is written into that block's row template as the
     literal ``spec % 0.0``, so only the live columns are formatted.  -0.0 is
     not folded: it prints with its sign.  The JSON writer formats every
-    block this way; the CSV writer uses :func:`_csv_block`.
+    block this way; the CSV writer uses :func:`_csv_columns`.
     """
     gaps = template.split(spec)
     zero = spec % 0.0
@@ -93,31 +93,52 @@ def _texts(values: np.ndarray) -> list:
     return ("%.12g\n" * values.size % tuple(values.ravel().tolist())).splitlines()
 
 
-def _csv_block(block: np.ndarray) -> str:
-    """The CSV rows of one block, each twin column formatted only where its
-    text is not proven equal to its source's (:func:`_same_12g`).
+def _csv_columns(block: np.ndarray, previous=None) -> list:
+    """The ``%.12g`` texts of one block of CSV rows, as one list per column,
+    each cell formatted only where no equal text is proven
+    (:func:`_same_12g`).
 
-    The live non-twin columns are formatted column by column in one ``%``,
-    the twins' other rows in a second, and the columns are joined row by
-    row.
+    ``previous`` is the (values, column texts) of an earlier block of the
+    same shape, or None.  A live column whose cells all lie within 1e-11 of
+    its values there takes that block's text in every row the guard proves
+    equal; a twin column that does not takes its source's text in those
+    rows.  The other live columns are formatted column by column in one
+    ``%``, the other rows of these two kinds in a second.
     """
+    n, m = block.shape
     dead = _dead(block)
-    twins = [(s, w) for s, w in zip(_SOURCES, _TWINS) if not dead[w]]
-    sources, targets = [s for s, _ in twins], [w for _, w in twins]
-    miss = ~_same_12g(block[:, sources], block[:, targets])
-    n = len(block)
-    cols = [["0"] * n] * block.shape[1]  # a list, not an iterator: the dead columns can share it
-    live = [j for j in range(block.shape[1]) if not dead[j] and j not in targets]
-    texts = _texts(block[:, live].T)
-    for k, j in enumerate(live):
+    based, bases, same = [], [], []  # columns that reuse texts, the texts (or source column) and where
+    if previous is not None:
+        values, old = previous
+        based = np.flatnonzero(~dead & (np.abs(block - values).max(axis=0) <= 1e-11)).tolist()
+        if based:
+            bases = [old[j] for j in based]
+            same.append(_same_12g(block.T[based], values.T[based]))
+    twins = [(s, w) for s, w in zip(_SOURCES, _TWINS) if not dead[w] and w not in based]
+    if twins:
+        sources, targets = [s for s, _ in twins], [w for _, w in twins]
+        based, bases = based + targets, bases + sources
+        same.append(_same_12g(block.T[sources], block.T[targets]))
+    cols = [["0"] * n] * m  # a list, not an iterator: the dead columns can share it
+    plain = [j for j in range(m) if not dead[j] and j not in based]
+    texts = _texts(block.T[plain])
+    for k, j in enumerate(plain):
         cols[j] = texts[k * n : (k + 1) * n]
-    redo = iter(_texts(block[:, targets].T[miss.T]))
-    for s, w, rows in zip(sources, targets, miss.T):
-        cols[w] = cols[s].copy()
-        # zip draws a row before a text: it leaves the next twin's texts in ``redo``
-        for r, text in zip(np.flatnonzero(rows).tolist(), redo):
-            cols[w][r] = text
-    return "\n".join([*map(",".join, zip(*cols)), ""])  # the "" ends the last row
+    if based:
+        miss = ~np.concatenate(same)
+        redo = iter(_texts(block.T[based][miss]))
+        # the near columns come first, so a twin's source is filled before it
+        for j, base, rows in zip(based, bases, miss):
+            cols[j] = (cols[base] if isinstance(base, int) else base).copy()
+            # zip draws a row before a text: it leaves the next column's texts in ``redo``
+            for r, text in zip(np.flatnonzero(rows).tolist(), redo):
+                cols[j][r] = text
+    return cols
+
+
+def _csv_rows(cols: list, head: list) -> str:
+    """The lines ``head``, then the rows of ``cols``, each ending in a newline."""
+    return "\n".join([*head, *map(",".join, zip(*cols)), ""])  # the "" ends the last row
 
 
 @dataclass(frozen=True)
@@ -155,17 +176,39 @@ class TransitionTable:
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "probs", probs)
 
-    def to_csv(self) -> str:
-        """CSV with header t,P11,...,P44 and 12-significant-digit floats."""
-        rows = np.column_stack([self.t_grid, self.probs.reshape(len(self.t_grid), 16)])
-        return _CSV_HEADER + "".join(_csv_block(rows[start : start + BLOCK_ROWS]) for start in range(0, len(rows), BLOCK_ROWS))
+    def to_csv(self, reuse: dict | None = None) -> str:
+        """CSV with header t,P11,...,P44 and 12-significant-digit floats.
 
-    def to_json(self) -> str:
+        ``reuse`` is a dict that the calls writing a sequence of tables
+        share.  A table of one block (at most ``BLOCK_ROWS`` rows) takes the
+        texts of the table written before it where :func:`_csv_columns`
+        proves them equal, and leaves its own values and texts there for the
+        next; a longer table leaves none.
+        """
+        rows = np.column_stack([self.t_grid, self.probs.reshape(len(self.t_grid), 16)])
+        previous = None if reuse is None else reuse.pop("csv", None)
+        if reuse is not None and len(rows) <= BLOCK_ROWS:
+            cols = _csv_columns(rows, previous if previous is not None and previous[0].shape == rows.shape else None)
+            reuse["csv"] = (rows, cols)
+            return _csv_rows(cols, [_CSV_HEADER])
+        blocks = range(0, len(rows), BLOCK_ROWS)
+        return "".join(_csv_rows(_csv_columns(rows[start : start + BLOCK_ROWS]), [] if start else [_CSV_HEADER]) for start in blocks)
+
+    def to_json(self, reuse: dict | None = None) -> str:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, formatted from a template.
 
         ``%r`` texts are equal only for equal floats, and no two live columns
-        are bit-equal, so the flavour twins are formatted like any column."""
-        times = _fill(_JSON_TIME, "%r", ",\n", self.t_grid[:, None])
+        are bit-equal, so the flavour twins are formatted like any column.
+        With ``reuse`` (see :meth:`to_csv`), a time grid bit-equal to that of
+        the table written before takes its text."""
+        grid = self.t_grid.tobytes()
+        previous = None if reuse is None else reuse.pop("json", None)
+        if previous is not None and previous[0] == grid:
+            times = previous[1]
+        else:
+            times = _fill(_JSON_TIME, "%r", ",\n", self.t_grid[:, None])
+        if reuse is not None and len(self.t_grid) <= BLOCK_ROWS:
+            reuse["json"] = (grid, times)
         probs = _fill(_JSON_MATRIX, "%r", ",\n", self.probs.reshape(len(self.t_grid), 16))
         return '{\n  "t_grid": [\n%s\n  ],\n  "probs": [\n%s\n  ]\n}\n' % (times, probs)
 

@@ -1,6 +1,9 @@
+import errno
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -647,14 +650,15 @@ def _point_flags(doc, axis, value):
     return flags
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("name", MIXED_SWEEPS)
-def test_sweep_equals_oscillate_at_every_point(tmp_path, name, fmt, capsys):
-    doc, axis, start, stop, steps = MIXED_SWEEPS[name]
+def assert_sweep_equals_oscillate(tmp_path, capsys, sweep, fmt, t_points) -> list:
+    """Run the sweep (model document, axis, start, stop, steps), check each
+    written file against ``ptosc oscillate`` at its point and each broken
+    point's status against oscillate's error; return the statuses."""
+    doc, axis, start, stop, steps = sweep
     cfg = {
         "model": doc,
         "sweep": [{"param": axis, "start": start, "stop": stop, "steps": steps}],
-        "t_grid": {"points": 5},
+        "t_grid": {"points": t_points},
         "out_dir": str(tmp_path / "out"),
         "format": fmt,
     }
@@ -665,7 +669,7 @@ def test_sweep_equals_oscillate_at_every_point(tmp_path, name, fmt, capsys):
     index = json.loads((tmp_path / "out" / "index.json").read_text())
     assert len(index) == steps
     for entry in index:
-        code = run(["oscillate", *_point_flags(doc, axis, entry["value"]), "--t-points", "5", "--format", fmt])
+        code = run(["oscillate", *_point_flags(doc, axis, entry["value"]), "--t-points", str(t_points), "--format", fmt])
         captured = capsys.readouterr()
         if entry["status"] == "ok":
             assert code == 0
@@ -674,7 +678,14 @@ def test_sweep_equals_oscillate_at_every_point(tmp_path, name, fmt, capsys):
             assert code == 1 and "file" not in entry
             assert captured.err.startswith("physics failure: ")
             assert entry["status"] == "broken: " + captured.err[len("physics failure: ") : -1]
-    statuses = [entry["status"] for entry in index]
+    return [entry["status"] for entry in index]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", MIXED_SWEEPS)
+def test_sweep_equals_oscillate_at_every_point(tmp_path, name, fmt, capsys):
+    statuses = assert_sweep_equals_oscillate(tmp_path, capsys, MIXED_SWEEPS[name], fmt, 5)
+    steps = MIXED_SWEEPS[name][-1]
     if name == "h8v_m2_crossing_m0":
         assert "ok" in statuses and any(s.startswith("broken: broken PT phase:") for s in statuses)
     elif name == "h8v_near_ep_first":
@@ -684,3 +695,54 @@ def test_sweep_equals_oscillate_at_every_point(tmp_path, name, fmt, capsys):
         assert statuses[0] == "ok" and statuses[1].startswith(f"broken: {failure}")
     else:
         assert statuses == ["ok"] * steps
+
+
+# At the 256 times of a benchmark sweep each table is written reusing the
+# texts of the one before it: an sfdm chi axis, whose neighbours print alike
+# in almost every cell, and an h8v m2 axis broken at both ends, so that the
+# first table follows a broken point and the last is followed by one.
+REUSE_SWEEPS = {
+    "sfdm_chi": ({"model": "sfdm", "params": {"chi": 0.5, "psi": 0.3, "theta": 0.7, "phi": 0.2}}, "chi", 0.2, 1.6, 8),
+    "h8v_m2_broken_ends": ({"model": "h8v", "params": {"m0": 2.0, "m2": 0.0}, "momentum": {"p": 0.7}}, "m2", -2.5, 2.5, 11),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", REUSE_SWEEPS)
+def test_sweep_files_equal_oscillate_at_256_times(tmp_path, name, fmt, capsys):
+    statuses = assert_sweep_equals_oscillate(tmp_path, capsys, REUSE_SWEEPS[name], fmt, 256)
+    if name == "h8v_m2_broken_ends":
+        # |m2| >= m0 is broken: the two points at each end
+        assert all(s.startswith("broken: ") for s in statuses[:2] + statuses[-2:])
+        assert statuses[2:-2] == ["ok"] * 7
+    else:
+        assert statuses == ["ok"] * 8
+
+
+class BrokenStdout:
+    """A stdout whose reader has gone, as at ``ptosc verify ... | head -4``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [["verify", *SFDM_FLAGS], ["oscillate", *SFDM_FLAGS, "--t-points", "4"]], ids=["verify", "oscillate"])
+def test_broken_stdout_is_a_usage_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write to stdout: Broken pipe\n"
+
+
+def test_closed_stdout_pipe_prints_one_line_and_exits_2():
+    # the pipe's read end is closed before ptosc starts, so every write fails
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ptosc.cli", "verify", *SFDM_FLAGS], stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write to stdout: Broken pipe\n")

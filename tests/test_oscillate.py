@@ -7,7 +7,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from ptosc.cli import analytic_pattern, main
+from ptosc import oscillate
+from ptosc.cli import _tables, analytic_pattern, main
 from ptosc.coperator import build_C
 from ptosc.errors import ConstructionError, NumericalError
 from ptosc.inner import cpt_ip
@@ -416,6 +417,101 @@ def test_csv_writer_matches_reference_where_no_twin_matches():
     rows = table.probs.reshape(-1, 16)
     assert not _same_12g(rows[:, [0, 2, 5, 7]], rows[:, [10, 8, 15, 13]]).any()
     assert_same_text(table.to_csv(), reference_csv(table))
+
+
+# ---------------------------------------------------------------------------
+# tables written in sequence: each reuses the texts of the table written
+# before it where the rounding guard proves them equal
+
+
+def assert_json_matches_reference(text, table):
+    assert text == json.dumps(table.to_json_dict(), indent=2) + "\n"
+
+
+# times: zeros of either sign, the probability values, signed, and wider floats
+TIME = st.one_of(st.sampled_from([0.0, -0.0]), VALUE, VALUE.map(lambda x: -x), st.floats(-1e3, 1e3))
+
+
+def neighbour(x: float):
+    """x itself, at 0-3 ulps or at a relative 1e-14; a zero may flip its sign,
+    so that +0.0 and -0.0 meet."""
+    moves = [st.just(x), st.integers(-3, 3).map(lambda k: ulps(x, k)), st.floats(-1.0, 1.0).map(lambda r: x * (1.0 + 1e-14 * r))]
+    return st.one_of(*moves, st.just(-x)) if x == 0.0 else st.one_of(*moves)
+
+
+@st.composite
+def table_sequences(draw):
+    """2-5 tables, each made from the one before by one step: every value
+    moved to a :func:`neighbour`, one row drawn anew, another length, or
+    every value drawn anew."""
+    n = draw(st.integers(1, 5))
+    times = [draw(TIME) for _ in range(n)]
+    values = [[draw(VALUE) for _ in range(4)] for _ in range(n)]
+    tables = []
+    for _ in range(draw(st.integers(2, 5))):
+        tables.append(TransitionTable(np.array(times), np.array([twin_rows(*row) for row in values])))
+        step = draw(st.sampled_from(["neighbour", "neighbour", "row", "length", "apart"]))
+        if step == "neighbour":
+            times = [draw(neighbour(t)) for t in times]
+            # a probability's flipped zero sign lands on the clamp
+            values = [[draw(neighbour(x)) for x in row] for row in values]
+        elif step == "row":
+            k = draw(st.integers(0, n - 1))
+            times[k], values[k] = draw(TIME), [draw(VALUE) for _ in range(4)]
+        elif step == "length":
+            n = draw(st.integers(1, 5))
+            times, values = (times * n)[:n], (values * n)[:n]
+        else:
+            times = [draw(TIME) for _ in times]
+            values = [[draw(VALUE) for _ in range(4)] for _ in values]
+    return tables
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(tables=table_sequences())
+def test_writers_in_sequence_match_references(tables):
+    csv, js = {}, {}
+    for table in tables:
+        assert table.to_csv(csv) == reference_csv(table)
+        assert_json_matches_reference(table.to_json(js), table)
+
+
+def test_json_time_grid_reused_only_when_bit_equal():
+    probs = np.array([np.eye(4)] * 2)
+    js = {}
+    for times in ([0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0 + 2.0**-52]):
+        table = TransitionTable(np.array(times), probs)
+        assert_json_matches_reference(table.to_json(js), table)
+    # a bit-equal grid takes the kept text as it is
+    kept = {"json": (np.array([0.0, 1.0]).tobytes(), "    KEPT")}
+    assert "\n    KEPT\n" in TransitionTable(np.array([0.0, 1.0]), probs).to_json(kept)
+
+
+def test_tables_longer_than_a_block_leave_no_texts():
+    reuse = {}
+    small, _ = catalogue_table("sfdm", 8)
+    small.to_csv(reuse)
+    small.to_json(reuse)
+    assert set(reuse) == {"csv", "json"}
+    big, _ = catalogue_table("sfdm", 4097)
+    assert_same_text(big.to_csv(reuse), reference_csv(big))
+    assert_json_matches_reference(big.to_json(reuse), big)
+    assert reuse == {}
+
+
+def test_sweep_tables_format_only_what_changed():
+    # neighbouring sfdm points print alike in almost every cell: after the
+    # first table, only a few cells are formatted
+    specs = [ModelSpec("sfdm", {"chi": chi, "psi": 0.3, "theta": 0.7, "phi": 0.2}) for chi in (0.5, 0.6, 0.7)]
+    tables = [table for table, _ in _tables(specs, (256, None), 1e-10)]
+    formatted = []
+    texts = oscillate._texts
+    reuse = {}
+    with mock.patch.object(oscillate, "_texts", lambda values: formatted.append(values.size) or texts(values)):
+        for table in tables:
+            assert table.to_csv(reuse) == reference_csv(table)
+    # t and the 4 live non-twin columns, then the twins where unproven
+    assert formatted[0] >= 5 * 256 and max(formatted[1:]) <= 0.01 * 256 * 17
 
 
 def test_writers_keep_the_sign_of_negative_zero_times():
