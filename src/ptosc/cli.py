@@ -31,6 +31,10 @@ EXIT_USAGE = 2
 # (argparse dest -> momentum key)
 PARAM_FLAGS = ("chi", "psi", "theta", "phi", "m0", "m1", "m2", "m3")
 MOMENTUM_FLAGS = {"p": "p", "theta_p": "theta", "phi_p": "phi"}
+# The most points of a time grid or a sweep: each takes 256 bytes in its
+# largest array, a (4, 4) complex block, and numpy cannot address an array
+# of more than sys.maxsize bytes.
+MAX_POINTS = sys.maxsize // 256
 
 
 def default_tol() -> float:
@@ -102,6 +106,8 @@ def _grid_args(t_points: int, t_max) -> tuple:
     """The time grid's (t_points, t_max), validated; a bad value is a usage error."""
     if t_points < 1:
         raise ParameterError(f"the time grid needs at least 1 point, got {t_points}")
+    if t_points > MAX_POINTS:
+        raise ParameterError(f"the time grid can have at most {MAX_POINTS} points to allocate, got {t_points}")
     if t_max is not None and not math.isfinite(t_max):
         raise ParameterError(f"the time grid end must be finite, got {t_max}")
     return t_points, t_max
@@ -199,9 +205,9 @@ def _sweep_spec(template: ModelSpec, axis: str, value: float) -> ModelSpec:
 def _read_sweep(config, out_dir: str | None) -> tuple:
     """(axis name, axis values, their specs, their file names, time grid,
     format, out_dir) of a sweep configuration.  A missing, unknown or
-    mistyped field, an axis that is not a key of the model, an axis span
-    that overflows, or two points with the same file name raise
-    ParameterError."""
+    mistyped field, a count too large to allocate, an axis that is not a key
+    of the model, an axis span that overflows, or two points with the same
+    file name raise ParameterError."""
     config = json_object(config, "the configuration", ("model",), ("sweep", "t_grid", "out_dir", "format"))
     template = ModelSpec.from_json_dict(config["model"])
     axes = config.get("sweep", [])
@@ -217,6 +223,8 @@ def _read_sweep(config, out_dir: str | None) -> tuple:
     steps = json_integer(axis["steps"], "sweep steps")
     if steps < 1:
         raise ParameterError("steps must be >= 1")
+    if steps > MAX_POINTS:
+        raise ParameterError(f"steps can be at most {MAX_POINTS} to allocate, got {steps:.3g}")
     # Python floats overflow to inf silently, where numpy would warn and return NaN.
     if steps > 1 and not math.isfinite(stop - start):
         raise ParameterError(f"sweep axis {name!r}: stop - start overflows")

@@ -1,15 +1,11 @@
-"""Inner products: Dirac, PT (indefinite) and CPT.
+"""Inner products: PT (indefinite) and CPT, and PT normalization.
 
 The PT product is evaluated in its matrix form a^dag S b, which the symmetry
 pair construction has already checked to agree with the formal antilinear
 expression (PT a)^T Z b.  For momentum-carrying kets the CS convention is
 used: the bra spinor is evaluated at -p (parity flips the momentum), so a
-state has a nonvanishing overlap with itself.  The historical JSM convention,
-under which that self-overlap vanishes, survives only inside
-:func:`jsm_cs_comparison`.
+state has a nonvanishing overlap with itself.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,48 +17,6 @@ from .symmetry import SymmetryPair
 NORM_FLOOR = 1e-12
 
 
-def dirac_ip(a, b) -> complex:
-    """Conventional Dirac inner product a^dag b (antilinear in the first slot)."""
-    a, b = as_cvector(a), as_cvector(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(a.conj() @ b)
-
-
-def pt_ip(sym: SymmetryPair, a, b) -> complex:
-    """Indefinite PT inner product a^dag S b."""
-    a = as_cvector(a, sym.dim)
-    b = as_cvector(b, sym.dim)
-    return complex(a.conj() @ sym.s @ b)
-
-
-@dataclass(frozen=True)
-class InnerProductComparison:
-    """Self-overlap of a momentum state under the JSM and CS conventions."""
-
-    p: float
-    jsm_self: complex
-    cs_self: complex
-
-    @property
-    def conventions_coincide(self) -> bool:
-        return abs(self.jsm_self - self.cs_self) < 1e-12
-
-
-def jsm_cs_comparison(sym: SymmetryPair, ket, bra_ket, p: float) -> InnerProductComparison:
-    """Contrast the JSM and CS self-overlaps of a momentum ket.
-
-    ``ket`` is the spinor at p and ``bra_ket`` the same spinor at -p.  JSM
-    pairs momenta k and -k, so for p != 0 the self-overlap is identically
-    zero (the selection rule k = -p is never met by the state itself); CS
-    pairs equal momenta and gives the finite value bra_ket^dag S ket.  At
-    p = 0 both coincide.
-    """
-    cs = pt_ip(sym, bra_ket, ket)
-    jsm = cs if p == 0 else 0j
-    return InnerProductComparison(p=p, jsm_self=jsm, cs_self=cs)
-
-
 def pt_adjoint(sym: SymmetryPair, h) -> np.ndarray:
     """PT adjoint S^-1 H^dag S (S is involutive, so S^-1 = S)."""
     h = require_square(h)
@@ -71,21 +25,14 @@ def pt_adjoint(sym: SymmetryPair, h) -> np.ndarray:
     return sym.s @ adjoint(h) @ sym.s
 
 
-def pt_normalize(sym: SymmetryPair, v) -> tuple[np.ndarray, int]:
-    """Scale v to unit |PT norm| and return (ket, sign of the PT norm).
-
-    The overall phase is fixed by making the first component of magnitude
-    above 1e-12 real and positive, so normalized kets are reproducible.
-    """
-    kets, signs = pt_normalize_rows(sym, as_cvector(v, sym.dim)[None])
-    return kets[0], int(signs[0])
-
-
 def pt_normalize_rows(sym: SymmetryPair, vs) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pt_normalize` of every row of ``vs`` in one pass: the kets as
-    rows and their PT signs.
+    """Scale every row of ``vs`` to unit |PT norm|: the kets as rows and the
+    signs of their PT norms.
 
-    Raises what :func:`pt_normalize` raises for the first row that fails.
+    The overall phase of each ket is fixed by making its first component of
+    magnitude above 1e-12 real and positive, so normalized kets are
+    reproducible.  The first row that fails raises: DegenerateNormError for a
+    vanishing PT norm, ShapeError for a non-finite entry.
     """
     vs = np.asarray(vs, dtype=complex)
     if vs.ndim != 2 or vs.shape[1] != sym.dim:
@@ -94,7 +41,8 @@ def pt_normalize_rows(sym: SymmetryPair, vs) -> tuple[np.ndarray, np.ndarray]:
     head = vs if finite.all() else vs[: int(np.argmin(finite))]
     bras = head.conj()[:, None, :]
     # (m, 1, d) @ (d, d) and (m, 1, d) @ (m, d, 1) make, row by row, the
-    # vector-matrix and dot BLAS calls of pt_ip, so the norms are bit-identical
+    # vector-matrix and dot BLAS calls of v.conj() @ S @ v, so each norm is
+    # bit-identical to that of its row alone
     norms = ((bras @ sym.s) @ head[:, :, None])[:, 0, 0].real
     if np.any(np.abs(norms) <= NORM_FLOOR * (bras @ head[:, :, None])[:, 0, 0].real):
         raise DegenerateNormError("vector has vanishing PT norm")

@@ -1,6 +1,6 @@
-"""JSON helpers: complex values are serialized as {"re": x, "im": y} pairs,
-documents are read from files, and the objects and numbers read from
-documents are type-checked."""
+"""JSON helpers: documents are read from files, complex values from
+{"re": x, "im": y} pairs, and the objects and numbers read from documents
+are type-checked."""
 
 import json
 import math
@@ -56,11 +56,6 @@ def json_integer(value, what: str) -> int:
     return int(value)
 
 
-def complex_to_json(z: complex) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 def complex_from_json(obj, what: str = "a complex number") -> complex:
     """{"re": x, "im": y} or a bare real x as a complex number: ParameterError
     naming ``what`` if x or y is not a JSON number, ShapeError otherwise."""
@@ -69,11 +64,6 @@ def complex_from_json(obj, what: str = "a complex number") -> complex:
     if not isinstance(obj, (int, float)):
         raise ShapeError(f"not a serialized complex number: {obj!r}")
     return complex(json_number(obj, what))
-
-
-def matrix_to_json(a: np.ndarray) -> list:
-    a = np.asarray(a, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in a]
 
 
 def matrix_from_json(rows, what: str = "a matrix") -> np.ndarray:

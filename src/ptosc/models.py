@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BrokenPTError, NumericalError, ParameterError, ShapeError
 from .inner import pt_normalize_rows
-from .io import json_finite, json_object, matrix_from_json, matrix_to_json
+from .io import json_finite, json_object, matrix_from_json
 from .linalg import (
     DEFAULT_TOL,
     SIGMA,
@@ -381,14 +381,6 @@ def h8r_p0_eigensystem(m0: float, m1: float, m2: float) -> EigenSystem:
     return pt_normalized_eigensystem(block_pair(), entries)
 
 
-def helicity_spinors(theta_p: float, phi_p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors xi_+/- of sigma . n_hat with eigenvalues +/-1."""
-    half = theta_p / 2.0
-    xi_plus = np.array([math.cos(half), np.exp(1j * phi_p) * math.sin(half)], dtype=complex)
-    xi_minus = np.array([-np.exp(-1j * phi_p) * math.sin(half), math.cos(half)], dtype=complex)
-    return xi_plus, xi_minus
-
-
 def h8v_reduced_eigensystem(m0: float, m2: float, p: float) -> EigenSystem:
     """Closed-form eigensystem of the 4x4 reduced h8v block at momentum p.
 
@@ -461,9 +453,9 @@ STATIC_MODELS = ("sfdm", "generic")
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Serializable record selecting a model and its parameters.
+    """Record selecting a model and its parameters.
 
-    JSON layout::
+    Its JSON document, as :meth:`from_json_dict` reads it::
 
         {"model": "sfdm" | "generic" | "h8" | "h8r" | "h8v",
          "params": {...},
@@ -475,7 +467,7 @@ class ModelSpec:
     :data:`PARAM_KEYS` for its model: sfdm ``chi``, ``psi``, ``theta``,
     ``phi``; h8 ``m0`` and optionally ``m1``-``m3``; h8r ``m0`` and
     optionally ``m1``, ``m2``; h8v ``m0`` and optionally ``m2`` (an omitted
-    mass is 0); generic the blocks ``a``, ``d``, ``b``, serialized as complex
+    mass is 0); generic the blocks ``a``, ``d``, ``b``, given in JSON as complex
     matrices, checked by :class:`GenericTOddParams` and stored as its
     arrays.  ``momentum`` is optional, for the h8 family only, and takes
     the keys of :data:`MOMENTUM_KEYS`.  Every value but the generic blocks
@@ -503,15 +495,6 @@ class ModelSpec:
                 raise ParameterError(f"{self.model} takes no momentum; momentum is for the h8 family only")
             momentum = json_object(self.momentum, "momentum", optional=MOMENTUM_KEYS)
             object.__setattr__(self, "momentum", {key: json_finite(val, f"momentum.{key}") for key, val in momentum.items()})
-
-    def to_json_dict(self) -> dict:
-        params = dict(self.params)
-        if self.model == "generic":
-            params = {key: matrix_to_json(val) for key, val in params.items()}
-        doc = {"model": self.model, "params": params}
-        if self.momentum is not None:
-            doc["momentum"] = dict(self.momentum)
-        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelSpec":

@@ -3,9 +3,7 @@
 Flavour states are the equal-weight superpositions of negative- and
 positive-eigenvalue kets (f'1 = (e1 + e3)/sqrt(2), ...).  Evolution is
 spectral — exact for diagonalizable H — and probabilities are squared CPT
-amplitudes, which makes every table row-stochastic.  ``naive_flavour_B``
-reproduces the diagnostic showing that coordinate-basis flavour kets fail
-the canonical completeness relation (B != 1 generically).
+amplitudes, which makes every table row-stochastic.
 """
 
 import math
@@ -15,7 +13,7 @@ import numpy as np
 
 from .errors import BrokenPTError, ConstructionError, NumericalError, PtoscError
 from .coperator import COperator, stacked_C
-from .linalg import DEFAULT_TOL, as_cvector
+from .linalg import DEFAULT_TOL
 from .symmetry import SymmetryPair
 
 #: Probabilities below this are clamped to zero in emitted tables.
@@ -228,13 +226,6 @@ def _cpt_bras(sym: SymmetryPair, c: np.ndarray, kets: np.ndarray) -> np.ndarray:
     return (c @ kets).conj().swapaxes(-1, -2) @ sym.s
 
 
-def evolve(sym: SymmetryPair, eigsys, c: COperator, v, t: float) -> np.ndarray:
-    """U(t) v = sum_j exp(-i lam_j t) c_j e_j with CPT coefficients c_j = (C e_j)^dag S v."""
-    values = _real_spectrum(eigsys.values)
-    coeffs = _cpt_bras(sym, c.matrix, eigsys.K) @ as_cvector(v, sym.dim)
-    return eigsys.K @ (np.exp(-1j * values * t) * coeffs)
-
-
 # flavour ket j is (e_a + sign e_b)/sqrt(2) for a, b, sign = _FIRST[j], _SECOND[j], _SIGN[j]
 _R = 1.0 / math.sqrt(2.0)
 _FIRST, _SECOND, _SIGN = [0, 1, 0, 1], [2, 3, 2, 3], np.array([1.0, 1.0, -1.0, -1.0])
@@ -292,18 +283,6 @@ def transition_table(sym: SymmetryPair, flavours: np.ndarray, eigsys, c: COperat
     # coeff[j, i] = ((e_j | f'_i)); the bra side is evaluated at -p.
     coeff = _cpt_bras(sym, c.reflected, eigsys.B) @ flavours
     return _table(eigsys.values, coeff, np.asarray(t_grid, dtype=float))
-
-
-def naive_flavour_B(sym: SymmetryPair, eigsys, c: COperator) -> np.ndarray:
-    """B_jk = sum_l alpha_lj conj(alpha_lk) for coordinate flavour kets.
-
-    alpha_lk is the CPT coefficient of the k-th coordinate basis vector on
-    eigenket l.  B equals the identity only when the eigenbasis is
-    Dirac-orthonormal; its deviation from 1 quantifies the failure of the
-    canonical completeness relation in the coordinate flavour basis.
-    """
-    alpha = _cpt_bras(sym, c.matrix, eigsys.K)
-    return alpha.T @ alpha.conj()
 
 
 def _default_t_grids(values: np.ndarray, n: int) -> tuple[np.ndarray, list]:

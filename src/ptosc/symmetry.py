@@ -1,8 +1,7 @@
 """Parity and time-reversal operators for the T-odd (T^2 = -1) bases.
 
 Parity acts as a linear matrix S with S^2 = 1.  Time reversal is antilinear,
-T = Z K with K complex conjugation, and is deliberately never materialized as
-a matrix: only :func:`apply_T` / :func:`apply_PT` exist.
+T = Z K with K complex conjugation, so a pair holds Z and never a matrix for T.
 
 The pairs of the fixed representations (:func:`canonical_pair`,
 :func:`block_pair`, :func:`dirac_pair`) are built and validated once per
@@ -15,7 +14,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .linalg import E2, as_cvector, kron, operator_norm, require_square
+from .linalg import E2, kron, operator_norm, require_square
 
 PAIR_TOL = 1e-14
 
@@ -111,12 +110,3 @@ def block_pair() -> SymmetryPair:
     """
     return SymmetryPair(BLOCK_SWAP, build_canonical_Z(2))
 
-
-def apply_T(sym: SymmetryPair, v) -> np.ndarray:
-    """Antilinear time reversal: T v = Z conj(v)."""
-    return sym.z @ as_cvector(v, sym.dim).conj()
-
-
-def apply_PT(sym: SymmetryPair, v) -> np.ndarray:
-    """Combined PT action: S Z conj(v)."""
-    return sym.s @ sym.z @ as_cvector(v, sym.dim).conj()

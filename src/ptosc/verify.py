@@ -1,15 +1,11 @@
 """The axiom suite: every algebraic condition the framework requires.
 
 Each check measures the operator-norm defect of one identity and reports it
-against a tolerance; the suite never mutates or repairs its inputs.  Two
-convention notes, both validated numerically:
-
-* pseudo-Hermiticity at nonzero momentum relates H(p) to H(-p):
-  S^-1 H(p)^dag S = H(-p).  ``check_pseudo_hermiticity`` accepts the
-  reflected Hamiltonian for that case and defaults to H itself at p = 0.
-* T-conjugation of the boost generators holds as
-  Z conj(K_i) conj(Z) = -K_i; the variant with an extra overall minus sign
-  on conj(Z) fails for every valid representation.
+against a tolerance; the suite never mutates or repairs its inputs.  One
+convention note, validated numerically: pseudo-Hermiticity at nonzero
+momentum relates H(p) to H(-p), S^-1 H(p)^dag S = H(-p).
+``check_pseudo_hermiticity`` accepts the reflected Hamiltonian for that case
+and defaults to H itself at p = 0.
 """
 
 import functools
@@ -117,38 +113,6 @@ def check_alpha_beta_conditions(alphas, beta, sym: SymmetryPair, tol: float = 1e
     clifford = max(clifford, operator_norm(beta @ beta - eye))
     add("clifford_algebra", clifford)
     add("alpha_hermitian", max(operator_norm(a - adjoint(a)) for a in alphas), "derived consequence")
-    return reports
-
-
-def check_generator_constraints(alphas, sym: SymmetryPair, tol: float = 1e-12) -> list[CheckReport]:
-    """Boost generators K_i = (i/2) alpha_i and rotation closure.
-
-    Checks P-conjugation S K_i S = -K_i, antilinear T-conjugation
-    Z conj(K_i) conj(Z) = -K_i, and so(3) closure [J_x, J_y] = i J_z for the
-    spin matrices J_i = -(i/4) eps_ijk alpha_j alpha_k.
-    """
-    alphas = [require_square(a) for a in alphas]
-    s, z = sym.s, sym.z
-    ks = [0.5j * a for a in alphas]
-    reports = [
-        _report("boost_P_conjugation", max(operator_norm(s @ k @ s + k) for k in ks), tol),
-        _report(
-            "boost_T_conjugation",
-            max(operator_norm(z @ k.conj() @ z.conj() + k) for k in ks),
-            tol,
-            "antilinear convention: Z conj(K) conj(Z) = -K",
-        ),
-    ]
-    js = [
-        -0.25j * (alphas[1] @ alphas[2] - alphas[2] @ alphas[1]),
-        -0.25j * (alphas[2] @ alphas[0] - alphas[0] @ alphas[2]),
-        -0.25j * (alphas[0] @ alphas[1] - alphas[1] @ alphas[0]),
-    ]
-    closure = max(
-        operator_norm(js[i] @ js[j] - js[j] @ js[i] - 1j * js[k])
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    )
-    reports.append(_report("rotation_so3_closure", closure, tol))
     return reports
 
 

@@ -358,7 +358,16 @@ H8V_FLAGS = ["--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"]
 
 @pytest.mark.parametrize(
     "grid_flags",
-    [["--t-points", "0"], ["--t-points", "-3"], ["--t-max", "inf", "--golden"], ["--t-max", "nan", "--golden"]],
+    [
+        ["--t-points", "0"],
+        ["--t-points", "-3"],
+        ["--t-max", "inf", "--golden"],
+        ["--t-max", "nan", "--golden"],
+        # too many points to allocate; only counts that fail before any array
+        # is made, never one that a machine could try to allocate
+        ["--t-points", "10000000000000000000"],
+        ["--t-points", "10000000000000000000", "--t-max", "3"],
+    ],
 )
 def test_bad_time_grid_is_usage_error(grid_flags, capsys):
     assert run(["oscillate", *H8V_FLAGS, *grid_flags]) == 2
@@ -469,7 +478,8 @@ def test_sweep_bad_axis_is_usage_error(tmp_path, capsys):
     assert "sweep axis 'nonesuch'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("t_grid", [{"points": 0}, {"points": -3}, {"points": 4, "t_max": math.inf}])
+# 1e19: too many points to allocate, as in test_bad_time_grid_is_usage_error
+@pytest.mark.parametrize("t_grid", [{"points": 0}, {"points": -3}, {"points": 4, "t_max": math.inf}, {"points": 1e19}])
 def test_sweep_bad_time_grid_is_usage_error(tmp_path, t_grid, capsys):
     cfg_doc = json.loads(sweep_config(tmp_path, 0.1, 0.9, 2).read_text())
     cfg_doc["t_grid"] = t_grid
@@ -498,6 +508,9 @@ def test_sweep_bad_time_grid_is_usage_error(tmp_path, t_grid, capsys):
         {"sweep": [1]},
         {"sweep": [{"param": "m2", "start": 0.1, "stop": 0.9}]},
         {"steps": 0},
+        # too many points to allocate, as in test_bad_time_grid_is_usage_error
+        {"steps": 1e19},
+        {"steps": 1e300},
         {"sweep": []},
         {"sweep": [{"param": "m2", "start": 0.1, "stop": 0.9, "steps": 2}] * 2},
         {"t_grid": {"point": 8}},

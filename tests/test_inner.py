@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from ptosc.errors import DegenerateNormError, ShapeError
-from ptosc.inner import (
-    cpt_ip,
-    dirac_ip,
-    jsm_cs_comparison,
-    pt_adjoint,
-    pt_ip,
-    pt_normalize,
-)
+from ptosc.errors import DegenerateNormError
+from ptosc.inner import cpt_ip, pt_adjoint, pt_normalize_rows
 from ptosc.linalg import operator_norm
 from ptosc.models import h8v_reduced_eigensystem
 from ptosc.symmetry import block_pair, canonical_pair
@@ -19,23 +12,10 @@ from random_matrices import random_cmatrix, random_cvector
 SYM4 = canonical_pair(2)
 
 
-def test_dirac_ip_basics():
-    a = np.array([1.0, 1j])
-    assert dirac_ip(a, a) == pytest.approx(2.0)
-    with pytest.raises(ShapeError):
-        dirac_ip(a, np.zeros(3))
-
-
-def test_pt_ip_is_indefinite():
-    assert pt_ip(SYM4, np.eye(4)[:, 0], np.eye(4)[:, 0]) == pytest.approx(1.0)
-    assert pt_ip(SYM4, np.eye(4)[:, 3], np.eye(4)[:, 3]) == pytest.approx(-1.0)
-
-
-def test_pt_ip_hermitian_sesquilinear():
-    rng = np.random.default_rng(3)
-    a, b = random_cvector(rng, 4), random_cvector(rng, 4)
-    assert pt_ip(SYM4, a, b) == pytest.approx(np.conj(pt_ip(SYM4, b, a)))
-    assert pt_ip(SYM4, 2j * a, b) == pytest.approx(-2j * pt_ip(SYM4, a, b))
+def test_pt_form_is_indefinite():
+    # e1 and e4 have PT norms of opposite sign under S = diag(1, 1, -1, -1)
+    _, signs = pt_normalize_rows(SYM4, np.eye(4)[[0, 3]])
+    assert signs.tolist() == [1, -1]
 
 
 def test_pt_adjoint_involution_and_hermitian_case():
@@ -47,27 +27,26 @@ def test_pt_adjoint_involution_and_hermitian_case():
     assert operator_norm(pt_adjoint(SYM4, herm) - herm) < 1e-14
 
 
-def test_pt_normalize_fixes_phase_and_sign():
+def test_pt_normalize_rows_fixes_phase_and_sign():
     v = 3j * np.array([0, 0, 1.0, 1.0j])
-    ket, sign = pt_normalize(SYM4, v)
+    [ket], [sign] = pt_normalize_rows(SYM4, v[None])
     assert sign == -1
-    assert abs(pt_ip(SYM4, ket, ket) + 1) < 1e-12
+    assert abs(ket.conj() @ SYM4.s @ ket + 1) < 1e-12
     assert ket[np.argmax(np.abs(ket) > 1e-12)].imag == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(DegenerateNormError):
-        pt_normalize(SYM4, np.array([1.0, 0, 1.0, 0]))  # null vector of the metric
+        pt_normalize_rows(SYM4, np.array([[1.0, 0, 1.0, 0]]))  # null vector of the metric
 
 
-def test_jsm_cs_conventions():
+def test_cs_self_overlap_of_a_moving_state():
+    # CS pairs the ket at p with the bra spinor at -p, so a moving state's
+    # self-overlap B^dag S K is its PT sign; JSM pairs k with -k, under which
+    # it is 0 by definition.  At p = 0 the bra kets are the kets themselves.
     sym = block_pair()
     moving = h8v_reduced_eigensystem(2.0, 1.0, 1.0)
     rest = h8v_reduced_eigensystem(2.0, 1.0, 0.0)
-    cmp_moving = jsm_cs_comparison(sym, moving.K[:, 2], moving.B[:, 2], 1.0)
-    assert cmp_moving.p == 1.0
-    assert cmp_moving.jsm_self == 0
-    assert abs(cmp_moving.cs_self - 1) < 1e-12
-    assert not cmp_moving.conventions_coincide
-    # the two conventions agree at p = 0
-    assert jsm_cs_comparison(sym, rest.K[:, 2], rest.B[:, 2], 0.0).conventions_coincide
+    assert abs(moving.B[:, 2].conj() @ sym.s @ moving.K[:, 2] - 1) < 1e-12
+    assert not np.array_equal(moving.B, moving.K)
+    assert np.array_equal(rest.B, rest.K)
 
 
 def test_cpt_ip_positive_definite_for_valid_c():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ptosc.errors import BrokenPTError, ParameterError
-from ptosc.inner import pt_ip
 from ptosc.linalg import SIGMA, eig_oracle, operator_norm
 from ptosc.models import (
     Dirac8Params,
@@ -21,7 +20,6 @@ from ptosc.models import (
     h8v_p0_eigensystem,
     h8v_reduced_eigensystem,
     h8v_reduced_hamiltonian,
-    helicity_spinors,
     mass_block,
     model_hamiltonian,
     pt_orthonormal_eigensystem,
@@ -34,6 +32,11 @@ from ptosc.models import (
 from ptosc.symmetry import block_pair, canonical_pair
 
 REF = SfdmParams(chi=0.5, psi=0.3, theta=0.7, phi=0.2)
+
+
+def pt_gram(sym, es) -> np.ndarray:
+    """The PT products a^dag S b of every pair of kets."""
+    return es.K.conj().T @ sym.s @ es.K
 
 
 def random_sfdm(rng) -> SfdmParams:
@@ -84,7 +87,7 @@ def test_sfdm_closed_form_matches_oracle():
 def test_sfdm_pt_gram_is_signature():
     sym = canonical_pair(2)
     es = sfdm_eigensystem(REF)
-    gram = np.array([[pt_ip(sym, a, b) for b in es.kets] for a in es.kets])
+    gram = pt_gram(sym, es)
     np.testing.assert_allclose(gram, np.diag([-1.0, -1.0, 1.0, 1.0]), atol=1e-12)
     assert es.signs == [-1, -1, 1, 1]
 
@@ -140,6 +143,14 @@ def test_h8_residual_structure():
     assert operator_norm(h - rebuilt) < 1e-12
 
 
+def helicity_spinors(theta_p: float, phi_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors xi_+/- of sigma . n_hat with eigenvalues +/-1."""
+    half = theta_p / 2.0
+    xi_plus = np.array([math.cos(half), np.exp(1j * phi_p) * math.sin(half)], dtype=complex)
+    xi_minus = np.array([-np.exp(-1j * phi_p) * math.sin(half), math.cos(half)], dtype=complex)
+    return xi_plus, xi_minus
+
+
 def test_h8_helicity_factorization():
     # an eigenvector of the reduced block at +/-p, tensored with xi_+/-,
     # is an eigenvector of the full 8x8 Hamiltonian
@@ -175,7 +186,7 @@ def test_h8v_p0_closed_form():
     np.testing.assert_allclose(es.values, [-b2, -b2, b2, b2], atol=1e-12)
     for pair in es.pairs:
         assert np.linalg.norm(h @ pair.ket - pair.value * pair.ket) < 1e-12
-        assert abs(pt_ip(sym, pair.ket, pair.ket) - pair.pt_sign) < 1e-12
+    np.testing.assert_allclose(np.diag(pt_gram(sym, es)), es.signs, atol=1e-12)
     assert es.signs == [-1, -1, 1, 1]
 
 
@@ -225,7 +236,7 @@ def test_h8r_p0_closed_form():
         np.testing.assert_allclose(es.values, expected, atol=1e-10)
         for pair in es.pairs:
             assert np.linalg.norm(h @ pair.ket - pair.value * pair.ket) < 1e-10
-        gram = np.array([[pt_ip(sym, a, b) for b in es.kets] for a in es.kets])
+        gram = pt_gram(sym, es)
         np.testing.assert_allclose(np.abs(np.diag(gram)), np.ones(4), atol=1e-10)
         np.testing.assert_allclose(gram - np.diag(np.diag(gram)), np.zeros((4, 4)), atol=1e-10)
 
@@ -257,7 +268,7 @@ def test_pt_orthonormal_eigensystem_oracle_route():
     sym = block_pair()
     h = model_hamiltonian(ModelSpec("h8", {"m0": 2.0, "m1": 0.3, "m2": 0.5, "m3": 0.4}))
     es = pt_orthonormal_eigensystem(sym, eig_oracle(h))
-    gram = np.array([[pt_ip(sym, a, b) for b in es.kets] for a in es.kets])
+    gram = pt_gram(sym, es)
     np.testing.assert_allclose(gram, np.diag(np.array(es.signs, dtype=float)), atol=1e-10)
     for pair in es.pairs:
         assert np.linalg.norm(h @ pair.ket - pair.value * pair.ket) < 1e-10
@@ -274,21 +285,21 @@ def test_pt_orthonormal_eigensystem_broken_raises():
 # model specs
 
 
-def test_model_spec_json_round_trip():
-    spec = ModelSpec("h8v", {"m0": 2.0, "m2": 1.0}, {"p": 1.0, "theta": 0.4, "phi": 1.1})
-    again = ModelSpec.from_json_dict(spec.to_json_dict())
-    assert again == spec
-    assert again.p == 1.0
-    assert again.direction == (0.4, 1.1)
+def test_model_spec_from_json_dict():
+    doc = {"model": "h8v", "params": {"m0": 2.0, "m2": 1.0}, "momentum": {"p": 1.0, "theta": 0.4, "phi": 1.1}}
+    spec = ModelSpec.from_json_dict(json.loads(json.dumps(doc)))
+    assert spec == ModelSpec("h8v", {"m0": 2.0, "m2": 1.0}, {"p": 1.0, "theta": 0.4, "phi": 1.1})
+    assert spec.p == 1.0
+    assert spec.direction == (0.4, 1.1)
 
 
-def test_model_spec_generic_serializes_matrices():
-    params = {"a": SIGMA[0], "d": SIGMA[0], "b": real_quaternion(0.3, 0.1, -0.2, 0.5)}
-    spec = ModelSpec("generic", params)
-    doc = spec.to_json_dict()
-    assert doc["params"]["b"][0][0] == {"re": 0.3, "im": 0.5}
-    again = ModelSpec.from_json_dict(doc)
-    np.testing.assert_allclose(again.params["b"], params["b"])
+def test_model_spec_reads_generic_matrices():
+    # b = real_quaternion(0.3, 0.1, -0.2, 0.5), written out by hand
+    b = [[{"re": 0.3, "im": 0.5}, {"re": -0.2, "im": 0.1}], [{"re": 0.2, "im": 0.1}, {"re": 0.3, "im": -0.5}]]
+    doc = {"model": "generic", "params": {"a": [[1, 0], [0, 1]], "d": [[1, 0], [0, 1]], "b": b}}
+    spec = ModelSpec.from_json_dict(json.loads(json.dumps(doc)))
+    np.testing.assert_allclose(spec.params["b"], real_quaternion(0.3, 0.1, -0.2, 0.5))
+    np.testing.assert_array_equal(spec.params["a"], SIGMA[0])
 
 
 def test_model_spec_rejects_unknown_model():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from ptosc import oscillate
 from ptosc.cli import _tables, analytic_pattern, main
@@ -20,22 +21,20 @@ from ptosc.models import (
     SfdmParams,
     h8v_reduced_eigensystem,
     h8v_reduced_hamiltonian,
+    model_hamiltonian,
     sfdm_eigensystem,
     sfdm_hamiltonian,
 )
 from ptosc.oscillate import (
     TransitionTable,
+    _cpt_bras,
     _same_12g,
     default_t_grid,
-    evolve,
-    naive_flavour_B,
     standard_flavour_basis,
     transition_table,
 )
 from ptosc.symmetry import block_pair, canonical_pair
 from ptosc.verify import realize
-
-from random_matrices import random_cvector
 
 REF = SfdmParams(chi=0.5, psi=0.3, theta=0.7, phi=0.2)
 
@@ -114,33 +113,6 @@ def test_momentum_flavour_basis_orthonormal():
     np.testing.assert_allclose(flavours, basis, atol=1e-15)
     gram = (c.reflected @ es.B @ MIXING.T).conj().T @ sym.s @ flavours
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# evolution
-
-
-def test_evolve_identity_at_t0_and_eigenphase():
-    sym, es, c = sfdm_setup()
-    rng = np.random.default_rng(61)
-    v = random_cvector(rng, 4)
-    np.testing.assert_allclose(evolve(sym, es, c, v, 0.0), v, atol=1e-12)
-    # eigket with lambda = -1 picks up exp(+it)
-    t = 0.37
-    np.testing.assert_allclose(
-        evolve(sym, es, c, es.kets[0], t), np.exp(1j * t) * es.kets[0], atol=1e-12
-    )
-
-
-def test_evolve_preserves_cpt_products():
-    sym, es, c = sfdm_setup()
-    rng = np.random.default_rng(67)
-    for _ in range(10):
-        v, w = random_cvector(rng, 4), random_cvector(rng, 4)
-        before = cpt_ip(sym, c.matrix, v, w)
-        for t in (0.3, 1.7, 5.0):
-            after = cpt_ip(sym, c.matrix, evolve(sym, es, c, v, t), evolve(sym, es, c, w, t))
-            assert abs(after - before) < 1e-10 * (1 + abs(before))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +531,61 @@ def test_golden_line_matches_per_time_loop(name, capsys):
 
 
 # ---------------------------------------------------------------------------
+# dynamics against an independent oracle: scipy's expm(-iHt), which uses no
+# eigenvalue phases, over one default period of 64 times
+
+
+def expm_setup(name):
+    """The catalogue point's (sym, eigensystem, C), its default 64-point time
+    grid and U(t) = expm(-iHt) at each time."""
+    sym, es, c = realized_setup(CATALOGUE[name])
+    h = model_hamiltonian(CATALOGUE[name])
+    grid = default_t_grid(es, 64)
+    return sym, es, c, grid, [expm(-1j * h * t) for t in grid]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_expm_moves_eigenkets_by_their_phases(name):
+    _, es, _, grid, evolutions = expm_setup(name)
+    for t, u in zip(grid, evolutions):
+        assert np.abs(u @ es.K - es.K * np.exp(-1j * es.values * t)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(name for name, spec in CATALOGUE.items() if spec.p == 0))
+def test_expm_is_cpt_unitary(name):
+    # U(t)^dag (C^dag S) U(t) = C^dag S; at p = 0 the bra side's C(-p) is C
+    sym, _, c, _, evolutions = expm_setup(name)
+    metric = c.matrix.conj().T @ sym.s
+    for u in evolutions:
+        assert np.abs(u.conj().T @ metric @ u - metric).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_transition_table_matches_expm(name):
+    # P[t, i, m] = |(C(-p) f'_m(-p))^dag S expm(-iH(p)t) f'_i(p)|^2, where the
+    # flavour kets at -p mix the bra kets B as those at p mix K
+    sym, es, c, grid, evolutions = expm_setup(name)
+    flavours = standard_flavour_basis(sym, es, c)
+    bras = (c.reflected @ es.B @ MIXING.T).conj().T @ sym.s
+    expected = np.array([np.abs(bras @ u @ flavours).T ** 2 for u in evolutions])
+    table = transition_table(sym, flavours, es, c, grid)
+    assert np.abs(table.probs - expected).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
 # naive B diagnostic
+
+
+def naive_flavour_B(sym, eigsys, c) -> np.ndarray:
+    """B_jk = sum_l alpha_lj conj(alpha_lk) for coordinate flavour kets.
+
+    alpha_lk is the CPT coefficient of the k-th coordinate basis vector on
+    eigenket l.  B equals the identity only when the eigenbasis is
+    Dirac-orthonormal; its deviation from 1 quantifies the failure of the
+    canonical completeness relation in the coordinate flavour basis.
+    """
+    alpha = _cpt_bras(sym, c.matrix, eigsys.K)
+    return alpha.T @ alpha.conj()
 
 
 def test_naive_flavour_B_not_identity():

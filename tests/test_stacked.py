@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ptosc.coperator import build_C, stacked_C
 from ptosc.errors import ConstructionError
-from ptosc.inner import pt_normalize, pt_normalize_rows
+from ptosc.inner import pt_normalize_rows
 from ptosc.linalg import operator_norm
 from ptosc.models import ModelSpec
 from ptosc.oscillate import (
@@ -93,7 +93,7 @@ def test_stacked_core_equals_the_one_point_path(specs, t_points, position):
 
 
 def reference_pt_normalize(sym, v):
-    """pt_normalize of one vector with a non-vanishing PT norm, with 1-d products."""
+    """pt_normalize_rows of one vector with a non-vanishing PT norm, with 1-d products."""
     norm = complex(v.conj() @ sym.s @ v).real
     out = v / np.sqrt(abs(norm))
     out = out * np.exp(-1j * np.angle(out[int(np.argmax(np.abs(out) > 1e-12))]))
@@ -105,10 +105,10 @@ COMPONENT = st.floats(-1e3, 1e3)
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.sampled_from([block_pair(), canonical_pair(2)]), st.lists(st.lists(COMPONENT, min_size=8, max_size=8), min_size=1, max_size=6))
-def test_pt_normalize_rows_equals_pt_normalize(sym, rows):
+def test_pt_normalize_rows_equals_one_row_at_a_time(sym, rows):
     vs = np.array([row[:4] for row in rows]) + 1j * np.array([row[4:] for row in rows])
     try:
-        singles = [pt_normalize(sym, v) for v in vs]
+        singles = [pt_normalize_rows(sym, v[None]) for v in vs]
     except Exception as exc:
         # the rows fail as the first failing vector does
         try:
@@ -119,7 +119,7 @@ def test_pt_normalize_rows_equals_pt_normalize(sym, rows):
             raise AssertionError(f"pt_normalize_rows did not raise {exc!r}")
         return
     kets, signs = pt_normalize_rows(sym, vs)
-    for v, (ket, sign), row, row_sign in zip(vs, singles, kets, signs):
+    for v, ([ket], [sign]), row, row_sign in zip(vs, singles, kets, signs):
         assert np.array_equal(ket, row) and sign == row_sign
         reference_ket, reference_sign = reference_pt_normalize(sym, v)
         assert np.array_equal(reference_ket, row) and reference_sign == row_sign

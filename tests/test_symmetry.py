@@ -6,8 +6,6 @@ from ptosc.linalg import operator_norm
 from ptosc.models import real_quaternion
 from ptosc.symmetry import (
     SymmetryPair,
-    apply_PT,
-    apply_T,
     block_pair,
     build_canonical_S,
     build_canonical_Z,
@@ -30,6 +28,13 @@ def test_pair_algebra(sym):
     assert operator_norm(sym.s @ sym.z - sym.z @ sym.s.conj()) < 1e-14
     # Z is an isometry of the PT metric
     assert operator_norm(sym.z.T @ sym.s @ sym.z - sym.s) < 1e-13
+    # S is Hermitian, so the PT form a^dag S b is a Hermitian form
+    assert np.array_equal(sym.s, sym.s.conj().T)
+
+
+def apply_T(sym, v):
+    """Antilinear time reversal: T v = Z conj(v)."""
+    return sym.z @ v.conj()
 
 
 @pytest.mark.parametrize("sym", ALL_PAIRS)
@@ -45,7 +50,7 @@ def test_pt_product_two_forms_agree(sym):
     for _ in range(20):
         a = random_cvector(rng, sym.dim)
         b = random_cvector(rng, sym.dim)
-        lhs = apply_PT(sym, a) @ sym.z @ b
+        lhs = (sym.s @ apply_T(sym, a)) @ sym.z @ b
         rhs = a.conj() @ sym.s @ b
         assert abs(lhs - rhs) < 1e-12 * (1 + abs(rhs))
 

