@@ -67,9 +67,26 @@ LONG_SWEEP = {
     "out_dir": "{dir}/out",
 }
 H8V_M2_0_P_0 = ("--model", "h8v", "--m0", "2", "--m2", "0", "--p", "0")
+EYE2 = [[1, 0], [0, 1]]
+
+
+def generic_model(a) -> dict:
+    """A generic model document whose block A is ``a``."""
+    return {"model": "generic", "params": {"a": a, "d": EYE2, "b": EYE2}}
+
+
+RAGGED = [[1, 0], [0]]
+RAGGED_TEMPLATE_SWEEP = {
+    "model": generic_model(RAGGED),
+    "sweep": [{"param": "d", "start": 0.5, "stop": 1.5, "steps": 3}],
+    "out_dir": "{dir}/out",
+}
+MODEL_FILE = ("verify", "--model-file", "{dir}/model.json")
 # (kind, argv, files): README's CLI examples (the sweep with its sample
-# configuration), h8v at m2 = 0 and p = 0, a sweep over a generic block and
-# the sweeps above
+# configuration), h8v at m2 = 0 and p = 0, a sweep over a generic block,
+# the sweeps above, and generic blocks that are not a 2x2 complex matrix
+# (usage errors: a ragged one, a complex entry that is not {"re", "im"}, a
+# 3x3 one, and a sweep template with the ragged one)
 EXTRA = (
     ("readme_verify_sfdm", ("verify", "--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
     ("readme_verify_h8v", ("verify", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"), {}),
@@ -83,6 +100,10 @@ EXTRA = (
     ("h8v_broken_ends_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8V_BROKEN_ENDS_SWEEP)}),
     ("sfdm_json_t_max_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(SFDM_JSON_T_MAX_SWEEP)}),
     ("long_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(LONG_SWEEP)}),
+    ("generic_ragged_verify", MODEL_FILE, {"model.json": json.dumps(generic_model(RAGGED))}),
+    ("generic_re_only_entry_verify", MODEL_FILE, {"model.json": json.dumps(generic_model([[1, {"re": 1}], [0, 1]]))}),
+    ("generic_3x3_block_verify", MODEL_FILE, {"model.json": json.dumps(generic_model([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))}),
+    ("generic_ragged_template_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(RAGGED_TEMPLATE_SWEEP)}),
 )
 
 

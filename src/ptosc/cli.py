@@ -1,10 +1,10 @@
 """Command-line front end: verify, oscillate, sweep, spectrum.
 
 Exit codes: 0 success, 1 physics failure (broken phase or a failed check),
-2 usage error.  ``PTOSC_TOL`` overrides the default check tolerance.  Output
-files are written atomically (temp file + rename) with mode 0o666 masked by
-the umask, as ``open`` would create them, and identical invocations produce
-byte-identical files.
+2 usage error (an input too large for memory among them).  ``PTOSC_TOL``
+overrides the default check tolerance.  Output files are written atomically
+(temp file + rename) with mode 0o666 masked by the umask, as ``open`` would
+create them, and identical invocations produce byte-identical files.
 """
 
 import argparse
@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import BrokenPTError, ParameterError, PtoscError, ShapeError
+from .errors import BrokenPTError, ParameterError, PtoscError
 from .io import json_finite, json_integer, json_number, json_object, read_json
 from .linalg import DEFAULT_TOL, eig_oracle
 from .models import PARAM_KEYS, ModelSpec, model_hamiltonian
@@ -325,8 +325,12 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
-    except (ParameterError, ShapeError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # every array large enough to fail is sized by a count the user gave
+        print(f"error: not enough memory for these inputs: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return EXIT_USAGE
     except PtoscError as exc:
         print(f"physics failure: {exc}", file=sys.stderr)

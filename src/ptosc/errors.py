@@ -7,12 +7,8 @@ class PtoscError(Exception):
     """Base class for all package exceptions."""
 
 
-class ShapeError(PtoscError, ValueError):
-    """Matrix/vector dimensions are inconsistent or exceed the supported size."""
-
-
 class ParameterError(PtoscError, ValueError):
-    """Model parameters violate a documented constraint."""
+    """A usage error: parameters, shapes or an input document break a documented rule."""
 
 
 class NumericalError(PtoscError, RuntimeError):

@@ -9,8 +9,8 @@ state has a nonvanishing overlap with itself.
 
 import numpy as np
 
-from .errors import DegenerateNormError, ShapeError
-from .linalg import adjoint, as_cvector, require_square
+from .errors import DegenerateNormError, ParameterError
+from .linalg import as_cvector, require_square
 from .symmetry import SymmetryPair
 
 #: PT self-overlaps smaller than this are treated as vanishing norm.
@@ -21,8 +21,8 @@ def pt_adjoint(sym: SymmetryPair, h) -> np.ndarray:
     """PT adjoint S^-1 H^dag S (S is involutive, so S^-1 = S)."""
     h = require_square(h)
     if h.shape[0] != sym.dim:
-        raise ShapeError(f"operator dimension {h.shape[0]} != symmetry dimension {sym.dim}")
-    return sym.s @ adjoint(h) @ sym.s
+        raise ParameterError(f"operator dimension {h.shape[0]} != symmetry dimension {sym.dim}")
+    return sym.s @ h.conj().T @ sym.s
 
 
 def pt_normalize_rows(sym: SymmetryPair, vs) -> tuple[np.ndarray, np.ndarray]:
@@ -32,11 +32,11 @@ def pt_normalize_rows(sym: SymmetryPair, vs) -> tuple[np.ndarray, np.ndarray]:
     The overall phase of each ket is fixed by making its first component of
     magnitude above 1e-12 real and positive, so normalized kets are
     reproducible.  The first row that fails raises: DegenerateNormError for a
-    vanishing PT norm, ShapeError for a non-finite entry.
+    vanishing PT norm, ParameterError for a non-finite entry.
     """
     vs = np.asarray(vs, dtype=complex)
     if vs.ndim != 2 or vs.shape[1] != sym.dim:
-        raise ShapeError(f"expected rows of dimension {sym.dim}, got shape {vs.shape}")
+        raise ParameterError(f"expected rows of dimension {sym.dim}, got shape {vs.shape}")
     finite = np.isfinite(vs).all(axis=1)
     head = vs if finite.all() else vs[: int(np.argmin(finite))]
     bras = head.conj()[:, None, :]
@@ -47,7 +47,7 @@ def pt_normalize_rows(sym: SymmetryPair, vs) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.abs(norms) <= NORM_FLOOR * (bras @ head[:, :, None])[:, 0, 0].real):
         raise DegenerateNormError("vector has vanishing PT norm")
     if len(head) < len(vs):
-        raise ShapeError("vector entries must be finite")
+        raise ParameterError("vector entries must be finite")
     out = head / np.sqrt(np.abs(norms))[:, None]
     first = np.argmax(np.abs(out) > 1e-12, axis=1)
     out = out * np.exp(-1j * np.angle(out[np.arange(len(out)), first]))[:, None]

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 
 
 def read_json(path: str, what: str):
@@ -57,18 +57,18 @@ def json_integer(value, what: str) -> int:
 
 
 def complex_from_json(obj, what: str = "a complex number") -> complex:
-    """{"re": x, "im": y} or a bare real x as a complex number: ParameterError
-    naming ``what`` if x or y is not a JSON number, ShapeError otherwise."""
+    """{"re": x, "im": y} or a bare real x as a complex number; ParameterError
+    otherwise, naming ``what`` if x or y is not a JSON number."""
     if isinstance(obj, dict) and set(obj) == {"re", "im"}:
         return complex(json_number(obj["re"], f"{what}.re"), json_number(obj["im"], f"{what}.im"))
     if not isinstance(obj, (int, float)):
-        raise ShapeError(f"not a serialized complex number: {obj!r}")
+        raise ParameterError(f"not a serialized complex number: {obj!r}")
     return complex(json_number(obj, what))
 
 
 def matrix_from_json(rows, what: str = "a matrix") -> np.ndarray:
-    """A complex matrix from a list of equal-length rows; ShapeError otherwise."""
+    """A complex matrix from a list of equal-length rows; ParameterError otherwise."""
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows) and len({len(row) for row in rows}) <= 1):
-        raise ShapeError(f"{what} must be a list of equal-length lists, got {rows!r}")
+        raise ParameterError(f"{what} must be a list of equal-length lists, got {rows!r}")
     return np.array([[complex_from_json(z, f"{what}[{i}][{j}]") for j, z in enumerate(row)] for i, row in enumerate(rows)], dtype=complex)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import NumericalError, ParameterError
 
 MAX_DIM = 8
 
@@ -29,37 +29,32 @@ def as_cmatrix(a, max_dim: int | None = MAX_DIM) -> np.ndarray:
     """Coerce to a finite 2-d complex array, enforcing the dimension cap."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
-        raise ShapeError(f"expected a matrix, got ndim={a.ndim}")
+        raise ParameterError(f"expected a matrix, got ndim={a.ndim}")
     if max_dim is not None and max(a.shape) > max_dim:
-        raise ShapeError(f"matrix shape {a.shape} exceeds supported dimension {max_dim}")
+        raise ParameterError(f"matrix shape {a.shape} exceeds supported dimension {max_dim}")
     # isfinite of a complex entry tests both parts
     if not np.isfinite(a).all():
-        raise ShapeError("matrix entries must be finite")
+        raise ParameterError("matrix entries must be finite")
     return a
 
 
 def as_cvector(v, dim: int | None = None) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
-        raise ShapeError(f"expected a vector, got ndim={v.ndim}")
+        raise ParameterError(f"expected a vector, got ndim={v.ndim}")
     if dim is not None and v.shape[0] != dim:
-        raise ShapeError(f"expected dimension {dim}, got {v.shape[0]}")
+        raise ParameterError(f"expected dimension {dim}, got {v.shape[0]}")
     # isfinite of a complex entry tests both parts
     if not np.isfinite(v).all():
-        raise ShapeError("vector entries must be finite")
+        raise ParameterError("vector entries must be finite")
     return v
 
 
 def require_square(a: np.ndarray) -> np.ndarray:
     a = as_cmatrix(a)
     if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+        raise ParameterError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_cmatrix(a).conj().T
 
 
 def kron(a, b) -> np.ndarray:
@@ -67,7 +62,7 @@ def kron(a, b) -> np.ndarray:
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
     if max(rows, cols) > MAX_DIM:
-        raise ShapeError(f"Kronecker product shape ({rows}, {cols}) exceeds dimension {MAX_DIM}")
+        raise ParameterError(f"Kronecker product shape ({rows}, {cols}) exceeds dimension {MAX_DIM}")
     # the broadcast product np.kron forms, without its generic-rank set-up
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 

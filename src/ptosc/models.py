@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BrokenPTError, NumericalError, ParameterError, ShapeError
+from .errors import BrokenPTError, NumericalError, ParameterError
 from .inner import pt_normalize_rows
 from .io import json_finite, json_object, matrix_from_json
 from .linalg import (
@@ -123,7 +123,7 @@ def quaternion_coefficients(b) -> np.ndarray:
     """Inverse of :func:`real_quaternion`; raises if b is not a real quaternion."""
     b = as_cmatrix(b)
     if b.shape != (2, 2):
-        raise ShapeError("quaternions are 2x2 complex matrices")
+        raise ParameterError("quaternions are 2x2 complex matrices")
     coeffs = np.array([np.trace(s @ b) / 2 for s in SIGMA])
     q = np.array([coeffs[0].real, coeffs[1].imag, coeffs[2].imag, coeffs[3].imag])
     if _beyond_rounding(operator_norm(real_quaternion(*q) - b), b):
@@ -263,7 +263,7 @@ class GenericTOddParams:
         a, d, b = (as_cmatrix(m) for m in (self.a, self.d, self.b))
         for name, m in (("A", a), ("D", d), ("B", b)):
             if m.shape != (2, 2):
-                raise ShapeError(f"{name} must be 2x2")
+                raise ParameterError(f"{name} must be 2x2")
         for name, m in (("A", a), ("D", d)):
             if _beyond_rounding(operator_norm(m - m.conj().T), m):
                 raise ParameterError(f"{name} must be Hermitian")
@@ -279,19 +279,6 @@ def generic_t_odd_hamiltonian(params: GenericTOddParams) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # 8D Dirac-representation family
-
-
-@dataclass(frozen=True)
-class Dirac8Params:
-    """Masses, momentum magnitude and direction for the 8D family."""
-
-    m0: float
-    m1: float = 0.0
-    m2: float = 0.0
-    m3: float = 0.0
-    p: float = 0.0
-    theta_p: float = 0.0
-    phi_p: float = 0.0
 
 
 def sigma_dot_n(theta: float, phi: float) -> np.ndarray:
@@ -321,10 +308,10 @@ def mass_block(m0: float, m1: float, m2: float, m3: float) -> np.ndarray:
 MOMENTUM_BLOCK = np.diag([1.0, 1.0, -1.0, -1.0])
 
 
-def h8_hamiltonian(params: Dirac8Params) -> np.ndarray:
-    """Full 8x8 Hamiltonian in the momentum basis."""
-    sp = params.p * sigma_dot_n(params.theta_p, params.phi_p)
-    return kron(MOMENTUM_BLOCK, sp) + kron(mass_block(params.m0, params.m1, params.m2, params.m3), np.eye(2))
+def h8_hamiltonian(spec: "ModelSpec") -> np.ndarray:
+    """Full 8x8 Hamiltonian of an h8-family spec in the momentum basis."""
+    sp = spec.p * sigma_dot_n(*spec.direction)
+    return kron(MOMENTUM_BLOCK, sp) + kron(mass_block(*spec.masses), np.eye(2))
 
 
 def h8_alphas() -> list[np.ndarray]:
@@ -483,10 +470,7 @@ class ModelSpec:
             raise ParameterError(f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
         json_object(self.params, f"{self.model} params", *PARAM_KEYS[self.model])
         if self.model == "generic":
-            try:
-                blocks = GenericTOddParams(**self.params)
-            except ShapeError as exc:
-                raise ParameterError(str(exc)) from None
+            blocks = GenericTOddParams(**self.params)
             object.__setattr__(self, "params", {"a": blocks.a, "d": blocks.d, "b": blocks.b})
         else:
             object.__setattr__(self, "params", {key: json_finite(val, f"params.{key}") for key, val in self.params.items()})
@@ -502,10 +486,7 @@ class ModelSpec:
         json_object(doc, "the model document", ("model",), ("params", "momentum"))
         params = doc.get("params", {})
         if doc["model"] == "generic" and isinstance(params, dict):
-            try:
-                params = {key: matrix_from_json(val, f"params.{key}") for key, val in params.items()}
-            except ShapeError as exc:
-                raise ParameterError(str(exc)) from None
+            params = {key: matrix_from_json(val, f"params.{key}") for key, val in params.items()}
         return cls(model=doc["model"], params=params, momentum=doc.get("momentum"))
 
     @property
@@ -539,10 +520,7 @@ def model_hamiltonian(spec: ModelSpec) -> np.ndarray:
 
 def model_full_hamiltonian(spec: ModelSpec) -> np.ndarray | None:
     """Full 8x8 Hamiltonian for the h8 family; None for 4D models."""
-    if spec.model in STATIC_MODELS:
-        return None
-    theta, phi = spec.direction
-    return h8_hamiltonian(Dirac8Params(*spec.masses, p=spec.p, theta_p=theta, phi_p=phi))
+    return None if spec.model in STATIC_MODELS else h8_hamiltonian(spec)
 
 
 def model_symmetry(spec: ModelSpec) -> SymmetryPair:

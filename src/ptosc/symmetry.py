@@ -4,8 +4,8 @@ Parity acts as a linear matrix S with S^2 = 1.  Time reversal is antilinear,
 T = Z K with K complex conjugation, so a pair holds Z and never a matrix for T.
 
 The pairs of the fixed representations (:func:`canonical_pair`,
-:func:`block_pair`, :func:`dirac_pair`) are built and validated once per
-argument tuple and shared; a pair's S and Z are read-only.
+:func:`block_pair`, :func:`dirac_pair`) are built and validated once (per
+``n_pairs``) and shared; :class:`SymmetryPair` alone holds the rules of a pair.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .linalg import E2, kron, operator_norm, require_square
 
 PAIR_TOL = 1e-14
@@ -43,10 +43,10 @@ class SymmetryPair:
         z = require_square(self.z).copy()
         s.flags.writeable = z.flags.writeable = False
         if s.shape != z.shape:
-            raise ShapeError(f"S and Z shapes differ: {s.shape} vs {z.shape}")
+            raise ParameterError(f"S and Z shapes differ: {s.shape} vs {z.shape}")
         n = s.shape[0]
-        if n % 2:
-            raise ParameterError("T-odd symmetry pairs require even dimension")
+        if n < 2 or n % 2:
+            raise ParameterError(f"T-odd symmetry pairs require a positive even dimension, got {n}")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "dim", n)
@@ -65,34 +65,11 @@ class SymmetryPair:
             raise ParameterError("(PT a)^T Z b does not reproduce a^dag S b in this basis")
 
 
-def build_canonical_Z(n_pairs: int) -> np.ndarray:
-    """Block-diagonal Z = diag(e2, ..., e2) with n_pairs blocks of e2 = i sigma_2."""
-    if n_pairs < 1:
-        raise ParameterError("n_pairs must be positive")
-    if 2 * n_pairs > 8:
-        raise ShapeError("canonical Z limited to dimension 8")
-    return kron(np.eye(n_pairs), E2)
-
-
-def build_canonical_S(m: int, dim: int) -> np.ndarray:
-    """Diagonal parity diag(+1 x m, -1 x (dim - m))."""
-    if dim % 2 or dim < 2 or dim > 8:
-        raise ParameterError(f"dim must be even and <= 8, got {dim}")
-    if not 0 < m <= dim:
-        raise ParameterError(f"m must lie in 1..{dim}, got {m}")
-    if m % 2:
-        # parity must be scalar on each Kramers doublet or S Z = Z conj(S) fails
-        raise ParameterError(f"m must be even, got {m}")
-    return np.diag(np.concatenate([np.ones(m), -np.ones(dim - m)])).astype(complex)
-
-
 @cache
-def canonical_pair(n_pairs: int, m: int | None = None) -> SymmetryPair:
-    """Canonical-basis pair: S = diag(1...,-1...), Z = diag(e2,...)."""
-    dim = 2 * n_pairs
-    if m is None:
-        m = dim // 2
-    return SymmetryPair(build_canonical_S(m, dim), build_canonical_Z(n_pairs))
+def canonical_pair(n_pairs: int) -> SymmetryPair:
+    """Canonical-basis pair: S = diag(+1 x n_pairs, -1 x n_pairs), Z = diag(e2, ...)."""
+    s = np.diag(np.concatenate([np.ones(n_pairs), -np.ones(n_pairs)])).astype(complex)
+    return SymmetryPair(s, kron(np.eye(n_pairs), E2))
 
 
 @cache
@@ -108,5 +85,5 @@ def block_pair() -> SymmetryPair:
     S is the block-swap parity (the 8D Dirac S at block level) and Z is the
     canonical diag(e2, e2).
     """
-    return SymmetryPair(BLOCK_SWAP, build_canonical_Z(2))
+    return SymmetryPair(BLOCK_SWAP, kron(np.eye(2), E2))
 

@@ -18,7 +18,7 @@ import numpy as np
 from .coperator import COperator, build_C, completeness_defect
 from .errors import BrokenPTError, PtoscError
 from .inner import pt_adjoint
-from .linalg import DEFAULT_TOL, Eigendecomposition, adjoint, eig_oracle, operator_norm, require_square
+from .linalg import DEFAULT_TOL, Eigendecomposition, eig_oracle, operator_norm, require_square
 from .models import (
     EigenSystem,
     ModelSpec,
@@ -91,6 +91,7 @@ def check_alpha_beta_conditions(alphas, beta, sym: SymmetryPair, tol: float = 1e
     alphas = [require_square(a) for a in alphas]
     beta = require_square(beta)
     s, z = sym.s, sym.z
+    s_dag, z_dag = s.conj().T, z.conj().T
     eye = np.eye(sym.dim)
     reports = []
 
@@ -100,10 +101,10 @@ def check_alpha_beta_conditions(alphas, beta, sym: SymmetryPair, tol: float = 1e
     add("S_alpha_anticommute", max(operator_norm(s @ a + a @ s) for a in alphas))
     add("Z_alpha_conjugation", max(operator_norm(z @ a.conj() + a @ z) for a in alphas))
     add("alpha_PT_commute", max(operator_norm(a @ s @ z - s @ z @ a.conj()) for a in alphas))
-    add("alpha_self_adjoint", max(operator_norm(-adjoint(a) @ adjoint(s) - adjoint(s) @ a) for a in alphas))
-    add("beta_self_adjoint", operator_norm(adjoint(beta) @ adjoint(s) - adjoint(s) @ beta))
-    add("beta_quaternion", operator_norm(beta + z.T @ beta.T @ adjoint(z)))
-    add("alpha_quaternion", max(operator_norm(a - z.T @ a.T @ adjoint(z)) for a in alphas))
+    add("alpha_self_adjoint", max(operator_norm(-a.conj().T @ s_dag - s_dag @ a) for a in alphas))
+    add("beta_self_adjoint", operator_norm(beta.conj().T @ s_dag - s_dag @ beta))
+    add("beta_quaternion", operator_norm(beta + z.T @ beta.T @ z_dag))
+    add("alpha_quaternion", max(operator_norm(a - z.T @ a.T @ z_dag) for a in alphas))
     clifford = 0.0
     for i, a in enumerate(alphas):
         for j, b in enumerate(alphas):
@@ -112,7 +113,7 @@ def check_alpha_beta_conditions(alphas, beta, sym: SymmetryPair, tol: float = 1e
         clifford = max(clifford, operator_norm(a @ beta + beta @ a))
     clifford = max(clifford, operator_norm(beta @ beta - eye))
     add("clifford_algebra", clifford)
-    add("alpha_hermitian", max(operator_norm(a - adjoint(a)) for a in alphas), "derived consequence")
+    add("alpha_hermitian", max(operator_norm(a - a.conj().T) for a in alphas), "derived consequence")
     return reports
 
 

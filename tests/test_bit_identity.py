@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from ptosc import oscillate
 from ptosc.coperator import build_C
-from ptosc.errors import NumericalError, ShapeError
+from ptosc.errors import NumericalError, ParameterError
 from ptosc.linalg import MAX_DIM, SIGMA0, as_cmatrix, as_cvector, kron
 from ptosc.models import (
     GenericTOddParams,
@@ -84,11 +84,11 @@ def _two_part_cmatrix(a, max_dim=MAX_DIM) -> np.ndarray:
     """as_cmatrix as it was, testing the real and imaginary parts apart."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
-        raise ShapeError(f"expected a matrix, got ndim={a.ndim}")
+        raise ParameterError(f"expected a matrix, got ndim={a.ndim}")
     if max_dim is not None and max(a.shape) > max_dim:
-        raise ShapeError(f"matrix shape {a.shape} exceeds supported dimension {max_dim}")
+        raise ParameterError(f"matrix shape {a.shape} exceeds supported dimension {max_dim}")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ShapeError("matrix entries must be finite")
+        raise ParameterError("matrix entries must be finite")
     return a
 
 
@@ -96,18 +96,18 @@ def _two_part_cvector(v, dim=None) -> np.ndarray:
     """as_cvector as it was, testing the real and imaginary parts apart."""
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
-        raise ShapeError(f"expected a vector, got ndim={v.ndim}")
+        raise ParameterError(f"expected a vector, got ndim={v.ndim}")
     if dim is not None and v.shape[0] != dim:
-        raise ShapeError(f"expected dimension {dim}, got {v.shape[0]}")
+        raise ParameterError(f"expected dimension {dim}, got {v.shape[0]}")
     if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
-        raise ShapeError("vector entries must be finite")
+        raise ParameterError("vector entries must be finite")
     return v
 
 
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except ShapeError as exc:
+    except ParameterError as exc:
         return str(exc)
 
 
@@ -155,13 +155,13 @@ NON_FINITE_ENTRIES = [complex(math.nan, 0), complex(0, math.nan), complex(math.i
 
 @pytest.mark.parametrize("entry", NON_FINITE_ENTRIES)
 def test_as_cmatrix_rejects_a_non_finite_part(entry):
-    with pytest.raises(ShapeError, match="^matrix entries must be finite$"):
+    with pytest.raises(ParameterError, match="^matrix entries must be finite$"):
         as_cmatrix(np.array([[1.0, entry], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("entry", NON_FINITE_ENTRIES)
 def test_as_cvector_rejects_a_non_finite_part(entry):
-    with pytest.raises(ShapeError, match="^vector entries must be finite$"):
+    with pytest.raises(ParameterError, match="^vector entries must be finite$"):
         as_cvector(np.array([1.0, entry]))
 
 

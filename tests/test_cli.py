@@ -198,16 +198,22 @@ def test_eigensystem_failure_still_gets_a_report(capsys):
 
 
 EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+# generic blocks A that are not a 2x2 matrix, with the error each one gives
+MALFORMED_BLOCKS = [
+    (5, "params.a must be a list of equal-length lists, got 5"),
+    ([1, 2], "params.a must be a list of equal-length lists, got [1, 2]"),
+    ([[1, 0], [0]], "params.a must be a list of equal-length lists, got [[1, 0], [0]]"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "A must be 2x2"),
+]
+MALFORMED_BLOCK_IDS = [json.dumps(a) for a, _ in MALFORMED_BLOCKS]
 
 
-@pytest.mark.parametrize("a", [5, [1, 2], [[1, 0], [0]]], ids=json.dumps)
-def test_malformed_generic_matrix_is_usage_error(tmp_path, a, capsys):
+@pytest.mark.parametrize("a, message", MALFORMED_BLOCKS, ids=MALFORMED_BLOCK_IDS)
+def test_malformed_generic_matrix_is_usage_error(tmp_path, a, message, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"model": "generic", "params": {"a": a, "d": EYE2, "b": EYE2}}))
     assert run(["verify", "--model-file", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: params.a must be a list of equal-length lists")
+    assert _single_error_line(capsys) == f"error: {message}"
 
 
 @pytest.mark.parametrize(
@@ -217,8 +223,10 @@ def test_malformed_generic_matrix_is_usage_error(tmp_path, a, capsys):
         ({"re": 1, "im": None}, "params.a[0][1].im must be a number, got None"),
         (True, "params.a[0][1] must be a number, got True"),
         (10**400, "params.a[0][1] is an integer too large for a float"),
+        ({"re": 1.0}, "not a serialized complex number: {'re': 1.0}"),
+        ("1+2j", "not a serialized complex number: '1+2j'"),
     ],
-    ids=["string-re", "null-im", "bool", "huge-int"],
+    ids=["string-re", "null-im", "bool", "huge-int", "re-only", "string"],
 )
 def test_malformed_complex_entry_is_usage_error(tmp_path, entry, message, capsys):
     path = tmp_path / "model.json"
@@ -373,6 +381,22 @@ def test_bad_time_grid_is_usage_error(grid_flags, capsys):
     assert run(["oscillate", *H8V_FLAGS, *grid_flags]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: the time grid") and captured.out == ""
+
+
+# 2**55 - 1 points pass the MAX_POINTS bound, but their arrays exceed a 47-bit
+# address space, so allocation fails at once without touching memory; never
+# test a count that a machine could try to allocate
+TOO_LARGE_FOR_MEMORY = 2**55 - 1
+OUT_OF_MEMORY = "error: not enough memory for these inputs: Unable to allocate"
+
+
+@pytest.mark.parametrize("grid_flags", [[], ["--t-max", "3"]], ids=["period", "t-max"])
+def test_time_grid_too_large_for_memory_is_usage_error(tmp_path, grid_flags, capsys):
+    out = tmp_path / "table.csv"
+    argv = ["oscillate", *SFDM_FLAGS, "--t-points", str(TOO_LARGE_FOR_MEMORY), *grid_flags, "--out", str(out)]
+    assert run(argv) == 2
+    assert _single_error_line(capsys).startswith(OUT_OF_MEMORY)
+    assert not out.exists()
 
 
 def test_overflowing_time_grid_is_numerical_failure(capsys):
@@ -536,6 +560,23 @@ def test_sweep_malformed_configuration_is_usage_error(tmp_path, change, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["t_grid", "steps"])
+def test_sweep_too_large_for_memory_is_usage_error(tmp_path, key, capsys):
+    # the time grids fail in the worker thread, the axis values while the
+    # configuration is read
+    cfg_doc = json.loads(sweep_config(tmp_path, 0.1, 0.9, 2).read_text())
+    if key == "steps":
+        cfg_doc["sweep"][0]["steps"] = TOO_LARGE_FOR_MEMORY
+    else:
+        cfg_doc["t_grid"] = {"points": TOO_LARGE_FOR_MEMORY}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg_doc))
+    assert run(["sweep", "--config", str(path)]) == 2
+    assert _single_error_line(capsys).startswith(OUT_OF_MEMORY)
+    # no table file and no index.json
+    assert list((tmp_path / "out").glob("*")) == []
+
+
 def test_sweep_over_an_omitted_mass(tmp_path, capsys):
     cfg_doc = json.loads(sweep_config(tmp_path, 0.1, 0.9, 3).read_text())
     cfg_doc["model"] = {"model": "h8r", "params": {"m0": 2.0, "m1": 0.5}}
@@ -581,8 +622,8 @@ def test_sweep_over_a_generic_block_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("a", [5, [[1, 0], [0]]], ids=json.dumps)
-def test_sweep_template_with_a_malformed_generic_matrix_is_a_malformed_configuration(tmp_path, a, capsys):
+@pytest.mark.parametrize("a, message", MALFORMED_BLOCKS, ids=MALFORMED_BLOCK_IDS)
+def test_sweep_template_with_a_malformed_generic_matrix_is_a_malformed_configuration(tmp_path, a, message, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({
         "model": {"model": "generic", "params": {"a": a, "d": EYE2, "b": EYE2}},
@@ -590,7 +631,7 @@ def test_sweep_template_with_a_malformed_generic_matrix_is_a_malformed_configura
         "out_dir": str(tmp_path / "out"),
     }))
     assert run(["sweep", "--config", str(path)]) == 2
-    assert _single_error_line(capsys) == f"error: malformed configuration: params.a must be a list of equal-length lists, got {a!r}"
+    assert _single_error_line(capsys) == f"error: malformed configuration: {message}"
     assert not (tmp_path / "out").exists()
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ptosc.errors import ParameterError, ShapeError
+from ptosc.errors import ParameterError
 from ptosc.io import complex_from_json, matrix_from_json
 
 
@@ -13,9 +13,9 @@ def test_complex_from_json():
 
 
 def test_complex_rejects_malformed():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError):
         complex_from_json({"re": 1.0})
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError):
         complex_from_json("1+2j")
 
 

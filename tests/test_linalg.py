@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptosc.errors import NumericalError, ShapeError
+from ptosc.errors import NumericalError, ParameterError
 from ptosc.linalg import (
     E2,
     SIGMA,
@@ -27,17 +27,17 @@ def test_pauli_algebra():
 
 
 def test_shape_guards():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError):
         as_cmatrix(np.zeros((3, 3, 3)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError):
         as_cmatrix(np.zeros((9, 9)))  # exceeds the dimension cap
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError):
         as_cvector(np.zeros(3), dim=4)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError):
         require_square(np.zeros((2, 3)))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError):
         as_cmatrix(np.array([[np.nan, 0], [0, 0]]))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError):
         kron(np.eye(4), np.eye(4))  # 16 > 8
 
 

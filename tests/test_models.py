@@ -7,7 +7,6 @@ import pytest
 from ptosc.errors import BrokenPTError, ParameterError
 from ptosc.linalg import SIGMA, eig_oracle, operator_norm
 from ptosc.models import (
-    Dirac8Params,
     GenericTOddParams,
     ModelSpec,
     SfdmParams,
@@ -129,8 +128,8 @@ def test_generic_scalar_blocks_are_pseudo_hermitian():
 
 
 def test_h8_residual_structure():
-    params = Dirac8Params(m0=2.0, m1=0.3, m2=0.5, m3=0.4, p=1.0, theta_p=0.4, phi_p=1.1)
-    h = h8_hamiltonian(params)
+    spec = ModelSpec("h8", {"m0": 2.0, "m1": 0.3, "m2": 0.5, "m3": 0.4}, {"p": 1.0, "theta": 0.4, "phi": 1.1})
+    h = h8_hamiltonian(spec)
     assert h.shape == (8, 8)
     alphas, beta = h8_alphas(), h8_beta()
     n = (
@@ -139,7 +138,7 @@ def test_h8_residual_structure():
         math.cos(0.4),
     )
     rebuilt = sum(1.0 * n[i] * alphas[i] for i in range(3))
-    rebuilt = params.p * rebuilt + np.kron(mass_block(2.0, 0.3, 0.5, 0.4), np.eye(2))
+    rebuilt = spec.p * rebuilt + np.kron(mass_block(2.0, 0.3, 0.5, 0.4), np.eye(2))
     assert operator_norm(h - rebuilt) < 1e-12
 
 
@@ -159,7 +158,7 @@ def test_h8_helicity_factorization():
         return np.kron(spinor, xi_plus if helicity > 0 else xi_minus)
 
     m0, m2, p, th, ph = 2.0, 1.0, 1.3, 0.7, 2.1
-    h8 = h8_hamiltonian(Dirac8Params(m0=m0, m2=m2, p=p, theta_p=th, phi_p=ph))
+    h8 = h8_hamiltonian(ModelSpec("h8v", {"m0": m0, "m2": m2}, {"p": p, "theta": th, "phi": ph}))
     for hel, q in ((+1, p), (-1, -p)):
         es = h8v_reduced_eigensystem(m0, m2, q)
         for pair in es.pairs:

@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 
 from ptosc.errors import ParameterError
-from ptosc.linalg import operator_norm
+from ptosc.linalg import E2, kron, operator_norm
 from ptosc.models import real_quaternion
-from ptosc.symmetry import (
-    SymmetryPair,
-    block_pair,
-    build_canonical_S,
-    build_canonical_Z,
-    canonical_pair,
-    dirac_pair,
-)
+from ptosc.symmetry import SymmetryPair, block_pair, canonical_pair, dirac_pair
 
 from random_matrices import random_cvector
 
-ALL_PAIRS = [canonical_pair(1, m=2), canonical_pair(2), canonical_pair(3, m=2), block_pair(), dirac_pair()]
+
+# canonical-basis pairs with S = diag(+1 x 2, -1 x (dim - 2)) in dimensions 2 and 6
+ALL_PAIRS = [
+    SymmetryPair(np.eye(2), kron(np.eye(1), E2)),
+    canonical_pair(2),
+    SymmetryPair(np.diag([1.0, 1.0, -1.0, -1.0, -1.0, -1.0]), kron(np.eye(3), E2)),
+    block_pair(),
+    dirac_pair(),
+]
 
 
 @pytest.mark.parametrize("sym", ALL_PAIRS)
@@ -56,11 +57,20 @@ def test_pt_product_two_forms_agree(sym):
 
 
 def test_odd_dimension_rejected():
+    with pytest.raises(ParameterError, match="positive even dimension, got 3"):
+        SymmetryPair(np.eye(3), np.eye(3))
+    with pytest.raises(ParameterError, match="positive even dimension, got 0"):
+        SymmetryPair(np.eye(0), np.eye(0))
+    with pytest.raises(ParameterError, match=r"S Z = Z conj\(S\)"):
+        # a +1 block of odd size would make parity split a Kramers doublet
+        SymmetryPair(np.diag([1.0, -1.0, -1.0, -1.0]), kron(np.eye(2), E2))
+
+
+@pytest.mark.parametrize("n_pairs", [0, 1, 3, 5])
+def test_canonical_pair_outside_its_rules_rejected(n_pairs):
+    # no pairs; a split middle Kramers doublet (1 and 3); dimension 10 > 8
     with pytest.raises(ParameterError):
-        build_canonical_S(2, 3)
-    with pytest.raises(ParameterError):
-        # odd m would make parity split a Kramers doublet
-        build_canonical_S(1, 4)
+        canonical_pair(n_pairs)
 
 
 def test_t_even_z_rejected():
@@ -73,7 +83,7 @@ def test_incompatible_s_z_rejected():
     # S that fails S Z = Z conj(S)
     s = np.array([[0, 1], [1, 0]], dtype=complex)
     with pytest.raises(ParameterError):
-        SymmetryPair(s, build_canonical_Z(1))
+        SymmetryPair(s, kron(np.eye(1), E2))
 
 
 def test_dirac_pair_shape():
@@ -100,8 +110,8 @@ def test_dirac_pair_shape():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: canonical_pair(2), lambda: canonical_pair(3, m=2), block_pair, dirac_pair],
-    ids=["canonical", "canonical_m2", "block", "dirac"],
+    [lambda: canonical_pair(2), lambda: canonical_pair(4), block_pair, dirac_pair],
+    ids=["canonical", "canonical_8d", "block", "dirac"],
 )
 def test_fixed_pairs_are_shared_and_read_only(build):
     sym = build()
@@ -112,7 +122,7 @@ def test_fixed_pairs_are_shared_and_read_only(build):
 
 
 def test_pair_keeps_a_copy_of_its_inputs():
-    s, z = np.eye(2, dtype=complex), build_canonical_Z(1)
+    s, z = np.eye(2, dtype=complex), kron(np.eye(1), E2)
     sym = SymmetryPair(s, z)
     s[0, 0] = -1.0
     assert sym.s[0, 0] == 1.0 and s.flags.writeable
@@ -124,7 +134,7 @@ def test_pt_product_mismatch_rejected():
     # disagree
     q = real_quaternion(0.3, 0.2, -0.1, 0.4)
     s = np.block([[np.eye(2), q], [np.zeros((2, 2)), -np.eye(2)]])
-    z = build_canonical_Z(2)
+    z = kron(np.eye(2), E2)
     assert operator_norm(z.T @ s.T @ z - s) == pytest.approx(0.548, abs=1e-3)
     with pytest.raises(ParameterError, match=r"\(PT a\)\^T Z b does not reproduce a\^dag S b"):
         SymmetryPair(s, z)

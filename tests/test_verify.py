@@ -15,7 +15,6 @@ from ptosc.models import (
     h8_alphas,
     h8_beta,
     h8_hamiltonian,
-    Dirac8Params,
     real_quaternion,
     sfdm_hamiltonian,
 )
@@ -55,7 +54,7 @@ CATALOGUE = [
 def test_pt_commute_models_pass():
     sym = canonical_pair(2)
     assert check_pt_commute(sym, sfdm_hamiltonian(REF)).passed
-    h8 = h8_hamiltonian(Dirac8Params(m0=2.0, m1=0.3, m2=0.5, m3=0.4, p=1.0, theta_p=0.4, phi_p=1.1))
+    h8 = h8_hamiltonian(ModelSpec("h8", {"m0": 2.0, "m1": 0.3, "m2": 0.5, "m3": 0.4}, {"p": 1.0, "theta": 0.4, "phi": 1.1}))
     assert check_pt_commute(dirac_pair(), h8).passed
 
 
@@ -75,7 +74,7 @@ def test_pseudo_hermiticity_models_pass():
 
 
 def test_pseudo_hermiticity_momentum_needs_reflection():
-    h, h_reflected = (h8_hamiltonian(Dirac8Params(m0=2.0, m2=1.0, p=p)) for p in (1.0, -1.0))
+    h, h_reflected = (h8_hamiltonian(ModelSpec("h8v", {"m0": 2.0, "m2": 1.0}, {"p": p})) for p in (1.0, -1.0))
     assert not check_pseudo_hermiticity(dirac_pair(), h).passed
     assert check_pseudo_hermiticity(dirac_pair(), h, h_reflected=h_reflected).passed
 
