@@ -84,9 +84,12 @@ RAGGED_TEMPLATE_SWEEP = {
 MODEL_FILE = ("verify", "--model-file", "{dir}/model.json")
 # (kind, argv, files): README's CLI examples (the sweep with its sample
 # configuration), h8v at m2 = 0 and p = 0, a sweep over a generic block,
-# the sweeps above, and generic blocks that are not a 2x2 complex matrix
+# the sweeps above, generic blocks that are not a 2x2 complex matrix
 # (usage errors: a ragged one, a complex entry that is not {"re", "im"}, a
-# 3x3 one, and a sweep template with the ragged one)
+# 3x3 one, and a sweep template with the ragged one), and tables that
+# cannot be made (physics failures: h8v with |m2| >= m0 at a momentum
+# where its spectrum is real, a generic model with a complex spectrum, and
+# h8r at p != 0)
 EXTRA = (
     ("readme_verify_sfdm", ("verify", "--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
     ("readme_verify_h8v", ("verify", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"), {}),
@@ -104,6 +107,9 @@ EXTRA = (
     ("generic_re_only_entry_verify", MODEL_FILE, {"model.json": json.dumps(generic_model([[1, {"re": 1}], [0, 1]]))}),
     ("generic_3x3_block_verify", MODEL_FILE, {"model.json": json.dumps(generic_model([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))}),
     ("generic_ragged_template_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(RAGGED_TEMPLATE_SWEEP)}),
+    ("h8v_m2_above_m0_real_spectrum_oscillate", ("oscillate", "--model", "h8v", "--m0", "1", "--m2", "2", "--p", "2"), {}),
+    ("generic_complex_spectrum_oscillate", ("oscillate", "--model-file", "{dir}/model.json"), {"model.json": json.dumps(generic_model(EYE2))}),
+    ("h8r_p_1_oscillate", ("oscillate", "--model", "h8r", "--m0", "2", "--m1", ".5", "--m2", "1", "--p", "1"), {}),
 )
 
 

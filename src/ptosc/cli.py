@@ -260,11 +260,6 @@ def cmd_sweep(args) -> int:
     except ParameterError as exc:
         raise ParameterError(f"malformed configuration: {exc}") from exc
     tol = default_tol()
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ParameterError(f"cannot make the output directory {out_dir!r}: {exc.strerror or exc}") from None
-
     # The whole grid is one job for a single worker thread: the benchmark's
     # tracer test asserts that grid points are realized off the main thread,
     # so the pool goes only with a change to the benchmark.  It is imported
@@ -273,6 +268,11 @@ def cmd_sweep(args) -> int:
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         tables = [table for table, _ in pool.submit(_tables, specs, grid, tol).result()]
+    # made only once the tables exist, so a sweep that fails leaves no directory
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot make the output directory {out_dir!r}: {exc.strerror or exc}") from None
     index, reuse = [], {}  # each table reuses the texts of the one written before it
     for value, fname, table in zip(values, files, tables):
         broken = isinstance(table, PtoscError)

@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-import numpy as np
-
 
 class PtoscError(Exception):
     """Base class for all package exceptions."""
@@ -20,17 +18,7 @@ class NumericalError(PtoscError, RuntimeError):
 
 
 class BrokenPTError(PtoscError, ValueError):
-    """PT-broken parameter regime: the spectrum is complex.
-
-    Carries the offending eigenvalues so callers can report them.  For h8v
-    and h8r the phase rule is |m2| >= m0 at every momentum, so at
-    p^2 > m2^2 - m0^2 the reported eigenvalues +/-sqrt(p^2 + m0^2 - m2^2)
-    are in fact real (ROADMAP item 2's open phase-rule bullet).
-    """
-
-    def __init__(self, message: str, eigenvalues=None):
-        super().__init__(message)
-        self.eigenvalues = None if eigenvalues is None else np.asarray(eigenvalues)
+    """PT-broken parameter regime: the spectrum is complex."""
 
 
 class DegenerateNormError(PtoscError, ValueError):

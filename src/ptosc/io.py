@@ -58,11 +58,11 @@ def json_integer(value, what: str) -> int:
 
 def complex_from_json(obj, what: str = "a complex number") -> complex:
     """{"re": x, "im": y} or a bare real x as a complex number; ParameterError
-    otherwise, naming ``what`` if x or y is not a JSON number."""
+    naming ``what`` otherwise."""
     if isinstance(obj, dict) and set(obj) == {"re", "im"}:
         return complex(json_number(obj["re"], f"{what}.re"), json_number(obj["im"], f"{what}.im"))
     if not isinstance(obj, (int, float)):
-        raise ParameterError(f"not a serialized complex number: {obj!r}")
+        raise ParameterError(f'{what} must be a number or {{"re": x, "im": y}}, got {obj!r}')
     return complex(json_number(obj, what))
 
 

@@ -13,7 +13,6 @@ both fixed against the numerical eigensolver:
   and its conjugate, and the printed normalization n is then exact.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,17 +70,13 @@ class EigenSystem:
         return np.array([p.value for p in self.pairs])
 
     @property
-    def kets(self) -> list[np.ndarray]:
-        return [p.ket for p in self.pairs]
-
-    @property
     def signs(self) -> list[int]:
         return [p.pt_sign for p in self.pairs]
 
     @cached_property
     def K(self) -> np.ndarray:
         """The kets at the working momentum, as columns."""
-        return np.column_stack(self.kets)
+        return np.column_stack([p.ket for p in self.pairs])
 
     @property
     def B(self) -> np.ndarray:
@@ -200,7 +195,6 @@ def sfdm_eigensystem(params: SfdmParams) -> EigenSystem:
             np.array([1, 0, 0, 0], dtype=complex),
             np.array([0, 1, 0, 0], dtype=complex),
         ]
-        raw = kets
     else:
         sech = 1 / math.cosh(chi / 2)
         csch = 1 / math.sinh(chi / 2)
@@ -237,44 +231,37 @@ def sfdm_eigensystem(params: SfdmParams) -> EigenSystem:
                 0,
             ]
         )
-        raw = [e1, e2, e3, e4]
-    return pt_normalized_eigensystem(canonical_pair(2), zip((-1.0, -1.0, 1.0, 1.0), raw))
+        kets = [e1, e2, e3, e4]
+    return pt_normalized_eigensystem(canonical_pair(2), zip((-1.0, -1.0, 1.0, 1.0), kets))
 
 
 # ---------------------------------------------------------------------------
 # generic T-odd block form
 
 
-@dataclass(frozen=True)
-class GenericTOddParams:
-    """Blocks of the generic T-odd Hamiltonian [[A, iB], [iB^dag, D]].
+def generic_blocks(a, d, b) -> dict:
+    """The blocks {"a": A, "d": D, "b": B} of the generic T-odd Hamiltonian
+    [[A, iB], [iB^dag, D]], as complex arrays.
 
     A and D must be Hermitian 2x2 matrices and B a real quaternion.  Note
     that PT commutation additionally requires A and D to be real multiples
     of the identity (Hermitian and quaternion-real at once); pseudo-
     Hermiticity alone holds for any Hermitian A, D.
     """
-
-    a: np.ndarray
-    d: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a, d, b = (as_cmatrix(m) for m in (self.a, self.d, self.b))
-        for name, m in (("A", a), ("D", d), ("B", b)):
-            if m.shape != (2, 2):
-                raise ParameterError(f"{name} must be 2x2")
-        for name, m in (("A", a), ("D", d)):
-            if _beyond_rounding(operator_norm(m - m.conj().T), m):
-                raise ParameterError(f"{name} must be Hermitian")
-        quaternion_coefficients(b)  # raises if not a real quaternion
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "b", b)
+    blocks = {"a": as_cmatrix(a), "d": as_cmatrix(d), "b": as_cmatrix(b)}
+    for key, m in blocks.items():
+        if m.shape != (2, 2):
+            raise ParameterError(f"{key.upper()} must be 2x2")
+    for key in ("a", "d"):
+        if _beyond_rounding(operator_norm(blocks[key] - blocks[key].conj().T), blocks[key]):
+            raise ParameterError(f"{key.upper()} must be Hermitian")
+    quaternion_coefficients(blocks["b"])  # raises if not a real quaternion
+    return blocks
 
 
-def generic_t_odd_hamiltonian(params: GenericTOddParams) -> np.ndarray:
-    return _t_odd_block(params.a, params.b, params.d)
+def generic_t_odd_hamiltonian(blocks: dict) -> np.ndarray:
+    """[[A, iB], [iB^dag, D]] of the :func:`generic_blocks` dict ``blocks``."""
+    return _t_odd_block(**blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +315,11 @@ def effective_mass(m0: float, m2: float) -> float:
     return math.sqrt(m0 * m0 - m2 * m2)
 
 
-def _require_unbroken(m0: float, m2: float, p: float = 0.0) -> None:
+def _require_unbroken(m0: float, m2: float) -> None:
+    """Raise BrokenPTError at |m2| >= m0.  The rule ignores the momentum,
+    though at p^2 > m2^2 - m0^2 the h8v spectrum is real (ROADMAP item 2)."""
     if m0 <= abs(m2):
-        lam = cmath.sqrt(p * p + m0 * m0 - m2 * m2)
-        raise BrokenPTError(
-            f"PT-broken regime: |m2| = {abs(m2)} >= m0 = {m0}", eigenvalues=[lam, lam, -lam, -lam]
-        )
+        raise BrokenPTError(f"PT-broken regime: |m2| = {abs(m2)} >= m0 = {m0}")
 
 
 def h8v_reduced_hamiltonian(m0: float, m2: float, p: float) -> np.ndarray:
@@ -376,7 +362,7 @@ def h8v_reduced_eigensystem(m0: float, m2: float, p: float) -> EigenSystem:
     normalization.  The closed form is evaluated at p for the kets and at -p
     for the reflected kets that the CS convention uses on the bra side.
     """
-    _require_unbroken(m0, m2, p)
+    _require_unbroken(m0, m2)
     meff = effective_mass(m0, m2)
     eps = math.hypot(p, meff)
     norm = 1.0 / math.sqrt(2.0 * m0 * eps)
@@ -411,7 +397,7 @@ def pt_orthonormal_eigensystem(sym: SymmetryPair, decomposition: Eigendecomposit
     :class:`BrokenPTError` if the spectrum is complex.
     """
     if np.max(np.abs(decomposition.values.imag)) > DEFAULT_TOL * max(decomposition.norm, 1.0):
-        raise BrokenPTError("complex spectrum: no PT-orthonormal basis", decomposition.values)
+        raise BrokenPTError("complex spectrum: no PT-orthonormal basis")
     entries = []
     for cluster in decomposition.clusters:
         block = decomposition.vectors[:, list(cluster)]
@@ -455,10 +441,10 @@ class ModelSpec:
     ``phi``; h8 ``m0`` and optionally ``m1``-``m3``; h8r ``m0`` and
     optionally ``m1``, ``m2``; h8v ``m0`` and optionally ``m2`` (an omitted
     mass is 0); generic the blocks ``a``, ``d``, ``b``, given in JSON as complex
-    matrices, checked by :class:`GenericTOddParams` and stored as its
-    arrays.  ``momentum`` is optional, for the h8 family only, and takes
-    the keys of :data:`MOMENTUM_KEYS`.  Every value but the generic blocks
-    is a finite number, stored as a float.
+    matrices and stored as the dict :func:`generic_blocks` returns.
+    ``momentum`` is optional, for the h8 family only, and takes the keys of
+    :data:`MOMENTUM_KEYS`.  Every value but the generic blocks is a finite
+    number, stored as a float.
     """
 
     model: str
@@ -470,8 +456,7 @@ class ModelSpec:
             raise ParameterError(f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
         json_object(self.params, f"{self.model} params", *PARAM_KEYS[self.model])
         if self.model == "generic":
-            blocks = GenericTOddParams(**self.params)
-            object.__setattr__(self, "params", {"a": blocks.a, "d": blocks.d, "b": blocks.b})
+            object.__setattr__(self, "params", generic_blocks(**self.params))
         else:
             object.__setattr__(self, "params", {key: json_finite(val, f"params.{key}") for key, val in self.params.items()})
         if self.momentum is not None:
@@ -514,7 +499,7 @@ def model_hamiltonian(spec: ModelSpec) -> np.ndarray:
         return sfdm_hamiltonian(SfdmParams(**spec.params))
     if spec.model == "generic":
         # the blocks were checked when the spec was made
-        return _t_odd_block(**spec.params)
+        return generic_t_odd_hamiltonian(spec.params)
     return mass_block(*spec.masses) + spec.p * MOMENTUM_BLOCK
 
 

@@ -35,24 +35,23 @@ def _dead(block: np.ndarray) -> np.ndarray:
     return ((block == 0.0) & ~np.signbit(block)).all(axis=0)
 
 
-def _fill(template: str, spec: str, sep: str, rows: np.ndarray) -> str:
-    """``sep.join(template % tuple(row) for row in rows)``, one ``%`` per block of rows.
+def _fill(template: str, rows: np.ndarray) -> str:
+    """``",\\n".join(template % tuple(row) for row in rows)``, one ``%`` per block of rows.
 
-    ``template`` has one ``spec`` slot per column.  A column that is +0.0 in
+    ``template`` has one ``%r`` slot per column.  A column that is +0.0 in
     every row of a block is written into that block's row template as the
-    literal ``spec % 0.0``, so only the live columns are formatted.  -0.0 is
-    not folded: it prints with its sign.  The JSON writer formats every
-    block this way; the CSV writer uses :func:`_csv_columns`.
+    literal ``0.0``, so only the live columns are formatted.  -0.0 is not
+    folded: it prints with its sign.  The JSON writer formats every block
+    this way; the CSV writer uses :func:`_csv_columns`.
     """
-    gaps = template.split(spec)
-    zero = spec % 0.0
+    gaps = template.split("%r")
     blocks = []
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
         dead = _dead(block)
-        row = gaps[0] + "".join((zero if d else spec) + gap for d, gap in zip(dead, gaps[1:]))
-        blocks.append(sep.join([row] * len(block)) % tuple(block[:, ~dead].ravel().tolist()))
-    return sep.join(blocks)
+        row = gaps[0] + "".join(("0.0" if d else "%r") + gap for d, gap in zip(dead, gaps[1:]))
+        blocks.append(",\n".join([row] * len(block)) % tuple(block[:, ~dead].ravel().tolist()))
+    return ",\n".join(blocks)
 
 
 # The flavour swap (13)(24) leaves every table unchanged, so P33, P31, P44
@@ -204,10 +203,10 @@ class TransitionTable:
         if previous is not None and previous[0] == grid:
             times = previous[1]
         else:
-            times = _fill(_JSON_TIME, "%r", ",\n", self.t_grid[:, None])
+            times = _fill(_JSON_TIME, self.t_grid[:, None])
         if reuse is not None and len(self.t_grid) <= BLOCK_ROWS:
             reuse["json"] = (grid, times)
-        probs = _fill(_JSON_MATRIX, "%r", ",\n", self.probs.reshape(len(self.t_grid), 16))
+        probs = _fill(_JSON_MATRIX, self.probs.reshape(len(self.t_grid), 16))
         return '{\n  "t_grid": [\n%s\n  ],\n  "probs": [\n%s\n  ]\n}\n' % (times, probs)
 
     def to_json_dict(self) -> dict:
@@ -216,7 +215,7 @@ class TransitionTable:
 
 def _real_spectrum(values: np.ndarray) -> np.ndarray:
     if np.max(np.abs(np.imag(values))) > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
-        raise BrokenPTError("cannot evolve with a complex spectrum", values)
+        raise BrokenPTError("cannot evolve with a complex spectrum")
     return np.real(values)
 
 

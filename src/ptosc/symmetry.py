@@ -68,8 +68,8 @@ class SymmetryPair:
 @cache
 def canonical_pair(n_pairs: int) -> SymmetryPair:
     """Canonical-basis pair: S = diag(+1 x n_pairs, -1 x n_pairs), Z = diag(e2, ...)."""
-    s = np.diag(np.concatenate([np.ones(n_pairs), -np.ones(n_pairs)])).astype(complex)
-    return SymmetryPair(s, kron(np.eye(n_pairs), E2))
+    # lists, not np.ones: a negative count gives a 0x0 pair, which SymmetryPair rejects
+    return SymmetryPair(np.diag([1.0] * n_pairs + [-1.0] * n_pairs), kron(np.diag([1.0] * n_pairs), E2))
 
 
 @cache

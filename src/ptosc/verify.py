@@ -45,17 +45,9 @@ class CheckReport:
     tolerance: float
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "defect": self.defect,
-            "tolerance": self.tolerance,
-            "note": self.note,
-        }
-
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """The fields as one JSON object, in field order."""
+        return json.dumps(vars(self))
 
 
 def _report(name: str, defect: float, tol: float, note: str = "") -> CheckReport:
@@ -86,8 +78,8 @@ def check_real_spectrum(h, tol: float = DEFAULT_TOL, decomposition: Eigendecompo
     return _report("real_spectrum", defect, tol * max(1.0, decomp.norm))
 
 
-def check_alpha_beta_conditions(alphas, beta, sym: SymmetryPair, tol: float = 1e-12) -> list[CheckReport]:
-    """The full set of representation identities for (alpha_i, beta)."""
+def check_alpha_beta_conditions(alphas, beta, sym: SymmetryPair) -> list[CheckReport]:
+    """The full set of representation identities for (alpha_i, beta), each to 1e-12."""
     alphas = [require_square(a) for a in alphas]
     beta = require_square(beta)
     s, z = sym.s, sym.z
@@ -96,7 +88,7 @@ def check_alpha_beta_conditions(alphas, beta, sym: SymmetryPair, tol: float = 1e
     reports = []
 
     def add(name, defect, note=""):
-        reports.append(_report(name, defect, tol, note))
+        reports.append(_report(name, defect, 1e-12, note))
 
     add("S_alpha_anticommute", max(operator_norm(s @ a + a @ s) for a in alphas))
     add("Z_alpha_conjugation", max(operator_norm(z @ a.conj() + a @ z) for a in alphas))
@@ -163,10 +155,6 @@ def realize(spec: ModelSpec) -> Realization:
     except PtoscError as exc:
         note = str(exc)
     return Realization(sym=sym, hamiltonian=h, eigensystem=eigsys, eigensystem_note=note, decomposition=decomp)
-
-
-def _skip(name: str, reason: str, tol: float) -> CheckReport:
-    return CheckReport(name=name, passed=False, defect=math.inf, tolerance=tol, note=f"skipped: {reason}")
 
 
 def _pt_gram_defect(sym: SymmetryPair, eigsys: EigenSystem) -> float:
@@ -244,7 +232,7 @@ def run_full_suite(spec: ModelSpec, tol: float = DEFAULT_TOL, n_random: int = 10
     reports = [check_pt_commute(sym_m, h_m, tol, norm_m), check_pseudo_hermiticity(sym_m, h_m, h_m_r, tol, norm_m), spectrum]
 
     def skip_rest(reason: str) -> list[CheckReport]:
-        return reports + [_skip(name, reason, tol) for name in SUITE_NAMES[len(reports) :]]
+        return reports + [_report(name, math.inf, tol, f"skipped: {reason}") for name in SUITE_NAMES[len(reports) :]]
 
     if not spectrum.passed:
         return skip_rest("broken PT phase (complex spectrum)")

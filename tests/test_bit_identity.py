@@ -15,9 +15,9 @@ from ptosc.coperator import build_C
 from ptosc.errors import NumericalError, ParameterError
 from ptosc.linalg import MAX_DIM, SIGMA0, as_cmatrix, as_cvector, kron
 from ptosc.models import (
-    GenericTOddParams,
     ModelSpec,
     SfdmParams,
+    generic_blocks,
     generic_t_odd_hamiltonian,
     real_quaternion,
     sfdm_hamiltonian,
@@ -75,9 +75,9 @@ HERMITIAN = st.builds(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(HERMITIAN, HERMITIAN, st.tuples(PART, PART, PART, PART))
 def test_generic_hamiltonian_is_the_np_block_assembly(a, d, q):
-    params = GenericTOddParams(a=a, d=d, b=real_quaternion(*q))
-    want = np.block([[params.a, 1j * params.b], [1j * params.b.conj().T, params.d]])
-    assert_same_bits(generic_t_odd_hamiltonian(params), want)
+    blocks = generic_blocks(a=a, d=d, b=real_quaternion(*q))
+    want = np.block([[blocks["a"], 1j * blocks["b"]], [1j * blocks["b"].conj().T, blocks["d"]]])
+    assert_same_bits(generic_t_odd_hamiltonian(blocks), want)
 
 
 def _two_part_cmatrix(a, max_dim=MAX_DIM) -> np.ndarray:

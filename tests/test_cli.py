@@ -223,8 +223,8 @@ def test_malformed_generic_matrix_is_usage_error(tmp_path, a, message, capsys):
         ({"re": 1, "im": None}, "params.a[0][1].im must be a number, got None"),
         (True, "params.a[0][1] must be a number, got True"),
         (10**400, "params.a[0][1] is an integer too large for a float"),
-        ({"re": 1.0}, "not a serialized complex number: {'re': 1.0}"),
-        ("1+2j", "not a serialized complex number: '1+2j'"),
+        ({"re": 1.0}, """params.a[0][1] must be a number or {"re": x, "im": y}, got {'re': 1.0}"""),
+        ("1+2j", """params.a[0][1] must be a number or {"re": x, "im": y}, got '1+2j'"""),
     ],
     ids=["string-re", "null-im", "bool", "huge-int", "re-only", "string"],
 )
@@ -573,8 +573,8 @@ def test_sweep_too_large_for_memory_is_usage_error(tmp_path, key, capsys):
     path.write_text(json.dumps(cfg_doc))
     assert run(["sweep", "--config", str(path)]) == 2
     assert _single_error_line(capsys).startswith(OUT_OF_MEMORY)
-    # no table file and no index.json
-    assert list((tmp_path / "out").glob("*")) == []
+    # no output directory, so no table file and no index.json
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_over_an_omitted_mass(tmp_path, capsys):

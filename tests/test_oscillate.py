@@ -95,7 +95,7 @@ def test_standard_flavour_basis_mixing_pattern():
     # mixing reconstructs the eigenkets from the flavour kets
     for l in range(4):
         rebuilt = sum(MIXING[l, j] * basis[:, j] for j in range(4))
-        np.testing.assert_allclose(rebuilt, es.kets[l], atol=1e-12)
+        np.testing.assert_allclose(rebuilt, es.K[:, l], atol=1e-12)
 
 
 def test_standard_flavour_basis_rejects_bad_input():

@@ -66,9 +66,9 @@ def test_odd_dimension_rejected():
         SymmetryPair(np.diag([1.0, -1.0, -1.0, -1.0]), kron(np.eye(2), E2))
 
 
-@pytest.mark.parametrize("n_pairs", [0, 1, 3, 5])
+@pytest.mark.parametrize("n_pairs", [-1, 0, 1, 3, 5])
 def test_canonical_pair_outside_its_rules_rejected(n_pairs):
-    # no pairs; a split middle Kramers doublet (1 and 3); dimension 10 > 8
+    # no pairs (-1 and 0); a split middle Kramers doublet (1 and 3); dimension 10 > 8
     with pytest.raises(ParameterError):
         canonical_pair(n_pairs)
 
