@@ -46,7 +46,9 @@ GENERIC_BLOCK_SWEEP = {
 }
 # sweeps whose tables are written reusing the texts of the table before:
 # an h8v m2 axis broken at both ends (|m2| >= m0), an sfdm chi axis in JSON
-# on a set grid end, and a grid of 4,097 times, more than one writer block
+# on a set grid end, a grid of 4,097 times, more than one writer block,
+# that grid in JSON, and an h8v p axis in JSON, whose default time grids
+# differ from point to point
 H8V_BROKEN_ENDS_SWEEP = {
     "model": {"model": "h8v", "params": {"m0": 2.0, "m2": 0.0}, "momentum": {"p": 0.7, "theta": 0.4, "phi": 1.1}},
     "sweep": [{"param": "m2", "start": -2.5, "stop": 2.5, "steps": 11}],
@@ -65,6 +67,14 @@ LONG_SWEEP = {
     "sweep": [{"param": "m2", "start": 0.5, "stop": 1.5, "steps": 3}],
     "t_grid": {"points": 4097},
     "out_dir": "{dir}/out",
+}
+LONG_JSON_SWEEP = {**LONG_SWEEP, "format": "json"}
+H8V_P_JSON_SWEEP = {
+    "model": {"model": "h8v", "params": {"m0": 2.0, "m2": 1.2}, "momentum": {"p": 0.0, "theta": 0.4, "phi": 1.1}},
+    "sweep": [{"param": "p", "start": 0.0, "stop": 3.0, "steps": 8}],
+    "t_grid": {"points": 256},
+    "out_dir": "{dir}/out",
+    "format": "json",
 }
 H8V_M2_0_P_0 = ("--model", "h8v", "--m0", "2", "--m2", "0", "--p", "0")
 EYE2 = [[1, 0], [0, 1]]
@@ -89,7 +99,8 @@ MODEL_FILE = ("verify", "--model-file", "{dir}/model.json")
 # 3x3 one, and a sweep template with the ragged one), and tables that
 # cannot be made (physics failures: h8v with |m2| >= m0 at a momentum
 # where its spectrum is real, a generic model with a complex spectrum, and
-# h8r at p != 0)
+# h8r at p != 0).  The two JSON sweeps added last come last, so the
+# lines before them keep their indices.
 EXTRA = (
     ("readme_verify_sfdm", ("verify", "--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
     ("readme_verify_h8v", ("verify", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"), {}),
@@ -110,6 +121,8 @@ EXTRA = (
     ("h8v_m2_above_m0_real_spectrum_oscillate", ("oscillate", "--model", "h8v", "--m0", "1", "--m2", "2", "--p", "2"), {}),
     ("generic_complex_spectrum_oscillate", ("oscillate", "--model-file", "{dir}/model.json"), {"model.json": json.dumps(generic_model(EYE2))}),
     ("h8r_p_1_oscillate", ("oscillate", "--model", "h8r", "--m0", "2", "--m1", ".5", "--m2", "1", "--p", "1"), {}),
+    ("long_json_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(LONG_JSON_SWEEP)}),
+    ("h8v_p_json_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8V_P_JSON_SWEEP)}),
 )
 
 

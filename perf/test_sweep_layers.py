@@ -1,5 +1,5 @@
 """Micro-benchmarks of a sweep: its compute, the stacked core against the
-one-point path run once per grid point, and its CSV writer.
+one-point path run once per grid point, and its CSV and JSON writers.
 
     python3 -m pytest perf --benchmark-only -q
 
@@ -17,7 +17,9 @@ that ``transition_table`` takes), ``default_t_grid`` and
 them: ``reuse`` passes one dict to every call, so each table takes the
 texts of the one before where the rounding guard proves them equal (sfdm
 and h8v neighbours print alike in almost every cell, h8r ones only in the
-zero columns); ``fresh`` formats every table on its own.
+zero columns); ``fresh`` formats every table on its own.  ``write_json``
+does the same with ``to_json``, whose ``reuse`` takes the text of a float
+bit pattern that an earlier table formatted from a memo.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ import pytest
 from ptosc.cli import _tables
 from ptosc.coperator import build_C
 from ptosc.models import ModelSpec
-from ptosc.oscillate import default_t_grid, standard_flavour_basis, transition_table
+from ptosc.oscillate import TransitionTable, default_t_grid, standard_flavour_basis, transition_table
 from ptosc.verify import realize
 
 POINTS = 27
@@ -63,14 +65,22 @@ def test_one_point(benchmark, model):
     assert all(np.array_equal(a.probs, b.probs) for a, b in zip(tables, stacked))
 
 
-def write_csv(tables, reuse):
+def write(method, tables, reuse):
     shared = {} if reuse else None
-    return [table.to_csv(shared) for table in tables]
+    return [method(table, shared) for table in tables]
 
 
 @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "fresh"])
 @pytest.mark.parametrize("model", GRIDS)
 def test_write_csv(benchmark, model, reuse):
     tables = [table for table, _ in _tables(GRIDS[model], GRID_ARGS, 1e-10)]
-    texts = benchmark(write_csv, tables, reuse)
+    texts = benchmark(write, TransitionTable.to_csv, tables, reuse)
     assert texts == [table.to_csv() for table in tables]
+
+
+@pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "fresh"])
+@pytest.mark.parametrize("model", GRIDS)
+def test_write_json(benchmark, model, reuse):
+    tables = [table for table, _ in _tables(GRIDS[model], GRID_ARGS, 1e-10)]
+    texts = benchmark(write, TransitionTable.to_json, tables, reuse)
+    assert texts == [table.to_json() for table in tables]

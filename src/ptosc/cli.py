@@ -260,6 +260,9 @@ def cmd_sweep(args) -> int:
     except ParameterError as exc:
         raise ParameterError(f"malformed configuration: {exc}") from exc
     tol = default_tol()
+    # an existing non-directory fails before the compute, as os.makedirs below would after it
+    if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
+        raise ParameterError(f"cannot make the output directory {out_dir!r}: File exists")
     # The whole grid is one job for a single worker thread: the benchmark's
     # tracer test asserts that grid points are realized off the main thread,
     # so the pool goes only with a change to the benchmark.  It is imported

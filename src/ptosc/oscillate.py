@@ -35,22 +35,31 @@ def _dead(block: np.ndarray) -> np.ndarray:
     return ((block == 0.0) & ~np.signbit(block)).all(axis=0)
 
 
-def _fill(template: str, rows: np.ndarray) -> str:
+def _fill(template: str, rows: np.ndarray, memo: dict | None = None) -> str:
     """``",\\n".join(template % tuple(row) for row in rows)``, one ``%`` per block of rows.
 
     ``template`` has one ``%r`` slot per column.  A column that is +0.0 in
     every row of a block is written into that block's row template as the
     literal ``0.0``, so only the live columns are formatted.  -0.0 is not
-    folded: it prints with its sign.  The JSON writer formats every block
-    this way; the CSV writer uses :func:`_csv_columns`.
+    folded: it prints with its sign.  A ``memo`` maps the int64 view of a
+    float to its text: only the values new to it are formatted, and kept
+    while it then holds no more texts than the block has cells.  The JSON
+    writer formats every block this way; the CSV writer uses :func:`_csv_columns`.
     """
     gaps = template.split("%r")
     blocks = []
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
         dead = _dead(block)
-        row = gaps[0] + "".join(("0.0" if d else "%r") + gap for d, gap in zip(dead, gaps[1:]))
-        blocks.append(",\n".join([row] * len(block)) % tuple(block[:, ~dead].ravel().tolist()))
+        row = gaps[0] + "".join(("0.0" if d else "%r" if memo is None else "%s") + gap for d, gap in zip(dead, gaps[1:]))
+        live = block[:, ~dead].ravel()
+        if memo is not None:
+            keys = live.view(np.int64).tolist()
+            new = np.array(list(set(keys).difference(memo)), dtype=np.int64)
+            fresh = dict(zip(new.tolist(), _texts(new.view(float), "%r")))
+            memo.update(fresh if len(memo) + len(fresh) <= rows.size else ())
+        cells = tuple(live.tolist() if memo is None else map(fresh.get, keys, map(memo.get, keys)))
+        blocks.append(",\n".join([row] * len(block)) % cells)
     return ",\n".join(blocks)
 
 
@@ -85,9 +94,9 @@ def _same_12g(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ok | ((a == b) & ~(np.signbit(a) ^ np.signbit(b)))
 
 
-def _texts(values: np.ndarray) -> list:
-    """``["%.12g" % x for x in values.ravel()]``, in one ``%``."""
-    return ("%.12g\n" * values.size % tuple(values.ravel().tolist())).splitlines()
+def _texts(values: np.ndarray, spec: str = "%.12g") -> list:
+    """``[spec % x for x in values.ravel()]``, in one ``%``."""
+    return ((spec + "\n") * values.size % tuple(values.ravel().tolist())).splitlines()
 
 
 def _csv_columns(block: np.ndarray, previous=None) -> list:
@@ -196,17 +205,15 @@ class TransitionTable:
 
         ``%r`` texts are equal only for equal floats, and no two live columns
         are bit-equal, so the flavour twins are formatted like any column.
-        With ``reuse`` (see :meth:`to_csv`), a time grid bit-equal to that of
-        the table written before takes its text."""
-        grid = self.t_grid.tobytes()
-        previous = None if reuse is None else reuse.pop("json", None)
-        if previous is not None and previous[0] == grid:
-            times = previous[1]
-        else:
-            times = _fill(_JSON_TIME, self.t_grid[:, None])
-        if reuse is not None and len(self.t_grid) <= BLOCK_ROWS:
-            reuse["json"] = (grid, times)
-        probs = _fill(_JSON_MATRIX, self.probs.reshape(len(self.t_grid), 16))
+        With ``reuse`` (see :meth:`to_csv`), a one-block table takes from
+        :func:`_fill`'s memo the texts that tables before it formatted, and
+        adds its own until the memo holds as many texts as the table has
+        probabilities; a longer table leaves none."""
+        memo = None if reuse is None or len(self.t_grid) > BLOCK_ROWS else reuse.setdefault("json", {})
+        if memo is None and reuse:
+            reuse.pop("json", None)
+        times = _fill(_JSON_TIME, self.t_grid[:, None], memo)
+        probs = _fill(_JSON_MATRIX, self.probs.reshape(len(self.t_grid), 16), memo)
         return '{\n  "t_grid": [\n%s\n  ],\n  "probs": [\n%s\n  ]\n}\n' % (times, probs)
 
     def to_json_dict(self) -> dict:

@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ptosc import cli
 from ptosc.cli import build_parser, main
 
 SFDM_FLAGS = ["--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"]
@@ -99,7 +101,10 @@ def test_sweep_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
     cfg_doc["out_dir"] = str(taken)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg_doc))
-    assert run(["sweep", "--config", str(path)]) == 2
+    # the sweep fails before it computes any table
+    with mock.patch.object(cli, "_tables", wraps=cli._tables) as tables:
+        assert run(["sweep", "--config", str(path)]) == 2
+    assert not tables.called
     assert _single_error_line(capsys) == f"error: cannot make the output directory {str(taken)!r}: File exists"
 
 

@@ -448,15 +448,38 @@ def test_writers_in_sequence_match_references(tables):
         assert_json_matches_reference(table.to_json(js), table)
 
 
+def formatting_spy(formatted: list):
+    """A stand-in for ``oscillate._texts`` that appends the size of each array it formats to ``formatted``."""
+    texts = oscillate._texts
+    return mock.patch.object(oscillate, "_texts", lambda values, *spec: formatted.append(values.size) or texts(values, *spec))
+
+
 def test_json_time_grid_reused_only_when_bit_equal():
     probs = np.array([np.eye(4)] * 2)
-    js = {}
-    for times in ([0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0 + 2.0**-52]):
-        table = TransitionTable(np.array(times), probs)
-        assert_json_matches_reference(table.to_json(js), table)
-    # a bit-equal grid takes the kept text as it is
-    kept = {"json": (np.array([0.0, 1.0]).tobytes(), "    KEPT")}
-    assert "\n    KEPT\n" in TransitionTable(np.array([0.0, 1.0]), probs).to_json(kept)
+    js, formatted = {}, []
+    with formatting_spy(formatted):
+        for times in ([0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0 + 2.0**-52]):
+            table = TransitionTable(np.array(times), probs)
+            assert_json_matches_reference(table.to_json(js), table)
+    # values formatted per table, times then probabilities: the live
+    # probabilities are all 1.0, formatted with the first grid, and later
+    # only the bit patterns new to the sequence are: -0.0, then 1 + 2^-52
+    assert formatted == [2, 0, 0, 0, 1, 0, 0, 0, 1, 0]
+
+
+def test_json_memo_keeps_the_sign_of_each_zero():
+    # -0.0 == 0.0, but the memo keys them apart: -0.0 times and the +0.0
+    # cells of live probability columns (P13 is 0 at t = 0 only) meet in one
+    # table and across the sequence
+    sym, es, c = h8v_setup(m0=2.0, m2=0.5, p=0.0)
+    basis = standard_flavour_basis(sym, es, c)
+    reuse = {}
+    for times in ([-0.0, 0.0, 0.5], [0.0, -0.0, 0.5], [0.5, 0.0, 0.0], [-0.0, -0.0, 0.5]):
+        table = transition_table(sym, basis, es, c, times)
+        text = table.to_json(reuse)
+        assert_json_matches_reference(text, table)
+        assert [line.strip(" ,") for line in text.split("\n")[2:5]] == [repr(t) for t in times]
+    assert {0, -(2**63)} <= set(reuse["json"])
 
 
 def test_tables_longer_than_a_block_leave_no_texts():
@@ -476,14 +499,36 @@ def test_sweep_tables_format_only_what_changed():
     # first table, only a few cells are formatted
     specs = [ModelSpec("sfdm", {"chi": chi, "psi": 0.3, "theta": 0.7, "phi": 0.2}) for chi in (0.5, 0.6, 0.7)]
     tables = [table for table, _ in _tables(specs, (256, None), 1e-10)]
-    formatted = []
-    texts = oscillate._texts
-    reuse = {}
-    with mock.patch.object(oscillate, "_texts", lambda values: formatted.append(values.size) or texts(values)):
+    reuse, formatted = {}, []
+    with formatting_spy(formatted):
         for table in tables:
             assert table.to_csv(reuse) == reference_csv(table)
     # t and the 4 live non-twin columns, then the twins where unproven
     assert formatted[0] >= 5 * 256 and max(formatted[1:]) <= 0.01 * 256 * 17
+
+
+def test_sweep_json_tables_format_only_new_values():
+    # sfdm's spectrum is +-1 at every chi, so its tables share their time
+    # grid and repeat most probability values bit for bit
+    specs = [ModelSpec("sfdm", {"chi": chi, "psi": 0.3, "theta": 0.7, "phi": 0.2}) for chi in np.linspace(0.2, 1.6, 8)]
+    tables = [table for table, _ in _tables(specs, (256, None), 1e-10)]
+    reuse, formatted, sizes = {}, [], [0]
+    with formatting_spy(formatted):
+        for table in tables:
+            assert_json_matches_reference(table.to_json(reuse), table)
+            sizes.append(len(reuse["json"]))
+    # per table: the time grid, then the 8 live probability columns (P11,
+    # P13, P22, P24 and their twins)
+    times, probs = formatted[0::2], formatted[1::2]
+    assert times == [256] + [0] * 7 and probs[0] >= 0.25 * 256 * 8
+    # against 7 * 256 * 8 live probability cells formatted one by one
+    assert sum(probs[1:]) <= 0.5 * 7 * 256 * 8
+    # a block keeps the texts it formats while the memo then holds no more
+    # texts than the block has cells; this sweep reaches that bound
+    for size, kept, t, p in zip(sizes, sizes[1:], times, probs):
+        size += t if size + t <= 256 else 0
+        assert kept == (size + p if size + p <= 256 * 16 else size)
+    assert sizes[-1] < sum(formatted)
 
 
 def test_writers_keep_the_sign_of_negative_zero_times():
