@@ -76,6 +76,18 @@ H8V_P_JSON_SWEEP = {
     "out_dir": "{dir}/out",
     "format": "json",
 }
+# sweeps through every route by which ``realize`` records a failure: an
+# sfdm chi axis up to 711, where cosh overflows and no Hamiltonian is built,
+# one across the band where the sfdm kets lose their PT norm, and an h8r p
+# axis, which has no eigenbasis construction at p != 0
+SFDM = {"model": "sfdm", "params": {"chi": 0.5, "psi": 0.3, "theta": 0.7, "phi": 0.2}}
+SFDM_CHI_711_SWEEP = {"model": SFDM, "sweep": [{"param": "chi", "start": 1, "stop": 711, "steps": 9}], "out_dir": "{dir}/out"}
+SFDM_CHI_35_SWEEP = {"model": SFDM, "sweep": [{"param": "chi", "start": 5, "stop": 35, "steps": 7}], "out_dir": "{dir}/out"}
+H8R_P_SWEEP = {
+    "model": {"model": "h8r", "params": {"m0": 2.0, "m1": 0.5, "m2": 1.0}},
+    "sweep": [{"param": "p", "start": 0.0, "stop": 1.0, "steps": 3}],
+    "out_dir": "{dir}/out",
+}
 H8V_M2_0_P_0 = ("--model", "h8v", "--m0", "2", "--m2", "0", "--p", "0")
 EYE2 = [[1, 0], [0, 1]]
 
@@ -99,8 +111,9 @@ MODEL_FILE = ("verify", "--model-file", "{dir}/model.json")
 # 3x3 one, and a sweep template with the ragged one), and tables that
 # cannot be made (physics failures: h8v with |m2| >= m0 at a momentum
 # where its spectrum is real, a generic model with a complex spectrum, and
-# h8r at p != 0).  The two JSON sweeps added last come last, so the
-# lines before them keep their indices.
+# h8r at p != 0).  The ops added later come last, so the lines before them
+# keep their indices: two JSON sweeps, the three failure sweeps above and
+# verify at sfdm chi = 30, whose realization fails with a vanishing PT norm.
 EXTRA = (
     ("readme_verify_sfdm", ("verify", "--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
     ("readme_verify_h8v", ("verify", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"), {}),
@@ -123,6 +136,10 @@ EXTRA = (
     ("h8r_p_1_oscillate", ("oscillate", "--model", "h8r", "--m0", "2", "--m1", ".5", "--m2", "1", "--p", "1"), {}),
     ("long_json_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(LONG_JSON_SWEEP)}),
     ("h8v_p_json_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8V_P_JSON_SWEEP)}),
+    ("sfdm_chi_711_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(SFDM_CHI_711_SWEEP)}),
+    ("sfdm_chi_35_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(SFDM_CHI_35_SWEEP)}),
+    ("h8r_p_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8R_P_SWEEP)}),
+    ("sfdm_chi_30_verify", ("verify", "--model", "sfdm", "--chi", "30", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
 )
 
 

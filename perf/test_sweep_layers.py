@@ -25,11 +25,9 @@ bit pattern that an earlier table formatted from a memo.
 import numpy as np
 import pytest
 
-from ptosc.cli import _tables
 from ptosc.coperator import build_C
-from ptosc.models import ModelSpec
-from ptosc.oscillate import TransitionTable, default_t_grid, standard_flavour_basis, transition_table
-from ptosc.verify import realize
+from ptosc.models import ModelSpec, realize
+from ptosc.oscillate import TransitionTable, default_t_grid, standard_flavour_basis, transition_table, transition_tables
 
 POINTS = 27
 T_POINTS = 256
@@ -38,7 +36,10 @@ GRIDS = {
     "h8v": [ModelSpec("h8v", {"m0": 2.0, "m2": m2}, {"p": 0.7}) for m2 in np.linspace(-1.6, 1.6, POINTS)],
     "h8r": [ModelSpec("h8r", {"m0": 2.0, "m1": 0.5, "m2": m2}) for m2 in np.linspace(-1.6, 1.6, POINTS)],
 }
-GRID_ARGS = (T_POINTS, None)  # _tables' (t_points, t_max)
+
+
+def stacked_tables(specs):
+    return transition_tables([realize(spec) for spec in specs], T_POINTS)
 
 
 def one_point_tables(specs):
@@ -54,14 +55,14 @@ def one_point_tables(specs):
 
 @pytest.mark.parametrize("model", GRIDS)
 def test_stacked(benchmark, model):
-    results = benchmark(_tables, GRIDS[model], GRID_ARGS, 1e-10)
+    results = benchmark(stacked_tables, GRIDS[model])
     assert len(results) == POINTS
 
 
 @pytest.mark.parametrize("model", GRIDS)
 def test_one_point(benchmark, model):
     tables = benchmark(one_point_tables, GRIDS[model])
-    stacked = [table for table, _ in _tables(GRIDS[model], GRID_ARGS, 1e-10)]
+    stacked = stacked_tables(GRIDS[model])
     assert all(np.array_equal(a.probs, b.probs) for a, b in zip(tables, stacked))
 
 
@@ -73,7 +74,7 @@ def write(method, tables, reuse):
 @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "fresh"])
 @pytest.mark.parametrize("model", GRIDS)
 def test_write_csv(benchmark, model, reuse):
-    tables = [table for table, _ in _tables(GRIDS[model], GRID_ARGS, 1e-10)]
+    tables = stacked_tables(GRIDS[model])
     texts = benchmark(write, TransitionTable.to_csv, tables, reuse)
     assert texts == [table.to_csv() for table in tables]
 
@@ -81,6 +82,6 @@ def test_write_csv(benchmark, model, reuse):
 @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "fresh"])
 @pytest.mark.parametrize("model", GRIDS)
 def test_write_json(benchmark, model, reuse):
-    tables = [table for table, _ in _tables(GRIDS[model], GRID_ARGS, 1e-10)]
+    tables = stacked_tables(GRIDS[model])
     texts = benchmark(write, TransitionTable.to_json, tables, reuse)
     assert texts == [table.to_json() for table in tables]

@@ -16,12 +16,12 @@ import sys
 
 import numpy as np
 
-from .errors import BrokenPTError, ParameterError, PtoscError
+from .errors import ParameterError, PtoscError
 from .io import json_finite, json_integer, json_number, json_object, read_json
 from .linalg import DEFAULT_TOL, eig_oracle
-from .models import PARAM_KEYS, ModelSpec, model_hamiltonian
+from .models import PARAM_KEYS, ModelSpec, model_hamiltonian, realize
 from .oscillate import transition_tables
-from .verify import realize, run_full_suite
+from .verify import run_full_suite
 
 EXIT_OK = 0
 EXIT_PHYSICS = 1
@@ -113,29 +113,6 @@ def _grid_args(t_points: int, t_max) -> tuple:
     return t_points, t_max
 
 
-def _tables(specs, grid: tuple, tol: float) -> list[tuple]:
-    """(table, eigensystem) of each spec of one model, on the time grid
-    ``grid`` = (t_points, t_max): realized point by point, then tabled by
-    :func:`ptosc.oscillate.transition_tables`.  A failed point has the
-    PtoscError of its first failing step for a table."""
-    points, live = [], []
-    for spec in specs:
-        try:
-            real = realize(spec)
-        except PtoscError as exc:
-            # without its traceback, the error keeps no frame (and so no point) alive
-            points.append((exc.with_traceback(None), None))
-            continue
-        if real.eigensystem is None:
-            points.append((BrokenPTError(real.eigensystem_note), None))
-            continue
-        points.append((None, real.eigensystem))
-        live.append(real)
-    if live:
-        tables = iter(transition_tables(live[0].sym, [r.eigensystem for r in live], [r.hamiltonian for r in live], *grid, tol))
-    return [(exc if eigsys is None else next(tables), eigsys) for exc, eigsys in points]
-
-
 def analytic_pattern(eigsys, t_grid) -> np.ndarray:
     """The cos^2/sin^2 table implied by the two eigenvalue gaps.
 
@@ -182,12 +159,13 @@ def cmd_spectrum(args) -> int:
 def cmd_oscillate(args) -> int:
     spec = model_spec_from_args(args)
     grid = _grid_args(args.t_points, args.t_max)
-    [(table, eigsys)] = _tables([spec], grid, default_tol())
+    real = realize(spec)
+    [table] = transition_tables([real], *grid, default_tol())
     if isinstance(table, PtoscError):
         raise table
     _emit(_table_text(table, args.format), args.out)
     if args.golden:
-        deviation = float(np.max(np.abs(table.probs - analytic_pattern(eigsys, table.t_grid))))
+        deviation = float(np.max(np.abs(table.probs - analytic_pattern(real.eigensystem, table.t_grid))))
         print(f"golden max deviation: {deviation:.3e}", file=sys.stderr)
         if not deviation <= default_tol():
             return EXIT_PHYSICS
@@ -270,7 +248,7 @@ def cmd_sweep(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        tables = [table for table, _ in pool.submit(_tables, specs, grid, tol).result()]
+        tables = pool.submit(lambda: transition_tables([realize(spec) for spec in specs], *grid, tol)).result()
     # made only once the tables exist, so a sweep that fails leaves no directory
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -2,7 +2,8 @@
 
 Covers the canonical-basis 4D model (``sfdm``), the generic T-odd block form,
 and the 8D Dirac-representation family ``h8`` with its restrictions
-``h8r`` (m3 = 0) and ``h8v`` (m1 = m3 = 0), at zero and nonzero momentum.
+``h8r`` (m3 = 0) and ``h8v`` (m1 = m3 = 0), at zero and nonzero momentum;
+:func:`realize` builds a spec's working model and records what fails.
 
 Closed-form eigenvectors follow the published displays with two corrections,
 both fixed against the numerical eigensolver:
@@ -19,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BrokenPTError, NumericalError, ParameterError
+from .errors import BrokenPTError, ConstructionError, NumericalError, ParameterError, PtoscError
 from .inner import pt_normalize_rows
 from .io import json_finite, json_object, matrix_from_json
 from .linalg import (
@@ -29,6 +30,7 @@ from .linalg import (
     Eigendecomposition,
     as_cmatrix,
     cluster_indices,
+    eig_oracle,
     kron,
     operator_norm,
     span_projector,
@@ -513,3 +515,54 @@ def model_symmetry(spec: ModelSpec) -> SymmetryPair:
     if spec.model in STATIC_MODELS:
         return canonical_pair(2)
     return block_pair()
+
+
+# ---------------------------------------------------------------------------
+# model realization
+
+
+@dataclass(frozen=True)
+class Realization:
+    """The working-space model: symmetry pair, Hamiltonian and eigensystem,
+    the Hamiltonian's ``eig_oracle`` decomposition if that was made, and the
+    PtoscError of the step that failed, if any: no eigensystem then, and no
+    Hamiltonian if building that failed."""
+
+    sym: SymmetryPair
+    hamiltonian: np.ndarray | None
+    eigensystem: EigenSystem | None = None
+    error: PtoscError | None = None
+    decomposition: Eigendecomposition | None = None
+
+
+def realize(spec: ModelSpec) -> Realization:
+    """Build the working symmetry pair, Hamiltonian and eigensystem for a spec.
+
+    The eigensystem uses the closed form where one exists (sfdm; h8v at any
+    momentum; h8r at p = 0), the oracle-backed PT-orthonormalization for
+    generic and for full h8 at p = 0, and is absent otherwise, with a
+    ConstructionError.  Errors are recorded, never raised; a builder's
+    BrokenPTError becomes one whose message starts ``broken PT phase: ``.
+    """
+    sym = model_symmetry(spec)
+    h = eigsys = decomp = error = None
+    try:
+        h = model_hamiltonian(spec)
+        if spec.model == "sfdm":
+            eigsys = sfdm_eigensystem(SfdmParams(**spec.params))
+        elif spec.model == "generic" or spec.model == "h8" and spec.p == 0:
+            decomp = eig_oracle(h)
+            eigsys = pt_orthonormal_eigensystem(sym, decomp)
+        elif spec.model == "h8v":
+            m0, _, m2, _ = spec.masses
+            eigsys = h8v_reduced_eigensystem(m0, m2, spec.p)
+        elif spec.model == "h8r" and spec.p == 0:
+            eigsys = h8r_p0_eigensystem(*spec.masses[:3])
+        else:
+            error = ConstructionError("no PT-orthonormal eigenbasis construction for this member at p != 0")
+    except BrokenPTError as exc:
+        error = BrokenPTError(f"broken PT phase: {exc}")
+    except PtoscError as exc:
+        # without its traceback, the error pins no frame in memory
+        error = exc.with_traceback(None)
+    return Realization(sym=sym, hamiltonian=h, eigensystem=eigsys, error=error, decomposition=decomp)

@@ -315,22 +315,26 @@ def default_t_grid(eigsys, n: int = 64) -> np.ndarray:
     return grids[0]
 
 
-def transition_tables(sym: SymmetryPair, eigensystems, hamiltonians, t_points: int, t_max=None, tol: float = DEFAULT_TOL) -> list:
-    """The table of each of N points, or the PtoscError its first failing
-    step raises; the points share ``sym`` and have 4-level eigensystems.
+def transition_tables(realizations, t_points: int, t_max=None, tol: float = DEFAULT_TOL) -> list:
+    """The table of each of N :func:`ptosc.models.realize` points of one model,
+    or its PtoscError: a failed realization's own, else its first failing step's.
 
     The steps are those of one point: :func:`build_C` against its
     Hamiltonian, :func:`standard_flavour_basis`, a ``t_points`` time grid
     (on [0, t_max], else :func:`default_t_grid`) and
     :func:`transition_table`.  C, the basis, the grids and the coefficients
-    run as stacked arrays over all N points, each matrix on its own, so a
-    point that fails a step, whose data stay finite, leaves the other tables
-    as they are; only the time-sized table is made point by point.
+    run as stacked arrays over the realized points, each matrix on its own,
+    so a point that fails a step, whose data stay finite, leaves the other
+    tables as they are; only the time-sized table is made point by point.
     """
-    kets = np.stack([es.K for es in eigensystems])
-    bra_kets = np.stack([es.B for es in eigensystems])
-    values = np.array([es.values for es in eigensystems])
-    c, c_errors = stacked_C(sym, kets, bra_kets, np.stack(hamiltonians), tol)
+    live = [real for real in realizations if real.error is None]
+    if not live:
+        return [real.error for real in realizations]
+    sym = live[0].sym
+    kets = np.stack([real.eigensystem.K for real in live])
+    bra_kets = np.stack([real.eigensystem.B for real in live])
+    values = np.array([real.eigensystem.values for real in live])
+    c, c_errors = stacked_C(sym, kets, bra_kets, np.stack([real.hamiltonian for real in live]), tol)
     flavours, bras, _, basis_errors = _stacked_flavours(sym, c.reflected, kets, bra_kets)
     if t_max is None:
         grids, grid_errors = _default_t_grids(values, t_points)
@@ -345,4 +349,5 @@ def transition_tables(sym: SymmetryPair, eigensystems, hamiltonians, t_points: i
         except PtoscError as exc:
             # without its traceback, the error pins no frame in memory
             tables.append(exc.with_traceback(None))
-    return tables
+    tables = iter(tables)
+    return [next(tables) if real.error is None else real.error for real in realizations]

@@ -1,7 +1,8 @@
 """The axiom suite: every algebraic condition the framework requires.
 
 Each check measures the operator-norm defect of one identity and reports it
-against a tolerance; the suite never mutates or repairs its inputs.  One
+against a tolerance; the suite never mutates or repairs its inputs, and
+checks the model that :func:`ptosc.models.realize` builds.  One
 convention note, validated numerically: pseudo-Hermiticity at nonzero
 momentum relates H(p) to H(-p), S^-1 H(p)^dag S = H(-p).
 ``check_pseudo_hermiticity`` accepts the reflected Hamiltonian for that case
@@ -16,21 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coperator import COperator, build_C, completeness_defect
-from .errors import BrokenPTError, PtoscError
+from .errors import PtoscError
 from .inner import pt_adjoint
 from .linalg import DEFAULT_TOL, Eigendecomposition, eig_oracle, operator_norm, require_square
-from .models import (
-    EigenSystem,
-    ModelSpec,
-    SfdmParams,
-    h8r_p0_eigensystem,
-    h8v_reduced_eigensystem,
-    model_full_hamiltonian,
-    model_hamiltonian,
-    model_symmetry,
-    pt_orthonormal_eigensystem,
-    sfdm_eigensystem,
-)
+from .models import EigenSystem, ModelSpec, model_full_hamiltonian, realize
 from .oscillate import default_t_grid, standard_flavour_basis, transition_table
 from .symmetry import SymmetryPair, dirac_pair
 
@@ -109,54 +99,6 @@ def check_alpha_beta_conditions(alphas, beta, sym: SymmetryPair) -> list[CheckRe
     return reports
 
 
-# ---------------------------------------------------------------------------
-# model realization
-
-
-@dataclass(frozen=True)
-class Realization:
-    """The working-space model: symmetry pair, Hamiltonian and eigensystem,
-    and the Hamiltonian's ``eig_oracle`` decomposition if that was made."""
-
-    sym: SymmetryPair
-    hamiltonian: np.ndarray
-    eigensystem: EigenSystem | None = None
-    eigensystem_note: str = ""
-    decomposition: Eigendecomposition | None = None
-
-
-def realize(spec: ModelSpec) -> Realization:
-    """Build the working symmetry pair, Hamiltonian and eigensystem for a spec.
-
-    The eigensystem uses the closed form where one exists (sfdm; h8v at any
-    momentum; h8r at p = 0), the oracle-backed PT-orthonormalization for
-    generic and for full h8 at p = 0, and is absent otherwise, with a note
-    that gives the reason or the error its builder raised.
-    """
-    sym = model_symmetry(spec)
-    h = model_hamiltonian(spec)
-    eigsys = decomp = None
-    note = ""
-    try:
-        if spec.model == "sfdm":
-            eigsys = sfdm_eigensystem(SfdmParams(**spec.params))
-        elif spec.model == "generic" or spec.model == "h8" and spec.p == 0:
-            decomp = eig_oracle(h)
-            eigsys = pt_orthonormal_eigensystem(sym, decomp)
-        elif spec.model == "h8v":
-            m0, _, m2, _ = spec.masses
-            eigsys = h8v_reduced_eigensystem(m0, m2, spec.p)
-        elif spec.model == "h8r" and spec.p == 0:
-            eigsys = h8r_p0_eigensystem(*spec.masses[:3])
-        else:
-            note = "no PT-orthonormal eigenbasis construction for this member at p != 0"
-    except BrokenPTError as exc:
-        note = f"broken PT phase: {exc}"
-    except PtoscError as exc:
-        note = str(exc)
-    return Realization(sym=sym, hamiltonian=h, eigensystem=eigsys, eigensystem_note=note, decomposition=decomp)
-
-
 def _pt_gram_defect(sym: SymmetryPair, eigsys: EigenSystem) -> float:
     gram = eigsys.B.conj().T @ sym.s @ eigsys.K
     return operator_norm(gram - np.diag(np.array(eigsys.signs, dtype=float)))
@@ -214,8 +156,11 @@ SUITE_NAMES = (
 def run_full_suite(spec: ModelSpec, tol: float = DEFAULT_TOL, n_random: int = 1000) -> list[CheckReport]:
     """Ordered axiom checks for one model; downstream checks are skipped
     (reported failed with a reason) when the spectrum is broken or no
-    PT-orthonormal eigenbasis exists."""
+    PT-orthonormal eigenbasis exists.  Raises the error of a Hamiltonian
+    that :func:`realize` could not build."""
     real = realize(spec)
+    if real.hamiltonian is None:
+        raise real.error
     # Matrix-level symmetry checks run on the full 8D Hamiltonian for the h8
     # family (the reduced block loses PT covariance at p != 0) and on the
     # working 4D one otherwise.
@@ -237,7 +182,7 @@ def run_full_suite(spec: ModelSpec, tol: float = DEFAULT_TOL, n_random: int = 10
     if not spectrum.passed:
         return skip_rest("broken PT phase (complex spectrum)")
     if real.eigensystem is None:
-        return skip_rest(real.eigensystem_note)
+        return skip_rest(str(real.error))
     eigsys, sym = real.eigensystem, real.sym
     reports.append(_report("pt_orthonormality", _pt_gram_defect(sym, eigsys), tol))
     try:

@@ -102,9 +102,9 @@ def test_sweep_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg_doc))
     # the sweep fails before it computes any table
-    with mock.patch.object(cli, "_tables", wraps=cli._tables) as tables:
+    with mock.patch.object(cli, "realize", wraps=cli.realize) as realize:
         assert run(["sweep", "--config", str(path)]) == 2
-    assert not tables.called
+    assert not realize.called
     assert _single_error_line(capsys) == f"error: cannot make the output directory {str(taken)!r}: File exists"
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ptosc import oscillate
-from ptosc.cli import _tables, analytic_pattern, main
+from ptosc.cli import analytic_pattern, main
 from ptosc.coperator import build_C
 from ptosc.errors import ConstructionError, NumericalError
 from ptosc.inner import cpt_ip
@@ -32,6 +32,7 @@ from ptosc.oscillate import (
     default_t_grid,
     standard_flavour_basis,
     transition_table,
+    transition_tables,
 )
 from ptosc.symmetry import block_pair, canonical_pair
 from ptosc.verify import realize
@@ -498,7 +499,7 @@ def test_sweep_tables_format_only_what_changed():
     # neighbouring sfdm points print alike in almost every cell: after the
     # first table, only a few cells are formatted
     specs = [ModelSpec("sfdm", {"chi": chi, "psi": 0.3, "theta": 0.7, "phi": 0.2}) for chi in (0.5, 0.6, 0.7)]
-    tables = [table for table, _ in _tables(specs, (256, None), 1e-10)]
+    tables = transition_tables([realize(spec) for spec in specs], 256)
     reuse, formatted = {}, []
     with formatting_spy(formatted):
         for table in tables:
@@ -511,7 +512,7 @@ def test_sweep_json_tables_format_only_new_values():
     # sfdm's spectrum is +-1 at every chi, so its tables share their time
     # grid and repeat most probability values bit for bit
     specs = [ModelSpec("sfdm", {"chi": chi, "psi": 0.3, "theta": 0.7, "phi": 0.2}) for chi in np.linspace(0.2, 1.6, 8)]
-    tables = [table for table, _ in _tables(specs, (256, None), 1e-10)]
+    tables = transition_tables([realize(spec) for spec in specs], 256)
     reuse, formatted, sizes = {}, [], [0]
     with formatting_spy(formatted):
         for table in tables:

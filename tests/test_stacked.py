@@ -40,16 +40,23 @@ H8R = st.builds(lambda m0, r1, r2: ModelSpec("h8r", {"m0": m0, "m1": r1 * m0, "m
 POINTS = st.one_of(*(st.lists(specs, min_size=1, max_size=6) for specs in (SFDM, H8V, H8R)))
 # an h8v point near the exceptional point, where C fails [C, H] = 0 inside the core
 NEAR_EP = ModelSpec("h8v", {"m0": 2.0, "m2": 1.99999999}, {"p": 0.5})
+# an h8v point that realize records as PT-broken, before the core
+BROKEN = ModelSpec("h8v", {"m0": 1.0, "m2": 2.0}, {"p": 0.5})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(POINTS, st.integers(1, 40), st.integers(0, 6))
 def test_stacked_core_equals_the_one_point_path(specs, t_points, position):
-    # an h8v list gets the failing point at the drawn position
+    # an h8v list gets the broken point, then the failing one, at the drawn position
     near_ep = min(position, len(specs)) if specs[0].model == "h8v" else None
     if near_ep is not None:
-        specs = specs[:near_ep] + [NEAR_EP] + specs[near_ep:]
+        specs = specs[:near_ep] + [BROKEN, NEAR_EP] + specs[near_ep:]
     reals = [realize(spec) for spec in specs]
+    tables = transition_tables(reals, t_points)
+    if near_ep is not None:
+        # the broken point gets its own error back and takes no part in the stacks below
+        broken = reals.pop(near_ep)
+        assert broken.eigensystem is None and tables.pop(near_ep) is broken.error
     sym = reals[0].sym
     eigs = [real.eigensystem for real in reals]
     kets = np.stack([es.K for es in eigs])
@@ -59,7 +66,6 @@ def test_stacked_core_equals_the_one_point_path(specs, t_points, position):
     flavours, bras, defects, _ = _stacked_flavours(sym, c.reflected, kets, bra_kets)
     coeffs = bras @ flavours
     grids, grid_errors = _default_t_grids(np.array([es.values for es in eigs]), t_points)
-    tables = transition_tables(sym, eigs, hamiltonians, t_points)
     for n, (real, es) in enumerate(zip(reals, eigs)):
         if n == near_ep:
             with pytest.raises(ConstructionError, match=r"^\[C, H\] != 0") as failure:

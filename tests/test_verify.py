@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ptosc.coperator import COperator, build_C
-from ptosc.errors import NumericalError
+from ptosc.errors import BrokenPTError, ConstructionError, DegenerateNormError, NumericalError
 from ptosc.inner import cpt_ip
 from ptosc.linalg import SIGMA, operator_norm
 from ptosc.models import (
@@ -205,19 +205,35 @@ def test_full_suite_broken_phase_skips_downstream():
     assert by_name["completeness"].note.startswith("skipped")
 
 
-def test_realize_turns_every_eigensystem_failure_into_a_note(monkeypatch):
+def test_realize_records_every_failure_with_its_type(monkeypatch):
+    # h8r has no eigenbasis construction at p != 0, though its spectrum is real
+    unsupported = realize(ModelSpec("h8r", {"m0": 2.0, "m1": 0.5, "m2": 1.0}, {"p": 1.0}))
+    assert unsupported.eigensystem is None and type(unsupported.error) is ConstructionError
+    assert str(unsupported.error) == "no PT-orthonormal eigenbasis construction for this member at p != 0"
     # the sfdm kets lose their PT norm to rounding at large chi
-    real = realize(ModelSpec("sfdm", {"chi": 30.0, "psi": 0.3, "theta": 0.7, "phi": 0.2}))
-    assert real.eigensystem is None and real.eigensystem_note == "vector has vanishing PT norm"
+    degenerate = realize(ModelSpec("sfdm", {"chi": 30.0, "psi": 0.3, "theta": 0.7, "phi": 0.2}))
+    assert degenerate.eigensystem is None and type(degenerate.error) is DegenerateNormError
+    assert str(degenerate.error) == "vector has vanishing PT norm"
     broken = realize(ModelSpec("h8v", {"m0": 1.0, "m2": 2.0}))
-    assert broken.eigensystem is None and broken.eigensystem_note.startswith("broken PT phase: ")
+    assert broken.eigensystem is None and type(broken.error) is BrokenPTError
+    assert str(broken.error).startswith("broken PT phase: ")
+    # cosh(711) overflows a float: no Hamiltonian, which the suite cannot check
+    spec = ModelSpec("sfdm", {"chi": 711.0, "psi": 0.3, "theta": 0.7, "phi": 0.2})
+    overflow = realize(spec)
+    assert overflow.hamiltonian is None and overflow.eigensystem is None and type(overflow.error) is NumericalError
+    with monkeypatch.context() as patch:
+        patch.setattr("ptosc.verify.realize", lambda spec: overflow)
+        with pytest.raises(NumericalError) as suite:
+            run_full_suite(spec, n_random=10)
+    assert suite.value is overflow.error
 
     def fail(*args):
         raise NumericalError("no accuracy")
 
-    monkeypatch.setattr("ptosc.verify.h8v_reduced_eigensystem", fail)
+    monkeypatch.setattr("ptosc.models.h8v_reduced_eigensystem", fail)
     spec = ModelSpec("h8v", {"m0": 2.0, "m2": 1.0}, {"p": 1.0})
-    assert realize(spec).eigensystem_note == "no accuracy"
+    inaccurate = realize(spec)
+    assert type(inaccurate.error) is NumericalError and str(inaccurate.error) == "no accuracy"
     reports = run_full_suite(spec, n_random=10)
     assert [r.name for r in reports] == list(SUITE_NAMES)
     assert reports[3].note == "skipped: no accuracy"
@@ -357,7 +373,8 @@ def test_suite_raises_the_independent_residual_error(spec, tol, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", inaccurate)
     real = realize(spec)
-    assert real.decomposition is None and real.eigensystem_note == "eigenpair residual exceeds tolerance"
+    assert real.decomposition is None and type(real.error) is NumericalError
+    assert str(real.error) == "eigenpair residual exceeds tolerance"
     with pytest.raises(NumericalError) as suite:
         run_full_suite(spec, tol=tol, n_random=10)
     with pytest.raises(NumericalError) as alone:
