@@ -8,10 +8,16 @@ Run from the repository root.  The ops are the seeds 1-3 decks of every
 workload of ``benchmarks/inputs.py`` (imported, never changed) and each
 workload's known-defect panel.  Each op runs in-process through
 ``ptosc.cli.main`` in a fresh directory.  One line per op gives the
-workload, the seed (``known`` for the panel), the op's index and kind, and
-the SHA-256 of its exit code, stdout, stderr and every file it wrote (name
-and bytes), with the op directory written as ``{dir}``.  The ``all`` line
-digests all the lines before it.  After it come the ``extra`` lines, one per
+workload, the seed (``known`` for the panel), the op's index and kind, the
+SHA-256 of its exit code, stdout, stderr and every file it wrote (name and
+bytes), and the SHA-256 of the same without the file bytes, with the op
+directory written as ``{dir}``.  A change that may move only table cells
+shows it where the first hash differs and the second does not:
+
+    diff <(python3 perf/output_digest.py --src PARENT/src | cut -d' ' -f1-4,6) \\
+         <(python3 perf/output_digest.py | cut -d' ' -f1-4,6)
+
+The ``all`` line digests all the lines before it.  After it come the ``extra`` lines, one per
 command of :data:`EXTRA`, which no benchmark deck runs.
 """
 
@@ -144,25 +150,30 @@ EXTRA = (
 
 
 def op_digest(main, op, op_dir: str) -> str:
-    """Run one op in ``op_dir`` and digest what it returned, printed and wrote."""
+    """Run one op in ``op_dir`` and digest what it returned, printed and
+    wrote: the digest of all of it, then that of its streams (the exit code,
+    stdout, stderr and the names of the files it wrote, without their bytes)."""
     for name, text in op.files.items():
         with open(os.path.join(op_dir, name), "w") as fh:
             fh.write(text.replace("{dir}", op_dir))
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         rc = main([arg.replace("{dir}", op_dir) for arg in op.argv])
-    digest = hashlib.sha256()
+    digest, streams = hashlib.sha256(), hashlib.sha256()
     for part in (str(rc), stdout.getvalue(), stderr.getvalue()):
-        digest.update(part.replace(op_dir, "{dir}").encode() + b"\0")
+        for each in (digest, streams):
+            each.update(part.replace(op_dir, "{dir}").encode() + b"\0")
     for folder, dirs, names in sorted(os.walk(op_dir)):
         dirs.sort()
         for name in sorted(names):
             path = os.path.join(folder, name)
             if os.path.relpath(path, op_dir) in op.files:
                 continue
+            name = os.path.relpath(path, op_dir).encode()
             with open(path, "rb") as fh:
-                digest.update(os.path.relpath(path, op_dir).encode() + b"\0" + fh.read() + b"\0")
-    return digest.hexdigest()
+                digest.update(name + b"\0" + fh.read() + b"\0")
+            streams.update(name + b"\0")
+    return f"{digest.hexdigest()} {streams.hexdigest()}"
 
 
 def main(argv=None) -> int:

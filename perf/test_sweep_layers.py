@@ -7,17 +7,17 @@ Run from the repository root.  ``perf`` is outside ``testpaths``, so the
 plain test run never collects these.  A grid is 27 points of one model at
 256 times, the size of a ``sweep_grid`` benchmark op: an sfdm chi axis, an
 h8v m2 axis at p 0.7 and an h8r m2 axis at p 0.  ``stacked`` times what
-``ptosc sweep`` runs: C, the flavour bases, the time grids and the
-coefficients of all 27 points as stacked arrays in one pass, then one table
-per point.  ``one_point`` makes the same tables point by point with
-``build_C``, ``standard_flavour_basis`` (the (4, 4) matrix of flavour kets
-that ``transition_table`` takes), ``default_t_grid`` and
-``transition_table``.  Both include ``realize``.  ``write_csv`` times
+``ptosc sweep`` runs: the gates (C, the flavour Grams) and the time grids
+of all 27 points as stacked arrays in one pass, then one table per point,
+the pattern of its spectrum.  ``one_point`` makes the same tables point by
+point with ``build_C``, ``standard_flavour_basis``, ``default_t_grid`` and
+``analytic_pattern``.  Both include ``realize``.  ``write_csv`` times
 ``to_csv`` over a grid's 27 tables in sequence, as ``ptosc sweep`` writes
 them: ``reuse`` passes one dict to every call, so each table takes the
-texts of the one before where the rounding guard proves them equal (sfdm
-and h8v neighbours print alike in almost every cell, h8r ones only in the
-zero columns); ``fresh`` formats every table on its own.  ``write_json``
+texts of the one before where the rounding guard proves them equal (the
+27 sfdm tables are one table; of the h8v and h8r cells that ``fresh``
+formats, 36 % and 68 % are still formatted); ``fresh`` formats every table
+on its own.  ``write_json``
 does the same with ``to_json``, whose ``reuse`` takes the text of a float
 bit pattern that an earlier table formatted from a memo.
 """
@@ -27,7 +27,7 @@ import pytest
 
 from ptosc.coperator import build_C
 from ptosc.models import ModelSpec, realize
-from ptosc.oscillate import TransitionTable, default_t_grid, standard_flavour_basis, transition_table, transition_tables
+from ptosc.oscillate import TransitionTable, analytic_pattern, default_t_grid, standard_flavour_basis, transition_tables
 
 POINTS = 27
 T_POINTS = 256
@@ -47,9 +47,10 @@ def one_point_tables(specs):
     for spec in specs:
         real = realize(spec)
         es = real.eigensystem
-        c = build_C(real.sym, es, hamiltonian=real.hamiltonian)
-        basis = standard_flavour_basis(real.sym, es, c)
-        tables.append(transition_table(real.sym, basis, es, c, default_t_grid(es, T_POINTS)))
+        # the gates, then the emitted pattern on the point's grid
+        standard_flavour_basis(real.sym, es, build_C(real.sym, es, hamiltonian=real.hamiltonian))
+        grid = default_t_grid(es, T_POINTS)
+        tables.append(TransitionTable(grid, analytic_pattern(es.values, grid)))
     return tables
 
 

@@ -1,11 +1,16 @@
-"""Micro-benchmarks of the table layers: the amplitude table and its two writers,
-and the CSV writer on a table whose flavour twins never print alike.
+"""Micro-benchmarks of the table layers: the CPT-route amplitude table and
+its two writers, the CSV writer on a table whose flavour twins never print
+alike, and both writers on the tables the CLI emits.
 
     python3 -m pytest perf --benchmark-only -q
 
 Run from the repository root.  ``perf`` is outside ``testpaths``, so the
-plain test run never collects these.  The model is the h8v point of the
-``oscillate`` examples (m0 2, m2 1, p 1) on its default one-period grid.
+plain test run never collects these.  The CPT-route model is the h8v point
+of the ``oscillate`` examples (m0 2, m2 1, p 1) on its default one-period
+grid.  The emitted tables are those of ``transition_tables`` at 4,096 times,
+the size of an ``oscillate_long`` op: sfdm and h8r, whose doubled levels
+make one diagonal and one live off-diagonal column distinct, and h8, whose
+two gaps differ, with four distinct columns.
 """
 
 import numpy as np
@@ -13,10 +18,15 @@ import pytest
 
 from ptosc.coperator import build_C
 from ptosc.models import ModelSpec
-from ptosc.oscillate import TransitionTable, default_t_grid, standard_flavour_basis, transition_table
+from ptosc.oscillate import TransitionTable, default_t_grid, standard_flavour_basis, transition_table, transition_tables
 from ptosc.verify import realize
 
 SPEC = ModelSpec("h8v", {"m0": 2.0, "m2": 1.0}, {"p": 1.0, "theta": 0.0, "phi": 0.0})
+EMITTED = {
+    "sfdm": ModelSpec("sfdm", {"chi": 0.5, "psi": 0.3, "theta": 0.7, "phi": 0.2}),
+    "h8r": ModelSpec("h8r", {"m0": 2.0, "m1": 0.5, "m2": 1.0}),
+    "h8": ModelSpec("h8", {"m0": 2.0, "m1": 0.5, "m2": 1.0, "m3": 0.3}),
+}
 
 
 @pytest.fixture(scope="module")
@@ -52,4 +62,12 @@ def test_to_csv_with_no_twin_text_reused(benchmark):
     probs /= probs.sum(axis=2, keepdims=True)
     table = TransitionTable(np.linspace(0.0, 5.0, 4096), probs)
     text = benchmark(table.to_csv)
+    assert text.count("\n") > 4096
+
+
+@pytest.mark.parametrize("writer", ["to_csv", "to_json"])
+@pytest.mark.parametrize("model", EMITTED)
+def test_emitted_writer(benchmark, model, writer):
+    [table] = transition_tables([realize(EMITTED[model])], 4096)
+    text = benchmark(getattr(table, writer))
     assert text.count("\n") > 4096

@@ -3,11 +3,16 @@
 Flavour states are the equal-weight superpositions of negative- and
 positive-eigenvalue kets (f'1 = (e1 + e3)/sqrt(2), ...).  Evolution is
 spectral — exact for diagonalizable H — and probabilities are squared CPT
-amplitudes, which makes every table row-stochastic.
+amplitudes, which makes every table row-stochastic.  Once the CPT Gram
+(C(-p) B)^dag S K = 1 holds, those amplitudes are exactly F^T e^(-i Lambda t) F
+with F the constant flavour matrix, so the tables the CLI emits are the
+cos^2/sin^2 pattern of the spectrum (:func:`analytic_pattern`); the CPT
+route (:func:`transition_table`) is kept as their check.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -35,6 +40,17 @@ def _dead(block: np.ndarray) -> np.ndarray:
     return ((block == 0.0) & ~np.signbit(block)).all(axis=0)
 
 
+def _firsts(block: np.ndarray, dead: np.ndarray) -> list:
+    """Per column of ``block``: the first live column bit-equal to it, else
+    itself.  Columns compare as int64 views, so -0.0 never pairs with +0.0;
+    one row picks the candidates, which alone are compared in full."""
+    keys = block.view(np.int64)
+    row, first = keys[len(keys) // 2].tolist(), list(range(block.shape[1]))
+    for j in np.flatnonzero(~dead).tolist():
+        first[j] = next((k for k in range(j) if row[k] == row[j] and (keys[:, k] == keys[:, j]).all()), j)
+    return first
+
+
 def _fill(template: str, rows: np.ndarray, memo: dict | None = None) -> str:
     """``",\\n".join(template % tuple(row) for row in rows)``, one ``%`` per block of rows.
 
@@ -43,30 +59,38 @@ def _fill(template: str, rows: np.ndarray, memo: dict | None = None) -> str:
     literal ``0.0``, so only the live columns are formatted.  -0.0 is not
     folded: it prints with its sign.  A ``memo`` maps the int64 view of a
     float to its text: only the values new to it are formatted, and kept
-    while it then holds no more texts than the block has cells.  The JSON
-    writer formats every block this way; the CSV writer uses :func:`_csv_columns`.
+    while it then holds no more texts than the block has cells.  Without a
+    memo, a block where a live column repeats an earlier one
+    (:func:`_firsts`) formats each distinct column once; any other block is
+    formatted in one ``%`` of its floats.  The JSON writer formats every
+    block this way; the CSV writer uses :func:`_csv_columns`.
     """
     gaps = template.split("%r")
     blocks = []
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
         dead = _dead(block)
-        row = gaps[0] + "".join(("0.0" if d else "%r" if memo is None else "%s") + gap for d, gap in zip(dead, gaps[1:]))
-        live = block[:, ~dead].ravel()
+        live = np.flatnonzero(~dead).tolist()
+        floats = False  # whether ``cells`` holds floats for ``%r`` slots, not texts for ``%s``
         if memo is not None:
-            keys = live.view(np.int64).tolist()
+            keys = block[:, live].ravel().view(np.int64).tolist()
             new = np.array(list(set(keys).difference(memo)), dtype=np.int64)
             fresh = dict(zip(new.tolist(), _texts(new.view(float), "%r")))
             memo.update(fresh if len(memo) + len(fresh) <= rows.size else ())
-        cells = tuple(live.tolist() if memo is None else map(fresh.get, keys, map(memo.get, keys)))
+            cells = tuple(map(fresh.get, keys, map(memo.get, keys)))
+        else:
+            first = _firsts(block, dead)
+            floats = first == list(range(len(first)))
+            if floats:
+                cells = tuple(block[:, live].ravel().tolist())
+            else:
+                cols = _distinct_texts(block, first, live, "%r")
+                cells = tuple(chain.from_iterable(zip(*(cols[j] for j in live))))
+        row = gaps[0] + "".join(("0.0" if d else "%r" if floats else "%s") + gap for d, gap in zip(dead, gaps[1:]))
         blocks.append(",\n".join([row] * len(block)) % cells)
     return ",\n".join(blocks)
 
 
-# The flavour swap (13)(24) leaves every table unchanged, so P33, P31, P44
-# and P42 are twins of P11, P13, P22 and P24: equal up to rounding.  As
-# columns of a CSV row (t first):
-_SOURCES, _TWINS = [1, 3, 6, 8], [11, 9, 16, 14]
 _POW10 = np.array([float(10**k) for k in range(23)])  # each exact
 
 
@@ -99,46 +123,50 @@ def _texts(values: np.ndarray, spec: str = "%.12g") -> list:
     return ((spec + "\n") * values.size % tuple(values.ravel().tolist())).splitlines()
 
 
-def _csv_columns(block: np.ndarray, previous=None) -> list:
-    """The ``%.12g`` texts of one block of CSV rows, as one list per column,
-    each cell formatted only where no equal text is proven
-    (:func:`_same_12g`).
+def _distinct_texts(block: np.ndarray, first: list, columns: list, spec: str) -> dict:
+    """The ``spec`` texts of ``columns`` of ``block``, one list per column:
+    each distinct column is formatted once, all in one ``%``, and a column
+    that repeats an earlier one (``first``, from :func:`_firsts`) shares the
+    list of that column, which must be among ``columns``."""
+    n = len(block)
+    distinct = [j for j in columns if first[j] == j]
+    texts = _texts(block.T[distinct], spec)
+    own = {j: texts[k * n : (k + 1) * n] for k, j in enumerate(distinct)}
+    return {j: own[first[j]] for j in columns}
 
-    ``previous`` is the (values, column texts) of an earlier block of the
-    same shape, or None.  A live column whose cells all lie within 1e-11 of
-    its values there takes that block's text in every row the guard proves
-    equal; a twin column that does not takes its source's text in those
-    rows.  The other live columns are formatted column by column in one
-    ``%``, the other rows of these two kinds in a second.
+
+def _csv_columns(block: np.ndarray, previous=None) -> list:
+    """The ``%.12g`` texts of one block of CSV rows, as one list per column.
+
+    A live column bit-equal to an earlier one (:func:`_firsts`) takes its
+    texts.  ``previous`` is the (values, column texts) of an earlier block
+    of the same shape, or None.  A distinct live column whose cells all lie
+    within 1e-11 of its values there takes that block's text in every row
+    where :func:`_same_12g` proves the two texts equal, and is formatted in
+    the other rows only.  The other distinct columns are formatted in one
+    ``%``, those rows in a second.
     """
     n, m = block.shape
     dead = _dead(block)
-    based, bases, same = [], [], []  # columns that reuse texts, the texts (or source column) and where
+    first = _firsts(block, dead)
+    live = np.flatnonzero(~dead).tolist()
+    cols = [["0"] * n] * m  # a list, not an iterator: the dead columns can share it
+    based = []
     if previous is not None:
         values, old = previous
-        based = np.flatnonzero(~dead & (np.abs(block - values).max(axis=0) <= 1e-11)).tolist()
-        if based:
-            bases = [old[j] for j in based]
-            same.append(_same_12g(block.T[based], values.T[based]))
-    twins = [(s, w) for s, w in zip(_SOURCES, _TWINS) if not dead[w] and w not in based]
-    if twins:
-        sources, targets = [s for s, _ in twins], [w for _, w in twins]
-        based, bases = based + targets, bases + sources
-        same.append(_same_12g(block.T[sources], block.T[targets]))
-    cols = [["0"] * n] * m  # a list, not an iterator: the dead columns can share it
-    plain = [j for j in range(m) if not dead[j] and j not in based]
-    texts = _texts(block.T[plain])
-    for k, j in enumerate(plain):
-        cols[j] = texts[k * n : (k + 1) * n]
+        near = np.abs(block - values).max(axis=0) <= 1e-11
+        based = [j for j in live if first[j] == j and near[j]]
     if based:
-        miss = ~np.concatenate(same)
+        miss = ~_same_12g(block.T[based], values.T[based])
         redo = iter(_texts(block.T[based][miss]))
-        # the near columns come first, so a twin's source is filled before it
-        for j, base, rows in zip(based, bases, miss):
-            cols[j] = (cols[base] if isinstance(base, int) else base).copy()
+        for j, rows in zip(based, miss):
+            cols[j] = old[j].copy()
             # zip draws a row before a text: it leaves the next column's texts in ``redo``
             for r, text in zip(np.flatnonzero(rows).tolist(), redo):
                 cols[j][r] = text
+    texts = _distinct_texts(block, first, [j for j in live if first[j] not in based], "%.12g")
+    for j in live:
+        cols[j] = texts[j] if j in texts else cols[first[j]]
     return cols
 
 
@@ -203,8 +231,8 @@ class TransitionTable:
     def to_json(self, reuse: dict | None = None) -> str:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, formatted from a template.
 
-        ``%r`` texts are equal only for equal floats, and no two live columns
-        are bit-equal, so the flavour twins are formatted like any column.
+        ``%r`` texts are equal only for equal floats, so a live column takes
+        the texts of an earlier bit-equal one (:func:`_fill`).
         With ``reuse`` (see :meth:`to_csv`), a one-block table takes from
         :func:`_fill`'s memo the texts that tables before it formatted, and
         adds its own until the memo holds as many texts as the table has
@@ -224,6 +252,31 @@ def _real_spectrum(values: np.ndarray) -> np.ndarray:
     if np.max(np.abs(np.imag(values))) > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
         raise BrokenPTError("cannot evolve with a complex spectrum")
     return np.real(values)
+
+
+def _real_phases(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """The real spectrum, once it is known to be real and lambda * t finite on ``t_grid``."""
+    values = _real_spectrum(values)
+    # Python floats overflow to inf silently, where numpy would warn and fill the table with NaN.
+    if not math.isfinite(float(np.abs(values).max()) * float(np.abs(t_grid).max(initial=0.0))):
+        raise NumericalError("the phases lambda * t overflow on this time grid")
+    return values
+
+
+def analytic_pattern(values: np.ndarray, t_grid) -> np.ndarray:
+    """The cos^2/sin^2 table of a spectrum (its real part) on ``t_grid``.
+
+    Flavours pair eigenkets (1,3) and (2,4); each pair oscillates with half
+    its eigenvalue gap and the pairs do not mix.
+    """
+    values = np.real(values)
+    phase = np.outer(t_grid, 0.5 * (values[2:] - values[:2]))
+    cos, sin = np.cos(phase), np.sin(phase)
+    out = np.zeros((len(t_grid), 4, 4))
+    for n, (i, j) in enumerate(((0, 2), (1, 3))):
+        out[:, i, i] = out[:, j, j] = cos[:, n] * cos[:, n]
+        out[:, i, j] = out[:, j, i] = sin[:, n] * sin[:, n]
+    return out
 
 
 def _cpt_bras(sym: SymmetryPair, c: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -269,13 +322,9 @@ def standard_flavour_basis(sym: SymmetryPair, eigsys, c: COperator) -> np.ndarra
 
 
 def _table(values: np.ndarray, coeff: np.ndarray, t_grid: np.ndarray) -> TransitionTable:
-    """The table of one point from its spectrum and its coefficients
+    """The CPT-route table of one point from its spectrum and its coefficients
     coeff[j, i] = ((e_j | f'_i)); the time-sized part of :func:`transition_table`."""
-    values = _real_spectrum(values)
-    # Python floats overflow to inf silently, where numpy would warn and fill the table with NaN.
-    if not math.isfinite(float(np.abs(values).max()) * float(np.abs(t_grid).max(initial=0.0))):
-        raise NumericalError("the phases lambda * t overflow on this time grid")
-    phases = np.exp(-1j * np.outer(t_grid, values))
+    phases = np.exp(-1j * np.outer(t_grid, _real_phases(values, t_grid)))
     # amp[t, i, m] = sum_j ((f'_m | e_j)) exp(-i lam_j t) ((e_j | f'_i)); rows: initial flavour i.
     # By CPT-Hermiticity ((f'_m | e_j)) = conj(((e_j | f'_m))), so the right factor is conj(coeff).
     # One (4T, 4) @ (4, 4) product: a stacked (T, 4, 4) operand costs one BLAS call per time.
@@ -315,17 +364,17 @@ def default_t_grid(eigsys, n: int = 64) -> np.ndarray:
     return grids[0]
 
 
-def transition_tables(realizations, t_points: int, t_max=None, tol: float = DEFAULT_TOL) -> list:
-    """The table of each of N :func:`ptosc.models.realize` points of one model,
-    or its PtoscError: a failed realization's own, else its first failing step's.
+def _gated(realizations, t_points: int, t_max, tol: float) -> list:
+    """Per realization of one model: its own error, else the PtoscError of
+    its first failing gate, else its (spectrum, CPT coefficients
+    coeff[j, i] = ((e_j | f'_i)), time grid).
 
-    The steps are those of one point: :func:`build_C` against its
-    Hamiltonian, :func:`standard_flavour_basis`, a ``t_points`` time grid
-    (on [0, t_max], else :func:`default_t_grid`) and
-    :func:`transition_table`.  C, the basis, the grids and the coefficients
-    run as stacked arrays over the realized points, each matrix on its own,
-    so a point that fails a step, whose data stay finite, leaves the other
-    tables as they are; only the time-sized table is made point by point.
+    The gates are those of one point: :func:`build_C` against its
+    Hamiltonian (C^2 and [C, H]), the flavour Gram of
+    :func:`standard_flavour_basis` and a ``t_points`` time grid (on
+    [0, t_max], else :func:`default_t_grid`).  They run as stacked arrays
+    over the realized points, each matrix on its own, so a point that fails
+    one, whose data stay finite, leaves the others as they are.
     """
     live = [real for real in realizations if real.error is None]
     if not live:
@@ -340,14 +389,50 @@ def transition_tables(realizations, t_points: int, t_max=None, tol: float = DEFA
         grids, grid_errors = _default_t_grids(values, t_points)
     else:
         grids, grid_errors = np.broadcast_to(np.linspace(0.0, t_max, t_points), (len(values), t_points)), [None] * len(values)
-    tables = []
     # coeff[j, i] = ((e_j | f'_i)); the bra side is evaluated at -p.
-    for errors, point in zip(zip(c_errors, basis_errors, grid_errors), zip(values, bras @ flavours, grids)):
-        try:
-            # the error of the point's first failing step, else its table
-            tables.append(next(filter(None, errors), None) or _table(*point))
-        except PtoscError as exc:
-            # without its traceback, the error pins no frame in memory
-            tables.append(exc.with_traceback(None))
-    tables = iter(tables)
-    return [next(tables) if real.error is None else real.error for real in realizations]
+    points = zip(values, bras @ flavours, grids)
+    gated = iter([next(filter(None, errors), None) or point for errors, point in zip(zip(c_errors, basis_errors, grid_errors), points)])
+    return [next(gated) if real.error is None else real.error for real in realizations]
+
+
+def transition_tables(realizations, t_points: int, t_max=None, tol: float = DEFAULT_TOL) -> list:
+    """The table of each of N :func:`ptosc.models.realize` points of one model,
+    or its PtoscError: a failed realization's own, else its first failing step's.
+
+    The steps are the gates of :func:`_gated`, which run as stacked arrays
+    over the realized points, then the point's table, made point by point.
+    Past the gates the flavour coefficients equal the constant flavour
+    matrix F to the Gram tolerance, so the table is |F^T e^(-i Lambda t) F|^2,
+    the :func:`analytic_pattern` of the spectrum, checked to be real with
+    finite phases; the CPT-route product (:func:`transition_table`) would add
+    only its rounding, of order eps ||C||^2.
+    """
+    tables = []
+    for point in _gated(realizations, t_points, t_max, tol):
+        if isinstance(point, tuple):
+            values, _, t_grid = point
+            try:
+                point = TransitionTable(t_grid, analytic_pattern(_real_phases(values, t_grid), t_grid))
+            except PtoscError as exc:
+                # without its traceback, the error pins no frame in memory
+                point = exc.with_traceback(None)
+        tables.append(point)
+    return tables
+
+
+def golden_table(real, t_points: int, t_max=None, tol: float = DEFAULT_TOL) -> tuple:
+    """The table :func:`transition_tables` makes of one realization, and the
+    max |CPT route - pattern| over it (``oscillate --golden``).
+
+    Both come from one pass of the gates.  The CPT-route table
+    (:func:`transition_table` on the same grid) is made first, so the
+    point's error, a realization's, a gate's or the CPT route's, is raised
+    before any table is returned.
+    """
+    [point] = _gated([real], t_points, t_max, tol)
+    if isinstance(point, PtoscError):
+        raise point
+    values, coeff, t_grid = point
+    cpt = _table(values, coeff, t_grid)
+    pattern = analytic_pattern(values, t_grid)
+    return TransitionTable(t_grid, pattern), float(np.max(np.abs(cpt.probs - pattern)))

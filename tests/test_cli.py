@@ -358,6 +358,21 @@ def test_oscillate_broken_phase_exit_1(capsys):
     assert run(["oscillate", "--model", "h8v", "--m0", "1", "--m2", "2"]) == 1
 
 
+# h8v near its exceptional point: C and the flavour Gram pass, but the rows
+# of the CPT-route table sum to 1 only within 1.6e-10, beyond a table's 1e-10
+NEAR_EP_FLAGS = ["--model", "h8v", "--m0", "2", "--m2", "1.999998", "--p", "0", "--t-points", "4"]
+
+
+def test_oscillate_near_ep_emits_the_pattern_and_golden_keeps_its_failure(capsys):
+    assert run(["oscillate", *NEAR_EP_FLAGS]) == 0
+    rows = [[float(x) for x in line.split(",")] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 4 and rows[0][1:] == list(np.eye(4).ravel())
+    assert all(abs(sum(row[1 + 4 * i : 5 + 4 * i]) - 1.0) <= 1e-11 for row in rows for i in range(4))
+    # the CPT route, made as the check, still refuses its rows
+    assert run(["oscillate", *NEAR_EP_FLAGS, "--golden"]) == 1
+    assert capsys.readouterr() == ("", "physics failure: transition rows are not stochastic\n")
+
+
 def test_identical_invocations_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["oscillate", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1", "--t-points", "16"]

@@ -2,6 +2,7 @@ import json
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ptosc import oscillate
-from ptosc.cli import analytic_pattern, main
+from ptosc.cli import main
 from ptosc.coperator import build_C
 from ptosc.errors import ConstructionError, NumericalError
 from ptosc.inner import cpt_ip
@@ -29,6 +30,7 @@ from ptosc.oscillate import (
     TransitionTable,
     _cpt_bras,
     _same_12g,
+    analytic_pattern,
     default_t_grid,
     standard_flavour_basis,
     transition_table,
@@ -311,8 +313,9 @@ def test_writers_fold_zero_columns_per_block():
 
 
 # ---------------------------------------------------------------------------
-# the CSV writer's flavour twins: P33, P31, P44, P42 take the texts of P11,
-# P13, P22, P24 where the %.12g rounding guard proves them equal
+# the %.12g rounding guard, with which a sweep's CSV table takes the texts of
+# the table before it, and the CSV writer on flavour twins (P11 and P33, P13
+# and P31, P22 and P44, P24 and P42) that agree to rounding but not in bits
 
 
 def ulps(x: float, k: int) -> float:
@@ -382,7 +385,7 @@ def test_csv_writer_matches_reference_on_twins_near_rounding_edges(data):
 
 
 def test_csv_writer_matches_reference_where_no_twin_matches():
-    # 4,097 random rows: no twin text is reused, and the second block has one row
+    # 4,097 random rows: no two columns print alike, and the second block has one row
     rng = np.random.default_rng(11)
     probs = rng.random((4097, 4, 4))
     probs /= probs.sum(axis=2, keepdims=True)
@@ -390,6 +393,48 @@ def test_csv_writer_matches_reference_where_no_twin_matches():
     rows = table.probs.reshape(-1, 16)
     assert not _same_12g(rows[:, [0, 2, 5, 7]], rows[:, [10, 8, 15, 13]]).any()
     assert_same_text(table.to_csv(), reference_csv(table))
+
+
+# ---------------------------------------------------------------------------
+# a live column bit-equal to an earlier one takes its texts: each distinct
+# column of a block is formatted once
+
+
+def emitted_table(name, n):
+    [table] = transition_tables([realize(CATALOGUE[name])], n)
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_writers_match_references_on_emitted_tables(name):
+    # 4,097 rows: the second block has one row, in which more columns repeat
+    assert_writers_match_references(emitted_table(name, 4097))
+
+
+# per catalogue point: the distinct live probability columns of its pattern;
+# sfdm, h8v and h8r have doubled levels, so their two gaps are equal
+DISTINCT_COLUMNS = {"sfdm": 2, "h8v_p1": 2, "h8r": 2, "h8": 4}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_bit_equal_columns_are_formatted_once(name):
+    table, formatted = emitted_table(name, 256), []
+    with formatting_spy(formatted):
+        table.to_csv()
+        table.to_json()
+    # CSV: t and the distinct columns; JSON: the distinct columns (its times
+    # are one column, formatted as floats)
+    assert formatted == [(1 + DISTINCT_COLUMNS[name]) * 256, DISTINCT_COLUMNS[name] * 256]
+
+
+def test_signed_zero_columns_never_share_texts():
+    # columns 2 and 3 are equal under == but not in bits; column 4 repeats 2
+    rows = np.array([[-0.0, 0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.5, 0.5, 0.5]])
+    assert oscillate._firsts(rows, oscillate._dead(rows)) == [0, 1, 2, 3, 2]
+    cols = oscillate._csv_columns(rows)
+    assert [list(row) for row in zip(*cols)] == [["-0", "0", "-0", "0", "-0"], ["-0", "0", "0.5", "0.5", "0.5"]]
+    template = "%r,%r,%r,%r,%r"
+    assert oscillate._fill(template, rows) == ",\n".join(template % tuple(row) for row in rows.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -496,37 +541,39 @@ def test_tables_longer_than_a_block_leave_no_texts():
 
 
 def test_sweep_tables_format_only_what_changed():
-    # neighbouring sfdm points print alike in almost every cell: after the
-    # first table, only a few cells are formatted
+    # sfdm's spectrum is +-1 at every chi, so its tables are one pattern on
+    # one grid: after the first table, nothing is formatted
     specs = [ModelSpec("sfdm", {"chi": chi, "psi": 0.3, "theta": 0.7, "phi": 0.2}) for chi in (0.5, 0.6, 0.7)]
     tables = transition_tables([realize(spec) for spec in specs], 256)
     reuse, formatted = {}, []
     with formatting_spy(formatted):
         for table in tables:
             assert table.to_csv(reuse) == reference_csv(table)
-    # t and the 4 live non-twin columns, then the twins where unproven
-    assert formatted[0] >= 5 * 256 and max(formatted[1:]) <= 0.01 * 256 * 17
+    # t and the two distinct live columns: the equal gaps make the four
+    # diagonal columns one column, and the four live off-diagonal ones another
+    assert formatted[0] == 3 * 256 and not any(formatted[1:])
 
 
 def test_sweep_json_tables_format_only_new_values():
-    # sfdm's spectrum is +-1 at every chi, so its tables share their time
-    # grid and repeat most probability values bit for bit
+    # sfdm tables share their time grid and their values bit for bit
     specs = [ModelSpec("sfdm", {"chi": chi, "psi": 0.3, "theta": 0.7, "phi": 0.2}) for chi in np.linspace(0.2, 1.6, 8)]
-    tables = transition_tables([realize(spec) for spec in specs], 256)
+    reuse, formatted = {}, []
+    with formatting_spy(formatted):
+        for table in transition_tables([realize(spec) for spec in specs], 256):
+            assert_json_matches_reference(table.to_json(reuse), table)
+    # per table: the time grid, then the distinct live probabilities (cos^2
+    # and sin^2 of one gap, at most 2 per time)
+    assert formatted[0::2] == [256] + [0] * 7 and 0 < formatted[1] <= 2 * 256 and not any(formatted[3::2])
+    # an h8v m2 axis changes its gap, and so its grid and values, at every
+    # point: a block keeps the texts it formats while the memo then holds no
+    # more texts than the block has cells, and this sweep reaches that bound
+    specs = [ModelSpec("h8v", {"m0": 2.0, "m2": m2}, {"p": 0.7}) for m2 in np.linspace(-1.6, 1.6, 8)]
     reuse, formatted, sizes = {}, [], [0]
     with formatting_spy(formatted):
-        for table in tables:
+        for table in transition_tables([realize(spec) for spec in specs], 256):
             assert_json_matches_reference(table.to_json(reuse), table)
             sizes.append(len(reuse["json"]))
-    # per table: the time grid, then the 8 live probability columns (P11,
-    # P13, P22, P24 and their twins)
-    times, probs = formatted[0::2], formatted[1::2]
-    assert times == [256] + [0] * 7 and probs[0] >= 0.25 * 256 * 8
-    # against 7 * 256 * 8 live probability cells formatted one by one
-    assert sum(probs[1:]) <= 0.5 * 7 * 256 * 8
-    # a block keeps the texts it formats while the memo then holds no more
-    # texts than the block has cells; this sweep reaches that bound
-    for size, kept, t, p in zip(sizes, sizes[1:], times, probs):
+    for size, kept, t, p in zip(sizes, sizes[1:], formatted[0::2], formatted[1::2]):
         size += t if size + t <= 256 else 0
         assert kept == (size + p if size + p <= 256 * 16 else size)
     assert sizes[-1] < sum(formatted)
@@ -544,8 +591,8 @@ def test_writers_keep_the_sign_of_negative_zero_times():
 def test_oscillate_keeps_a_negative_zero_end_time(fmt, capsys):
     argv = ["oscillate", "--model", "h8v", "--m0", "2", "--m2", ".5", "--t-points", "3", "--t-max", "-0"]
     assert main([*argv, "--format", fmt]) == 0
-    sym, es, c = h8v_setup(m0=2.0, m2=0.5, p=0.0)
-    table = transition_table(sym, standard_flavour_basis(sym, es, c), es, c, [0.0, 0.0, -0.0])
+    es = h8v_reduced_eigensystem(2.0, 0.5, 0.0)
+    table = TransitionTable(np.array([0.0, 0.0, -0.0]), analytic_pattern(es.values, [0.0, 0.0, -0.0]))
     out = capsys.readouterr().out
     assert out == (table.to_csv() if fmt == "csv" else table.to_json())
     assert ("\n-0,1,0," if fmt == "csv" else "\n    -0.0\n") in out
@@ -561,7 +608,7 @@ def test_writers_on_one_row_at_t0():
 def test_analytic_pattern_matches_per_time_loop(name):
     table, es = catalogue_table(name, 4097)
     # c*c against libm pow(cos, 2): the last bit differs on ~0.08 % of inputs
-    assert np.max(np.abs(analytic_pattern(es, table.t_grid) - reference_pattern(es, table.t_grid))) <= 4.5e-16
+    assert np.max(np.abs(analytic_pattern(es.values, table.t_grid) - reference_pattern(es, table.t_grid))) <= 4.5e-16
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
@@ -616,6 +663,74 @@ def test_transition_table_matches_expm(name):
     expected = np.array([np.abs(bras @ u @ flavours).T ** 2 for u in evolutions])
     table = transition_table(sym, flavours, es, c, grid)
     assert np.abs(table.probs - expected).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# emitted tables against the exact pattern, from 50-digit mpmath eigenvalues
+# of the model's Hamiltonian, over one default period of 64 times
+
+EPS = np.finfo(float).eps
+# the catalogue and sfdm across its chi band, where ||C|| grows to 665
+ORACLE_POINTS = {
+    **CATALOGUE,
+    **{f"sfdm_chi_{chi}": ModelSpec("sfdm", {**CATALOGUE["sfdm"].params, "chi": chi}) for chi in (0.5, 2.0, 4.0, 6.5)},
+}
+
+
+def exact_hamiltonian(spec, h) -> mpmath.matrix:
+    """The working Hamiltonian at the working precision: the h8 family's
+    entries are its masses and p, which the stored ``h`` holds exactly;
+    sfdm's are made from its parameters, [[a0, i B], [i B^dag, -a0]] with
+    a0 = cosh chi and B = b0 + i (b1 s1 + b2 s2 + b3 s3)."""
+    if spec.model != "sfdm":
+        return mpmath.matrix(h.tolist())
+    chi, psi, theta, phi = (mpmath.mpf(spec.params[key]) for key in ("chi", "psi", "theta", "phi"))
+    sh, i = mpmath.sinh(chi), mpmath.mpc(0, 1)
+    b0, b3 = sh * mpmath.cos(psi), sh * mpmath.sin(psi) * mpmath.cos(theta)
+    b1, b2 = (sh * mpmath.sin(psi) * mpmath.sin(theta) * f(phi) for f in (mpmath.cos, mpmath.sin))
+    b = [[b0 + i * b3, i * b1 + b2], [i * b1 - b2, b0 - i * b3]]
+    exact = mpmath.diag([mpmath.cosh(chi)] * 2 + [-mpmath.cosh(chi)] * 2)
+    for r in range(2):
+        for k in range(2):
+            exact[r, k + 2], exact[r + 2, k] = i * b[r][k], i * mpmath.conj(b[k][r])
+    return exact
+
+
+def exact_pattern(spec, h, values, t_grid) -> np.ndarray:
+    """The cos^2/sin^2 pattern of the 50-digit eigenvalues, each paired with
+    the nearest of ``values`` so that the levels keep their order."""
+    with mpmath.workdps(50):
+        exact = list(mpmath.eig(exact_hamiltonian(spec, h), left=False, right=False))
+        levels = [mpmath.re(exact.pop(min(range(len(exact)), key=lambda k: abs(exact[k] - complex(v))))) for v in values]
+        out = np.zeros((len(t_grid), 4, 4))
+        for n, (i, j) in enumerate(((0, 2), (1, 3))):
+            gap = (levels[j] - levels[i]) / 2
+            for k, t in enumerate(t_grid.tolist()):
+                out[k, i, i] = out[k, j, j] = float(mpmath.cos(gap * t) ** 2)
+                out[k, i, j] = out[k, j, i] = float(mpmath.sin(gap * t) ** 2)
+    return out
+
+
+def beyond_clamp(table, exact) -> np.ndarray:
+    """|table - exact| per cell, less the clamp where the table holds a clamped 0."""
+    err = np.abs(table.probs - exact)
+    return np.where(table.probs == 0.0, np.maximum(err - oscillate.CLAMP, 0.0), err)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POINTS))
+def test_tables_against_50_digit_eigenvalues(name):
+    spec = ORACLE_POINTS[name]
+    real = realize(spec)
+    [table] = transition_tables([real], 64)
+    es = real.eigensystem
+    exact = exact_pattern(spec, real.hamiltonian, es.values, table.t_grid)
+    # the emitted table errs only by the rounding of lambda t and of cos^2
+    phase = EPS * (1.0 + float(np.abs(es.values).max()) * table.t_grid)[:, None, None]
+    assert (beyond_clamp(table, exact) <= 8.0 * phase).all()
+    # the CPT route adds the rounding of its products, of order eps ||C||^2
+    c = build_C(real.sym, es, hamiltonian=real.hamiltonian)
+    cpt = transition_table(real.sym, standard_flavour_basis(real.sym, es, c), es, c, table.t_grid)
+    assert (beyond_clamp(cpt, exact) <= 8.0 * phase + 16.0 * EPS * operator_norm(c.matrix) ** 2).all()
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,17 @@ def test_full_suite_broken_phase_skips_downstream():
     assert by_name["completeness"].note.startswith("skipped")
 
 
+@pytest.mark.parametrize("tol, passed", [(DEFAULT_TOL, False), (1e-6, True)])
+def test_row_check_reports_the_residual_of_a_refused_table(tol, passed):
+    # near h8v's exceptional point the CPT-route rows sum to 1 within 1.6e-10
+    # only, so the table is refused; the check reports that residual
+    reports = run_full_suite(ModelSpec("h8v", {"m0": 2.0, "m2": 1.999998}, {"p": 0.0}), tol=tol, n_random=100)
+    row = reports[-1]
+    assert row.name == "row_stochastic_table" and row.passed is passed and row.note == ""
+    assert 1e-10 < row.defect < 1e-9 and row.tolerance == tol
+    assert all(r.passed for r in reports[:-1])
+
+
 def test_realize_records_every_failure_with_its_type(monkeypatch):
     # h8r has no eigenbasis construction at p != 0, though its spectrum is real
     unsupported = realize(ModelSpec("h8r", {"m0": 2.0, "m1": 0.5, "m2": 1.0}, {"p": 1.0}))
