@@ -94,6 +94,19 @@ H8R_P_SWEEP = {
     "sweep": [{"param": "p", "start": 0.0, "stop": 1.0, "steps": 3}],
     "out_dir": "{dir}/out",
 }
+# sweeps written with the texts of the table before: an h8v m2 axis in JSON
+# on a set grid end, whose times are bit-equal from table to table and
+# whose probabilities are not, and an h8v m2 axis on t_max 0, whose time
+# column is +0.0 in every row
+H8V_M2_JSON_T_MAX_SWEEP = {
+    "model": {"model": "h8v", "params": {"m0": 2.0, "m2": 0.0}, "momentum": {"p": 0.7, "theta": 0.4, "phi": 1.1}},
+    "sweep": [{"param": "m2", "start": 0.1, "stop": 1.9, "steps": 7}],
+    "t_grid": {"points": 256, "t_max": 9.0},
+    "out_dir": "{dir}/out",
+    "format": "json",
+}
+T_MAX_0_SWEEP = {**H8V_M2_JSON_T_MAX_SWEEP, "t_grid": {"points": 32, "t_max": 0}, "format": "csv"}
+T_MAX_0_JSON_SWEEP = {**T_MAX_0_SWEEP, "format": "json"}
 H8V_M2_0_P_0 = ("--model", "h8v", "--m0", "2", "--m2", "0", "--p", "0")
 EYE2 = [[1, 0], [0, 1]]
 
@@ -118,8 +131,10 @@ MODEL_FILE = ("verify", "--model-file", "{dir}/model.json")
 # cannot be made (physics failures: h8v with |m2| >= m0 at a momentum
 # where its spectrum is real, a generic model with a complex spectrum, and
 # h8r at p != 0).  The ops added later come last, so the lines before them
-# keep their indices: two JSON sweeps, the three failure sweeps above and
-# verify at sfdm chi = 30, whose realization fails with a vanishing PT norm.
+# keep their indices: two JSON sweeps, the three failure sweeps above,
+# verify at sfdm chi = 30, whose realization fails with a vanishing PT norm,
+# then the h8v m2 JSON sweep on a set grid end and the t_max 0 sweep in CSV
+# and in JSON.
 EXTRA = (
     ("readme_verify_sfdm", ("verify", "--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
     ("readme_verify_h8v", ("verify", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"), {}),
@@ -146,6 +161,9 @@ EXTRA = (
     ("sfdm_chi_35_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(SFDM_CHI_35_SWEEP)}),
     ("h8r_p_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8R_P_SWEEP)}),
     ("sfdm_chi_30_verify", ("verify", "--model", "sfdm", "--chi", "30", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
+    ("h8v_m2_json_t_max_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8V_M2_JSON_T_MAX_SWEEP)}),
+    ("t_max_0_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(T_MAX_0_SWEEP)}),
+    ("t_max_0_json_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(T_MAX_0_JSON_SWEEP)}),
 )
 
 

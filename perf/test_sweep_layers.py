@@ -18,8 +18,8 @@ texts of the one before where the rounding guard proves them equal (the
 27 sfdm tables are one table; of the h8v and h8r cells that ``fresh``
 formats, 36 % and 68 % are still formatted); ``fresh`` formats every table
 on its own.  ``write_json``
-does the same with ``to_json``, whose ``reuse`` takes the text of a float
-bit pattern that an earlier table formatted from a memo.
+does the same with ``to_json``, whose cells take the text of the table
+before only where the two floats are equal with equal signs.
 """
 
 import numpy as np

@@ -12,7 +12,8 @@ route (:func:`transition_table`) is kept as their check.
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -29,10 +30,10 @@ ROW_SUM_TOL = 1e-10
 #: Rows formatted by one ``%`` operation; bounds the per-block temporaries.
 BLOCK_ROWS = 4096
 
-_CSV_HEADER = ",".join(["t"] + [f"P{i}{j}" for i in range(1, 5) for j in range(1, 5)])
+_CSV_HEADER = ",".join(["t"] + [f"P{i}{j}" for i in range(1, 5) for j in range(1, 5)]) + "\n"
 # "%.12g" % x is f"{x:.12g}"; for finite floats "%r" % x is what json.dumps writes.
-_JSON_TIME = "    %r"
-_JSON_MATRIX = "    [\n" + ",\n".join(["      [\n" + ",\n".join(["        %r"] * 4) + "\n      ]"] * 4) + "\n    ]"
+_JSON_TIME = "    %s"
+_JSON_MATRIX = "    [\n" + ",\n".join(["      [\n" + ",\n".join(["        %s"] * 4) + "\n      ]"] * 4) + "\n    ]"
 
 
 def _dead(block: np.ndarray) -> np.ndarray:
@@ -51,128 +52,127 @@ def _firsts(block: np.ndarray, dead: np.ndarray) -> list:
     return first
 
 
-def _fill(template: str, rows: np.ndarray, memo: dict | None = None) -> str:
-    """``",\\n".join(template % tuple(row) for row in rows)``, one ``%`` per block of rows.
-
-    ``template`` has one ``%r`` slot per column.  A column that is +0.0 in
-    every row of a block is written into that block's row template as the
-    literal ``0.0``, so only the live columns are formatted.  -0.0 is not
-    folded: it prints with its sign.  A ``memo`` maps the int64 view of a
-    float to its text: only the values new to it are formatted, and kept
-    while it then holds no more texts than the block has cells.  Without a
-    memo, a block where a live column repeats an earlier one
-    (:func:`_firsts`) formats each distinct column once; any other block is
-    formatted in one ``%`` of its floats.  The JSON writer formats every
-    block this way; the CSV writer uses :func:`_csv_columns`.
-    """
-    gaps = template.split("%r")
-    blocks = []
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start : start + BLOCK_ROWS]
-        dead = _dead(block)
-        live = np.flatnonzero(~dead).tolist()
-        floats = False  # whether ``cells`` holds floats for ``%r`` slots, not texts for ``%s``
-        if memo is not None:
-            keys = block[:, live].ravel().view(np.int64).tolist()
-            new = np.array(list(set(keys).difference(memo)), dtype=np.int64)
-            fresh = dict(zip(new.tolist(), _texts(new.view(float), "%r")))
-            memo.update(fresh if len(memo) + len(fresh) <= rows.size else ())
-            cells = tuple(map(fresh.get, keys, map(memo.get, keys)))
-        else:
-            first = _firsts(block, dead)
-            floats = first == list(range(len(first)))
-            if floats:
-                cells = tuple(block[:, live].ravel().tolist())
-            else:
-                cols = _distinct_texts(block, first, live, "%r")
-                cells = tuple(chain.from_iterable(zip(*(cols[j] for j in live))))
-        row = gaps[0] + "".join(("0.0" if d else "%r" if floats else "%s") + gap for d, gap in zip(dead, gaps[1:]))
-        blocks.append(",\n".join([row] * len(block)) % cells)
-    return ",\n".join(blocks)
-
-
 _POW10 = np.array([float(10**k) for k in range(23)])  # each exact
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """True where ``"%r" % a == "%r" % b``, elementwise, for finite floats:
+    equal values of equal sign (``==`` alone would pair -0.0 with 0.0)."""
+    return (a == b) & ~(np.signbit(a) ^ np.signbit(b))
 
 
 def _same_12g(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """True where ``"%.12g" % a == "%.12g" % b`` is proven, elementwise.
 
-    Equal floats of equal sign print alike (``==`` alone would pair -0.0
-    with 0.0).  Otherwise, with k = 11 - floor(log10 a) in [0, 22] and an
-    exact 10^k, both f = x 10^k must lie in [1e11, 1e12), round to the same
-    integer N < 1e12 and sit more than 1e-3 from a half-integer.  f is exact
-    to 2^-14, so N is then the 12-digit rounding of both and they print
-    alike.  A k that is off by one fails the range checks, so log10 need not
-    be exact.  Any other pair, such as one below 1e-11, reads False.
+    Equal floats of equal sign print alike (:func:`_same_bits`).  Otherwise,
+    with k = 11 - floor(log10 a) in [0, 22] and an exact 10^k, both
+    f = x 10^k must lie in [1e11, 1e12), round to the same integer
+    N < 1e12 and sit more than 1e-3 from a half-integer.  f is exact to
+    2^-14, so N is then the 12-digit rounding of both and they print alike.
+    A k that is off by one fails the range checks, so log10 need not be
+    exact.  Any other pair, such as one below 1e-11, reads False.
     """
     with np.errstate(all="ignore"):
-        # log2, not log10, and no int64 compare below: numpy's loops for
-        # those run nowhere else in ptosc, and paging their code in raised
-        # the peak RSS of a sweep process by about 0.25 MB
+        # log2, not log10: numpy's loop for log10 runs nowhere else in
+        # ptosc, and paging its code in raised the peak RSS of a sweep
+        # process by about 0.25 MB
         k = 11.0 - np.floor(np.log2(a) * math.log10(2.0))
         ok = (k >= 0.0) & (k <= 22.0)
         scale = _POW10[np.where(ok, k, 0.0).astype(np.intp)]
         fa, fb = a * scale, b * scale
     n = np.rint(fa)
     ok &= (fa >= 1e11) & (fb >= 1e11) & (n < 1e12) & (np.abs(fa - n) < 0.499) & (np.abs(fb - n) < 0.499)
-    return ok | ((a == b) & ~(np.signbit(a) ^ np.signbit(b)))
+    return ok | _same_bits(a, b)
 
 
-def _texts(values: np.ndarray, spec: str = "%.12g") -> list:
+#: per writer spec, where two floats are proven to print alike
+_SAME = {"%.12g": _same_12g, "%r": _same_bits}
+
+
+def _texts(values: np.ndarray, spec: str) -> list:
     """``[spec % x for x in values.ravel()]``, in one ``%``."""
     return ((spec + "\n") * values.size % tuple(values.ravel().tolist())).splitlines()
 
 
-def _distinct_texts(block: np.ndarray, first: list, columns: list, spec: str) -> dict:
-    """The ``spec`` texts of ``columns`` of ``block``, one list per column:
-    each distinct column is formatted once, all in one ``%``, and a column
-    that repeats an earlier one (``first``, from :func:`_firsts`) shares the
-    list of that column, which must be among ``columns``."""
-    n = len(block)
-    distinct = [j for j in columns if first[j] == j]
-    texts = _texts(block.T[distinct], spec)
-    own = {j: texts[k * n : (k + 1) * n] for k, j in enumerate(distinct)}
-    return {j: own[first[j]] for j in columns}
+def _columns(block: np.ndarray, spec: str, previous=None) -> list:
+    """The ``spec`` texts of one block of rows, as one list per column, or
+    None for a column that is +0.0 in every row.
 
-
-def _csv_columns(block: np.ndarray, previous=None) -> list:
-    """The ``%.12g`` texts of one block of CSV rows, as one list per column.
-
-    A live column bit-equal to an earlier one (:func:`_firsts`) takes its
-    texts.  ``previous`` is the (values, column texts) of an earlier block
-    of the same shape, or None.  A distinct live column whose cells all lie
-    within 1e-11 of its values there takes that block's text in every row
-    where :func:`_same_12g` proves the two texts equal, and is formatted in
-    the other rows only.  The other distinct columns are formatted in one
-    ``%``, those rows in a second.
+    A live column bit-equal to an earlier one (:func:`_firsts`) shares its
+    list.  ``previous`` is the (values, column lists) of an earlier block of
+    the same shape, or None.  A distinct live column whose cells all lie
+    within 1e-11 of its live column there takes that block's text in every
+    row where :data:`_SAME` proves the two texts equal.  All other texts,
+    the rows such a column does not take and the other distinct columns,
+    are formatted in one ``%``.
     """
-    n, m = block.shape
+    n = len(block)
     dead = _dead(block)
     first = _firsts(block, dead)
     live = np.flatnonzero(~dead).tolist()
-    cols = [["0"] * n] * m  # a list, not an iterator: the dead columns can share it
+    own = [j for j in live if first[j] == j]
     based = []
     if previous is not None:
         values, old = previous
         near = np.abs(block - values).max(axis=0) <= 1e-11
-        based = [j for j in live if first[j] == j and near[j]]
-    if based:
-        miss = ~_same_12g(block.T[based], values.T[based])
-        redo = iter(_texts(block.T[based][miss]))
-        for j, rows in zip(based, miss):
-            cols[j] = old[j].copy()
-            # zip draws a row before a text: it leaves the next column's texts in ``redo``
-            for r, text in zip(np.flatnonzero(rows).tolist(), redo):
-                cols[j][r] = text
-    texts = _distinct_texts(block, first, [j for j in live if first[j] not in based], "%.12g")
+        based = [j for j in own if near[j] and old[j] is not None]
+    fresh = [j for j in own if j not in based]
+    miss = ~_SAME[spec](block.T[based], values.T[based]) if based else np.zeros((0, n), dtype=bool)
+    texts = _texts(np.concatenate([block.T[fresh].ravel(), block.T[based][miss]]), spec)
+    cols = [None] * block.shape[1]
+    for k, j in enumerate(fresh):
+        cols[j] = texts[k * n : (k + 1) * n]
+    redo = iter(texts[len(fresh) * n :])
+    for j, rows in zip(based, miss):
+        cols[j] = old[j].copy()
+        # zip draws a row before a text: it leaves the next column's texts in ``redo``
+        for r, text in zip(np.flatnonzero(rows).tolist(), redo):
+            cols[j][r] = text
     for j in live:
-        cols[j] = texts[j] if j in texts else cols[first[j]]
+        cols[j] = cols[first[j]]
     return cols
 
 
-def _csv_rows(cols: list, head: list) -> str:
-    """The lines ``head``, then the rows of ``cols``, each ending in a newline."""
-    return "\n".join([*head, *map(",".join, zip(*cols)), ""])  # the "" ends the last row
+def _blocks(rows: np.ndarray, spec: str):
+    """The blocks of ``BLOCK_ROWS`` rows of ``rows``, each as its length and
+    its :func:`_columns`, made as they are drawn."""
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start : start + BLOCK_ROWS]
+        yield len(block), _columns(block, spec)
+
+
+def _block_columns(parts: list, spec: str, reuse: dict | None, key: str) -> list:
+    """Per array of ``parts`` (all of one length): its :func:`_blocks`.
+
+    With ``reuse``, a table of one block takes the texts of the table
+    written before it, kept under ``key`` when its parts had the same
+    shapes, and leaves its own parts and texts there; a longer table leaves
+    none.
+    """
+    previous = None if reuse is None else reuse.pop(key, None)
+    if reuse is None or len(parts[0]) > BLOCK_ROWS:
+        return [_blocks(part, spec) for part in parts]
+    if previous is None or previous[0][0].shape != parts[0].shape:
+        previous = [None] * len(parts)
+    reuse[key] = [(part, _columns(part, spec, old)) for part, old in zip(parts, previous)]
+    return [[(len(part), cols)] for part, cols in reuse[key]]
+
+
+def _fill(template: str, n: int, cols: list) -> str:
+    """``n`` rows of ``template`` joined by ``",\\n"``, its ``%s`` slots taking
+    the texts of ``cols`` (:func:`_columns`); the slot of a None column is
+    the literal ``0.0``."""
+    gaps = template.split("%s")
+    row = gaps[0] + "".join(("0.0" if col is None else "%s") + gap for col, gap in zip(cols, gaps[1:]))
+    return ",\n".join([row] * n) % tuple(chain.from_iterable(zip(*(col for col in cols if col is not None))))
+
+
+def _csv_rows(n: int, cols: list) -> str:
+    """The ``n`` rows of ``cols`` (:func:`_columns`, a None column written
+    as ``0``), each ending in a newline."""
+    zeros = ["0"] * n
+    rows = zip(*(zeros if col is None else col for col in cols))
+    return "\n".join([*map(",".join, rows), ""])  # the "" ends the last row
 
 
 @dataclass(frozen=True)
@@ -213,35 +213,26 @@ class TransitionTable:
     def to_csv(self, reuse: dict | None = None) -> str:
         """CSV with header t,P11,...,P44 and 12-significant-digit floats.
 
+        Each block of ``BLOCK_ROWS`` rows is formatted by :func:`_columns`.
         ``reuse`` is a dict that the calls writing a sequence of tables
-        share.  A table of one block (at most ``BLOCK_ROWS`` rows) takes the
-        texts of the table written before it where :func:`_csv_columns`
-        proves them equal, and leaves its own values and texts there for the
-        next; a longer table leaves none.
+        share: a table of one block takes the texts of the table written
+        before it where :func:`_same_12g` proves them equal, and leaves its
+        own values and texts there for the next; a longer table leaves none.
         """
         rows = np.column_stack([self.t_grid, self.probs.reshape(len(self.t_grid), 16)])
-        previous = None if reuse is None else reuse.pop("csv", None)
-        if reuse is not None and len(rows) <= BLOCK_ROWS:
-            cols = _csv_columns(rows, previous if previous is not None and previous[0].shape == rows.shape else None)
-            reuse["csv"] = (rows, cols)
-            return _csv_rows(cols, [_CSV_HEADER])
-        blocks = range(0, len(rows), BLOCK_ROWS)
-        return "".join(_csv_rows(_csv_columns(rows[start : start + BLOCK_ROWS]), [] if start else [_CSV_HEADER]) for start in blocks)
+        [blocks] = _block_columns([rows], "%.12g", reuse, "csv")
+        # starmap keeps no block's texts while it makes the next
+        return "".join(chain([_CSV_HEADER], starmap(_csv_rows, blocks)))
 
     def to_json(self, reuse: dict | None = None) -> str:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, formatted from a template.
 
-        ``%r`` texts are equal only for equal floats, so a live column takes
-        the texts of an earlier bit-equal one (:func:`_fill`).
-        With ``reuse`` (see :meth:`to_csv`), a one-block table takes from
-        :func:`_fill`'s memo the texts that tables before it formatted, and
-        adds its own until the memo holds as many texts as the table has
-        probabilities; a longer table leaves none."""
-        memo = None if reuse is None or len(self.t_grid) > BLOCK_ROWS else reuse.setdefault("json", {})
-        if memo is None and reuse:
-            reuse.pop("json", None)
-        times = _fill(_JSON_TIME, self.t_grid[:, None], memo)
-        probs = _fill(_JSON_MATRIX, self.probs.reshape(len(self.t_grid), 16), memo)
+        The times and the probabilities are formatted as in :meth:`to_csv`,
+        each on its own, with ``%r``, whose texts are equal only for equal
+        floats of equal sign; ``reuse`` is as there."""
+        parts = [self.t_grid[:, None], self.probs.reshape(len(self.t_grid), 16)]
+        blocks = _block_columns(parts, "%r", reuse, "json")
+        times, probs = (",\n".join(starmap(partial(_fill, template), part)) for template, part in zip((_JSON_TIME, _JSON_MATRIX), blocks))
         return '{\n  "t_grid": [\n%s\n  ],\n  "probs": [\n%s\n  ]\n}\n' % (times, probs)
 
     def to_json_dict(self) -> dict:

@@ -422,19 +422,23 @@ def test_bit_equal_columns_are_formatted_once(name):
     with formatting_spy(formatted):
         table.to_csv()
         table.to_json()
-    # CSV: t and the distinct columns; JSON: the distinct columns (its times
-    # are one column, formatted as floats)
-    assert formatted == [(1 + DISTINCT_COLUMNS[name]) * 256, DISTINCT_COLUMNS[name] * 256]
+    # CSV: t and the distinct columns, in one block; JSON: its times, then
+    # the distinct columns
+    assert formatted == [(1 + DISTINCT_COLUMNS[name]) * 256, 256, DISTINCT_COLUMNS[name] * 256]
 
 
 def test_signed_zero_columns_never_share_texts():
     # columns 2 and 3 are equal under == but not in bits; column 4 repeats 2
     rows = np.array([[-0.0, 0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.5, 0.5, 0.5]])
-    assert oscillate._firsts(rows, oscillate._dead(rows)) == [0, 1, 2, 3, 2]
-    cols = oscillate._csv_columns(rows)
-    assert [list(row) for row in zip(*cols)] == [["-0", "0", "-0", "0", "-0"], ["-0", "0", "0.5", "0.5", "0.5"]]
-    template = "%r,%r,%r,%r,%r"
-    assert oscillate._fill(template, rows) == ",\n".join(template % tuple(row) for row in rows.tolist())
+    # the same values with +0.0 for each -0.0, written after ``rows``
+    unsigned = np.abs(rows)
+    for spec in ("%.12g", "%r"):
+        cols = oscillate._columns(rows, spec)
+        assert cols[1] is None and cols[4] is cols[2]
+        assert [cols[j] for j in (0, 2, 3)] == [[spec % x for x in rows[:, j].tolist()] for j in (0, 2, 3)]
+        cols = oscillate._columns(unsigned, spec, (rows, cols))
+        assert cols[0] is None and cols[1] is None
+        assert [cols[j] for j in (2, 3, 4)] == [[spec % x for x in unsigned[:, j].tolist()] for j in (2, 3, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +512,15 @@ def test_json_time_grid_reused_only_when_bit_equal():
             table = TransitionTable(np.array(times), probs)
             assert_json_matches_reference(table.to_json(js), table)
     # values formatted per table, times then probabilities: the live
-    # probabilities are all 1.0, formatted with the first grid, and later
-    # only the bit patterns new to the sequence are: -0.0, then 1 + 2^-52
-    assert formatted == [2, 0, 0, 0, 1, 0, 0, 0, 1, 0]
+    # probabilities are one column of 1.0, formatted with the first grid;
+    # later a time takes the text of the time before it only where the two
+    # are equal with equal signs
+    assert formatted == [2, 2, 0, 0, 1, 0, 1, 0, 1, 0]
 
 
-def test_json_memo_keeps_the_sign_of_each_zero():
-    # -0.0 == 0.0, but the memo keys them apart: -0.0 times and the +0.0
-    # cells of live probability columns (P13 is 0 at t = 0 only) meet in one
+def test_json_sequences_keep_the_sign_of_each_zero():
+    # -0.0 == 0.0, but -0.0 times and the +0.0 cells of live probability
+    # columns (P13 is 0 at t = 0 only) each keep their own text, in one
     # table and across the sequence
     sym, es, c = h8v_setup(m0=2.0, m2=0.5, p=0.0)
     basis = standard_flavour_basis(sym, es, c)
@@ -525,7 +530,6 @@ def test_json_memo_keeps_the_sign_of_each_zero():
         text = table.to_json(reuse)
         assert_json_matches_reference(text, table)
         assert [line.strip(" ,") for line in text.split("\n")[2:5]] == [repr(t) for t in times]
-    assert {0, -(2**63)} <= set(reuse["json"])
 
 
 def test_tables_longer_than_a_block_leave_no_texts():
@@ -561,22 +565,48 @@ def test_sweep_json_tables_format_only_new_values():
     with formatting_spy(formatted):
         for table in transition_tables([realize(spec) for spec in specs], 256):
             assert_json_matches_reference(table.to_json(reuse), table)
-    # per table: the time grid, then the distinct live probabilities (cos^2
-    # and sin^2 of one gap, at most 2 per time)
-    assert formatted[0::2] == [256] + [0] * 7 and 0 < formatted[1] <= 2 * 256 and not any(formatted[3::2])
-    # an h8v m2 axis changes its gap, and so its grid and values, at every
-    # point: a block keeps the texts it formats while the memo then holds no
-    # more texts than the block has cells, and this sweep reaches that bound
-    specs = [ModelSpec("h8v", {"m0": 2.0, "m2": m2}, {"p": 0.7}) for m2 in np.linspace(-1.6, 1.6, 8)]
-    reuse, formatted, sizes = {}, [], [0]
+    # per table: the time grid, then the two distinct live probability
+    # columns (cos^2 and sin^2 of one gap)
+    assert formatted == [256, 2 * 256] + [0] * 14
+    # an h8v m2 axis on a set grid end shares its times but changes its gap,
+    # and so its probabilities, at every point
+    specs = [ModelSpec("h8v", {"m0": 2.0, "m2": m2}, {"p": 0.7}) for m2 in np.linspace(0.2, 1.6, 8)]
+    reuse, formatted = {}, []
     with formatting_spy(formatted):
-        for table in transition_tables([realize(spec) for spec in specs], 256):
+        for table in transition_tables([realize(spec) for spec in specs], 256, t_max=12.5):
             assert_json_matches_reference(table.to_json(reuse), table)
-            sizes.append(len(reuse["json"]))
-    for size, kept, t, p in zip(sizes, sizes[1:], formatted[0::2], formatted[1::2]):
-        size += t if size + t <= 256 else 0
-        assert kept == (size + p if size + p <= 256 * 16 else size)
-    assert sizes[-1] < sum(formatted)
+    assert formatted == [256, 2 * 256] + [0, 2 * 256] * 7
+
+
+def reference_text(table, fmt: str) -> str:
+    return reference_csv(table) if fmt == "csv" else json.dumps(table.to_json_dict(), indent=2) + "\n"
+
+
+def write(table, fmt: str, reuse: dict) -> str:
+    return table.to_csv(reuse) if fmt == "csv" else table.to_json(reuse)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_with_times_all_zero_matches_references(fmt):
+    # a sweep on t_max 0: every table's time column is +0.0 in every row,
+    # and its probabilities are the identity
+    specs = [ModelSpec("h8v", {"m0": 2.0, "m2": m2}, {"p": 0.7}) for m2 in (0.5, 1.0, 1.5)]
+    reuse = {}
+    for table in transition_tables([realize(spec) for spec in specs], 16, t_max=0.0):
+        assert not table.t_grid.any()
+        assert write(table, fmt, reuse) == reference_text(table, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_live_column_near_a_dead_one_before_matches_references(fmt):
+    # the time column and P13 are +0.0 in every row of the first table, and
+    # live, within 1e-11 of those zeros, in the second
+    dead = TransitionTable(np.zeros(3), np.array([twin_rows(1.0, 1.0, 1.0, 1.0)] * 3))
+    live = TransitionTable(np.array([0.0, 1e-12, 2e-12]), np.array([twin_rows(1.0 - 1e-12, 1.0, 1.0, 1.0)] * 3))
+    assert live.probs[:, 0, 2].all()
+    reuse = {}
+    for table in (dead, live, dead, live):
+        assert write(table, fmt, reuse) == reference_text(table, fmt)
 
 
 def test_writers_keep_the_sign_of_negative_zero_times():
