@@ -107,6 +107,17 @@ H8V_M2_JSON_T_MAX_SWEEP = {
 }
 T_MAX_0_SWEEP = {**H8V_M2_JSON_T_MAX_SWEEP, "t_grid": {"points": 32, "t_max": 0}, "format": "csv"}
 T_MAX_0_JSON_SWEEP = {**T_MAX_0_SWEEP, "format": "json"}
+# a sweep whose tables take the texts of a near twin column in their own
+# block: h8's second flavour pair against its first, in JSON
+H8_M3_JSON_SWEEP = {
+    "model": {"model": "h8", "params": {"m0": 2.0, "m1": 0.5, "m2": 1.0, "m3": 0.0}},
+    "sweep": [{"param": "m3", "start": -1.2, "stop": 1.2, "steps": 9}],
+    "t_grid": {"points": 256},
+    "out_dir": "{dir}/out",
+    "format": "json",
+}
+H8_M3 = ("--model", "h8", "--m0", "2", "--m1", "0.5", "--m2", "1", "--m3", "0.3")
+SFDM_ARGV = ("--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2")
 H8V_M2_0_P_0 = ("--model", "h8v", "--m0", "2", "--m2", "0", "--p", "0")
 EYE2 = [[1, 0], [0, 1]]
 
@@ -133,8 +144,10 @@ MODEL_FILE = ("verify", "--model-file", "{dir}/model.json")
 # h8r at p != 0).  The ops added later come last, so the lines before them
 # keep their indices: two JSON sweeps, the three failure sweeps above,
 # verify at sfdm chi = 30, whose realization fails with a vanishing PT norm,
-# then the h8v m2 JSON sweep on a set grid end and the t_max 0 sweep in CSV
-# and in JSON.
+# then the h8v m2 JSON sweep on a set grid end, the t_max 0 sweep in CSV
+# and in JSON, h8 in JSON at 4,096 times (near twin columns under %r),
+# sfdm in CSV at 4,095 and at 2 times (mirrored rows, an odd count with a
+# middle row and one row facing the other) and the h8 m3 sweep in JSON.
 EXTRA = (
     ("readme_verify_sfdm", ("verify", "--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
     ("readme_verify_h8v", ("verify", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"), {}),
@@ -164,6 +177,10 @@ EXTRA = (
     ("h8v_m2_json_t_max_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8V_M2_JSON_T_MAX_SWEEP)}),
     ("t_max_0_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(T_MAX_0_SWEEP)}),
     ("t_max_0_json_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(T_MAX_0_JSON_SWEEP)}),
+    ("h8_json_4096_oscillate", ("oscillate", *H8_M3, "--t-points", "4096", "--format", "json"), {}),
+    ("sfdm_4095_oscillate", ("oscillate", *SFDM_ARGV, "--t-points", "4095"), {}),
+    ("sfdm_2_oscillate", ("oscillate", *SFDM_ARGV, "--t-points", "2"), {}),
+    ("h8_m3_json_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8_M3_JSON_SWEEP)}),
 )
 
 

@@ -10,7 +10,8 @@ of the ``oscillate`` examples (m0 2, m2 1, p 1) on its default one-period
 grid.  The emitted tables are those of ``transition_tables`` at 4,096 times,
 the size of an ``oscillate_long`` op: sfdm and h8r, whose doubled levels
 make one diagonal and one live off-diagonal column distinct, and h8, whose
-two gaps differ, with four distinct columns.
+four columns differ in bits but print as two: its two flavour pairs
+oscillate at one frequency from levels that differ in ulps.
 """
 
 import numpy as np

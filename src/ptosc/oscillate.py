@@ -13,7 +13,7 @@ route (:func:`transition_table`) is kept as their check.
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 
 import numpy as np
 
@@ -94,39 +94,79 @@ def _texts(values: np.ndarray, spec: str) -> list:
     return ((spec + "\n") * values.size % tuple(values.ravel().tolist())).splitlines()
 
 
+def _sources(block: np.ndarray, own: list, previous) -> dict:
+    """Per distinct live column of ``block`` that has a source, a column
+    whose cells all lie within 1e-11 of its own: that source's values, row
+    by row, and where its texts are.
+
+    The sources, in the order tried: the same live column of ``previous``
+    (its texts), an earlier distinct column of ``block`` (its index) and
+    the column's own rows reversed (None: row r faces row n - 1 - r).  As
+    in :func:`_firsts`, one row picks the earlier columns that may be near,
+    and the first and last rows those that may mirror themselves; only
+    these are compared in full.
+    """
+    sources = {}
+    if previous is not None:
+        values, old = previous
+        near = (np.abs(block - values) <= 1e-11).all(axis=0).tolist()
+        sources = {j: (values[:, j], old[j]) for j in own if near[j] and old[j] is not None}
+    row, top, bottom = (block[r].tolist() for r in (len(block) // 2, 0, -1))
+    ends = []
+    for i, j in enumerate(own):
+        if j not in sources:
+            k = next((k for k in own[:i] if abs(row[k] - row[j]) <= 1e-11 and np.abs(block[:, k] - block[:, j]).max() <= 1e-11), None)
+            if k is not None:
+                sources[j] = (block[:, k], k)
+            elif abs(top[j] - bottom[j]) <= 1e-11:
+                ends.append(j)
+    if ends:
+        flipped = block[::-1]
+        near = (np.abs(block[:, ends] - flipped[:, ends]) <= 1e-11).all(axis=0).tolist()
+        sources.update((j, (flipped[:, j], None)) for j, ok in zip(ends, near) if ok)
+    return sources
+
+
 def _columns(block: np.ndarray, spec: str, previous=None) -> list:
     """The ``spec`` texts of one block of rows, as one list per column, or
     None for a column that is +0.0 in every row.
 
     A live column bit-equal to an earlier one (:func:`_firsts`) shares its
     list.  ``previous`` is the (values, column lists) of an earlier block of
-    the same shape, or None.  A distinct live column whose cells all lie
-    within 1e-11 of its live column there takes that block's text in every
-    row where :data:`_SAME` proves the two texts equal.  All other texts,
-    the rows such a column does not take and the other distinct columns,
-    are formatted in one ``%``.
+    the same shape, or None.  A distinct live column with a source
+    (:func:`_sources`: the same column of ``previous``, an earlier distinct
+    column, or its own rows reversed) takes the source's text in every row
+    where :data:`_SAME` proves the two texts equal; a mirrored column
+    formats its first half, middle row included, and takes it for the rows
+    facing it.  All other texts are formatted in one ``%``.
     """
-    n = len(block)
+    n, half = len(block), (len(block) + 1) // 2
     dead = _dead(block)
     first = _firsts(block, dead)
     live = np.flatnonzero(~dead).tolist()
     own = [j for j in live if first[j] == j]
-    based = []
-    if previous is not None:
-        values, old = previous
-        near = np.abs(block - values).max(axis=0) <= 1e-11
-        based = [j for j in own if near[j] and old[j] is not None]
-    fresh = [j for j in own if j not in based]
-    miss = ~_SAME[spec](block.T[based], values.T[based]) if based else np.zeros((0, n), dtype=bool)
-    texts = _texts(np.concatenate([block.T[fresh].ravel(), block.T[based][miss]]), spec)
+    sources = _sources(block, own, previous)
+    based = sorted(sources)
+    fresh = [j for j in own if j not in sources]
+    values = block.T[based]
+    miss = ~_SAME[spec](values, np.array([sources[j][0] for j in based])) if based else np.zeros((0, n), dtype=bool)
+    for k, j in enumerate(based):
+        if sources[j][1] is None:
+            miss[k, :half] = True
+    texts = _texts(np.concatenate([block.T[fresh].ravel(), values[miss]]), spec)
     cols = [None] * block.shape[1]
     for k, j in enumerate(fresh):
         cols[j] = texts[k * n : (k + 1) * n]
     redo = iter(texts[len(fresh) * n :])
     for j, rows in zip(based, miss):
-        cols[j] = old[j].copy()
+        rows, base = np.flatnonzero(rows).tolist(), sources[j][1]
+        if base is None:
+            head = list(islice(redo, half))
+            cols[j], rows = head + head[: n - half][::-1], rows[half:]
+        else:
+            cols[j] = (cols[base] if isinstance(base, int) else base).copy()
         # zip draws a row before a text: it leaves the next column's texts in ``redo``
-        for r, text in zip(np.flatnonzero(rows).tolist(), redo):
+        for r, text in zip(rows, redo):
             cols[j][r] = text
     for j in live:
         cols[j] = cols[first[j]]
@@ -164,7 +204,9 @@ def _fill(template: str, n: int, cols: list) -> str:
     the literal ``0.0``."""
     gaps = template.split("%s")
     row = gaps[0] + "".join(("0.0" if col is None else "%s") + gap for col, gap in zip(cols, gaps[1:]))
-    return ",\n".join([row] * n) % tuple(chain.from_iterable(zip(*(col for col in cols if col is not None))))
+    live = [col for col in cols if col is not None]
+    # one live column, such as the times, needs no interleaving
+    return ",\n".join([row] * n) % tuple(live[0] if len(live) == 1 else chain.from_iterable(zip(*live)))
 
 
 def _csv_rows(n: int, cols: list) -> str:
@@ -213,11 +255,14 @@ class TransitionTable:
     def to_csv(self, reuse: dict | None = None) -> str:
         """CSV with header t,P11,...,P44 and 12-significant-digit floats.
 
-        Each block of ``BLOCK_ROWS`` rows is formatted by :func:`_columns`.
-        ``reuse`` is a dict that the calls writing a sequence of tables
-        share: a table of one block takes the texts of the table written
-        before it where :func:`_same_12g` proves them equal, and leaves its
-        own values and texts there for the next; a longer table leaves none.
+        Each block of ``BLOCK_ROWS`` rows is formatted by :func:`_columns`:
+        a column takes the texts of a near source, the same column of the
+        table written before, an earlier column of its block or its own rows
+        reversed, wherever :func:`_same_12g` proves them equal.  ``reuse``
+        is a dict that the calls writing a sequence of tables share: a
+        table of one block takes its first source from the table written
+        before it, and leaves its own values and texts there for the next;
+        a longer table leaves none.
         """
         rows = np.column_stack([self.t_grid, self.probs.reshape(len(self.t_grid), 16)])
         [blocks] = _block_columns([rows], "%.12g", reuse, "csv")
@@ -228,8 +273,9 @@ class TransitionTable:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, formatted from a template.
 
         The times and the probabilities are formatted as in :meth:`to_csv`,
-        each on its own, with ``%r``, whose texts are equal only for equal
-        floats of equal sign; ``reuse`` is as there."""
+        each on its own and from the same sources, with ``%r``, whose texts
+        are equal only for equal floats of equal sign (:func:`_same_bits`);
+        ``reuse`` is as there."""
         parts = [self.t_grid[:, None], self.probs.reshape(len(self.t_grid), 16)]
         blocks = _block_columns(parts, "%r", reuse, "json")
         times, probs = (",\n".join(starmap(partial(_fill, template), part)) for template, part in zip((_JSON_TIME, _JSON_MATRIX), blocks))

@@ -405,26 +405,42 @@ def emitted_table(name, n):
     return table
 
 
+# On its default grid, a single-frequency table covers one period, so its
+# rows mirror: 1 row faces itself, 2 and 4,096 rows are even counts, and 3
+# and 255 odd ones with a middle row; 4,097 rows: the second block has one
+# row, in which more columns repeat.
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 4096, 4097])
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
-def test_writers_match_references_on_emitted_tables(name):
-    # 4,097 rows: the second block has one row, in which more columns repeat
-    assert_writers_match_references(emitted_table(name, 4097))
+def test_writers_match_references_on_emitted_tables(name, n):
+    assert_writers_match_references(emitted_table(name, n))
 
 
-# per catalogue point: the distinct live probability columns of its pattern;
-# sfdm, h8v and h8r have doubled levels, so their two gaps are equal
+# per catalogue point: the distinct live probability columns of its
+# pattern.  sfdm, h8v and h8r have doubled levels, so their two gaps are
+# equal.  h8's two flavour pairs oscillate at one frequency, E1 + E2, from
+# levels that differ in ulps: its 4 columns differ in bits, but only 2
+# print differently.
 DISTINCT_COLUMNS = {"sfdm": 2, "h8v_p1": 2, "h8r": 2, "h8": 4}
+# per catalogue point: the cells of its 256-row table that take the text of
+# a cell proven to print alike, in CSV and in JSON.  sfdm and h8v cover one
+# period of one frequency, so row 255 - k faces row k: all 128 facing cells
+# of each column print alike under %.12g, and 43 are equal in bits for %r.
+# h8r's default grid is a period of its smallest level gap, not of its
+# oscillation, so nothing faces.  h8's second flavour pair takes the texts
+# of its first, save 10 cells in CSV; 11 of its 512 cells are equal in bits.
+TAKEN = {"sfdm": (2 * 128, 2 * 43), "h8v_p1": (2 * 128, 2 * 43), "h8r": (0, 0), "h8": (2 * 256 - 10, 11)}
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
-def test_bit_equal_columns_are_formatted_once(name):
+def test_each_printed_text_is_formatted_once(name):
     table, formatted = emitted_table(name, 256), []
     with formatting_spy(formatted):
         table.to_csv()
         table.to_json()
     # CSV: t and the distinct columns, in one block; JSON: its times, then
-    # the distinct columns
-    assert formatted == [(1 + DISTINCT_COLUMNS[name]) * 256, 256, DISTINCT_COLUMNS[name] * 256]
+    # the distinct columns; each less the cells taken
+    taken_csv, taken_json = TAKEN[name]
+    assert formatted == [(1 + DISTINCT_COLUMNS[name]) * 256 - taken_csv, 256, DISTINCT_COLUMNS[name] * 256 - taken_json]
 
 
 def test_signed_zero_columns_never_share_texts():
@@ -512,10 +528,10 @@ def test_json_time_grid_reused_only_when_bit_equal():
             table = TransitionTable(np.array(times), probs)
             assert_json_matches_reference(table.to_json(js), table)
     # values formatted per table, times then probabilities: the live
-    # probabilities are one column of 1.0, formatted with the first grid;
-    # later a time takes the text of the time before it only where the two
-    # are equal with equal signs
-    assert formatted == [2, 2, 0, 0, 1, 0, 1, 0, 1, 0]
+    # probabilities are one column of 1.0, whose second row faces its first,
+    # formatted with the first grid; later a time takes the text of the time
+    # before it only where the two are equal with equal signs
+    assert formatted == [2, 1, 0, 0, 1, 0, 1, 0, 1, 0]
 
 
 def test_json_sequences_keep_the_sign_of_each_zero():
@@ -553,9 +569,10 @@ def test_sweep_tables_format_only_what_changed():
     with formatting_spy(formatted):
         for table in tables:
             assert table.to_csv(reuse) == reference_csv(table)
-    # t and the two distinct live columns: the equal gaps make the four
-    # diagonal columns one column, and the four live off-diagonal ones another
-    assert formatted[0] == 3 * 256 and not any(formatted[1:])
+    # t and the first 128 rows of the two distinct live columns: the equal
+    # gaps make the four diagonal columns one column, and the four live
+    # off-diagonal ones another, and on one period row 255 - k prints as row k
+    assert formatted[0] == 256 + 2 * 128 and not any(formatted[1:])
 
 
 def test_sweep_json_tables_format_only_new_values():
@@ -566,8 +583,9 @@ def test_sweep_json_tables_format_only_new_values():
         for table in transition_tables([realize(spec) for spec in specs], 256):
             assert_json_matches_reference(table.to_json(reuse), table)
     # per table: the time grid, then the two distinct live probability
-    # columns (cos^2 and sin^2 of one gap)
-    assert formatted == [256, 2 * 256] + [0] * 14
+    # columns (cos^2 and sin^2 of one gap), less the 43 cells of each that
+    # equal in bits the cell facing them on one period
+    assert formatted == [256, 2 * (256 - 43)] + [0] * 14
     # an h8v m2 axis on a set grid end shares its times but changes its gap,
     # and so its probabilities, at every point
     specs = [ModelSpec("h8v", {"m0": 2.0, "m2": m2}, {"p": 0.7}) for m2 in np.linspace(0.2, 1.6, 8)]
@@ -607,6 +625,68 @@ def test_live_column_near_a_dead_one_before_matches_references(fmt):
     reuse = {}
     for table in (dead, live, dead, live):
         assert write(table, fmt, reuse) == reference_text(table, fmt)
+
+
+# ---------------------------------------------------------------------------
+# columns that take their texts from a near twin in their own block, or from
+# their own rows reversed
+
+
+@st.composite
+def mirrored_tables(draw):
+    """A table of 1-9 rows whose columns equal their own reverse, but for
+    cells moved to a :func:`neighbour`: by an ulp across a rounding edge,
+    or a zero to -0.0 facing +0.0.  P33 is a neighbour of P11 or a column
+    of its own."""
+    n = draw(st.integers(1, 9))
+
+    def column(values):
+        head = [draw(values) for _ in range((n + 1) // 2)]
+        return [draw(neighbour(x)) if draw(st.booleans()) else x for x in head + head[: n // 2][::-1]]
+
+    p11 = column(VALUE)
+    p33 = [draw(neighbour(x)) for x in p11] if draw(st.booleans()) else column(VALUE)
+    probs = [twin_rows(*row) for row in zip(p11, p33, column(VALUE), column(VALUE))]
+    # the times keep their signed zeros; the clamp makes each -0.0 probability +0.0
+    return TransitionTable(np.array(column(TIME)), np.array(probs))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(table=mirrored_tables())
+def test_writers_match_references_on_mirrored_columns(table):
+    assert table.to_csv() == reference_csv(table)
+    assert_json_matches_reference(table.to_json(), table)
+
+
+# 0.1234567890125 prints as 0.123456789012, and one ulp above it as 0.123456789013
+EDGE_CELL = (123456789012 + 0.5) / 1e12
+
+
+def near_twin_table(moves):
+    """Five rows whose P33 is P11 moved by ``moves[r]`` ulps in row r: P33
+    and P31 are near twins of P11 and P13, which print apart from them
+    where a move crosses the rounding edge at EDGE_CELL."""
+    p11 = [0.25, EDGE_CELL, 0.75, EDGE_CELL, 0.5]
+    rows = [twin_rows(x, ulps(x, k), 1.0, 1.0) for x, k in zip(p11, moves)]
+    return TransitionTable(np.linspace(0.0, 1.0, 5), np.array(rows))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_near_twin_across_a_rounding_edge_matches_references(fmt):
+    # alone, P33 and P31 take the texts of P11 and P13; written after a
+    # table whose P33 is near its own, they take that table's texts instead
+    twin, before = near_twin_table([0, 1, 1, -1, 0]), near_twin_table([1, 1, 0, -1, 1])
+    formatted = []
+    with formatting_spy(formatted):
+        assert write(twin, fmt, {}) == reference_text(twin, fmt)
+        reuse = {}
+        for table in (before, twin):
+            assert write(table, fmt, reuse) == reference_text(table, fmt)
+    # values formatted per table (JSON: times, then probabilities).  In CSV,
+    # each table alone formats t, P11, P13 and the 5 twin cells not proven
+    # alike; after ``before``, nothing, where P11 would leave 2 cells of P33
+    # to format.  Under %r, only cells equal in bits are taken.
+    assert formatted == {"csv": [20, 20, 0], "json": [5, 17, 5, 18, 0, 5]}[fmt]
 
 
 def test_writers_keep_the_sign_of_negative_zero_times():
