@@ -116,6 +116,18 @@ H8_M3_JSON_SWEEP = {
     "out_dir": "{dir}/out",
     "format": "json",
 }
+# sweeps whose points all have one spectrum on one time grid, so they
+# share one table and its text: an h8v theta axis in JSON (the h8 family
+# ignores the momentum direction) and an sfdm psi axis in CSV (sfdm's
+# spectrum is -1, -1, +1, +1 everywhere); no deck sweeps either axis
+H8V_THETA_JSON_SWEEP = {
+    "model": {"model": "h8v", "params": {"m0": 2.0, "m2": 1.0}, "momentum": {"p": 0.7, "phi": 1.1}},
+    "sweep": [{"param": "theta", "start": 0.0, "stop": 3.0, "steps": 28}],
+    "t_grid": {"points": 256},
+    "out_dir": "{dir}/out",
+    "format": "json",
+}
+SFDM_PSI_SWEEP = {"model": SFDM, "sweep": [{"param": "psi", "start": -1.5, "stop": 1.5, "steps": 27}], "t_grid": {"points": 256}, "out_dir": "{dir}/out"}
 H8_M3 = ("--model", "h8", "--m0", "2", "--m1", "0.5", "--m2", "1", "--m3", "0.3")
 SFDM_ARGV = ("--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2")
 H8V_M2_0_P_0 = ("--model", "h8v", "--m0", "2", "--m2", "0", "--p", "0")
@@ -147,7 +159,8 @@ MODEL_FILE = ("verify", "--model-file", "{dir}/model.json")
 # then the h8v m2 JSON sweep on a set grid end, the t_max 0 sweep in CSV
 # and in JSON, h8 in JSON at 4,096 times (near twin columns under %r),
 # sfdm in CSV at 4,095 and at 2 times (mirrored rows, an odd count with a
-# middle row and one row facing the other) and the h8 m3 sweep in JSON.
+# middle row and one row facing the other), the h8 m3 sweep in JSON, and
+# the h8v theta sweep in JSON and the sfdm psi sweep in CSV.
 EXTRA = (
     ("readme_verify_sfdm", ("verify", "--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
     ("readme_verify_h8v", ("verify", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"), {}),
@@ -181,6 +194,8 @@ EXTRA = (
     ("sfdm_4095_oscillate", ("oscillate", *SFDM_ARGV, "--t-points", "4095"), {}),
     ("sfdm_2_oscillate", ("oscillate", *SFDM_ARGV, "--t-points", "2"), {}),
     ("h8_m3_json_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8_M3_JSON_SWEEP)}),
+    ("h8v_theta_json_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8V_THETA_JSON_SWEEP)}),
+    ("sfdm_psi_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(SFDM_PSI_SWEEP)}),
 )
 
 

@@ -41,6 +41,12 @@ def _dead(block: np.ndarray) -> np.ndarray:
     return ((block == 0.0) & ~np.signbit(block)).all(axis=0)
 
 
+def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` have one shape and equal bits, compared as
+    int64 views (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
+
+
 def _firsts(block: np.ndarray, dead: np.ndarray) -> list:
     """Per column of ``block``: the first live column bit-equal to it, else
     itself.  Columns compare as int64 views, so -0.0 never pairs with +0.0;
@@ -94,7 +100,14 @@ def _texts(values: np.ndarray, spec: str) -> list:
     return ((spec + "\n") * values.size % tuple(values.ravel().tolist())).splitlines()
 
 
-def _sources(block: np.ndarray, own: list, previous) -> dict:
+#: per writer spec, how far apart the probe cells of a column and an
+#: earlier column of its block may be for that column to be tried as its
+#: source: under %r only cells equal in bits print alike, so a twin whose
+#: probe cell is not equal to its own would prove few
+_PROBE = {"%.12g": 1e-11, "%r": 0.0}
+
+
+def _sources(block: np.ndarray, own: list, previous, spec: str) -> dict:
     """Per distinct live column of ``block`` that has a source, a column
     whose cells all lie within 1e-11 of its own: that source's values, row
     by row, and where its texts are.
@@ -102,9 +115,9 @@ def _sources(block: np.ndarray, own: list, previous) -> dict:
     The sources, in the order tried: the same live column of ``previous``
     (its texts), an earlier distinct column of ``block`` (its index) and
     the column's own rows reversed (None: row r faces row n - 1 - r).  As
-    in :func:`_firsts`, one row picks the earlier columns that may be near,
-    and the first and last rows those that may mirror themselves; only
-    these are compared in full.
+    in :func:`_firsts`, one row picks the earlier columns that may be near
+    (within :data:`_PROBE` of ``spec``), and the first and last rows those
+    that may mirror themselves; only these are compared in full.
     """
     sources = {}
     if previous is not None:
@@ -112,10 +125,10 @@ def _sources(block: np.ndarray, own: list, previous) -> dict:
         near = (np.abs(block - values) <= 1e-11).all(axis=0).tolist()
         sources = {j: (values[:, j], old[j]) for j in own if near[j] and old[j] is not None}
     row, top, bottom = (block[r].tolist() for r in (len(block) // 2, 0, -1))
-    ends = []
+    ends, probe = [], _PROBE[spec]
     for i, j in enumerate(own):
         if j not in sources:
-            k = next((k for k in own[:i] if abs(row[k] - row[j]) <= 1e-11 and np.abs(block[:, k] - block[:, j]).max() <= 1e-11), None)
+            k = next((k for k in own[:i] if abs(row[k] - row[j]) <= probe and np.abs(block[:, k] - block[:, j]).max() <= 1e-11), None)
             if k is not None:
                 sources[j] = (block[:, k], k)
             elif abs(top[j] - bottom[j]) <= 1e-11:
@@ -145,7 +158,7 @@ def _columns(block: np.ndarray, spec: str, previous=None) -> list:
     first = _firsts(block, dead)
     live = np.flatnonzero(~dead).tolist()
     own = [j for j in live if first[j] == j]
-    sources = _sources(block, own, previous)
+    sources = _sources(block, own, previous, spec)
     based = sorted(sources)
     fresh = [j for j in own if j not in sources]
     values = block.T[based]
@@ -181,21 +194,31 @@ def _blocks(rows: np.ndarray, spec: str):
         yield len(block), _columns(block, spec)
 
 
-def _block_columns(parts: list, spec: str, reuse: dict | None, key: str) -> list:
-    """Per array of ``parts`` (all of one length): its :func:`_blocks`.
+def _write(parts: list, spec: str, reuse: dict | None, key: str, join) -> str:
+    """``join`` of the :func:`_blocks` of each array of ``parts`` (all of
+    one length): the text of one table.
 
-    With ``reuse``, a table of one block takes the texts of the table
-    written before it, kept under ``key`` when its parts had the same
-    shapes, and leaves its own parts and texts there; a longer table leaves
-    none.
+    With ``reuse``, a table of one block whose parts are bit-equal to those
+    of the table written before it, kept under ``key``, returns that
+    table's text; otherwise its columns take their first source from that
+    table's texts when its parts had the same shapes.  Either way it leaves
+    its own parts, column texts and text there; a longer table leaves none.
     """
     previous = None if reuse is None else reuse.pop(key, None)
     if reuse is None or len(parts[0]) > BLOCK_ROWS:
-        return [_blocks(part, spec) for part in parts]
-    if previous is None or previous[0][0].shape != parts[0].shape:
-        previous = [None] * len(parts)
-    reuse[key] = [(part, _columns(part, spec, old)) for part, old in zip(parts, previous)]
-    return [[(len(part), cols)] for part, cols in reuse[key]]
+        return join([_blocks(part, spec) for part in parts])
+    if previous is None or previous[0][0][0].shape != parts[0].shape:
+        olds = [None] * len(parts)
+    elif all(_bit_equal(part, old) for part, (old, _) in zip(parts, previous[0])):
+        reuse[key] = previous
+        return previous[1]
+    else:
+        olds = previous[0]
+    del previous  # the old text is not held while the new one is made
+    columns = [(part, _columns(part, spec, old)) for part, old in zip(parts, olds)]
+    text = join([[(len(part), cols)] for part, cols in columns])
+    reuse[key] = (columns, text)
+    return text
 
 
 def _fill(template: str, n: int, cols: list) -> str:
@@ -215,6 +238,19 @@ def _csv_rows(n: int, cols: list) -> str:
     zeros = ["0"] * n
     rows = zip(*(zeros if col is None else col for col in cols))
     return "\n".join([*map(",".join, rows), ""])  # the "" ends the last row
+
+
+def _csv_text(blocks: list) -> str:
+    """The CSV text of a table from the :func:`_blocks` of its rows."""
+    # starmap keeps no block's texts while it makes the next
+    return "".join(chain([_CSV_HEADER], starmap(_csv_rows, blocks[0])))
+
+
+def _json_text(blocks: list) -> str:
+    """The JSON text of a table from the :func:`_blocks` of its times and
+    of its probabilities."""
+    times, probs = (",\n".join(starmap(partial(_fill, template), part)) for template, part in zip((_JSON_TIME, _JSON_MATRIX), blocks))
+    return '{\n  "t_grid": [\n%s\n  ],\n  "probs": [\n%s\n  ]\n}\n' % (times, probs)
 
 
 @dataclass(frozen=True)
@@ -260,14 +296,14 @@ class TransitionTable:
         table written before, an earlier column of its block or its own rows
         reversed, wherever :func:`_same_12g` proves them equal.  ``reuse``
         is a dict that the calls writing a sequence of tables share: a
-        table of one block takes its first source from the table written
-        before it, and leaves its own values and texts there for the next;
-        a longer table leaves none.
+        table of one block whose times and probabilities are bit-equal to
+        those of the table written before it returns that table's text,
+        and any other takes its first source from that table; either leaves
+        its own values, column texts and text there for the next (one entry
+        per format).  A longer table leaves none.
         """
         rows = np.column_stack([self.t_grid, self.probs.reshape(len(self.t_grid), 16)])
-        [blocks] = _block_columns([rows], "%.12g", reuse, "csv")
-        # starmap keeps no block's texts while it makes the next
-        return "".join(chain([_CSV_HEADER], starmap(_csv_rows, blocks)))
+        return _write([rows], "%.12g", reuse, "csv", _csv_text)
 
     def to_json(self, reuse: dict | None = None) -> str:
         """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, formatted from a template.
@@ -275,11 +311,11 @@ class TransitionTable:
         The times and the probabilities are formatted as in :meth:`to_csv`,
         each on its own and from the same sources, with ``%r``, whose texts
         are equal only for equal floats of equal sign (:func:`_same_bits`);
-        ``reuse`` is as there."""
+        ``reuse`` is as there, its text returned again only for a table
+        whose times and probabilities are bit-equal to those of the table
+        written before it."""
         parts = [self.t_grid[:, None], self.probs.reshape(len(self.t_grid), 16)]
-        blocks = _block_columns(parts, "%r", reuse, "json")
-        times, probs = (",\n".join(starmap(partial(_fill, template), part)) for template, part in zip((_JSON_TIME, _JSON_MATRIX), blocks))
-        return '{\n  "t_grid": [\n%s\n  ],\n  "probs": [\n%s\n  ]\n}\n' % (times, probs)
+        return _write(parts, "%r", reuse, "json", _json_text)
 
     def to_json_dict(self) -> dict:
         return {"t_grid": self.t_grid.tolist(), "probs": self.probs.tolist()}
@@ -442,17 +478,25 @@ def transition_tables(realizations, t_points: int, t_max=None, tol: float = DEFA
     matrix F to the Gram tolerance, so the table is |F^T e^(-i Lambda t) F|^2,
     the :func:`analytic_pattern` of the spectrum, checked to be real with
     finite phases; the CPT-route product (:func:`transition_table`) would add
-    only its rounding, of order eps ||C||^2.
+    only its rounding, of order eps ||C||^2.  The table depends on nothing
+    else, so a point that passes its gates with the spectrum and time grid
+    of the last point that got a table, bit for bit (:func:`_bit_equal`),
+    takes that same table: sfdm's spectrum is -1, -1, +1, +1 at every
+    point, and the h8 family's ignores the momentum direction.
     """
-    tables = []
+    tables, last = [], None
     for point in _gated(realizations, t_points, t_max, tol):
         if isinstance(point, tuple):
             values, _, t_grid = point
-            try:
-                point = TransitionTable(t_grid, analytic_pattern(_real_phases(values, t_grid), t_grid))
-            except PtoscError as exc:
-                # without its traceback, the error pins no frame in memory
-                point = exc.with_traceback(None)
+            if last is not None and _bit_equal(values, last[0]) and _bit_equal(t_grid, last[1]):
+                point = last[2]
+            else:
+                try:
+                    point = TransitionTable(t_grid, analytic_pattern(_real_phases(values, t_grid), t_grid))
+                    last = (values, t_grid, point)
+                except PtoscError as exc:
+                    # without its traceback, the error pins no frame in memory
+                    point = exc.with_traceback(None)
         tables.append(point)
     return tables
 

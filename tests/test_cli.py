@@ -502,6 +502,29 @@ def test_sweep_single_point_matches_oscillate(tmp_path, capsys):
     assert capsys.readouterr().out == sweep_text
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_h8v_theta_sweep_writes_the_tables_of_oscillate(tmp_path, fmt):
+    # h8v's spectrum ignores the momentum direction, so every point of a
+    # theta axis has one table, made and written once
+    cfg = {
+        "model": {"model": "h8v", "params": {"m0": 2.0, "m2": 1.0}, "momentum": {"p": 0.7, "phi": 1.1}},
+        "sweep": [{"param": "theta", "start": 0.0, "stop": 3.0, "steps": 5}],
+        "t_grid": {"points": 256},
+        "out_dir": str(tmp_path / "out"),
+        "format": fmt,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["sweep", "--config", str(path)]) == 0
+    index = json.loads((tmp_path / "out" / "index.json").read_text())
+    assert [entry["status"] for entry in index] == ["ok"] * 5
+    one = tmp_path / f"one.{fmt}"
+    for entry in index:
+        argv = ["oscillate", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "0.7", "--phi-p", "1.1", "--theta-p", repr(entry["value"])]
+        assert run([*argv, "--t-points", "256", "--format", fmt, "--out", str(one)]) == 0
+        assert one.read_bytes() == (tmp_path / "out" / entry["file"]).read_bytes()
+
+
 def test_table_commands_build_no_8d_input(tmp_path, monkeypatch, capsys):
     def refuse(params):
         raise AssertionError("the 8D Hamiltonian is only for the matrix checks of verify")

@@ -12,7 +12,7 @@ from scipy.linalg import expm
 from ptosc import oscillate
 from ptosc.cli import main
 from ptosc.coperator import build_C
-from ptosc.errors import ConstructionError, NumericalError
+from ptosc.errors import ConstructionError, NumericalError, PtoscError
 from ptosc.inner import cpt_ip
 from ptosc.linalg import operator_norm
 from ptosc.models import (
@@ -427,8 +427,9 @@ DISTINCT_COLUMNS = {"sfdm": 2, "h8v_p1": 2, "h8r": 2, "h8": 4}
 # of each column print alike under %.12g, and 43 are equal in bits for %r.
 # h8r's default grid is a period of its smallest level gap, not of its
 # oscillation, so nothing faces.  h8's second flavour pair takes the texts
-# of its first, save 10 cells in CSV; 11 of its 512 cells are equal in bits.
-TAKEN = {"sfdm": (2 * 128, 2 * 43), "h8v_p1": (2 * 128, 2 * 43), "h8r": (0, 0), "h8": (2 * 256 - 10, 11)}
+# of its first, save 10 cells in CSV; under %r its probe cells differ in
+# bits, so it is not tried (11 of its 512 cells are equal in bits).
+TAKEN = {"sfdm": (2 * 128, 2 * 43), "h8v_p1": (2 * 128, 2 * 43), "h8r": (0, 0), "h8": (2 * 256 - 10, 0)}
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
@@ -520,18 +521,44 @@ def formatting_spy(formatted: list):
     return mock.patch.object(oscillate, "_texts", lambda values, *spec: formatted.append(values.size) or texts(values, *spec))
 
 
+def reference_text(table, fmt: str) -> str:
+    return reference_csv(table) if fmt == "csv" else json.dumps(table.to_json_dict(), indent=2) + "\n"
+
+
+def write(table, fmt: str, reuse: dict) -> str:
+    return table.to_csv(reuse) if fmt == "csv" else table.to_json(reuse)
+
+
+def sfdm_spec(chi):
+    return ModelSpec("sfdm", {"chi": chi, "psi": 0.3, "theta": 0.7, "phi": 0.2})
+
+
+def formatted_per_table(tables, fmt: str, reuse: dict | None = None) -> list:
+    """Write ``tables`` in order in ``fmt``, sharing ``reuse`` (a new dict if
+    None), each checked against its reference: per table, the sizes of the
+    arrays formatted for it (none for a table that returns the text of the
+    one before it)."""
+    reuse = {} if reuse is None else reuse
+    counts = []
+    for table in tables:
+        formatted = []
+        with formatting_spy(formatted):
+            text = write(table, fmt, reuse)
+        assert_same_text(text, reference_text(table, fmt))
+        counts.append(formatted)
+    return counts
+
+
 def test_json_time_grid_reused_only_when_bit_equal():
     probs = np.array([np.eye(4)] * 2)
-    js, formatted = {}, []
-    with formatting_spy(formatted):
-        for times in ([0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0 + 2.0**-52]):
-            table = TransitionTable(np.array(times), probs)
-            assert_json_matches_reference(table.to_json(js), table)
+    grids = ([0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0 + 2.0**-52])
+    counts = formatted_per_table([TransitionTable(np.array(times), probs) for times in grids], "json")
     # values formatted per table, times then probabilities: the live
     # probabilities are one column of 1.0, whose second row faces its first,
-    # formatted with the first grid; later a time takes the text of the time
+    # formatted with the first grid.  The second table is the first in bits
+    # and takes its whole text; later a time takes the text of the time
     # before it only where the two are equal with equal signs
-    assert formatted == [2, 1, 0, 0, 1, 0, 1, 0, 1, 0]
+    assert counts == [[2, 1], [], [1, 0], [1, 0], [1, 0]]
 
 
 def test_json_sequences_keep_the_sign_of_each_zero():
@@ -549,59 +576,122 @@ def test_json_sequences_keep_the_sign_of_each_zero():
 
 
 def test_tables_longer_than_a_block_leave_no_texts():
-    reuse = {}
     small, _ = catalogue_table("sfdm", 8)
-    small.to_csv(reuse)
-    small.to_json(reuse)
-    assert set(reuse) == {"csv", "json"}
     big, _ = catalogue_table("sfdm", 4097)
-    assert_same_text(big.to_csv(reuse), reference_csv(big))
-    assert_json_matches_reference(big.to_json(reuse), big)
-    assert reuse == {}
+    for fmt in ("csv", "json"):
+        reuse = {}
+        [alone] = formatted_per_table([small], fmt, reuse)
+        assert set(reuse) == {fmt}
+        # per table: a 4,097-row table, written twice, formats all its
+        # blocks each time, and the small table after it formats as if
+        # written alone
+        first, again = formatted_per_table([big, big], fmt, reuse)
+        assert reuse == {}
+        assert first and again == first
+        assert formatted_per_table([small], fmt, reuse) == [alone]
 
 
 def test_sweep_tables_format_only_what_changed():
     # sfdm's spectrum is +-1 at every chi, so its tables are one pattern on
     # one grid: after the first table, nothing is formatted
-    specs = [ModelSpec("sfdm", {"chi": chi, "psi": 0.3, "theta": 0.7, "phi": 0.2}) for chi in (0.5, 0.6, 0.7)]
-    tables = transition_tables([realize(spec) for spec in specs], 256)
-    reuse, formatted = {}, []
-    with formatting_spy(formatted):
-        for table in tables:
-            assert table.to_csv(reuse) == reference_csv(table)
+    specs = [sfdm_spec(chi) for chi in (0.5, 0.6, 0.7)]
+    counts = formatted_per_table(transition_tables([realize(spec) for spec in specs], 256), "csv")
     # t and the first 128 rows of the two distinct live columns: the equal
     # gaps make the four diagonal columns one column, and the four live
     # off-diagonal ones another, and on one period row 255 - k prints as row k
-    assert formatted[0] == 256 + 2 * 128 and not any(formatted[1:])
+    assert counts == [[256 + 2 * 128], [], []]
 
 
 def test_sweep_json_tables_format_only_new_values():
-    # sfdm tables share their time grid and their values bit for bit
-    specs = [ModelSpec("sfdm", {"chi": chi, "psi": 0.3, "theta": 0.7, "phi": 0.2}) for chi in np.linspace(0.2, 1.6, 8)]
-    reuse, formatted = {}, []
-    with formatting_spy(formatted):
-        for table in transition_tables([realize(spec) for spec in specs], 256):
-            assert_json_matches_reference(table.to_json(reuse), table)
+    # sfdm tables share their time grid and their values bit for bit, so
+    # every table after the first takes its whole text
+    specs = [sfdm_spec(chi) for chi in np.linspace(0.2, 1.6, 8)]
+    counts = formatted_per_table(transition_tables([realize(spec) for spec in specs], 256), "json")
     # per table: the time grid, then the two distinct live probability
     # columns (cos^2 and sin^2 of one gap), less the 43 cells of each that
     # equal in bits the cell facing them on one period
-    assert formatted == [256, 2 * (256 - 43)] + [0] * 14
+    assert counts == [[256, 2 * (256 - 43)]] + [[]] * 7
     # an h8v m2 axis on a set grid end shares its times but changes its gap,
     # and so its probabilities, at every point
     specs = [ModelSpec("h8v", {"m0": 2.0, "m2": m2}, {"p": 0.7}) for m2 in np.linspace(0.2, 1.6, 8)]
-    reuse, formatted = {}, []
-    with formatting_spy(formatted):
-        for table in transition_tables([realize(spec) for spec in specs], 256, t_max=12.5):
-            assert_json_matches_reference(table.to_json(reuse), table)
-    assert formatted == [256, 2 * 256] + [0, 2 * 256] * 7
+    counts = formatted_per_table(transition_tables([realize(spec) for spec in specs], 256, t_max=12.5), "json")
+    assert counts == [[256, 2 * 256]] + [[0, 2 * 256]] * 7
 
 
-def reference_text(table, fmt: str) -> str:
-    return reference_csv(table) if fmt == "csv" else json.dumps(table.to_json_dict(), indent=2) + "\n"
+# ---------------------------------------------------------------------------
+# points with one spectrum on one time grid share their table, and a table
+# bit-equal to the one written before it takes that table's whole text
 
 
-def write(table, fmt: str, reuse: dict) -> str:
-    return table.to_csv(reuse) if fmt == "csv" else table.to_json(reuse)
+def h8v_spec(m0=2.0, m2=1.0, theta=0.0):
+    return ModelSpec("h8v", {"m0": m0, "m2": m2}, {"p": 0.7, "theta": theta, "phi": 1.1})
+
+
+def made_alone(spec, *grid):
+    [table] = transition_tables([realize(spec)], *grid)
+    return table
+
+
+def assert_same_point(got, want):
+    """Two tables equal in bits, or two errors of one type and text."""
+    assert type(got) is type(want)
+    if isinstance(want, TransitionTable):
+        assert got.t_grid.tobytes() == want.t_grid.tobytes() and got.probs.tobytes() == want.probs.tobytes()
+    else:
+        assert str(got) == str(want)
+
+
+# per axis: its points, and per point the index of the first point whose
+# table it is.  sfdm's spectrum is -1, -1, +1, +1 at every chi, and h8v's
+# ignores the momentum direction; on the m2 axis a point shares only the
+# last table made, not an earlier one.
+SHARED_AXES = {
+    "sfdm_chi": ([sfdm_spec(chi) for chi in np.linspace(0.2, 1.6, 5)], [0] * 5),
+    "h8v_theta": ([h8v_spec(theta=theta) for theta in np.linspace(0.0, 3.0, 5)], [0] * 5),
+    "h8v_m2": ([h8v_spec(m2=m2) for m2 in (1.0, 1.0, 0.5, 0.5, 1.0)], [0, 0, 2, 2, 4]),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(SHARED_AXES))
+def test_points_share_the_table_each_makes_alone(axis):
+    specs, shared = SHARED_AXES[axis]
+    tables = transition_tables([realize(spec) for spec in specs], 64)
+    for spec, table in zip(specs, tables):
+        assert_same_point(table, made_alone(spec, 64))
+    assert [next(k for k, each in enumerate(tables) if each is table) for table in tables] == shared
+
+
+# a failing point between two points of one spectrum: its realization fails
+# (sfdm chi = 711, where cosh overflows, and chi = 30, where a ket's PT norm
+# vanishes), or its table does (h8v at m0 = 100, whose lambda * t overflows
+# on a grid end of 1e307 where m0 = 2's does not)
+FAILING_BETWEEN = {
+    "sfdm_chi_711": ([sfdm_spec(chi) for chi in (0.5, 711.0, 0.7)], (64,)),
+    "sfdm_chi_30": ([sfdm_spec(chi) for chi in (0.5, 30.0, 0.7)], (64,)),
+    "h8v_m0_100": ([h8v_spec(m0=m0) for m0 in (2.0, 100.0, 2.0)], (16, 1e307)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_BETWEEN))
+def test_a_failing_point_keeps_its_own_error_between_shared_tables(case):
+    specs, grid = FAILING_BETWEEN[case]
+    tables = transition_tables([realize(spec) for spec in specs], *grid)
+    assert isinstance(tables[1], PtoscError)
+    for spec, table in zip(specs, tables):
+        assert_same_point(table, made_alone(spec, *grid))
+    assert tables[2] is tables[0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("where", ["t_grid", "probs"])
+def test_one_signed_zero_cell_blocks_whole_text_reuse(where, fmt):
+    table = TransitionTable(np.array([0.0, 0.5, 1.0]), np.array([np.eye(4)] * 3))
+    signed = TransitionTable(table.t_grid.copy(), table.probs.copy())
+    # -0.0 == 0.0 but prints with its sign: the first time, or P12 in the
+    # first row (the clamp leaves no -0.0 probability, so it is set past it)
+    getattr(signed, where).flat[1 if where == "probs" else 0] = -0.0
+    counts = formatted_per_table([table, signed, signed, table], fmt)
+    assert counts[1] and counts[2] == [] and counts[3]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -685,8 +775,10 @@ def test_near_twin_across_a_rounding_edge_matches_references(fmt):
     # values formatted per table (JSON: times, then probabilities).  In CSV,
     # each table alone formats t, P11, P13 and the 5 twin cells not proven
     # alike; after ``before``, nothing, where P11 would leave 2 cells of P33
-    # to format.  Under %r, only cells equal in bits are taken.
-    assert formatted == {"csv": [20, 20, 0], "json": [5, 17, 5, 18, 0, 5]}[fmt]
+    # to format.  Under %r, only cells equal in bits are taken, and P11 is
+    # tried as the source of P33 only where their middle rows are equal:
+    # ``twin`` alone formats all 5 + 5 cells of P33 and P31.
+    assert formatted == {"csv": [20, 20, 0], "json": [5, 23, 5, 18, 0, 5]}[fmt]
 
 
 def test_writers_keep_the_sign_of_negative_zero_times():
