@@ -52,29 +52,37 @@ def default_tol() -> float:
     return tol
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file and a rename; an
-    OS error is a usage error naming the path."""
-    directory = os.path.dirname(os.path.abspath(path))
+def _atomic_write(files: dict) -> None:
+    """Write ``files`` (path -> a function that writes its text through the ``write`` it
+    is given) all or none: every path is checked, each text goes to a temporary file
+    beside its path as it is made, then each is renamed over its path, in order.  An
+    OS error is a usage error naming the path, and no temporary file stays."""
+    temps = []
     try:
-        while True:
-            tmp = os.path.join(directory, f".ptosc-{os.urandom(6).hex()}")
-            try:
-                # the kernel masks 0o666 with the umask, as open() would
-                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-                break
-            except FileExistsError:
-                continue
-        try:
+        for path in files:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise ParameterError(f"cannot write the output file {path!r}: Is a directory")
+        for path, fill in files.items():
+            while True:
+                tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".ptosc-{os.urandom(6).hex()}")
+                try:
+                    # the kernel masks 0o666 with the umask, as open() would
+                    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                    break
+                except FileExistsError:
+                    continue
+            temps.append(tmp)
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                fill(fh.write)
+        for path, tmp in zip(files, temps):
             os.replace(tmp, path)
-        except BaseException:
+    except BaseException as exc:
+        for tmp in temps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise ParameterError(f"cannot write the output file {path!r}: {exc.strerror or exc}") from None
+        if isinstance(exc, OSError):
+            raise ParameterError(f"cannot write the output file {path!r}: {exc.strerror or exc}") from None
+        raise
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -100,7 +108,7 @@ def model_spec_from_args(args) -> ModelSpec:
 
 def _add_tgrid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-points", type=int, default=64, help="number of grid points")
-    parser.add_argument("--t-max", type=float, help="grid end (default: one oscillation period)")
+    parser.add_argument("--t-max", type=float, help="grid end (default: one period of the slowest flavour oscillation)")
 
 
 def _grid_args(t_points: int, t_max) -> tuple:
@@ -112,18 +120,6 @@ def _grid_args(t_points: int, t_max) -> tuple:
     if t_max is not None and not math.isfinite(t_max):
         raise ParameterError(f"the time grid end must be finite, got {t_max}")
     return t_points, t_max
-
-
-def _table_text(table, fmt: str, reuse: dict | None = None) -> str:
-    """The table as ``fmt`` text; ``reuse`` as in ``TransitionTable.to_csv``."""
-    return table.to_json(reuse) if fmt == "json" else table.to_csv(reuse)
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _atomic_write(out, text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_verify(args) -> int:
@@ -152,7 +148,12 @@ def cmd_oscillate(args) -> int:
         [table] = transition_tables([real], *grid, tol)
         if isinstance(table, PtoscError):
             raise table
-    _emit(_table_text(table, args.format), args.out)
+    # the table checked every block as it made it, before any byte is written
+    emit = functools.partial(getattr(table, f"to_{args.format}"), None)
+    if args.out:
+        _atomic_write({args.out: emit})
+    else:
+        emit(sys.stdout.write)
     if args.golden:
         print(f"golden max deviation: {deviation:.3e}", file=sys.stderr)
         if not deviation <= tol:
@@ -242,15 +243,16 @@ def cmd_sweep(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ParameterError(f"cannot make the output directory {out_dir!r}: {exc.strerror or exc}") from None
-    index, reuse = [], {}  # each table reuses the texts of the one written before it
+    index, writes, reuse = [], {}, {}  # each table reuses the texts of the one written before it
     for value, fname, table in zip(values, files, tables):
         broken = isinstance(table, PtoscError)
         entry = {"param": name, "value": float(value), "status": f"broken: {table}" if broken else "ok"}
         if not broken:
-            _atomic_write(os.path.join(out_dir, fname), _table_text(table, fmt, reuse))
+            writes[os.path.join(out_dir, fname)] = functools.partial(getattr(table, f"to_{fmt}"), reuse)
             entry["file"] = fname
         index.append(entry)
-    _atomic_write(os.path.join(out_dir, "index.json"), json.dumps(index, indent=2) + "\n")
+    writes[os.path.join(out_dir, "index.json")] = lambda write: write(json.dumps(index, indent=2) + "\n")
+    _atomic_write(writes)
     return EXIT_OK
 
 

@@ -2,18 +2,15 @@
 
 Flavour states are the equal-weight superpositions of negative- and
 positive-eigenvalue kets (f'1 = (e1 + e3)/sqrt(2), ...).  Evolution is
-spectral — exact for diagonalizable H — and probabilities are squared CPT
-amplitudes, which makes every table row-stochastic.  Once the CPT Gram
-(C(-p) B)^dag S K = 1 holds, those amplitudes are exactly F^T e^(-i Lambda t) F
-with F the constant flavour matrix, so the tables the CLI emits are the
-cos^2/sin^2 pattern of the spectrum (:func:`analytic_pattern`); the CPT
-route (:func:`transition_table`) is kept as their check.
+spectral and probabilities are squared CPT amplitudes, so every table is
+row-stochastic.  Once the CPT Gram (C(-p) B)^dag S K = 1 holds, those
+amplitudes are exactly F^T e^(-i Lambda t) F with F the constant flavour
+matrix: the CLI emits the cos^2/sin^2 :meth:`TransitionTable.pattern` of
+the spectrum, and keeps the CPT route (:func:`transition_table`) as its check.
 """
 
 import math
-from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 
 import numpy as np
 
@@ -27,7 +24,7 @@ CLAMP = 1e-14
 
 ROW_SUM_TOL = 1e-10
 
-#: Rows formatted by one ``%`` operation; bounds the per-block temporaries.
+#: Rows a table makes and formats at once; bounds the per-block temporaries.
 BLOCK_ROWS = 4096
 
 _CSV_HEADER = ",".join(["t"] + [f"P{i}{j}" for i in range(1, 5) for j in range(1, 5)]) + "\n"
@@ -35,27 +32,23 @@ _CSV_HEADER = ",".join(["t"] + [f"P{i}{j}" for i in range(1, 5) for j in range(1
 _JSON_TIME = "    %s"
 _JSON_MATRIX = "    [\n" + ",\n".join(["      [\n" + ",\n".join(["        %s"] * 4) + "\n      ]"] * 4) + "\n    ]"
 
-
-def _dead(block: np.ndarray) -> np.ndarray:
-    """The columns that are +0.0 in every row (-0.0 prints with its sign)."""
-    return ((block == 0.0) & ~np.signbit(block)).all(axis=0)
+# A pattern block holds t, c1, s1, c2 and s2, the cos^2 and sin^2 of two flavour half-gaps.
+# Per cell P11 ... P44: its column, or None for +0.0; shared, c2 and s2 are c1 and s1 in bits.
+_PATTERN = (1, None, 2, None, None, 3, None, 4, 2, None, 1, None, None, 4, None, 3)
+_PATTERN_SHARED = tuple(k if k is None or k < 3 else k - 2 for k in _PATTERN)
 
 
 def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether ``a`` and ``b`` have one shape and equal bits, compared as
     int64 views (so -0.0 differs from 0.0)."""
-    return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
+    return a is b or a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
 
 
-def _firsts(block: np.ndarray, dead: np.ndarray) -> list:
-    """Per column of ``block``: the first live column bit-equal to it, else
-    itself.  Columns compare as int64 views, so -0.0 never pairs with +0.0;
-    one row picks the candidates, which alone are compared in full."""
-    keys = block.view(np.int64)
-    row, first = keys[len(keys) // 2].tolist(), list(range(block.shape[1]))
-    for j in np.flatnonzero(~dead).tolist():
-        first[j] = next((k for k in range(j) if row[k] == row[j] and (keys[:, k] == keys[:, j]).all()), j)
-    return first
+def _placement(rows: np.ndarray) -> tuple:
+    """The columns of (T, 16) probabilities not +0.0 in every row (int64 views: -0.0
+    is not +0.0) and, per column, its column in a block of them after the times, or None."""
+    live = np.flatnonzero(rows.view(np.int64).any(axis=0)).tolist()
+    return live, tuple(1 + live.index(j) if j in live else None for j in range(16))
 
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # each exact
@@ -100,35 +93,27 @@ def _texts(values: np.ndarray, spec: str) -> list:
     return ((spec + "\n") * values.size % tuple(values.ravel().tolist())).splitlines()
 
 
-#: per writer spec, how far apart the probe cells of a column and an
-#: earlier column of its block may be for that column to be tried as its
-#: source: under %r only cells equal in bits print alike, so a twin whose
-#: probe cell is not equal to its own would prove few
+#: per writer spec, how near the probe cells of two columns must be for the
+#: earlier to be tried as a source: under %r only equal bits print alike
 _PROBE = {"%.12g": 1e-11, "%r": 0.0}
 
 
-def _sources(block: np.ndarray, own: list, previous, spec: str) -> dict:
-    """Per distinct live column of ``block`` that has a source, a column
-    whose cells all lie within 1e-11 of its own: that source's values, row
-    by row, and where its texts are.
-
-    The sources, in the order tried: the same live column of ``previous``
-    (its texts), an earlier distinct column of ``block`` (its index) and
-    the column's own rows reversed (None: row r faces row n - 1 - r).  As
-    in :func:`_firsts`, one row picks the earlier columns that may be near
-    (within :data:`_PROBE` of ``spec``), and the first and last rows those
-    that may mirror themselves; only these are compared in full.
-    """
+def _sources(block: np.ndarray, previous, spec: str) -> dict:
+    """Per column of ``block`` with a source, a column whose cells all lie
+    within 1e-11 of its own: the source's values and where its texts are.
+    Tried in order: the same column of ``previous`` (its texts), an earlier
+    column (its index; picked by a probe row) and its own rows reversed
+    (None: row r faces row n - 1 - r; picked by its first and last rows)."""
     sources = {}
     if previous is not None:
         values, old = previous
         near = (np.abs(block - values) <= 1e-11).all(axis=0).tolist()
-        sources = {j: (values[:, j], old[j]) for j in own if near[j] and old[j] is not None}
+        sources = {j: (values[:, j], old[j]) for j, ok in enumerate(near) if ok}
     row, top, bottom = (block[r].tolist() for r in (len(block) // 2, 0, -1))
     ends, probe = [], _PROBE[spec]
-    for i, j in enumerate(own):
+    for j in range(block.shape[1]):
         if j not in sources:
-            k = next((k for k in own[:i] if abs(row[k] - row[j]) <= probe and np.abs(block[:, k] - block[:, j]).max() <= 1e-11), None)
+            k = next((k for k in range(j) if abs(row[k] - row[j]) <= probe and np.abs(block[:, k] - block[:, j]).max() <= 1e-11), None)
             if k is not None:
                 sources[j] = (block[:, k], k)
             elif abs(top[j] - bottom[j]) <= 1e-11:
@@ -141,26 +126,15 @@ def _sources(block: np.ndarray, own: list, previous, spec: str) -> dict:
 
 
 def _columns(block: np.ndarray, spec: str, previous=None) -> list:
-    """The ``spec`` texts of one block of rows, as one list per column, or
-    None for a column that is +0.0 in every row.
-
-    A live column bit-equal to an earlier one (:func:`_firsts`) shares its
-    list.  ``previous`` is the (values, column lists) of an earlier block of
-    the same shape, or None.  A distinct live column with a source
-    (:func:`_sources`: the same column of ``previous``, an earlier distinct
-    column, or its own rows reversed) takes the source's text in every row
-    where :data:`_SAME` proves the two texts equal; a mirrored column
-    formats its first half, middle row included, and takes it for the rows
-    facing it.  All other texts are formatted in one ``%``.
-    """
+    """The ``spec`` texts of one block of columns, one list per column;
+    ``previous`` is the (values, texts) of a block of the same shape, or
+    None.  A column takes its source's text (:func:`_sources`) wherever
+    :data:`_SAME` proves the two equal; a mirrored column formats its first
+    half, middle row included.  All other texts are formatted in one ``%``."""
     n, half = len(block), (len(block) + 1) // 2
-    dead = _dead(block)
-    first = _firsts(block, dead)
-    live = np.flatnonzero(~dead).tolist()
-    own = [j for j in live if first[j] == j]
-    sources = _sources(block, own, previous, spec)
+    sources = _sources(block, previous, spec)
     based = sorted(sources)
-    fresh = [j for j in own if j not in sources]
+    fresh = [j for j in range(block.shape[1]) if j not in sources]
     values = block.T[based]
     miss = ~_SAME[spec](values, np.array([sources[j][0] for j in based])) if based else np.zeros((0, n), dtype=bool)
     for k, j in enumerate(based):
@@ -181,50 +155,12 @@ def _columns(block: np.ndarray, spec: str, previous=None) -> list:
         # zip draws a row before a text: it leaves the next column's texts in ``redo``
         for r, text in zip(rows, redo):
             cols[j][r] = text
-    for j in live:
-        cols[j] = cols[first[j]]
     return cols
-
-
-def _blocks(rows: np.ndarray, spec: str):
-    """The blocks of ``BLOCK_ROWS`` rows of ``rows``, each as its length and
-    its :func:`_columns`, made as they are drawn."""
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start : start + BLOCK_ROWS]
-        yield len(block), _columns(block, spec)
-
-
-def _write(parts: list, spec: str, reuse: dict | None, key: str, join) -> str:
-    """``join`` of the :func:`_blocks` of each array of ``parts`` (all of
-    one length): the text of one table.
-
-    With ``reuse``, a table of one block whose parts are bit-equal to those
-    of the table written before it, kept under ``key``, returns that
-    table's text; otherwise its columns take their first source from that
-    table's texts when its parts had the same shapes.  Either way it leaves
-    its own parts, column texts and text there; a longer table leaves none.
-    """
-    previous = None if reuse is None else reuse.pop(key, None)
-    if reuse is None or len(parts[0]) > BLOCK_ROWS:
-        return join([_blocks(part, spec) for part in parts])
-    if previous is None or previous[0][0][0].shape != parts[0].shape:
-        olds = [None] * len(parts)
-    elif all(_bit_equal(part, old) for part, (old, _) in zip(parts, previous[0])):
-        reuse[key] = previous
-        return previous[1]
-    else:
-        olds = previous[0]
-    del previous  # the old text is not held while the new one is made
-    columns = [(part, _columns(part, spec, old)) for part, old in zip(parts, olds)]
-    text = join([[(len(part), cols)] for part, cols in columns])
-    reuse[key] = (columns, text)
-    return text
 
 
 def _fill(template: str, n: int, cols: list) -> str:
     """``n`` rows of ``template`` joined by ``",\\n"``, its ``%s`` slots taking
-    the texts of ``cols`` (:func:`_columns`); the slot of a None column is
-    the literal ``0.0``."""
+    the texts of ``cols`` in turn; the slot of a None column is ``0.0``."""
     gaps = template.split("%s")
     row = gaps[0] + "".join(("0.0" if col is None else "%s") + gap for col, gap in zip(cols, gaps[1:]))
     live = [col for col in cols if col is not None]
@@ -232,104 +168,183 @@ def _fill(template: str, n: int, cols: list) -> str:
     return ",\n".join([row] * n) % tuple(live[0] if len(live) == 1 else chain.from_iterable(zip(*live)))
 
 
-def _csv_rows(n: int, cols: list) -> str:
-    """The ``n`` rows of ``cols`` (:func:`_columns`, a None column written
-    as ``0``), each ending in a newline."""
+def _csv_rows(n: int, cols: list):
+    """The ``n`` rows of ``cols``, a None column written as ``0``, each ending in a newline,
+    in texts of a quarter block: a 1 MB text costs more in page faults than its join."""
     zeros = ["0"] * n
     rows = zip(*(zeros if col is None else col for col in cols))
-    return "\n".join([*map(",".join, rows), ""])  # the "" ends the last row
+    for _ in range(0, n, BLOCK_ROWS // 4):
+        yield "\n".join([*map(",".join, islice(rows, BLOCK_ROWS // 4)), ""])  # the "" ends the last row
 
 
-def _csv_text(blocks: list) -> str:
-    """The CSV text of a table from the :func:`_blocks` of its rows."""
-    # starmap keeps no block's texts while it makes the next
-    return "".join(chain([_CSV_HEADER], starmap(_csv_rows, blocks[0])))
+def _parts(table, fmt: str) -> list:
+    """Per part of the ``fmt`` text, per block: its values and each row slot's column."""
+    if fmt == "csv":
+        return [((block, (0, *place)) for block, place in table._blocks())]
+    probs = ((block[:, 1:], tuple(None if k is None else k - 1 for k in place)) for block, place in table._blocks())
+    return [((table.t_grid[s : s + BLOCK_ROWS, None], (0,)) for s in range(0, len(table.t_grid), BLOCK_ROWS)), probs]
 
 
-def _json_text(blocks: list) -> str:
-    """The JSON text of a table from the :func:`_blocks` of its times and
-    of its probabilities."""
-    times, probs = (",\n".join(starmap(partial(_fill, template), part)) for template, part in zip((_JSON_TIME, _JSON_MATRIX), blocks))
-    return '{\n  "t_grid": [\n%s\n  ],\n  "probs": [\n%s\n  ]\n}\n' % (times, probs)
+def _text(fmt: str, parts: list):
+    """The ``fmt`` text, chunk by chunk, from (rows, texts, slot columns) per block per part."""
+    json = fmt == "json"
+    for i, blocks in enumerate(parts):
+        yield ('{\n  "t_grid": [\n', '\n  ],\n  "probs": [\n')[i] if json else _CSV_HEADER
+        for k, (n, cols, place) in enumerate(blocks):
+            cols = [None if j is None else cols[j] for j in place]
+            yield from [",\n" * (k > 0) + _fill((_JSON_TIME, _JSON_MATRIX)[i], n, cols)] if json else _csv_rows(n, cols)
+    if json:
+        yield "\n  ]\n}\n"
 
 
-@dataclass(frozen=True)
+def _write(table, fmt: str, reuse: dict | None, write) -> str:
+    """The ``fmt`` text of ``table``, or "" once ``write`` has had it (``TransitionTable.to_csv``)."""
+    spec = "%.12g" if fmt == "csv" else "%r"
+    previous = None if reuse is None else reuse.pop(fmt, None)
+    parts = _parts(table, fmt)
+    if reuse is None or len(table.t_grid) > BLOCK_ROWS:
+        chunks = _text(fmt, [((len(v), _columns(v, spec), place) for v, place in part) for part in parts])
+    else:
+        parts = [next(part) for part in parts]
+        olds = [None] * len(parts) if previous is None else previous[0]
+        if previous is not None and all(place == old[1] and _bit_equal(v, old[0]) for (v, place), old in zip(parts, olds)):
+            reuse[fmt] = previous
+        else:
+            del previous  # the old text is not held while the new one is made
+            made = [(v, place, _columns(v, spec, None if old is None or old[0].shape != v.shape else (old[0], old[2]))) for (v, place), old in zip(parts, olds)]
+            reuse[fmt] = (made, "".join(_text(fmt, [[(len(v), cols, place)] for v, place, cols in made])))
+        chunks = [reuse[fmt][1]]
+    if write is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        write(chunk)
+    return ""
+
+
+def _stats(probs: np.ndarray) -> tuple:
+    """(max |row sum - 1|, min, max) of (rows, 4, 4) probabilities, summed in probs.sum(axis=2)'s order."""
+    sums = ((probs[..., 0] + probs[..., 1]) + probs[..., 2]) + probs[..., 3]
+    return float(np.max(np.abs(sums - 1.0), initial=0.0)), float(probs.min(initial=np.inf)), float(probs.max(initial=-np.inf))
+
+
+def _check(t: np.ndarray, stats: list) -> None:
+    """Refuse a table of times ``t`` whose blocks have these :func:`_stats`."""
+    if len(t) == 0:
+        raise NumericalError("transition table has no time points")
+    if not np.isfinite(t).all():
+        raise NumericalError("transition table times are not finite")
+    worst, lo, hi = np.array(stats).T
+    if not worst.max() <= ROW_SUM_TOL:
+        raise NumericalError("transition rows are not stochastic", residual=float(worst.max()))
+    if lo.min() < -ROW_SUM_TOL or hi.max() > 1 + ROW_SUM_TOL:
+        raise NumericalError("transition probabilities leave [0, 1]")
+
+
+def _clamp(probs: np.ndarray) -> np.ndarray:
+    """``probs`` clipped to [0, 1] and entries below :data:`CLAMP` set to 0, in place."""
+    np.clip(probs, 0.0, 1.0, out=probs)
+    np.putmask(probs, probs < CLAMP, 0.0)
+    return probs
+
+
+def _half_gaps(values: np.ndarray) -> np.ndarray:
+    """Flavours pair eigenkets (1,3) and (2,4), which oscillate with half their gap."""
+    return 0.5 * (np.real(values[2:]) - np.real(values[:2]))
+
+
+def _pattern_block(t: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """The (rows, 5) array of the times ``t``, then c1, s1, c2 and s2, unclamped."""
+    phase = np.outer(t, gaps)
+    cos, sin = np.cos(phase), np.sin(phase)
+    block = np.empty((len(t), 5))
+    block[:, 0], block[:, 1::2], block[:, 2::2] = t, cos * cos, sin * sin
+    return block
+
+
+def _placed(block: np.ndarray) -> tuple:
+    """A clamped copy of a pattern block and its cells' columns; c2 and s2
+    share the texts of c1 and s1 where they are equal in bits."""
+    block = np.concatenate([block[:, :1], _clamp(block[:, 1:].copy())], axis=1)
+    return (block[:, :3], _PATTERN_SHARED) if _bit_equal(block[:, 3:], block[:, 1:3]) else (block, _PATTERN)
+
+
+def _expand(block: np.ndarray, place) -> np.ndarray:
+    """The (rows, 16) probabilities of a block: each cell from its column, or +0.0."""
+    return np.concatenate([block, np.zeros((len(block), 1))], axis=1)[:, [-1 if k is None else k for k in place]]
+
+
 class TransitionTable:
     """P(f_i -> f_j) on a time grid; every row sums to 1.
 
     ``probs[k]`` is the 4x4 matrix at ``t_grid[k]`` with rows indexed by the
     initial flavour.  Construction rejects an empty grid and any non-finite
     time or probability, enforces row-stochasticity to 1e-10 and clamps
-    entries below 1e-14 to exactly 0.
-    """
+    entries below 1e-14 to exactly 0.  A :meth:`pattern` table holds only
+    its grid and half-gaps; it forms its probabilities on demand."""
 
-    t_grid: np.ndarray
-    probs: np.ndarray
+    def __init__(self, t_grid, probs):
+        probs = np.array(probs, dtype=float)
+        if probs.shape != (len(t_grid), 4, 4):
+            raise NumericalError(f"probability array shape {probs.shape} != ({len(t_grid)}, 4, 4)")
+        self.t_grid, self._gaps, self._one = np.asarray(t_grid, dtype=float), None, None
+        _check(self.t_grid, [_stats(probs)])
+        self._probs = _clamp(probs)
 
-    def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (len(t), 4, 4):
-            raise NumericalError(f"probability array shape {probs.shape} != ({len(t)}, 4, 4)")
-        if len(t) == 0:
-            raise NumericalError("transition table has no time points")
-        if not np.isfinite(t).all():
-            raise NumericalError("transition table times are not finite")
-        # A NaN or infinite probability makes its row sum and so `worst` NaN or inf.
-        # The sum in probs.sum(axis=2)'s order, without its per-row reduction cost.
-        sums = ((probs[..., 0] + probs[..., 1]) + probs[..., 2]) + probs[..., 3]
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if not worst <= ROW_SUM_TOL:
-            raise NumericalError("transition rows are not stochastic", residual=worst)
-        if probs.min() < -ROW_SUM_TOL or probs.max() > 1 + ROW_SUM_TOL:
-            raise NumericalError("transition probabilities leave [0, 1]")
-        probs = np.clip(probs, 0.0, 1.0)
-        np.putmask(probs, probs < CLAMP, 0.0)
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "probs", probs)
+    @classmethod
+    def pattern(cls, values: np.ndarray, t_grid) -> "TransitionTable":
+        """``TransitionTable(t_grid, analytic_pattern(values, t_grid))``, made,
+        checked and clamped block by block to the same floats.  A table of
+        one block keeps it, unclamped and placed, for every write."""
+        table, stats = cls.__new__(cls), []
+        table.t_grid, table._probs, table._gaps, table._one = np.asarray(t_grid, dtype=float), None, _half_gaps(values), None
+        for block in table._unclamped():
+            stats.append(_stats(_expand(block, _PATTERN).reshape(-1, 4, 4)))
+        _check(table.t_grid, stats)
+        table._one = (block, _placed(block)) if len(table.t_grid) <= BLOCK_ROWS else None
+        return table
 
-    def to_csv(self, reuse: dict | None = None) -> str:
-        """CSV with header t,P11,...,P44 and 12-significant-digit floats.
+    def _unclamped(self):
+        """The unclamped pattern blocks of a :meth:`pattern` table."""
+        t = self.t_grid
+        return [self._one[0]] if self._one is not None else (_pattern_block(t[s : s + BLOCK_ROWS], self._gaps) for s in range(0, len(t), BLOCK_ROWS))
 
-        Each block of ``BLOCK_ROWS`` rows is formatted by :func:`_columns`:
-        a column takes the texts of a near source, the same column of the
-        table written before, an earlier column of its block or its own rows
-        reversed, wherever :func:`_same_12g` proves them equal.  ``reuse``
-        is a dict that the calls writing a sequence of tables share: a
-        table of one block whose times and probabilities are bit-equal to
-        those of the table written before it returns that table's text,
-        and any other takes its first source from that table; either leaves
-        its own values, column texts and text there for the next (one entry
-        per format).  A longer table leaves none.
-        """
-        rows = np.column_stack([self.t_grid, self.probs.reshape(len(self.t_grid), 16)])
-        return _write([rows], "%.12g", reuse, "csv", _csv_text)
+    def _blocks(self):
+        """Per block of ``BLOCK_ROWS`` rows: its times and distinct probability
+        columns, and each cell's column (:func:`_placement`, :data:`_PATTERN`)."""
+        t = self.t_grid
+        if self._probs is not None:
+            rows = self._probs.reshape(len(t), 16)
+            distinct, place = _placement(rows)
+            return ((np.concatenate([t[s : s + BLOCK_ROWS, None], rows[s : s + BLOCK_ROWS, distinct]], axis=1), place) for s in range(0, len(t), BLOCK_ROWS))
+        return [self._one[1]] if self._one is not None else map(_placed, self._unclamped())
 
-    def to_json(self, reuse: dict | None = None) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, formatted from a template.
+    @property
+    def probs(self) -> np.ndarray:
+        """The (T, 4, 4) probabilities; a pattern table forms them anew."""
+        return self._probs if self._probs is not None else np.concatenate([_expand(b, p) for b, p in self._blocks()]).reshape(-1, 4, 4)
 
-        The times and the probabilities are formatted as in :meth:`to_csv`,
-        each on its own and from the same sources, with ``%r``, whose texts
-        are equal only for equal floats of equal sign (:func:`_same_bits`);
-        ``reuse`` is as there, its text returned again only for a table
-        whose times and probabilities are bit-equal to those of the table
-        written before it."""
-        parts = [self.t_grid[:, None], self.probs.reshape(len(self.t_grid), 16)]
-        return _write(parts, "%r", reuse, "json", _json_text)
+    def to_csv(self, reuse: dict | None = None, write=None) -> str:
+        """CSV with header t,P11,...,P44 and 12-significant-digit floats, each block's
+        distinct columns formatted by :func:`_columns`.  With ``write``, the text goes
+        to it block by block and "" is returned.  ``reuse``, a dict shared by the calls
+        writing a sequence of tables, holds the last one-block table: the next takes
+        its whole text if bit-equal to it, else its first sources from it."""
+        return _write(self, "csv", reuse, write)
+
+    def to_json(self, reuse: dict | None = None, write=None) -> str:
+        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``: the times, then
+        the probabilities, each as in :meth:`to_csv`, with ``%r``."""
+        return _write(self, "json", reuse, write)
 
     def to_json_dict(self) -> dict:
         return {"t_grid": self.t_grid.tolist(), "probs": self.probs.tolist()}
 
 
-def _real_spectrum(values: np.ndarray) -> np.ndarray:
-    if np.max(np.abs(np.imag(values))) > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
-        raise BrokenPTError("cannot evolve with a complex spectrum")
-    return np.real(values)
-
-
 def _real_phases(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     """The real spectrum, once it is known to be real and lambda * t finite on ``t_grid``."""
-    values = _real_spectrum(values)
+    if np.max(np.abs(np.imag(values))) > 1e-12 * max(1.0, float(np.max(np.abs(values)))):
+        raise BrokenPTError("cannot evolve with a complex spectrum")
+    values = np.real(values)
     # Python floats overflow to inf silently, where numpy would warn and fill the table with NaN.
     if not math.isfinite(float(np.abs(values).max()) * float(np.abs(t_grid).max(initial=0.0))):
         raise NumericalError("the phases lambda * t overflow on this time grid")
@@ -337,19 +352,8 @@ def _real_phases(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
 
 
 def analytic_pattern(values: np.ndarray, t_grid) -> np.ndarray:
-    """The cos^2/sin^2 table of a spectrum (its real part) on ``t_grid``.
-
-    Flavours pair eigenkets (1,3) and (2,4); each pair oscillates with half
-    its eigenvalue gap and the pairs do not mix.
-    """
-    values = np.real(values)
-    phase = np.outer(t_grid, 0.5 * (values[2:] - values[:2]))
-    cos, sin = np.cos(phase), np.sin(phase)
-    out = np.zeros((len(t_grid), 4, 4))
-    for n, (i, j) in enumerate(((0, 2), (1, 3))):
-        out[:, i, i] = out[:, j, j] = cos[:, n] * cos[:, n]
-        out[:, i, j] = out[:, j, i] = sin[:, n] * sin[:, n]
-    return out
+    """The unclamped cos^2/sin^2 table of a spectrum's :func:`_half_gaps` on ``t_grid``."""
+    return _expand(_pattern_block(np.asarray(t_grid, dtype=float), _half_gaps(values)), _PATTERN).reshape(-1, 4, 4)
 
 
 def _cpt_bras(sym: SymmetryPair, c: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -365,12 +369,9 @@ _FIRST, _SECOND, _SIGN = [0, 1, 0, 1], [2, 3, 2, 3], np.array([1.0, 1.0, -1.0, -
 
 def _stacked_flavours(sym: SymmetryPair, c_reflected: np.ndarray, kets: np.ndarray, bra_kets: np.ndarray):
     """:func:`standard_flavour_basis` of N points in one pass, on (N, 4, 4)
-    stacks of C(-p), K and B.
-
-    Returns the flavour kets (as columns), the CPT bras (C(-p) e_j(-p))^dag S,
-    the Gram defects max |(C(-p) B)^dag S K - 1| and, per point, the
-    ConstructionError of a defect above 1e-10, or None.
-    """
+    stacks of C(-p), K and B: the flavour kets (as columns), the CPT bras
+    (C(-p) e_j(-p))^dag S, the Gram defects max |(C(-p) B)^dag S K - 1| and,
+    per point, the ConstructionError of a defect above 1e-10, or None."""
     if kets.shape[-1] != 4:
         raise ConstructionError("flavour bases require a 4-level eigensystem")
     bras = _cpt_bras(sym, c_reflected, bra_kets)
@@ -381,28 +382,24 @@ def _stacked_flavours(sym: SymmetryPair, c_reflected: np.ndarray, kets: np.ndarr
 
 
 def standard_flavour_basis(sym: SymmetryPair, eigsys, c: COperator) -> np.ndarray:
-    """The (e1 +/- e3)/sqrt(2), (e2 +/- e4)/sqrt(2) flavour combinations.
-
-    Validates that the input eigenkets are CPT-orthonormal (to 1e-10): the
-    Gram matrix (C(-p) B)^dag S K is the identity.  Returns the (4, 4)
-    matrix of flavour kets as columns, ordered f'1 = (e1+e3), f'2 = (e2+e4),
-    f'3 = (e1-e3), f'4 = (e2-e4), all over sqrt(2).
-    """
+    """The (4, 4) matrix of flavour kets as columns, f'1 = (e1+e3),
+    f'2 = (e2+e4), f'3 = (e1-e3), f'4 = (e2-e4), all over sqrt(2), once the
+    Gram matrix (C(-p) B)^dag S K is the identity to 1e-10."""
     flavours, _, _, errors = _stacked_flavours(sym, c.reflected[None], eigsys.K[None], eigsys.B[None])
     if errors[0] is not None:
         raise errors[0]
     return flavours[0]
 
 
-def _table(values: np.ndarray, coeff: np.ndarray, t_grid: np.ndarray) -> TransitionTable:
-    """The CPT-route table of one point from its spectrum and its coefficients
-    coeff[j, i] = ((e_j | f'_i)); the time-sized part of :func:`transition_table`."""
-    phases = np.exp(-1j * np.outer(t_grid, _real_phases(values, t_grid)))
+def _cpt_probs(values: np.ndarray, coeff: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    """The unclamped CPT-route probabilities of a real spectrum and its
+    coefficients coeff[j, i] = ((e_j | f'_i)), row by row."""
+    phases = np.exp(-1j * np.outer(t_grid, values))
     # amp[t, i, m] = sum_j ((f'_m | e_j)) exp(-i lam_j t) ((e_j | f'_i)); rows: initial flavour i.
     # By CPT-Hermiticity ((f'_m | e_j)) = conj(((e_j | f'_m))), so the right factor is conj(coeff).
-    # One (4T, 4) @ (4, 4) product: a stacked (T, 4, 4) operand costs one BLAS call per time.
-    amp = ((phases[:, None, :] * coeff.T).reshape(-1, 4) @ coeff.conj()).reshape(-1, 4, 4)
-    return TransitionTable(t_grid=t_grid, probs=np.abs(amp) ** 2)
+    # One C-ordered (4T, 4) @ (4, 4) product: a stacked (T, 4, 4) operand costs one BLAS call per time.
+    amp = (np.multiply(phases[:, None, :], coeff.T, order="C").reshape(-1, 4) @ coeff.conj()).reshape(-1, 4, 4)
+    return np.abs(amp) ** 2
 
 
 def transition_table(sym: SymmetryPair, flavours: np.ndarray, eigsys, c: COperator, t_grid) -> TransitionTable:
@@ -410,14 +407,15 @@ def transition_table(sym: SymmetryPair, flavours: np.ndarray, eigsys, c: COperat
     ``flavours`` holds the flavour kets as columns."""
     # coeff[j, i] = ((e_j | f'_i)); the bra side is evaluated at -p.
     coeff = _cpt_bras(sym, c.reflected, eigsys.B) @ flavours
-    return _table(eigsys.values, coeff, np.asarray(t_grid, dtype=float))
+    t_grid = np.asarray(t_grid, dtype=float)
+    return TransitionTable(t_grid=t_grid, probs=_cpt_probs(_real_phases(eigsys.values, t_grid), coeff, t_grid))
 
 
 def _default_t_grids(values: np.ndarray, n: int) -> tuple[np.ndarray, list]:
-    """:func:`default_t_grid` of N spectra (N, d) in one pass: the (N, n)
-    grids and, per spectrum, the ConstructionError of one with no gap."""
+    """:func:`default_t_grid` of N spectra (N, d) in one pass: the (N, n) grids
+    and, per spectrum, the ConstructionError of one with no nonzero gap."""
     values = np.sort(np.real(values), axis=1)
-    gaps = np.diff(values, axis=1)
+    gaps = values[:, 2:] - values[:, :2]
     kept = gaps > 1e-12 * np.fmax(1.0, np.abs(values).max(axis=1))[:, None]
     period = 2.0 * math.pi / np.where(kept, gaps, np.inf).min(axis=1)
     # np.linspace(0, period, n) row by row, in its arithmetic (k * step, the
@@ -430,7 +428,9 @@ def _default_t_grids(values: np.ndarray, n: int) -> tuple[np.ndarray, list]:
 
 
 def default_t_grid(eigsys, n: int = 64) -> np.ndarray:
-    """n uniform points on [0, 2 pi / min_gap] (one full oscillation period)."""
+    """n uniform points on [0, 2 pi / g], one period of the slowest flavour
+    oscillation cos^2(g t / 2): g is the smallest nonzero flavour gap
+    lambda[k + 2] - lambda[k] of the sorted spectrum."""
     grids, errors = _default_t_grids(eigsys.values[None], n)
     if errors[0] is not None:
         raise errors[0]
@@ -440,15 +440,10 @@ def default_t_grid(eigsys, n: int = 64) -> np.ndarray:
 def _gated(realizations, t_points: int, t_max, tol: float) -> list:
     """Per realization of one model: its own error, else the PtoscError of
     its first failing gate, else its (spectrum, CPT coefficients
-    coeff[j, i] = ((e_j | f'_i)), time grid).
-
-    The gates are those of one point: :func:`build_C` against its
-    Hamiltonian (C^2 and [C, H]), the flavour Gram of
-    :func:`standard_flavour_basis` and a ``t_points`` time grid (on
-    [0, t_max], else :func:`default_t_grid`).  They run as stacked arrays
-    over the realized points, each matrix on its own, so a point that fails
-    one, whose data stay finite, leaves the others as they are.
-    """
+    coeff[j, i] = ((e_j | f'_i)), time grid).  The gates, :func:`build_C`'s
+    C^2 and [C, H], the flavour Gram and a ``t_points`` grid on [0, t_max]
+    (else :func:`default_t_grid`), run as stacked arrays, each matrix on
+    its own, so a point that fails one leaves the others as they are."""
     live = [real for real in realizations if real.error is None]
     if not live:
         return [real.error for real in realizations]
@@ -472,17 +467,14 @@ def transition_tables(realizations, t_points: int, t_max=None, tol: float = DEFA
     """The table of each of N :func:`ptosc.models.realize` points of one model,
     or its PtoscError: a failed realization's own, else its first failing step's.
 
-    The steps are the gates of :func:`_gated`, which run as stacked arrays
-    over the realized points, then the point's table, made point by point.
-    Past the gates the flavour coefficients equal the constant flavour
-    matrix F to the Gram tolerance, so the table is |F^T e^(-i Lambda t) F|^2,
-    the :func:`analytic_pattern` of the spectrum, checked to be real with
-    finite phases; the CPT-route product (:func:`transition_table`) would add
-    only its rounding, of order eps ||C||^2.  The table depends on nothing
-    else, so a point that passes its gates with the spectrum and time grid
-    of the last point that got a table, bit for bit (:func:`_bit_equal`),
-    takes that same table: sfdm's spectrum is -1, -1, +1, +1 at every
-    point, and the h8 family's ignores the momentum direction.
+    Past the gates of :func:`_gated` the flavour coefficients equal the
+    constant flavour matrix F to the Gram tolerance, so the table is
+    |F^T e^(-i Lambda t) F|^2, the :meth:`TransitionTable.pattern` of the
+    spectrum once it is real with finite phases; the CPT route would add
+    only its rounding, of order eps ||C||^2.  A point with the spectrum and
+    grid of the last point that got a table, bit for bit, takes that same
+    table: sfdm's spectrum is -1, -1, +1, +1 at every point, and the h8
+    family's ignores the momentum direction.
     """
     tables, last = [], None
     for point in _gated(realizations, t_points, t_max, tol):
@@ -492,7 +484,7 @@ def transition_tables(realizations, t_points: int, t_max=None, tol: float = DEFA
                 point = last[2]
             else:
                 try:
-                    point = TransitionTable(t_grid, analytic_pattern(_real_phases(values, t_grid), t_grid))
+                    point = TransitionTable.pattern(_real_phases(values, t_grid), t_grid)
                     last = (values, t_grid, point)
                 except PtoscError as exc:
                     # without its traceback, the error pins no frame in memory
@@ -503,17 +495,20 @@ def transition_tables(realizations, t_points: int, t_max=None, tol: float = DEFA
 
 def golden_table(real, t_points: int, t_max=None, tol: float = DEFAULT_TOL) -> tuple:
     """The table :func:`transition_tables` makes of one realization, and the
-    max |CPT route - pattern| over it (``oscillate --golden``).
-
-    Both come from one pass of the gates.  The CPT-route table
-    (:func:`transition_table` on the same grid) is made first, so the
-    point's error, a realization's, a gate's or the CPT route's, is raised
-    before any table is returned.
-    """
+    max |CPT route - pattern| over it (``oscillate --golden``), from one
+    pass of the gates.  The CPT-route rows are made and checked block by
+    block against the table's unclamped columns: the point's error, the CPT
+    route's among them, is raised before any table is returned."""
     [point] = _gated([real], t_points, t_max, tol)
     if isinstance(point, PtoscError):
         raise point
     values, coeff, t_grid = point
-    cpt = _table(values, coeff, t_grid)
-    pattern = analytic_pattern(values, t_grid)
-    return TransitionTable(t_grid, pattern), float(np.max(np.abs(cpt.probs - pattern)))
+    values = _real_phases(values, t_grid)
+    table, stats, deviation = TransitionTable.pattern(values, t_grid), [], 0.0
+    # a quarter block at a time: the page faults of 1 MB temporaries cost more than the product
+    for block in (part[s : s + BLOCK_ROWS // 4] for part in table._unclamped() for s in range(0, len(part), BLOCK_ROWS // 4)):
+        cpt = _cpt_probs(values, coeff, block[:, 0])
+        stats.append(_stats(cpt))
+        deviation = max(deviation, float(np.max(np.abs(_clamp(cpt).reshape(-1, 16) - _expand(block, _PATTERN)))))
+    _check(t_grid, stats)
+    return table, deviation

@@ -12,6 +12,7 @@ import pytest
 
 from ptosc import cli
 from ptosc.cli import build_parser, main
+from ptosc.oscillate import TransitionTable
 
 SFDM_FLAGS = ["--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"]
 
@@ -500,6 +501,52 @@ def test_sweep_single_point_matches_oscillate(tmp_path, capsys):
     assert run(["oscillate", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "0",
                 "--t-points", "4"]) == 0
     assert capsys.readouterr().out == sweep_text
+
+
+def out_dir_contents(out) -> dict:
+    """Each entry of ``out``: a file's bytes, or None for a directory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in out.iterdir()}
+
+
+def rerun_with_five_times(tmp_path):
+    """A 5-point h8v m2 sweep written at 4 times, then its configuration at 5 times."""
+    path = sweep_config(tmp_path, 0.1, 0.5, 5)
+    assert run(["sweep", "--config", str(path)]) == 0
+    cfg = json.loads(path.read_text())
+    cfg["t_grid"]["points"] = 5
+    path.write_text(json.dumps(cfg))
+    return path, tmp_path / "out"
+
+
+def test_sweep_with_a_directory_for_a_target_changes_no_file(tmp_path, capsys):
+    path, out = rerun_with_five_times(tmp_path)
+    (out / "sweep_m2=0.4.csv").unlink()
+    (out / "sweep_m2=0.4.csv").mkdir()
+    before = out_dir_contents(out)
+    assert run(["sweep", "--config", str(path)]) == 2
+    target = str(out / "sweep_m2=0.4.csv")
+    assert _single_error_line(capsys) == f"error: cannot write the output file {target!r}: Is a directory"
+    # every target is checked before the first write: no table, index or temporary file changed
+    assert out_dir_contents(out) == before
+
+
+def test_sweep_that_fails_while_writing_leaves_no_file_changed(tmp_path, capsys):
+    path, out = rerun_with_five_times(tmp_path)
+    before = out_dir_contents(out)
+    to_csv, calls = TransitionTable.to_csv, []
+
+    def full_disk(table, *args):
+        calls.append(table)
+        if len(calls) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return to_csv(table, *args)
+
+    with mock.patch.object(TransitionTable, "to_csv", full_disk):
+        assert run(["sweep", "--config", str(path)]) == 2
+    target = str(out / "sweep_m2=0.3.csv")
+    assert _single_error_line(capsys) == f"error: cannot write the output file {target!r}: No space left on device"
+    # the temporary files of the first two tables and of the third are gone
+    assert out_dir_contents(out) == before
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

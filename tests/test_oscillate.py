@@ -422,14 +422,14 @@ def test_writers_match_references_on_emitted_tables(name, n):
 # print differently.
 DISTINCT_COLUMNS = {"sfdm": 2, "h8v_p1": 2, "h8r": 2, "h8": 4}
 # per catalogue point: the cells of its 256-row table that take the text of
-# a cell proven to print alike, in CSV and in JSON.  sfdm and h8v cover one
-# period of one frequency, so row 255 - k faces row k: all 128 facing cells
-# of each column print alike under %.12g, and 43 are equal in bits for %r.
-# h8r's default grid is a period of its smallest level gap, not of its
-# oscillation, so nothing faces.  h8's second flavour pair takes the texts
-# of its first, save 10 cells in CSV; under %r its probe cells differ in
-# bits, so it is not tried (11 of its 512 cells are equal in bits).
-TAKEN = {"sfdm": (2 * 128, 2 * 43), "h8v_p1": (2 * 128, 2 * 43), "h8r": (0, 0), "h8": (2 * 256 - 10, 0)}
+# a cell proven to print alike, in CSV and in JSON.  Each default grid
+# covers one period of the flavour oscillation, so row 255 - k faces row k:
+# the 128 facing cells of each column print alike under %.12g, and under %r
+# those equal in bits do (43 per column for sfdm and h8v, 17 + 26 for h8r).
+# h8's second flavour pair takes the texts of its first, which mirrors, save
+# 2 cells in CSV; under %r only its sin^2 probe cells are equal in bits, so
+# s2 takes 6 cells of s1, and c1, s1 and c2 take 2, 1 and 16 facing cells.
+TAKEN = {"sfdm": (2 * 128, 2 * 43), "h8v_p1": (2 * 128, 2 * 43), "h8r": (2 * 128, 17 + 26), "h8": (2 * 128 + 2 * 256 - 2, 6 + 2 + 1 + 16)}
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
@@ -444,18 +444,14 @@ def test_each_printed_text_is_formatted_once(name):
     assert formatted == [(1 + DISTINCT_COLUMNS[name]) * 256 - taken_csv, 256, DISTINCT_COLUMNS[name] * 256 - taken_json]
 
 
-def test_signed_zero_columns_never_share_texts():
-    # columns 2 and 3 are equal under == but not in bits; column 4 repeats 2
-    rows = np.array([[-0.0, 0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.5, 0.5, 0.5]])
-    # the same values with +0.0 for each -0.0, written after ``rows``
-    unsigned = np.abs(rows)
-    for spec in ("%.12g", "%r"):
-        cols = oscillate._columns(rows, spec)
-        assert cols[1] is None and cols[4] is cols[2]
-        assert [cols[j] for j in (0, 2, 3)] == [[spec % x for x in rows[:, j].tolist()] for j in (0, 2, 3)]
-        cols = oscillate._columns(unsigned, spec, (rows, cols))
-        assert cols[0] is None and cols[1] is None
-        assert [cols[j] for j in (2, 3, 4)] == [[spec % x for x in unsigned[:, j].tolist()] for j in (2, 3, 4)]
+def test_writers_keep_signed_zeros_apart():
+    # P11 is -0.0 in every row, P12 +0.0; P13 and P14 are equal under == but
+    # not in bits, and P21 repeats P13 (set past the construction's clamp)
+    table = TransitionTable(np.array([0.0, 1.0]), np.array([np.eye(4)] * 2))
+    table.probs[:, 0, :] = [[-0.0, 0.0, -0.0, 0.0], [-0.0, 0.0, 0.5, 0.5]]
+    table.probs[:, 1, 0] = table.probs[:, 0, 2]
+    assert oscillate._placement(table.probs.reshape(2, 16))[0] == [0, 2, 3, 4, 5, 10, 15]
+    assert_writers_match_references(table)
 
 
 # ---------------------------------------------------------------------------
@@ -973,3 +969,98 @@ def test_default_t_grid_covers_one_period():
     assert len(grid) == 64
     assert grid[0] == 0.0
     assert grid[-1] == pytest.approx(math.pi)  # min gap 2 -> period pi
+
+
+# ---------------------------------------------------------------------------
+# the default grid is one period of the flavour oscillation
+
+
+DEFAULT_GRID_POINTS = {
+    **CATALOGUE,
+    **{f"h8r_m1_{m1}": ModelSpec("h8r", {"m0": 2.0, "m1": m1, "m2": 1.0}) for m1 in (0.001, 0.3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_GRID_POINTS))
+def test_default_grid_is_one_flavour_period(name):
+    real = realize(DEFAULT_GRID_POINTS[name])
+    [table] = transition_tables([real], 64)
+    probs = table.probs
+    # every flavour returns to itself at both ends, and row T - t repeats row t
+    np.testing.assert_allclose(np.diagonal(probs[[0, -1]], axis1=1, axis2=2), 1.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(probs, probs[::-1], rtol=0.0, atol=1e-12)
+    spectrum = np.sort(real.eigensystem.values.real)
+    assert table.t_grid[-1] == 2.0 * math.pi / float((spectrum[2:] - spectrum[:2]).min())
+
+
+def test_default_grid_of_a_spectrum_with_no_gap_is_refused():
+    grids, errors = oscillate._default_t_grids(np.array([[0.5, 0.5, 0.5, 0.5], [-1.0, -1.0, 1.0, 1.0]]), 8)
+    assert isinstance(errors[0], ConstructionError) and errors[1] is None
+    assert grids[1, -1] == math.pi
+
+
+# ---------------------------------------------------------------------------
+# an emitted table, made from its spectrum and grid block by block, against
+# the table of its probabilities
+
+
+def pattern_twin(table, values):
+    """The table ``TransitionTable(t, analytic_pattern(values, t))`` of an emitted table."""
+    return TransitionTable(table.t_grid, analytic_pattern(values, table.t_grid))
+
+
+def streamed(table, fmt: str) -> str:
+    """The text ``table`` passes, block by block, to a ``write``."""
+    chunks = []
+    assert (table.to_csv if fmt == "csv" else table.to_json)(None, chunks.append) == ""
+    return "".join(chunks)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", [(1,), (256,), (4097,), (3, -0.0)], ids=["1", "256", "4097", "t_max_minus_0"])
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_emitted_table_is_its_pattern_table(name, grid, fmt):
+    real = realize(CATALOGUE[name])
+    [table] = transition_tables([real], *grid)
+    twin = pattern_twin(table, real.eigensystem.values)
+    assert table.probs.tobytes() == twin.probs.tobytes()
+    text = write(twin, fmt, None)
+    assert_same_text(write(table, fmt, None), text)
+    assert_same_text(streamed(table, fmt), text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitted_tables_in_sequence_are_their_pattern_tables(fmt):
+    # every catalogue member at 256 times, then again, then at 1 and 4,097
+    # times; a table written twice in a row takes its whole text
+    reals = {name: realize(spec) for name, spec in sorted(CATALOGUE.items())}
+    made = [(transition_tables([real], n)[0], real) for n in (256, 256, 1, 4097) for real in reals.values()]
+    made.insert(1, made[0])
+    emitted, twins = {}, {}
+    for table, real in made:
+        assert write(table, fmt, emitted) == write(pattern_twin(table, real.eigensystem.values), fmt, twins)
+
+
+@pytest.mark.parametrize("n", [64, 4097])
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_golden_deviation_is_that_of_the_whole_tables(name, n):
+    real = realize(CATALOGUE[name])
+    table, deviation = oscillate.golden_table(real, n)
+    sym, es, c = realized_setup(CATALOGUE[name])
+    cpt = transition_table(sym, standard_flavour_basis(sym, es, c), es, c, table.t_grid)
+    assert deviation == float(np.max(np.abs(cpt.probs - analytic_pattern(es.values, table.t_grid))))
+
+
+def test_pattern_refused_with_the_residual_of_its_whole_table(monkeypatch):
+    # c1 moved off cos^2 by up to 1e-9, a function of t alone, so that each
+    # block moves as the whole grid does
+    block = oscillate._pattern_block
+    monkeypatch.setattr(oscillate, "_pattern_block", lambda t, gaps: block(t, gaps) * [1.0, 1.0 + 1e-9, 1.0, 1.0, 1.0] ** np.sin(t)[:, None])
+    real = realize(CATALOGUE["h8"])
+    t = default_t_grid(real.eigensystem, 4097)
+    with pytest.raises(NumericalError) as whole:
+        TransitionTable(t, analytic_pattern(real.eigensystem.values, t))
+    with pytest.raises(NumericalError) as blocks:
+        TransitionTable.pattern(real.eigensystem.values, t)
+    assert str(blocks.value) == str(whole.value) == "transition rows are not stochastic"
+    assert blocks.value.residual == whole.value.residual > 1e-10

@@ -89,9 +89,11 @@ def test_stacked_core_equals_the_one_point_path(specs, t_points, position):
         assert np.array_equal(coeffs[n], _cpt_bras(sym, one.reflected, es.B) @ basis)
         grid = default_t_grid(es, t_points)
         assert np.array_equal(grids[n], grid)
-        # the per-point form of the default grid
+        # the per-point form of the default grid: one period of the slowest
+        # flavour oscillation, from the gaps lambda[k + 2] - lambda[k] of the
+        # sorted spectrum
         spectrum = np.sort(es.values)
-        gaps = np.diff(spectrum)
+        gaps = spectrum[2:] - spectrum[:2]
         gaps = gaps[gaps > 1e-12 * max(1.0, float(np.max(np.abs(spectrum))))]
         assert np.array_equal(grid, np.linspace(0.0, 2.0 * np.pi / float(gaps.min()), t_points))
         # the emitted table is the pattern of the spectrum on that grid
