@@ -1,15 +1,19 @@
-"""Non-blank lines of ``src/ptosc/*.py`` and ``tests/*.py``, per file and in total.
+"""Non-blank lines and AST nodes of ``src/ptosc/*.py`` and ``tests/*.py``, per file and in total.
 
     python3 perf/source_lines.py                    # this checkout
     python3 perf/source_lines.py --root PARENT      # another checkout
     diff <(python3 perf/source_lines.py --root PARENT) <(python3 perf/source_lines.py)
 
-A line is blank if it holds only whitespace.  Each group prints one line per
-file, then its total, so a change reports the ``tests/`` delta next to the
-``src/`` one and a moved function reads as a move, not a deletion.
+A line is blank if it holds only whitespace.  The nodes are those
+``ast.walk`` visits in the file's tree; the memory that compiling a module
+takes follows them, not its lines.  Each group prints one line per file
+(lines, then nodes), then its total, so a change reports the ``tests/``
+delta next to the ``src/`` one and a moved function reads as a move, not a
+deletion.
 """
 
 import argparse
+import ast
 import glob
 import os
 
@@ -17,9 +21,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GROUPS = ("src/ptosc", "tests")
 
 
-def non_blank(path: str) -> int:
+def counts(path: str) -> tuple:
+    """(non-blank lines, AST nodes) of one file."""
     with open(path, encoding="utf-8") as fh:
-        return sum(1 for line in fh if line.strip())
+        source = fh.read()
+    return sum(1 for line in source.splitlines() if line.strip()), sum(1 for _ in ast.walk(ast.parse(source, path)))
 
 
 def main(argv=None) -> int:
@@ -29,12 +35,12 @@ def main(argv=None) -> int:
     if not os.path.isdir(os.path.join(args.root, GROUPS[0])):
         parser.error(f"{args.root!r} has no {GROUPS[0]} directory")
     for group in GROUPS:
-        total = 0
+        total = [0, 0]
         for path in sorted(glob.glob(os.path.join(args.root, group, "*.py"))):
-            lines = non_blank(path)
-            total += lines
-            print(f"{lines:6d}  {group}/{os.path.basename(path)}")
-        print(f"{total:6d}  {group}/*.py")
+            lines, nodes = counts(path)
+            total = [total[0] + lines, total[1] + nodes]
+            print(f"{lines:6d} {nodes:7d}  {group}/{os.path.basename(path)}")
+        print(f"{total[0]:6d} {total[1]:7d}  {group}/*.py")
     return 0
 
 

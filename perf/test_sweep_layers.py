@@ -18,11 +18,12 @@ tables point by point with ``build_C``, ``standard_flavour_basis``,
 ``ptosc sweep`` writes them: ``reuse`` passes one dict to every call, so
 a table bit-equal to the one before returns its whole text (the sfdm
 path: one table formatted, then 26 texts returned), and any other takes
-the texts of the one before where the rounding guard proves them equal
-(of the h8v and h8r cells that ``fresh`` formats, 36 % and 68 % are still
-formatted); ``fresh`` formats every table on its own.  ``write_json``
-does the same with ``to_json``, whose cells take the text of the table
-before only where the two floats are equal with equal signs.
+the text of every ``%.12g`` key of its cells that the one before holds.
+On a one-period default grid the probabilities of every point print
+alike and only the times are new: of the values that ``fresh`` formats
+for the h8v and h8r grids, 52 % are still formatted.  ``fresh`` formats
+every table on its own.  ``write_json`` does the same with ``to_json``,
+whose keys are the values' bits: 61 % and 62 % are still formatted.
 """
 
 import numpy as np

@@ -10,7 +10,7 @@ the spectrum, and keeps the CPT route (:func:`transition_table`) as its check.
 """
 
 import math
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -36,6 +36,7 @@ _JSON_MATRIX = "    [\n" + ",\n".join(["      [\n" + ",\n".join(["        %s"] *
 # Per cell P11 ... P44: its column, or None for +0.0; shared, c2 and s2 are c1 and s1 in bits.
 _PATTERN = (1, None, 2, None, None, 3, None, 4, 2, None, 1, None, None, 4, None, 3)
 _PATTERN_SHARED = tuple(k if k is None or k < 3 else k - 2 for k in _PATTERN)
+_ALL = tuple(range(1, 17))  # the cells of a block of t and all 16 probabilities
 
 
 def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -44,136 +45,83 @@ def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a is b or a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
 
 
-def _placement(rows: np.ndarray) -> tuple:
-    """The columns of (T, 16) probabilities not +0.0 in every row (int64 views: -0.0
-    is not +0.0) and, per column, its column in a block of them after the times, or None."""
-    live = np.flatnonzero(rows.view(np.int64).any(axis=0)).tolist()
-    return live, tuple(1 + live.index(j) if j in live else None for j in range(16))
-
-
 _POW10 = np.array([float(10**k) for k in range(23)])  # each exact
+_OFFSET = np.arange(23) * 2.0**40 - 2.0**52
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """True where ``"%r" % a == "%r" % b``, elementwise, for finite floats:
-    equal values of equal sign (``==`` alone would pair -0.0 with 0.0)."""
-    return (a == b) & ~(np.signbit(a) ^ np.signbit(b))
+def _keys(values: np.ndarray, spec: str) -> np.ndarray:
+    """Int64 keys of finite ``values``: cells with equal keys print alike under ``spec``.
 
-
-def _same_12g(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """True where ``"%.12g" % a == "%.12g" % b`` is proven, elementwise.
-
-    Equal floats of equal sign print alike (:func:`_same_bits`).  Otherwise,
-    with k = 11 - floor(log10 a) in [0, 22] and an exact 10^k, both
-    f = x 10^k must lie in [1e11, 1e12), round to the same integer
-    N < 1e12 and sit more than 1e-3 from a half-integer.  f is exact to
-    2^-14, so N is then the 12-digit rounding of both and they print alike.
-    A k that is off by one fails the range checks, so log10 need not be
-    exact.  Any other pair, such as one below 1e-11, reads False.
+    A key is the value's bits (-0.0 is not 0.0) or, under ``%.12g`` where it
+    is proven, the 12-digit rounding N 10^-k: with k = 11 - floor(log10 x),
+    clipped to [0, 22] so that 10^k is exact, f = x 10^k must lie in
+    [1e11, 1e12) and round to N < 1e12 from more than 1e-3 off a half-integer.
+    f is exact to 2^-14, so N is the 12-digit rounding of x.  Any other k (an
+    inexact log10, x = 0 or x < 0) fails the range checks.  These keys,
+    N + k 2^40 - 2^52, are bits of negative NaNs, which no finite value has.
     """
+    keys = values.view(np.int64)
+    if spec == "%r":
+        return keys
+    keys = keys.copy()
     with np.errstate(all="ignore"):
-        # log2, not log10: numpy's loop for log10 runs nowhere else in
-        # ptosc, and paging its code in raised the peak RSS of a sweep
-        # process by about 0.25 MB
-        k = 11.0 - np.floor(np.log2(a) * math.log10(2.0))
-        ok = (k >= 0.0) & (k <= 22.0)
-        scale = _POW10[np.where(ok, k, 0.0).astype(np.intp)]
-        fa, fb = a * scale, b * scale
-    n = np.rint(fa)
-    ok &= (fa >= 1e11) & (fb >= 1e11) & (n < 1e12) & (np.abs(fa - n) < 0.499) & (np.abs(fb - n) < 0.499)
-    return ok | _same_bits(a, b)
-
-
-#: per writer spec, where two floats are proven to print alike
-_SAME = {"%.12g": _same_12g, "%r": _same_bits}
+        # log2, not log10: numpy's log10 loop runs nowhere else in ptosc, and
+        # paging it in raised the peak RSS of a sweep process by about 0.25 MB
+        k = (11.0 - np.floor(np.log2(values) * math.log10(2.0))).astype(np.intp)
+        f = values * _POW10.take(k, mode="clip")
+        n = np.rint(f)
+        ok = (f >= 1e11) & (n < 1e12) & (np.abs(f - n) < 0.499)
+        np.copyto(keys, n + _OFFSET.take(k, mode="clip"), casting="unsafe", where=ok)
+    return keys
 
 
 def _texts(values: np.ndarray, spec: str) -> list:
-    """``[spec % x for x in values.ravel()]``, in one ``%``."""
+    """``[spec % x for x in values.ravel()]``: ``%.12g`` in one ``%``, and ``%r`` by
+    ``repr``, which is faster than its ``%`` (4.3 against 4.9 ms per 8,201 values)."""
+    if spec == "%r":
+        return list(map(repr, values.ravel().tolist()))
     return ((spec + "\n") * values.size % tuple(values.ravel().tolist())).splitlines()
 
 
-#: per writer spec, how near the probe cells of two columns must be for the
-#: earlier to be tried as a source: under %r only equal bits print alike
-_PROBE = {"%.12g": 1e-11, "%r": 0.0}
+def _columns(block: np.ndarray, spec: str, previous=None) -> tuple:
+    """The ``spec`` texts of one block, an object array of its transpose, and
+    its (sorted keys, texts) for the next block.  Cells of one :func:`_keys`
+    key print alike, so each key is formatted once, in one :func:`_texts`,
+    unless ``previous``, the (sorted keys, texts) of the block written before, holds it."""
+    # column by column, so that a column's sorted or mirrored runs stay runs for the sort
+    values = block.T.ravel()
+    keys = _keys(values, spec)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    unique, inverse = ordered[first], np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    if previous is None:
+        texts, new = np.empty(len(unique), dtype=object), slice(None)
+    else:
+        old, old_texts = previous
+        at = np.searchsorted(old, unique)
+        # a key past the last old one meets the last, which differs from it
+        texts, new = old_texts.take(at, mode="clip"), old.take(at, mode="clip") != unique
+    fresh = _texts(values[order[first][new]], spec)
+    texts[new] = np.fromiter(fresh, dtype=object, count=len(fresh))
+    return texts[inverse].reshape(block.shape[::-1]), (unique, texts)
 
 
-def _sources(block: np.ndarray, previous, spec: str) -> dict:
-    """Per column of ``block`` with a source, a column whose cells all lie
-    within 1e-11 of its own: the source's values and where its texts are.
-    Tried in order: the same column of ``previous`` (its texts), an earlier
-    column (its index; picked by a probe row) and its own rows reversed
-    (None: row r faces row n - 1 - r; picked by its first and last rows)."""
-    sources = {}
-    if previous is not None:
-        values, old = previous
-        near = (np.abs(block - values) <= 1e-11).all(axis=0).tolist()
-        sources = {j: (values[:, j], old[j]) for j, ok in enumerate(near) if ok}
-    row, top, bottom = (block[r].tolist() for r in (len(block) // 2, 0, -1))
-    ends, probe = [], _PROBE[spec]
-    for j in range(block.shape[1]):
-        if j not in sources:
-            k = next((k for k in range(j) if abs(row[k] - row[j]) <= probe and np.abs(block[:, k] - block[:, j]).max() <= 1e-11), None)
-            if k is not None:
-                sources[j] = (block[:, k], k)
-            elif abs(top[j] - bottom[j]) <= 1e-11:
-                ends.append(j)
-    if ends:
-        flipped = block[::-1]
-        near = (np.abs(block[:, ends] - flipped[:, ends]) <= 1e-11).all(axis=0).tolist()
-        sources.update((j, (flipped[:, j], None)) for j, ok in zip(ends, near) if ok)
-    return sources
-
-
-def _columns(block: np.ndarray, spec: str, previous=None) -> list:
-    """The ``spec`` texts of one block of columns, one list per column;
-    ``previous`` is the (values, texts) of a block of the same shape, or
-    None.  A column takes its source's text (:func:`_sources`) wherever
-    :data:`_SAME` proves the two equal; a mirrored column formats its first
-    half, middle row included.  All other texts are formatted in one ``%``."""
-    n, half = len(block), (len(block) + 1) // 2
-    sources = _sources(block, previous, spec)
-    based = sorted(sources)
-    fresh = [j for j in range(block.shape[1]) if j not in sources]
-    values = block.T[based]
-    miss = ~_SAME[spec](values, np.array([sources[j][0] for j in based])) if based else np.zeros((0, n), dtype=bool)
-    for k, j in enumerate(based):
-        if sources[j][1] is None:
-            miss[k, :half] = True
-    texts = _texts(np.concatenate([block.T[fresh].ravel(), values[miss]]), spec)
-    cols = [None] * block.shape[1]
-    for k, j in enumerate(fresh):
-        cols[j] = texts[k * n : (k + 1) * n]
-    redo = iter(texts[len(fresh) * n :])
-    for j, rows in zip(based, miss):
-        rows, base = np.flatnonzero(rows).tolist(), sources[j][1]
-        if base is None:
-            head = list(islice(redo, half))
-            cols[j], rows = head + head[: n - half][::-1], rows[half:]
-        else:
-            cols[j] = (cols[base] if isinstance(base, int) else base).copy()
-        # zip draws a row before a text: it leaves the next column's texts in ``redo``
-        for r, text in zip(rows, redo):
-            cols[j][r] = text
-    return cols
-
-
-def _fill(template: str, n: int, cols: list) -> str:
-    """``n`` rows of ``template`` joined by ``",\\n"``, its ``%s`` slots taking
-    the texts of ``cols`` in turn; the slot of a None column is ``0.0``."""
+def _fill(template: str, cells: np.ndarray, place) -> str:
+    """A row of ``template`` per column of ``cells``, joined by ``",\\n"``, its ``%s``
+    slots taking the texts of the rows ``place`` names in turn, a None's as ``0.0``."""
     gaps = template.split("%s")
-    row = gaps[0] + "".join(("0.0" if col is None else "%s") + gap for col, gap in zip(cols, gaps[1:]))
-    live = [col for col in cols if col is not None]
-    # one live column, such as the times, needs no interleaving
-    return ",\n".join([row] * n) % tuple(live[0] if len(live) == 1 else chain.from_iterable(zip(*live)))
+    row = gaps[0] + "".join(("0.0" if j is None else "%s") + gap for j, gap in zip(place, gaps[1:]))
+    return ",\n".join([row] * cells.shape[1]) % tuple(cells[[j for j in place if j is not None]].T.ravel().tolist())
 
 
-def _csv_rows(n: int, cols: list):
-    """The ``n`` rows of ``cols``, a None column written as ``0``, each ending in a newline,
-    in texts of a quarter block: a 1 MB text costs more in page faults than its join."""
-    zeros = ["0"] * n
-    rows = zip(*(zeros if col is None else col for col in cols))
-    for _ in range(0, n, BLOCK_ROWS // 4):
+def _csv_rows(cells: np.ndarray, place):
+    """A row per column of ``cells`` of the rows ``place`` names, a None's as ``0``, each
+    ending in a newline, in texts of a quarter block: a 1 MB text costs more in page faults than its join."""
+    cols, zeros = cells.tolist(), ["0"] * cells.shape[1]
+    rows = zip(*(zeros if j is None else cols[j] for j in place))
+    for _ in range(0, cells.shape[1], BLOCK_ROWS // 4):
         yield "\n".join([*map(",".join, islice(rows, BLOCK_ROWS // 4)), ""])  # the "" ends the last row
 
 
@@ -186,13 +134,12 @@ def _parts(table, fmt: str) -> list:
 
 
 def _text(fmt: str, parts: list):
-    """The ``fmt`` text, chunk by chunk, from (rows, texts, slot columns) per block per part."""
+    """The ``fmt`` text, chunk by chunk, from (texts, slot columns) per block per part."""
     json = fmt == "json"
     for i, blocks in enumerate(parts):
         yield ('{\n  "t_grid": [\n', '\n  ],\n  "probs": [\n')[i] if json else _CSV_HEADER
-        for k, (n, cols, place) in enumerate(blocks):
-            cols = [None if j is None else cols[j] for j in place]
-            yield from [",\n" * (k > 0) + _fill((_JSON_TIME, _JSON_MATRIX)[i], n, cols)] if json else _csv_rows(n, cols)
+        for k, (cells, place) in enumerate(blocks):
+            yield from [",\n" * (k > 0) + _fill((_JSON_TIME, _JSON_MATRIX)[i], cells, place)] if json else _csv_rows(cells, place)
     if json:
         yield "\n  ]\n}\n"
 
@@ -203,7 +150,7 @@ def _write(table, fmt: str, reuse: dict | None, write) -> str:
     previous = None if reuse is None else reuse.pop(fmt, None)
     parts = _parts(table, fmt)
     if reuse is None or len(table.t_grid) > BLOCK_ROWS:
-        chunks = _text(fmt, [((len(v), _columns(v, spec), place) for v, place in part) for part in parts])
+        chunks = _text(fmt, [((_columns(v, spec)[0], place) for v, place in part) for part in parts])
     else:
         parts = [next(part) for part in parts]
         olds = [None] * len(parts) if previous is None else previous[0]
@@ -211,8 +158,9 @@ def _write(table, fmt: str, reuse: dict | None, write) -> str:
             reuse[fmt] = previous
         else:
             del previous  # the old text is not held while the new one is made
-            made = [(v, place, _columns(v, spec, None if old is None or old[0].shape != v.shape else (old[0], old[2]))) for (v, place), old in zip(parts, olds)]
-            reuse[fmt] = (made, "".join(_text(fmt, [[(len(v), cols, place)] for v, place, cols in made])))
+            made = [(v, place, _columns(v, spec, old and old[2])) for (v, place), old in zip(parts, olds)]
+            text = "".join(_text(fmt, [[(cells, place)] for _, place, (cells, _) in made]))
+            reuse[fmt] = ([(v, place, known) for v, place, (_, known) in made], text)
         chunks = [reuse[fmt][1]]
     if write is None:
         return "".join(chunks)
@@ -309,13 +257,12 @@ class TransitionTable:
         return [self._one[0]] if self._one is not None else (_pattern_block(t[s : s + BLOCK_ROWS], self._gaps) for s in range(0, len(t), BLOCK_ROWS))
 
     def _blocks(self):
-        """Per block of ``BLOCK_ROWS`` rows: its times and distinct probability
-        columns, and each cell's column (:func:`_placement`, :data:`_PATTERN`)."""
+        """Per block of ``BLOCK_ROWS`` rows: its times and probability columns,
+        and each cell's column (:data:`_PATTERN`)."""
         t = self.t_grid
         if self._probs is not None:
             rows = self._probs.reshape(len(t), 16)
-            distinct, place = _placement(rows)
-            return ((np.concatenate([t[s : s + BLOCK_ROWS, None], rows[s : s + BLOCK_ROWS, distinct]], axis=1), place) for s in range(0, len(t), BLOCK_ROWS))
+            return ((np.concatenate([t[s : s + BLOCK_ROWS, None], rows[s : s + BLOCK_ROWS]], axis=1), _ALL) for s in range(0, len(t), BLOCK_ROWS))
         return [self._one[1]] if self._one is not None else map(_placed, self._unclamped())
 
     @property
@@ -325,15 +272,16 @@ class TransitionTable:
 
     def to_csv(self, reuse: dict | None = None, write=None) -> str:
         """CSV with header t,P11,...,P44 and 12-significant-digit floats, each block's
-        distinct columns formatted by :func:`_columns`.  With ``write``, the text goes
+        distinct texts formatted once by :func:`_columns`.  With ``write``, the text goes
         to it block by block and "" is returned.  ``reuse``, a dict shared by the calls
         writing a sequence of tables, holds the last one-block table: the next takes
-        its whole text if bit-equal to it, else its first sources from it."""
+        its whole text if bit-equal to it, else each text it holds."""
         return _write(self, "csv", reuse, write)
 
     def to_json(self, reuse: dict | None = None, write=None) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``: the times, then
-        the probabilities, each as in :meth:`to_csv`, with ``%r``."""
+        """The table as ``json.dumps`` writes ``{"t_grid": times, "probs": (T, 4, 4)
+        lists}`` with ``indent=2``, and a final newline: the times, then the
+        probabilities, each as in :meth:`to_csv`, with ``%r``."""
         return _write(self, "json", reuse, write)
 
     def to_json_dict(self) -> dict:

@@ -29,7 +29,7 @@ from ptosc.models import (
 from ptosc.oscillate import (
     TransitionTable,
     _cpt_bras,
-    _same_12g,
+    _keys,
     analytic_pattern,
     default_t_grid,
     standard_flavour_basis,
@@ -313,9 +313,9 @@ def test_writers_fold_zero_columns_per_block():
 
 
 # ---------------------------------------------------------------------------
-# the %.12g rounding guard, with which a sweep's CSV table takes the texts of
-# the table before it, and the CSV writer on flavour twins (P11 and P33, P13
-# and P31, P22 and P44, P24 and P42) that agree to rounding but not in bits
+# the keys by which a writer formats each printed text once, and the CSV
+# writer on flavour twins (P11 and P33, P13 and P31, P22 and P44, P24 and
+# P42) that agree to rounding but not in bits
 
 
 def ulps(x: float, k: int) -> float:
@@ -330,16 +330,24 @@ MIDPOINT = st.builds(lambda n, e: (n + 0.5) / 10.0 ** (e + 11), st.integers(10**
 EDGE = st.sampled_from([1.0, 0.1, 1e-4, 1e-5, 1e-11, 0.99999999999995, 0.099999999999995, 9.9999999999995e-5, 9.9999999999995e-12])
 TINY = st.floats(1e-14, 1e-11)  # below the guard's range; from 1e-14 up, the clamp keeps them
 VALUE = st.one_of(MIDPOINT, EDGE, TINY, st.sampled_from([0.0, -0.0]), st.floats(0.0, 1.0))
+# the ends of the guard's range, k = 0 (12 integer digits) and k = 22 (below
+# 1e-10), with their midpoints, and subnormals
+GUARD_END = st.one_of(
+    st.builds(lambda n, k: (n + 0.5) / 10.0**k, st.integers(10**11, 10**12 - 1), st.sampled_from([0, 22])),
+    st.floats(9e10, 2e12),
+    st.floats(9e-12, 2e-10),
+    st.floats(0.0, 2.2250738585072014e-308),
+)
 
 
 @st.composite
-def twin_pairs(draw):
+def twin_pairs(draw, values=VALUE):
     """(source, twin): a value and its twin at 0-3 ulps, at a relative 1e-14, or drawn apart."""
-    a = draw(VALUE)
+    a = draw(values)
     twin = st.one_of(
         st.integers(-3, 3).map(lambda k: ulps(a, k)),
         st.floats(-1.0, 1.0).map(lambda r: a * (1.0 + 1e-14 * r)),
-        VALUE,
+        values,
     )
     pair = (a, draw(twin))
     return pair[::-1] if draw(st.booleans()) else pair
@@ -362,14 +370,16 @@ NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
 # mismatch.
 @pytest.mark.parametrize("shift", [0.0, -math.log2(10.0), math.log2(10.0)], ids=["exact", "k_too_large", "k_too_small"])
 @settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
-@given(pair=twin_pairs())
-def test_same_12g_only_where_the_texts_are_equal(shift, pair):
-    a, b = pair
+@given(pair=twin_pairs(st.one_of(VALUE, GUARD_END)))
+def test_equal_keys_print_alike(shift, pair):
+    # the pair and its negatives: every two of the four with one key print alike
+    values = [*pair, *(-x for x in pair)]
     log2 = np.log2
     with mock.patch.object(np, "log2", lambda x: log2(x) + shift):
-        for x, y in ((a, b), (-a, -b)):
-            if _same_12g(np.array([x]), np.array([y]))[0]:
-                assert "%.12g" % x == "%.12g" % y
+        for spec in ("%.12g", "%r"):
+            printed = {}
+            for key, x in zip(_keys(np.array(values), spec).tolist(), values):
+                assert printed.setdefault(key, spec % x) == spec % x
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, phases=NO_SHRINK)
@@ -390,14 +400,13 @@ def test_csv_writer_matches_reference_where_no_twin_matches():
     probs = rng.random((4097, 4, 4))
     probs /= probs.sum(axis=2, keepdims=True)
     table = TransitionTable(np.linspace(0.0, 5.0, 4097), probs)
-    rows = table.probs.reshape(-1, 16)
-    assert not _same_12g(rows[:, [0, 2, 5, 7]], rows[:, [10, 8, 15, 13]]).any()
+    keys = _keys(table.probs.reshape(-1, 16), "%.12g")
+    assert not (keys[:, [0, 2, 5, 7]] == keys[:, [10, 8, 15, 13]]).any()
     assert_same_text(table.to_csv(), reference_csv(table))
 
 
 # ---------------------------------------------------------------------------
-# a live column bit-equal to an earlier one takes its texts: each distinct
-# column of a block is formatted once
+# cells of one key take one text: each distinct text of a block is formatted once
 
 
 def emitted_table(name, n):
@@ -415,21 +424,16 @@ def test_writers_match_references_on_emitted_tables(name, n):
     assert_writers_match_references(emitted_table(name, n))
 
 
-# per catalogue point: the distinct live probability columns of its
-# pattern.  sfdm, h8v and h8r have doubled levels, so their two gaps are
-# equal.  h8's two flavour pairs oscillate at one frequency, E1 + E2, from
-# levels that differ in ulps: its 4 columns differ in bits, but only 2
-# print differently.
-DISTINCT_COLUMNS = {"sfdm": 2, "h8v_p1": 2, "h8r": 2, "h8": 4}
-# per catalogue point: the cells of its 256-row table that take the text of
-# a cell proven to print alike, in CSV and in JSON.  Each default grid
-# covers one period of the flavour oscillation, so row 255 - k faces row k:
-# the 128 facing cells of each column print alike under %.12g, and under %r
-# those equal in bits do (43 per column for sfdm and h8v, 17 + 26 for h8r).
-# h8's second flavour pair takes the texts of its first, which mirrors, save
-# 2 cells in CSV; under %r only its sin^2 probe cells are equal in bits, so
-# s2 takes 6 cells of s1, and c1, s1 and c2 take 2, 1 and 16 facing cells.
-TAKEN = {"sfdm": (2 * 128, 2 * 43), "h8v_p1": (2 * 128, 2 * 43), "h8r": (2 * 128, 17 + 26), "h8": (2 * 128 + 2 * 256 - 2, 6 + 2 + 1 + 16)}
+# per catalogue point: the values formatted for its 256-row table, in CSV,
+# then in JSON its times and its probabilities.  Each is the number of
+# distinct texts of the block written: a key is formatted once, and here no
+# two keys print alike.  A default grid covers one period, so under %.12g
+# row 255 - k prints as row k: 256 times and 128 texts per distinct column
+# (129 for h8's c1; its c2 and s2 print as c1 and s1), less one for the time
+# 0, which prints as s1's +0.0 at t = 0.  Under %r only cells equal in bits
+# print alike: 43 facing cells per column for sfdm and h8v, and for h8 also
+# cells of c2 and s2 equal to cells of c1 and s1.
+FORMATTED = {"sfdm": [511, 256, 426], "h8v_p1": [511, 256, 426], "h8r": [511, 256, 469], "h8": [512, 256, 939]}
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
@@ -438,10 +442,10 @@ def test_each_printed_text_is_formatted_once(name):
     with formatting_spy(formatted):
         table.to_csv()
         table.to_json()
-    # CSV: t and the distinct columns, in one block; JSON: its times, then
-    # the distinct columns; each less the cells taken
-    taken_csv, taken_json = TAKEN[name]
-    assert formatted == [(1 + DISTINCT_COLUMNS[name]) * 256 - taken_csv, 256, DISTINCT_COLUMNS[name] * 256 - taken_json]
+    # CSV: t and the distinct columns, in one block; JSON: its times, then the distinct columns
+    [(block, _)] = table._blocks()
+    csv, times, probs = ({spec % x for x in values.ravel().tolist()} for spec, values in (("%.12g", block), ("%r", block[:, 0]), ("%r", block[:, 1:])))
+    assert formatted == [len(csv), len(times), len(probs)] == FORMATTED[name]
 
 
 def test_writers_keep_signed_zeros_apart():
@@ -450,13 +454,12 @@ def test_writers_keep_signed_zeros_apart():
     table = TransitionTable(np.array([0.0, 1.0]), np.array([np.eye(4)] * 2))
     table.probs[:, 0, :] = [[-0.0, 0.0, -0.0, 0.0], [-0.0, 0.0, 0.5, 0.5]]
     table.probs[:, 1, 0] = table.probs[:, 0, 2]
-    assert oscillate._placement(table.probs.reshape(2, 16))[0] == [0, 2, 3, 4, 5, 10, 15]
     assert_writers_match_references(table)
 
 
 # ---------------------------------------------------------------------------
-# tables written in sequence: each reuses the texts of the table written
-# before it where the rounding guard proves them equal
+# tables written in sequence: each takes the text of every key that the
+# table written before it holds
 
 
 def assert_json_matches_reference(text, table):
@@ -549,12 +552,12 @@ def test_json_time_grid_reused_only_when_bit_equal():
     probs = np.array([np.eye(4)] * 2)
     grids = ([0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0 + 2.0**-52])
     counts = formatted_per_table([TransitionTable(np.array(times), probs) for times in grids], "json")
-    # values formatted per table, times then probabilities: the live
-    # probabilities are one column of 1.0, whose second row faces its first,
-    # formatted with the first grid.  The second table is the first in bits
-    # and takes its whole text; later a time takes the text of the time
-    # before it only where the two are equal with equal signs
-    assert counts == [[2, 1], [], [1, 0], [1, 0], [1, 0]]
+    # values formatted per table, times then probabilities: the
+    # probabilities print as 1.0 and 0.0, formatted with the first grid.
+    # The second table is the first in bits and takes its whole text; later
+    # a time takes the text of the time before it only where the two are
+    # equal with equal signs
+    assert counts == [[2, 2], [], [1, 0], [1, 0], [1, 0]]
 
 
 def test_json_sequences_keep_the_sign_of_each_zero():
@@ -592,10 +595,11 @@ def test_sweep_tables_format_only_what_changed():
     # one grid: after the first table, nothing is formatted
     specs = [sfdm_spec(chi) for chi in (0.5, 0.6, 0.7)]
     counts = formatted_per_table(transition_tables([realize(spec) for spec in specs], 256), "csv")
-    # t and the first 128 rows of the two distinct live columns: the equal
-    # gaps make the four diagonal columns one column, and the four live
+    # t and the first 128 rows of the two distinct live columns, less the
+    # time 0, which prints as the +0.0 of sin^2 at t = 0: the equal gaps
+    # make the four diagonal columns one column, and the four live
     # off-diagonal ones another, and on one period row 255 - k prints as row k
-    assert counts == [[256 + 2 * 128], [], []]
+    assert counts == [[256 + 2 * 128 - 1], [], []]
 
 
 def test_sweep_json_tables_format_only_new_values():
@@ -608,10 +612,10 @@ def test_sweep_json_tables_format_only_new_values():
     # equal in bits the cell facing them on one period
     assert counts == [[256, 2 * (256 - 43)]] + [[]] * 7
     # an h8v m2 axis on a set grid end shares its times but changes its gap,
-    # and so its probabilities, at every point
+    # and so its probabilities, at every point but t = 0, where they are 1.0 and 0.0
     specs = [ModelSpec("h8v", {"m0": 2.0, "m2": m2}, {"p": 0.7}) for m2 in np.linspace(0.2, 1.6, 8)]
     counts = formatted_per_table(transition_tables([realize(spec) for spec in specs], 256, t_max=12.5), "json")
-    assert counts == [[256, 2 * 256]] + [[0, 2 * 256]] * 7
+    assert counts == [[256, 2 * 256]] + [[0, 2 * 256 - 2]] * 7
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +717,30 @@ def test_live_column_near_a_dead_one_before_matches_references(fmt):
         assert write(table, fmt, reuse) == reference_text(table, fmt)
 
 
+# one flavour gap, so c2 and s2 are c1 and s1 and a block holds 3 columns,
+# and two gaps, the first the same, whose block holds 5
+ONE_GAP, TWO_GAPS = np.array([-1.0, -1.0, 1.0, 1.0]), np.array([-1.0, -2.0, 1.0, 2.0])
+GRID = np.linspace(0.0, 10.0, 256)
+# (table before, table after): 256 rows after the first 255 of them, and 5 pattern columns after 3
+RESHAPED = {
+    "rows": (TransitionTable.pattern(ONE_GAP, GRID[:255]), TransitionTable.pattern(ONE_GAP, GRID)),
+    "columns": (TransitionTable.pattern(ONE_GAP, GRID), TransitionTable.pattern(TWO_GAPS, GRID)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(RESHAPED))
+def test_table_of_another_shape_takes_the_texts_of_the_one_before(case, fmt):
+    before, after = RESHAPED[case]
+    [alone] = formatted_per_table([after], fmt)
+    _, taken = formatted_per_table([before, after], fmt)
+    # per part, the values formatted: the new row's, or half the cells of the
+    # new columns c2 and s2, as 2 t_k = t_2k puts row k <= 127 of each on a
+    # cell of c1 or s1
+    assert taken == {"rows": {"csv": [3], "json": [1, 2]}, "columns": {"csv": [256], "json": [0, 256]}}[case][fmt]
+    assert sum(taken) < sum(alone)
+
+
 # ---------------------------------------------------------------------------
 # columns that take their texts from a near twin in their own block, or from
 # their own rows reversed
@@ -759,8 +787,8 @@ def near_twin_table(moves):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_near_twin_across_a_rounding_edge_matches_references(fmt):
-    # alone, P33 and P31 take the texts of P11 and P13; written after a
-    # table whose P33 is near its own, they take that table's texts instead
+    # P33 and P31 print as P11 and P13 save where a move crosses the
+    # rounding edge; ``before`` holds every key of ``twin``
     twin, before = near_twin_table([0, 1, 1, -1, 0]), near_twin_table([1, 1, 0, -1, 1])
     formatted = []
     with formatting_spy(formatted):
@@ -769,12 +797,12 @@ def test_near_twin_across_a_rounding_edge_matches_references(fmt):
         for table in (before, twin):
             assert write(table, fmt, reuse) == reference_text(table, fmt)
     # values formatted per table (JSON: times, then probabilities).  In CSV,
-    # each table alone formats t, P11, P13 and the 5 twin cells not proven
-    # alike; after ``before``, nothing, where P11 would leave 2 cells of P33
-    # to format.  Under %r, only cells equal in bits are taken, and P11 is
-    # tried as the source of P33 only where their middle rows are equal:
-    # ``twin`` alone formats all 5 + 5 cells of P33 and P31.
-    assert formatted == {"csv": [20, 20, 0], "json": [5, 23, 5, 18, 0, 5]}[fmt]
+    # each table alone formats its 9 keys, which print 8 texts: the guard
+    # proves no rounding at the edge, so two cells there print alike from
+    # their bits; after ``before``, ``twin`` formats nothing.  Under %r a key
+    # is the bits: each table formats its distinct floats, and ``twin`` after
+    # ``before`` the 2 that ``before`` lacks.
+    assert formatted == {"csv": [9, 9, 0], "json": [5, 11, 5, 12, 0, 2]}[fmt]
 
 
 def test_writers_keep_the_sign_of_negative_zero_times():
