@@ -14,10 +14,13 @@ alone.  Which side writes an op first alternates from round to round.
 
 Before timing, one pass asserts that both sides write equal text for every
 file, and counts the values each side formats (the sizes of the arrays its
-``oscillate._texts`` is given).  Per op kind, then per deck, one line gives:
-the median over rounds of this side's time over the other's, the rounds this
-side was faster, the median ms per round of each side, and each side's
-formatted values.
+``oscillate._texts`` is given).  It also writes each op once more per side
+under ``tracemalloc``, each chunk dropped as it is written, as a file write
+drops it, and records the peak of the memory that writing allocated.  Per
+op kind, then per deck, one line gives: the median over rounds of this
+side's time over the other's, the rounds this side was faster, the median
+ms per round of each side, the largest peak of an op of each side in KB and
+their ratio, and each side's formatted values.
 """
 
 import os
@@ -36,6 +39,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from unittest import mock  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -85,6 +89,19 @@ def counted(oscillate, fills: list, sweep: bool) -> tuple:
     return written, sum(sizes)
 
 
+def peak_kb(fills: list, sweep: bool) -> float:
+    """The tracemalloc peak, in KB, of writing one op's tables in order, each chunk dropped."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        reuse, base = ({} if sweep else None), tracemalloc.get_traced_memory()[0]
+        for fill in fills:
+            fill(reuse, lambda chunk: None)
+        return (tracemalloc.get_traced_memory()[1] - base) / 1024
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", required=True, help="the src/ directory of the checkout to compare against")
@@ -106,12 +123,14 @@ def main(argv=None) -> int:
                         fills.append(writers(cli, op, os.path.join(op_dir, str(k))))
                     ops.append((workload, op.kind, op.argv[0] == "sweep", fills))
 
-    formatted = {}
+    formatted, peaks = {}, {}
     for workload, kind, sweep, fills in ops:
         (this, a), (other, b) = (counted(oscillate, each, sweep) for (_, oscillate), each in zip(sides, fills))
         assert this == other, f"{workload} {kind}: the two sides write different text"
+        kb = [peak_kb(each, sweep) for each in fills]
         for key in (kind, workload):
             formatted[key] = [x + y for x, y in zip(formatted.get(key, (0, 0)), (a, b))]
+            peaks[key] = [max(x, y) for x, y in zip(peaks.get(key, (0.0, 0.0)), kb)]
 
     times = {}  # per op kind and per deck: per round, ms of each side
     for r in range(args.rounds):
@@ -129,7 +148,7 @@ def main(argv=None) -> int:
         for key, pair in spent.items():
             times.setdefault(key, []).append(pair)
 
-    print(f"{'kind':24s} {'ratio':>7s} {'wins':>7s} {'this ms':>9s} {'other ms':>9s} {'this fmt':>10s} {'other fmt':>10s}")
+    print(f"{'kind':24s} {'ratio':>7s} {'wins':>7s} {'this ms':>9s} {'other ms':>9s} {'peak':>7s} {'this KB':>8s} {'other KB':>8s} {'this fmt':>10s} {'other fmt':>10s}")
     kinds = [key for key in times if key not in WORKLOADS] + list(WORKLOADS)
     for key in kinds:
         pairs = times[key]
@@ -137,7 +156,11 @@ def main(argv=None) -> int:
         wins = sum(a < b for a, b in pairs)
         this_ms, other_ms = (statistics.median(p[k] for p in pairs) for k in (0, 1))
         this_fmt, other_fmt = formatted[key]
-        print(f"{key:24s} {ratio:7.3f} {wins:3d}/{len(pairs):<3d} {this_ms:9.2f} {other_ms:9.2f} {this_fmt:10d} {other_fmt:10d}")
+        this_kb, other_kb = peaks[key]
+        print(
+            f"{key:24s} {ratio:7.3f} {wins:3d}/{len(pairs):<3d} {this_ms:9.2f} {other_ms:9.2f}"
+            f" {this_kb / other_kb:7.3f} {this_kb:8.0f} {other_kb:8.0f} {this_fmt:10d} {other_fmt:10d}"
+        )
     return 0
 
 
