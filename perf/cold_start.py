@@ -9,6 +9,8 @@ exit.  The cases, for each ``--src`` given:
 
 - ``import``: ``import ptosc.cli`` and nothing else;
 - ``oscillate``: ``ptosc oscillate`` of an sfdm model at 64 points to stdout;
+- ``oscillate_json``: the same table with ``--format json``, the one case
+  that imports ``orjson``;
 - ``verify``: ``ptosc verify`` of the same model;
 
 and once per round:
@@ -52,6 +54,7 @@ def cases(srcs: list) -> dict:
         path = os.path.abspath(src)
         commands[label + "import"] = python + [IMPORT_CODE, path]
         commands[label + "oscillate"] = python + [MAIN_CODE, path, "oscillate", *SFDM, "--t-points", "64"]
+        commands[label + "oscillate_json"] = commands[label + "oscillate"] + ["--format", "json"]
         commands[label + "verify"] = python + [MAIN_CODE, path, "verify", *SFDM]
     commands["reference"] = python + [calib.COLD_REF_CODE, BENCH_DIR, "oscillate_long", "1"]
     return commands

@@ -56,8 +56,9 @@ def _atomic_write(files: dict) -> None:
     """Write ``files`` (path -> a function that writes its text through the ``write`` it
     is given) all or none: every path is checked, each text goes to a temporary file
     beside its path as it is made, then each is renamed over its path, in order.  An
-    OS error is a usage error naming the path, and no temporary file stays."""
-    temps = []
+    OS error is a usage error naming the path, and no temporary file stays; a rename
+    that fails leaves the paths renamed before it replaced, and the error names them."""
+    temps, replaced = [], []
     try:
         for path in files:
             if os.path.isdir(path) and not os.path.islink(path):
@@ -76,12 +77,14 @@ def _atomic_write(files: dict) -> None:
                 fill(fh.write)
         for path, tmp in zip(files, temps):
             os.replace(tmp, path)
+            replaced.append(path)
     except BaseException as exc:
         for tmp in temps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         if isinstance(exc, OSError):
-            raise ParameterError(f"cannot write the output file {path!r}: {exc.strerror or exc}") from None
+            note = f" (already replaced: {', '.join(map(repr, replaced))})" if replaced else ""
+            raise ParameterError(f"cannot write the output file {path!r}: {exc.strerror or exc}{note}") from None
         raise
 
 

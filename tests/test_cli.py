@@ -549,6 +549,27 @@ def test_sweep_that_fails_while_writing_leaves_no_file_changed(tmp_path, capsys)
     assert out_dir_contents(out) == before
 
 
+def test_sweep_whose_third_rename_fails_names_the_files_it_replaced(tmp_path, capsys):
+    path, out = rerun_with_five_times(tmp_path)
+    before = out_dir_contents(out)
+    replace, calls = os.replace, []
+
+    def refused_third(src, dst):
+        calls.append(dst)
+        if len(calls) == 3:
+            raise OSError(errno.EACCES, "Permission denied")
+        replace(src, dst)
+
+    with mock.patch.object(os, "replace", refused_third):
+        assert run(["sweep", "--config", str(path)]) == 2
+    first, second, third = (str(out / f"sweep_m2=0.{k}.csv") for k in (1, 2, 3))
+    assert _single_error_line(capsys) == f"error: cannot write the output file {third!r}: Permission denied (already replaced: {first!r}, {second!r})"
+    # the two tables named are new, every other file is as it was, and no temporary file stays
+    after = out_dir_contents(out)
+    assert sorted(after) == sorted(before)
+    assert [name for name in sorted(after) if after[name] != before[name]] == ["sweep_m2=0.1.csv", "sweep_m2=0.2.csv"]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_h8v_theta_sweep_writes_the_tables_of_oscillate(tmp_path, fmt):
     # h8v's spectrum ignores the momentum direction, so every point of a

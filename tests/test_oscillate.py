@@ -31,6 +31,7 @@ from ptosc.oscillate import (
     TransitionTable,
     _cpt_bras,
     _keys,
+    _texts,
     analytic_pattern,
     default_t_grid,
     standard_flavour_basis,
@@ -874,6 +875,45 @@ def test_writers_on_one_row_at_t0():
     table = TransitionTable(np.array([0.0]), np.eye(4)[None])
     assert_writers_match_references(table)
     assert table.to_csv().split("\n")[1] == "0,1,0,0,0,0,1,0,0,0,0,1,0,0,0,0,1"
+
+
+# ---------------------------------------------------------------------------
+# the JSON kernel: Ryu's digits are repr's, and repr keeps the magnitudes
+# that Ryu writes in another notation
+
+
+def assert_texts_are_repr(values):
+    values = np.array(values, dtype=float)
+    assert _texts(values, "%r") == list(map(repr, values.tolist()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=32))
+def test_json_kernel_is_repr_on_finite_floats(values):
+    assert_texts_are_repr(values)
+
+
+# both zeros, the smallest subnormal and normal, an integer past 2^53, the
+# largest double, and the two edges of Ryu's notation with their neighbours
+KERNEL_PINS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9007199254740993.0, 1.7976931348623157e308]
+KERNEL_PINS += [np.nextafter(edge, edge + step).item() for edge in (1e-4, 1e16) for step in (-edge, 0.0, edge)]
+
+
+def test_json_kernel_is_repr_at_its_pins():
+    assert_texts_are_repr(KERNEL_PINS + [-x for x in KERNEL_PINS])
+
+
+def test_json_kernel_is_repr_on_a_cos2_column():
+    # 4,096 values from 1 down to tiny and back, some below 1e-4
+    assert_texts_are_repr(np.cos(np.linspace(0.0, 7.0, 4096)) ** 2)
+
+
+@pytest.mark.parametrize("t_max", ["1e-6", "1e20"], ids=["times_below_1e-4", "times_from_1e16"])
+def test_oscillate_json_times_out_of_ryu_range(t_max, capsys):
+    argv = ["oscillate", "--model", "sfdm", "--chi", ".5", "--psi", ".3", "--theta", ".7", "--phi", ".2"]
+    assert main([*argv, "--t-points", "64", "--t-max", t_max, "--format", "json"]) == 0
+    [table] = transition_tables([realize(CATALOGUE["sfdm"])], 64, float(t_max))
+    assert_same_text(capsys.readouterr().out, json.dumps(table.to_json_dict(), indent=2) + "\n")
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
