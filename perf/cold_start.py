@@ -21,17 +21,21 @@ and once per round:
   a difference is the machine.
 
 Every start runs with ``PYTHONDONTWRITEBYTECODE=1`` and one BLAS thread, as
-the benchmark's cold starts do, so ``src/ptosc`` is compiled from source
-each time.  One line per case gives the median, the quartiles and the IQR
+the benchmark's cold starts do, from a copy of its ``--src`` without
+``__pycache__`` in one temporary directory that the run makes and removes,
+so ``src/ptosc`` is compiled from source each time, whatever bytecode the
+checkout holds.  One line per case gives the median, the quartiles and the IQR
 in milliseconds; with two or more ``--src`` each line starts with its
 ``--src``.
 """
 
 import argparse
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,16 +46,16 @@ MAIN_CODE = "import sys; sys.path.insert(0, sys.argv[1]); from ptosc.cli import 
 STARTS = 30  # timed starts of each case
 
 
-def cases(srcs: list) -> dict:
-    """The command line of each case, by its printed name."""
+def cases(srcs: dict) -> dict:
+    """The command line of each case, by its printed name, for each given
+    ``src/`` and the directory it runs from."""
     sys.path.insert(0, BENCH_DIR)
     import calib
 
     python = [sys.executable, "-c"]
     commands = {}
-    for src in srcs:
+    for src, path in srcs.items():
         label = f"{src} " if len(srcs) > 1 else ""
-        path = os.path.abspath(src)
         commands[label + "import"] = python + [IMPORT_CODE, path]
         commands[label + "oscillate"] = python + [MAIN_CODE, path, "oscillate", *SFDM, "--t-points", "64"]
         commands[label + "oscillate_json"] = commands[label + "oscillate"] + ["--format", "json"]
@@ -72,15 +76,19 @@ def main(argv=None) -> int:
     parser.add_argument("--src", action="append", help="a src/ directory whose ptosc to start; repeat to interleave checkouts (default: this checkout's)")
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    commands = cases(args.src or [os.path.join(ROOT, "src")])
-    names = list(commands)
-    for name in names:  # one untimed start each, to warm the file cache
-        cold_start(commands[name], env)
-    times = {name: [] for name in names}
-    for round_ in range(STARTS):
-        for k in range(len(names)):
-            name = names[(round_ + k) % len(names)]
-            times[name].append(cold_start(commands[name], env))
+    with tempfile.TemporaryDirectory() as copies:
+        # not PYTHONPYCACHEPREFIX: it hides the bytecode of the standard library and numpy too, which
+        # the benchmark's starts load, and made every start here about four times as long
+        skip = shutil.ignore_patterns("__pycache__")
+        commands = cases({src: shutil.copytree(src, os.path.join(copies, str(k)), ignore=skip) for k, src in enumerate(args.src or [os.path.join(ROOT, "src")])})
+        names = list(commands)
+        for name in names:  # one untimed start each, to warm the file cache
+            cold_start(commands[name], env)
+        times = {name: [] for name in names}
+        for round_ in range(STARTS):
+            for k in range(len(names)):
+                name = names[(round_ + k) % len(names)]
+                times[name].append(cold_start(commands[name], env))
     width = max(map(len, names))
     for name in names:
         q1, median, q3 = statistics.quantiles(times[name], n=4)

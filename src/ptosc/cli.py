@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tgrid_flags(p_osc)
     p_osc.add_argument("--out", help="output file (stdout if omitted)")
     p_osc.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_osc.add_argument("--golden", action="store_true", help="compare against the analytic cos^2/sin^2 pattern")
+    p_osc.add_argument("--golden", action="store_true", help="certify the table over every t: print a bound on |CPT route - pattern|")
     p_osc.set_defaults(func=cmd_oscillate)
 
     p_sweep = sub.add_parser("sweep", help="run oscillation tables over a parameter grid")

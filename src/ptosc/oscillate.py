@@ -6,7 +6,8 @@ spectral and probabilities are squared CPT amplitudes, so every table is
 row-stochastic.  Once the CPT Gram (C(-p) B)^dag S K = 1 holds, those
 amplitudes are exactly F^T e^(-i Lambda t) F with F the constant flavour
 matrix: the CLI emits the cos^2/sin^2 :meth:`TransitionTable.pattern` of
-the spectrum, and keeps the CPT route (:func:`transition_table`) as its check.
+the spectrum.  The CPT route (:func:`transition_table`) stays for ``verify``,
+and ``--golden`` bounds it against the pattern over every t (:func:`_certificate`).
 """
 
 import math
@@ -262,19 +263,19 @@ class TransitionTable:
     def pattern(cls, values: np.ndarray, t_grid) -> "TransitionTable":
         """``TransitionTable(t_grid, analytic_pattern(values, t_grid))``, made,
         checked and clamped block by block to the same floats.  A table of
-        one block keeps it, unclamped and placed, for every write."""
+        one block keeps it, placed, for every write."""
         table, stats = cls.__new__(cls), []
         table.t_grid, table._probs, table._gaps, table._one = np.asarray(t_grid, dtype=float), None, _half_gaps(values), None
         for block in table._unclamped():
             stats.append(_stats(_expand(block, _PATTERN).reshape(-1, 4, 4)))
         _check(table.t_grid, stats)
-        table._one = (block, _placed(block)) if len(table.t_grid) <= BLOCK_ROWS else None
+        table._one = _placed(block) if len(table.t_grid) <= BLOCK_ROWS else None
         return table
 
     def _unclamped(self):
         """The unclamped pattern blocks of a :meth:`pattern` table."""
         t = self.t_grid
-        return [self._one[0]] if self._one is not None else (_pattern_block(t[s : s + BLOCK_ROWS], self._gaps) for s in range(0, len(t), BLOCK_ROWS))
+        return (_pattern_block(t[s : s + BLOCK_ROWS], self._gaps) for s in range(0, len(t), BLOCK_ROWS))
 
     def _blocks(self):
         """Per block of ``BLOCK_ROWS`` rows: its times and probability columns,
@@ -283,7 +284,7 @@ class TransitionTable:
         if self._probs is not None:
             rows = self._probs.reshape(len(t), 16)
             return ((np.concatenate([t[s : s + BLOCK_ROWS, None], rows[s : s + BLOCK_ROWS]], axis=1), _ALL) for s in range(0, len(t), BLOCK_ROWS))
-        return [self._one[1]] if self._one is not None else map(_placed, self._unclamped())
+        return [self._one] if self._one is not None else map(_placed, self._unclamped())
 
     @property
     def probs(self) -> np.ndarray:
@@ -334,6 +335,9 @@ def _cpt_bras(sym: SymmetryPair, c: np.ndarray, kets: np.ndarray) -> np.ndarray:
 # flavour ket j is (e_a + sign e_b)/sqrt(2) for a, b, sign = _FIRST[j], _SECOND[j], _SIGN[j]
 _R = 1.0 / math.sqrt(2.0)
 _FIRST, _SECOND, _SIGN = [0, 1, 0, 1], [2, 3, 2, 3], np.array([1.0, 1.0, -1.0, -1.0])
+# _PAIRS[k, i, m] = F_ki F_km of the flavour matrix F, exactly: sqrt(2) F holds +-1 and 0
+_SQRT2_F = np.eye(4)[:, _FIRST] + _SIGN * np.eye(4)[:, _SECOND]
+_PAIRS = 0.5 * _SQRT2_F[:, :, None] * _SQRT2_F[:, None, :]
 
 
 def _stacked_flavours(sym: SymmetryPair, c_reflected: np.ndarray, kets: np.ndarray, bra_kets: np.ndarray):
@@ -462,22 +466,27 @@ def transition_tables(realizations, t_points: int, t_max=None, tol: float = DEFA
     return tables
 
 
+def _certificate(coeff: np.ndarray) -> tuple:
+    """(entry bound, row bound) of the CPT route of coeff[k, i] = ((e_k | f'_i)) over every real t.
+    With z_k = e^(-i lam_k t), its amplitude sum_k c_ki conj(c_km) z_k is within D = sum_k |c_ki conj(c_km) - F_ki F_km|
+    of the pattern's sum_k F_ki F_km z_k, of modulus at most 1, so |P_CPT - P_pattern| <= D (2 + D).  Row i sums to
+    sum_(k, l) z_k conj(z_l) c_ki conj(c_li) G_lk, G = coeff coeff^dag, within |sum_k (its k = l term) - 1| + sum_(k != l) |term| of 1."""
+    d = np.abs(coeff[:, :, None] * coeff.conj()[:, None, :] - _PAIRS).sum(axis=0)
+    terms = coeff[:, None, :] * coeff.conj()[None, :, :] * (coeff.conj() @ coeff.T)[:, :, None]  # G_lk at [k, l]
+    row = np.abs(np.trace(terms) - 1.0) + np.abs(terms[~np.eye(4, dtype=bool)]).sum(axis=0)
+    return float((d * (2.0 + d)).max()), float(row.max())
+
+
 def golden_table(real, t_points: int, t_max=None, tol: float = DEFAULT_TOL) -> tuple:
     """The table :func:`transition_tables` makes of one realization, and the
-    max |CPT route - pattern| over it (``oscillate --golden``), from one
-    pass of the gates.  The CPT-route rows are made and checked block by
-    block against the table's unclamped columns: the point's error, the CPT
-    route's among them, is raised before any table is returned."""
+    :func:`_certificate` bound on |CPT route - pattern| over every real t
+    (``oscillate --golden``), from one pass of the gates and no CPT-route row.
+    The point's error, the CPT route's among them, is raised before any table is returned."""
     [point] = _gated([real], t_points, t_max, tol)
     if isinstance(point, PtoscError):
         raise point
     values, coeff, t_grid = point
-    values = _real_phases(values, t_grid)
-    table, stats, deviation = TransitionTable.pattern(values, t_grid), [], 0.0
-    # a quarter block at a time: the page faults of 1 MB temporaries cost more than the product
-    for block in (part[s : s + BLOCK_ROWS // 4] for part in table._unclamped() for s in range(0, len(part), BLOCK_ROWS // 4)):
-        cpt = _cpt_probs(values, coeff, block[:, 0])
-        stats.append(_stats(cpt))
-        deviation = max(deviation, float(np.max(np.abs(_clamp(cpt).reshape(-1, 16) - _expand(block, _PATTERN)))))
-    _check(t_grid, stats)
-    return table, deviation
+    table, (entry, row) = TransitionTable.pattern(_real_phases(values, t_grid), t_grid), _certificate(coeff)
+    # the CPT route's rows and entries, over every t, under the checks of a table's sampled ones
+    _check(t_grid, [(row, -entry, 1.0 + entry)])
+    return table, entry

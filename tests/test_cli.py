@@ -374,6 +374,43 @@ def test_oscillate_near_ep_emits_the_pattern_and_golden_keeps_its_failure(capsys
     assert capsys.readouterr() == ("", "physics failure: transition rows are not stochastic\n")
 
 
+SFDM_ANGLES = ["--psi", "0.3", "--theta", "0.7", "--phi", "0.2"]
+# oscillate --golden at its default grid: the exit code and first word of
+# stderr that the CPT-route rows, made at every grid point, gave before the
+# coefficient certificate replaced them (golden: its line; physics: refused)
+GOLDEN_VERDICTS = {
+    "sfdm": (SFDM_FLAGS, 0, "golden"),
+    "h8v_p1": (["--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"], 0, "golden"),
+    "h8r": (["--model", "h8r", "--m0", "2", "--m1", "0.5", "--m2", "1", "--p", "0"], 0, "golden"),
+    "h8": (["--model", "h8", "--m0", "2", "--m1", "0.5", "--m2", "1", "--m3", "0.3", "--p", "0"], 0, "golden"),
+    # sfdm across its chi band: the rows pass up to 6.5 (7.6e-11), C^2 fails from 7
+    **{f"sfdm_chi_{chi}": (["--model", "sfdm", "--chi", chi, *SFDM_ANGLES], code, word)
+       for chi, code, word in [("4", 0, "golden"), ("6", 0, "golden"), ("6.5", 0, "golden"), ("7", 1, "physics"), ("8", 1, "physics")]},
+    # h8v towards its exceptional point: rows within 7.2e-11, then 1.5e-10 and 1.6e-10 off
+    **{f"h8v_m2_{m2}": (["--model", "h8v", "--m0", "2", "--m2", m2, "--p", "0"], code, word)
+       for m2, code, word in [("1.99999", 0, "golden"), ("1.999995", 1, "physics"), ("1.999998", 1, "physics")]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERDICTS))
+def test_golden_verdicts_are_those_of_the_sampled_rows(name, capsys):
+    flags, code, word = GOLDEN_VERDICTS[name]
+    assert run(["oscillate", *flags, "--golden"]) == code
+    assert capsys.readouterr().err.split()[0] == word
+
+
+def test_golden_makes_no_cpt_route_row(monkeypatch, capsys):
+    # the check costs nothing per time point past the table itself
+    def refuse(*args):
+        raise AssertionError("a CPT-route row was made")
+
+    monkeypatch.setattr("ptosc.oscillate._cpt_probs", refuse)
+    assert run(["oscillate", *H8V_FLAGS, "--t-points", "4097", "--golden"]) == 0
+    assert capsys.readouterr().err.startswith("golden max deviation: ")
+    assert run(["oscillate", *NEAR_EP_FLAGS, "--golden"]) == 1
+    assert capsys.readouterr() == ("", "physics failure: transition rows are not stochastic\n")
+
+
 def test_identical_invocations_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["oscillate", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1", "--t-points", "16"]

@@ -15,7 +15,7 @@ from ptosc.cli import main
 from ptosc.coperator import build_C
 from ptosc.errors import ConstructionError, NumericalError, PtoscError
 from ptosc.inner import cpt_ip
-from ptosc.linalg import operator_norm
+from ptosc.linalg import DEFAULT_TOL, operator_norm
 from ptosc.models import (
     EigenPair,
     EigenSystem,
@@ -40,6 +40,8 @@ from ptosc.oscillate import (
 )
 from ptosc.symmetry import block_pair, canonical_pair
 from ptosc.verify import realize
+
+from random_matrices import random_cmatrix
 
 REF = SfdmParams(chi=0.5, psi=0.3, theta=0.7, phi=0.2)
 
@@ -923,18 +925,6 @@ def test_analytic_pattern_matches_per_time_loop(name):
     assert np.max(np.abs(analytic_pattern(es.values, table.t_grid) - reference_pattern(es, table.t_grid))) <= 4.5e-16
 
 
-@pytest.mark.parametrize("name", sorted(CATALOGUE))
-def test_golden_line_matches_per_time_loop(name, capsys):
-    spec = CATALOGUE[name]
-    flags = [f"--{key}={value}" for key, value in spec.params.items()]
-    if spec.momentum:
-        flags.append(f"--p={spec.momentum['p']}")
-    main(["oscillate", "--model", spec.model, *flags, "--t-points", "4096", "--golden"])
-    table, es = catalogue_table(name, 4096, default_grid=True)
-    deviation = float(np.max(np.abs(table.probs - reference_pattern(es, table.t_grid))))
-    assert capsys.readouterr().err == f"golden max deviation: {deviation:.3e}\n"
-
-
 # ---------------------------------------------------------------------------
 # dynamics against an independent oracle: scipy's expm(-iHt), which uses no
 # eigenvalue phases, over one default period of 64 times
@@ -1053,6 +1043,95 @@ def test_tables_against_50_digit_eigenvalues(name):
 
 
 # ---------------------------------------------------------------------------
+# the --golden certificate, which bounds |CPT route - pattern| over every real t
+# from the coefficients, against both sampled on grids
+
+
+def allowance(values, t_grid) -> np.ndarray:
+    """The rounding of the sampled |CPT route - pattern| beyond the certificate, per time.
+
+    The certificate bounds the two in exact arithmetic, from the same float
+    spectrum and coefficients; sum_k |c_ki conj(c_km)| is 1 + D, taken as 1.
+    In units of u = EPS / 2, at time t, with L = max |lambda|:
+
+    - CPT route: lambda_k t rounds once (u L |t|) and each part of its phase
+      factor is within 1 ulp (u, below 1), so each factor moves by
+      u (L |t| + sqrt 2); two complex products (sqrt 5 u each) and a sum of 4
+      (3 sqrt 2 u) add 8.7 u.  The amplitude, of modulus at most 1, is then
+      off by u (L |t| + 10.2), its square by twice that, and abs and the
+      square round by 3 u more: u (2 L |t| + 23.4).
+    - Pattern: the half-gap and g t each round once, so the angle is off by
+      2 u L |t|, which cos^2 carries at slope at most 1; cos (1 ulp) and
+      c * c add 3 u: u (2 L |t| + 3).
+    - The bound's own sums: each c_ki conj(c_km) rounds by sqrt 5 u, so D may
+      read 2.3 u low and D (2 + D) 4.5 u low.
+
+    In all u (4 L |t| + 30.9), rounded up to EPS (2 L |t| + 16)."""
+    return EPS * (16.0 + 2.0 * float(np.abs(values).max()) * np.abs(t_grid))[:, None, None]
+
+
+def golden_and_sampled(spec, n, t_max=None) -> tuple:
+    """``golden_table``'s bound at one point, and on its grid the unclamped
+    CPT route and pattern of the coefficients that bound is made of, the grid
+    and the real spectrum."""
+    real = realize(spec)
+    table, bound = oscillate.golden_table(real, n, t_max)
+    [(values, coeff, t_grid)] = oscillate._gated([real], n, t_max, DEFAULT_TOL)
+    assert t_grid.tobytes() == table.t_grid.tobytes()
+    values = np.real(values)
+    return bound, oscillate._cpt_probs(values, coeff, t_grid), analytic_pattern(values, t_grid), t_grid, values
+
+
+def cli_flags(spec) -> list:
+    flags = ["--model", spec.model, *(f"--{key}={value}" for key, value in spec.params.items())]
+    return flags + [f"--p={spec.momentum['p']}"] if spec.momentum else flags
+
+
+@pytest.mark.parametrize("n", [64, 4097])
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_golden_bound_covers_the_sampled_deviation(name, n, capsys):
+    bound, cpt, pattern, t_grid, values = golden_and_sampled(CATALOGUE[name], n)
+    assert (np.abs(cpt - pattern) <= bound + allowance(values, t_grid)).all()
+    assert main(["oscillate", *cli_flags(CATALOGUE[name]), "--t-points", str(n), "--golden"]) == 0
+    assert capsys.readouterr().err == f"golden max deviation: {bound:.3e}\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(name=st.sampled_from(sorted(CATALOGUE)), n=st.integers(1, 300), t_max=st.floats(-1e6, 1e6))
+def test_golden_bound_covers_the_sampled_deviation_on_t_max_grids(name, n, t_max):
+    bound, cpt, pattern, t_grid, values = golden_and_sampled(CATALOGUE[name], n, t_max)
+    assert (np.abs(cpt - pattern) <= bound + allowance(values, t_grid)).all()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_POINTS))
+def test_golden_bound_against_50_digit_eigenvalues(name):
+    # the CPT route is within the bound and the allowance of the pattern of the
+    # float spectrum, which is within 8 phase roundings of the exact pattern,
+    # as the emitted table is in the test above
+    spec = ORACLE_POINTS[name]
+    bound, cpt, _, t_grid, values = golden_and_sampled(spec, 64)
+    exact = exact_pattern(spec, realize(spec).hamiltonian, values, t_grid)
+    phase = EPS * (1.0 + float(np.abs(values).max()) * t_grid)[:, None, None]
+    assert (np.abs(cpt - exact) <= bound + allowance(values, t_grid) + 8.0 * phase).all()
+
+
+# coefficients off the flavour matrix by up to 1e-2, whose bounds stand far
+# above rounding, on spectra whose pair gaps are incommensurate
+@pytest.mark.parametrize("seed", range(12))
+def test_certificate_bounds_perturbed_coefficients_on_a_dense_grid(seed):
+    rng = np.random.default_rng(seed)
+    coeff = oscillate._SQRT2_F / math.sqrt(2.0) + 10.0 ** rng.uniform(-6, -2) * random_cmatrix(rng, 4)
+    values, t_grid = rng.uniform(-3.0, 3.0, 4), np.linspace(0.0, 200.0, 20001)
+    entry, row = oscillate._certificate(coeff)
+    cpt = oscillate._cpt_probs(values, coeff, t_grid)
+    slack = allowance(values, t_grid)
+    assert (np.abs(cpt - analytic_pattern(values, t_grid)) <= entry + slack).all()
+    # a row adds 4 entries, each within the CPT route's share of the slack, with
+    # 3 roundings, and its bound's 16 terms round by about 10 u: within 4 slacks
+    assert (np.abs(cpt.sum(axis=2) - 1.0) <= row + 4.0 * slack[:, 0]).all()
+
+
+# ---------------------------------------------------------------------------
 # naive B diagnostic
 
 
@@ -1160,16 +1239,6 @@ def test_emitted_tables_in_sequence_are_their_pattern_tables(fmt):
     emitted, twins = {}, {}
     for table, real in made:
         assert write(table, fmt, emitted) == write(pattern_twin(table, real.eigensystem.values), fmt, twins)
-
-
-@pytest.mark.parametrize("n", [64, 4097])
-@pytest.mark.parametrize("name", sorted(CATALOGUE))
-def test_golden_deviation_is_that_of_the_whole_tables(name, n):
-    real = realize(CATALOGUE[name])
-    table, deviation = oscillate.golden_table(real, n)
-    sym, es, c = realized_setup(CATALOGUE[name])
-    cpt = transition_table(sym, standard_flavour_basis(sym, es, c), es, c, table.t_grid)
-    assert deviation == float(np.max(np.abs(cpt.probs - analytic_pattern(es.values, table.t_grid))))
 
 
 def test_pattern_refused_with_the_residual_of_its_whole_table(monkeypatch):
