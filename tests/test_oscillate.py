@@ -1089,11 +1089,22 @@ def cli_flags(spec) -> list:
 
 @pytest.mark.parametrize("n", [64, 4097])
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
-def test_golden_bound_covers_the_sampled_deviation(name, n, capsys):
+def test_golden_deviation_is_that_of_the_whole_tables(name, n):
+    # the bound covers the deviation of every row of the unclamped CPT route
     bound, cpt, pattern, t_grid, values = golden_and_sampled(CATALOGUE[name], n)
     assert (np.abs(cpt - pattern) <= bound + allowance(values, t_grid)).all()
-    assert main(["oscillate", *cli_flags(CATALOGUE[name]), "--t-points", str(n), "--golden"]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_golden_line_matches_per_time_loop(name, capsys):
+    # the line prints golden_table's bound, which covers the emitted CPT-route
+    # table against the pattern made one time point at a time
+    assert main(["oscillate", *cli_flags(CATALOGUE[name]), "--t-points", "4096", "--golden"]) == 0
+    bound = oscillate.golden_table(realize(CATALOGUE[name]), 4096)[1]
     assert capsys.readouterr().err == f"golden max deviation: {bound:.3e}\n"
+    table, es = catalogue_table(name, 4096, default_grid=True)
+    deviation = beyond_clamp(table, reference_pattern(es, table.t_grid))
+    assert (deviation <= bound + allowance(np.real(es.values), table.t_grid)).all()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, phases=NO_SHRINK)
