@@ -246,7 +246,7 @@ def cmd_sweep(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ParameterError(f"cannot make the output directory {out_dir!r}: {exc.strerror or exc}") from None
-    index, writes, reuse = [], {}, {}  # each table reuses the texts of the one written before it
+    index, writes, reuse = [], {}, {}  # each table reuses what it can of the one written before it
     for value, fname, table in zip(values, files, tables):
         broken = isinstance(table, PtoscError)
         entry = {"param": name, "value": float(value), "status": f"broken: {table}" if broken else "ok"}

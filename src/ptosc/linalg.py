@@ -124,8 +124,8 @@ def eig_oracle(a) -> Eigendecomposition:
     """Full eigendecomposition of a general complex matrix.
 
     Serves as the independent numerical oracle for the analytic eigensystems:
-    it never sees the closed forms.  Residuals ``||A v - lam v||`` are checked
-    against ``DEFAULT_TOL * max(1, ||A||)`` and a failure raises :class:`NumericalError`.
+    it never sees the closed forms.  Residuals ``||A v - lam v|| / max(1, ||A||)``, whose squares stay finite,
+    are checked against ``DEFAULT_TOL``; a failure raises :class:`NumericalError` with the absolute residual.
     """
     a = require_square(a)
     try:
@@ -135,8 +135,9 @@ def eig_oracle(a) -> Eigendecomposition:
     order = np.argsort(values.real, kind="stable")
     values, vectors = values[order], vectors[:, order]
     scale = operator_norm(a)
-    worst = float(np.linalg.norm(a @ vectors - vectors * values, axis=0).max())
-    if worst > DEFAULT_TOL * max(scale, 1.0):
-        raise NumericalError("eigenpair residual exceeds tolerance", residual=worst)
+    unit = max(scale, 1.0)
+    worst = float(np.linalg.norm((a @ vectors - vectors * values) / unit, axis=0).max())
+    if worst > DEFAULT_TOL:
+        raise NumericalError("eigenpair residual exceeds tolerance", residual=worst * unit)
     return Eigendecomposition(values, vectors, cluster_indices(values, scale), scale)
 

@@ -330,10 +330,8 @@ def h8v_reduced_hamiltonian(m0: float, m2: float, p: float) -> np.ndarray:
 
 
 def h8v_p0_eigensystem(m0: float, m2: float) -> EigenSystem:
-    """:func:`h8v_reduced_eigensystem` at p = 0, the basis ``realize`` uses
-    at every momentum.  Unused by the package; kept only while the traced
-    benchmark names it (ROADMAP item 1).
-    """
+    """:func:`h8v_reduced_eigensystem` at p = 0; ``realize`` calls that function at the
+    spec's momentum.  Unused by the package; kept only while the traced benchmark names it."""
     return h8v_reduced_eigensystem(m0, m2, 0.0)
 
 

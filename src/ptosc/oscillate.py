@@ -29,7 +29,7 @@ ROW_SUM_TOL = 1e-10
 BLOCK_ROWS = 4096
 
 _CSV_HEADER = ",".join(["t"] + [f"P{i}{j}" for i in range(1, 5) for j in range(1, 5)]) + "\n"
-# "%.12g" % x is f"{x:.12g}"; for finite floats "%r" % x is what json.dumps writes.
+# "%.12g" % x is f"{x:.12g}" (CSV); for finite floats "%r" % x is what json.dumps writes (JSON).
 _JSON_TIME = "    %s"
 _JSON_MATRIX = "    [\n" + ",\n".join(["      [\n" + ",\n".join(["        %s"] * 4) + "\n      ]"] * 4) + "\n    ]"
 
@@ -50,21 +50,17 @@ _POW10 = np.array([float(10**k) for k in range(23)])  # each exact
 _OFFSET = np.arange(23) * 2.0**40 - 2.0**52
 
 
-def _keys(values: np.ndarray, spec: str) -> np.ndarray:
-    """Int64 keys of finite ``values``: cells with equal keys print alike under ``spec``.
+def _keys(values: np.ndarray) -> np.ndarray:
+    """Int64 keys of finite ``values``: cells with equal keys print alike under ``%.12g``.
 
-    A key is the value's bits (-0.0 is not 0.0) or, under ``%.12g`` where it
-    is proven, the 12-digit rounding N 10^-k: with k = 11 - floor(log10 x),
-    clipped to [0, 22] so that 10^k is exact, f = x 10^k must lie in
-    [1e11, 1e12) and round to N < 1e12 from more than 1e-3 off a half-integer.
-    f is exact to 2^-14, so N is the 12-digit rounding of x.  Any other k (an
-    inexact log10, x = 0 or x < 0) fails the range checks.  These keys,
+    A key is the value's bits (-0.0 is not 0.0) or, where it is proven, the 12-digit
+    rounding N 10^-k: with k = 11 - floor(log10 x), clipped to [0, 22] so that 10^k is
+    exact, f = x 10^k must lie in [1e11, 1e12) and round to N < 1e12 from more than 1e-3
+    off a half-integer.  f is exact to 2^-14, so N is the 12-digit rounding of x.  Any
+    other k (an inexact log10, x = 0 or x < 0) fails the range checks.  These keys,
     N + k 2^40 - 2^52, are bits of negative NaNs, which no finite value has.
     """
-    keys = values.view(np.int64)
-    if spec == "%r":
-        return keys
-    keys = keys.copy()
+    keys = values.view(np.int64).copy()
     with np.errstate(all="ignore"):
         # log2, not log10: numpy's log10 loop runs nowhere else in ptosc, and
         # paging it in raised the peak RSS of a sweep process by about 0.25 MB
@@ -99,14 +95,14 @@ def _texts(values: np.ndarray, spec: str) -> list:
     return texts
 
 
-def _columns(block: np.ndarray, spec: str, previous=None) -> tuple:
-    """The ``spec`` texts of one block, an object array of its transpose, and
-    its (sorted keys, texts) for the next block.  Cells of one :func:`_keys`
-    key print alike, so each key is formatted once, in one :func:`_texts`,
-    unless ``previous``, the (sorted keys, texts) of the block written before, holds it."""
+def _columns(block: np.ndarray, previous) -> tuple:
+    """The CSV texts of one block, an object array of its transpose, and its
+    (sorted keys, texts) for the next block.  Cells of one :func:`_keys` key
+    print alike, so each key is formatted once, in one :func:`_texts`, unless
+    ``previous``, the (sorted keys, texts) of the block written before, holds it."""
     # column by column, so that a column's sorted or mirrored runs stay runs for the sort
     values = block.T.ravel()
-    keys = _keys(values, spec)
+    keys = _keys(values)
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     first = np.concatenate([[True], ordered[1:] != ordered[:-1]])
@@ -119,9 +115,14 @@ def _columns(block: np.ndarray, spec: str, previous=None) -> tuple:
         at = np.searchsorted(old, unique)
         # a key past the last old one meets the last, which differs from it
         texts, new = old_texts.take(at, mode="clip"), old.take(at, mode="clip") != unique
-    fresh = _texts(values[order[first][new]], spec)
+    fresh = _texts(values[order[first][new]], "%.12g")
     texts[new] = np.fromiter(fresh, dtype=object, count=len(fresh))
     return texts[inverse].reshape(block.shape[::-1]), (unique, texts)
+
+
+def _reprs(values: np.ndarray, previous) -> tuple:
+    """The JSON texts of transposed block ``values``, an object array of their shape, by one :func:`_texts` of every cell; no keys."""
+    return np.array(_texts(values, "%r"), dtype=object).reshape(values.shape), None
 
 
 def _fill(template: str, cells: np.ndarray, place, lead: str) -> str:
@@ -144,11 +145,11 @@ def _csv_rows(cells: np.ndarray, place) -> str:
 
 
 def _parts(table, fmt: str) -> list:
-    """Per part of the ``fmt`` text, per block: its values and each row slot's column."""
+    """Per part of the ``fmt`` text, per block: its values (for JSON, transposed) and each row slot's column."""
     if fmt == "csv":
         return [((block, (0, *place)) for block, place in table._blocks())]
-    probs = ((block[:, 1:], tuple(None if k is None else k - 1 for k in place)) for block, place in table._blocks())
-    return [((table.t_grid[s : s + BLOCK_ROWS, None], (0,)) for s in range(0, len(table.t_grid), BLOCK_ROWS)), probs]
+    probs = ((block[:, 1:].T, tuple(None if k is None else k - 1 for k in place)) for block, place in table._blocks())
+    return [((table.t_grid[None, s : s + BLOCK_ROWS], (0,)) for s in range(0, len(table.t_grid), BLOCK_ROWS)), probs]
 
 
 def _text(fmt: str, parts: list):
@@ -167,21 +168,21 @@ def _text(fmt: str, parts: list):
 
 def _write(table, fmt: str, reuse: dict | None, write) -> str:
     """The ``fmt`` text of ``table``, or "" once ``write`` has had it (``TransitionTable.to_csv``)."""
-    spec = "%.12g" if fmt == "csv" else "%r"
+    cells_of = _columns if fmt == "csv" else _reprs
     previous = None if reuse is None else reuse.pop(fmt, None)
     parts = _parts(table, fmt)
     if reuse is None or len(table.t_grid) > BLOCK_ROWS:
-        chunks = _text(fmt, [((_columns(v, spec)[0], place) for v, place in part) for part in parts])
+        chunks = _text(fmt, [((cells_of(v, None)[0], place) for v, place in part) for part in parts])
     else:
         parts = [next(part) for part in parts]
-        olds = [None] * len(parts) if previous is None else previous[0]
-        if previous is not None and all(place == old[1] and _bit_equal(v, old[0]) for (v, place), old in zip(parts, olds)):
+        olds = previous[0] if previous else repeat(None)  # per part: values and keys; a block's width fixes its place
+        if previous and all(_bit_equal(v, old[0]) for (v, _), old in zip(parts, olds)):
             reuse[fmt] = previous
         else:
             del previous  # the old text is not held while the new one is made
-            made = [(v, place, _columns(v, spec, old and old[2])) for (v, place), old in zip(parts, olds)]
+            made = [(v, place, cells_of(v, old and old[1])) for (v, place), old in zip(parts, olds)]
             text = "".join(_text(fmt, [[(cells, place)] for _, place, (cells, _) in made]))
-            reuse[fmt] = ([(v, place, known) for v, place, (_, known) in made], text)
+            reuse[fmt] = ([(v, known) for v, _, (_, known) in made], text)
         chunks = [reuse[fmt][1]]
     if write is None:
         return "".join(chunks)
@@ -292,18 +293,18 @@ class TransitionTable:
         return self._probs if self._probs is not None else np.concatenate([_expand(b, p) for b, p in self._blocks()]).reshape(-1, 4, 4)
 
     def to_csv(self, reuse: dict | None = None, write=None) -> str:
-        """CSV with header t,P11,...,P44 and 12-significant-digit floats, each block's
-        distinct texts formatted once by :func:`_columns`.  With ``write``, the text goes
-        to it block by block and "" is returned.  ``reuse``, a dict shared by the calls
-        writing a sequence of tables, holds the last one-block table: the next takes
-        its whole text if bit-equal to it, else each text it holds."""
+        """CSV with header t,P11,...,P44 and 12-significant-digit floats: :func:`_columns` groups
+        a block's cells by 12-digit key and formats each key once.  With ``write``, the text goes
+        to it block by block and "" is returned.  ``reuse``, a dict shared by the calls writing
+        a sequence of tables, holds the last one-block table: the next takes its whole text if
+        bit-equal to it, else the text of each key it holds."""
         return _write(self, "csv", reuse, write)
 
     def to_json(self, reuse: dict | None = None, write=None) -> str:
-        """The table as ``json.dumps`` writes ``{"t_grid": times, "probs": (T, 4, 4)
-        lists}`` with ``indent=2``, and a final newline: the times, then the
-        probabilities, each as in :meth:`to_csv`, with ``repr``'s texts, which
-        :func:`_texts` makes with orjson's Ryu; only this writer imports orjson."""
+        """The table as ``json.dumps`` writes ``{"t_grid": times, "probs": (T, 4, 4) lists}`` with
+        ``indent=2``, and a final newline: every cell is formatted, with ``repr``'s text, by orjson's
+        Ryu in :func:`_texts`; only this writer imports orjson.  ``write`` is as in :meth:`to_csv`,
+        and ``reuse`` keeps only the last one-block table's whole text, for a bit-equal next one."""
         return _write(self, "json", reuse, write)
 
     def to_json_dict(self) -> dict:

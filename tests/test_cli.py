@@ -311,6 +311,18 @@ def test_spectrum_h8r(capsys):
     np.testing.assert_allclose(values, sorted([-0.5 - sq, 0.5 - sq, sq - 0.5, sq + 0.5]), atol=1e-10)
 
 
+@pytest.mark.parametrize("p", ["1e170", "1e200", "1e300"])
+def test_spectrum_and_verify_at_a_huge_momentum(p, capsys):
+    # the oracle's residuals, of about eps ||H||, once overflowed when squared
+    argv = ["--model", "h8v", "--m0", "2", "--m2", "1", "--p", p]
+    assert run(["spectrum", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert [float(x) for x in out.split()] == [-float(p)] * 2 + [float(p)] * 2 and err == ""
+    assert run(["verify", *argv]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.strip().split("\n")]
+    assert len(reports) == 9 and all(r["passed"] for r in reports)
+
+
 # ---------------------------------------------------------------------------
 # oscillate
 

@@ -87,6 +87,25 @@ def test_eig_oracle_rejects_a_residual_above_tolerance(monkeypatch):
         eig_oracle(a)
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+def test_eig_oracle_takes_residuals_relative_to_a_huge_norm(scale):
+    # residuals of about eps ||A|| whose squares would overflow: no warning
+    # (an error under the suite's filterwarnings), and the spectrum is found
+    dec = eig_oracle(scale * np.diag([1.0, 1.0, -1.0, -1.0]) + np.eye(4, k=2) + np.eye(4, k=-2))
+    np.testing.assert_allclose(dec.values.real, [-scale] * 2 + [scale] * 2, rtol=1e-15)
+    assert dec.norm == pytest.approx(scale)
+
+
+def test_eig_oracle_reports_the_residual_in_absolute_units(monkeypatch):
+    a = 1e200 * np.diag([1.0, 2.0, 3.0]).astype(complex)
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: (eig(m)[0] * (1.0 + 1e-6), eig(m)[1]))
+    with pytest.raises(NumericalError) as raised:
+        eig_oracle(a)
+    # the worst residual is that of the largest level, 3e200 * 1e-6
+    assert raised.value.residual == pytest.approx(3e194)
+
+
 def test_cluster_projector_is_projector():
     a = np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex)
     dec = eig_oracle(a)

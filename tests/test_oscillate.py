@@ -317,7 +317,7 @@ def test_writers_fold_zero_columns_per_block():
 
 
 # ---------------------------------------------------------------------------
-# the keys by which a writer formats each printed text once, and the CSV
+# the keys by which the CSV writer formats each printed text once, and that
 # writer on flavour twins (P11 and P33, P13 and P31, P22 and P44, P24 and
 # P42) that agree to rounding but not in bits
 
@@ -380,10 +380,9 @@ def test_equal_keys_print_alike(shift, pair):
     values = [*pair, *(-x for x in pair)]
     log2 = np.log2
     with mock.patch.object(np, "log2", lambda x: log2(x) + shift):
-        for spec in ("%.12g", "%r"):
-            printed = {}
-            for key, x in zip(_keys(np.array(values), spec).tolist(), values):
-                assert printed.setdefault(key, spec % x) == spec % x
+        printed = {}
+        for key, x in zip(_keys(np.array(values)).tolist(), values):
+            assert printed.setdefault(key, "%.12g" % x) == "%.12g" % x
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, phases=NO_SHRINK)
@@ -404,13 +403,14 @@ def test_csv_writer_matches_reference_where_no_twin_matches():
     probs = rng.random((4097, 4, 4))
     probs /= probs.sum(axis=2, keepdims=True)
     table = TransitionTable(np.linspace(0.0, 5.0, 4097), probs)
-    keys = _keys(table.probs.reshape(-1, 16), "%.12g")
+    keys = _keys(table.probs.reshape(-1, 16))
     assert not (keys[:, [0, 2, 5, 7]] == keys[:, [10, 8, 15, 13]]).any()
     assert_same_text(table.to_csv(), reference_csv(table))
 
 
 # ---------------------------------------------------------------------------
-# cells of one key take one text: each distinct text of a block is formatted once
+# CSV cells of one key take one text, so each distinct text of a block is
+# formatted once; JSON formats each cell once
 
 
 def emitted_table(name, n):
@@ -429,15 +429,15 @@ def test_writers_match_references_on_emitted_tables(name, n):
 
 
 # per catalogue point: the values formatted for its 256-row table, in CSV,
-# then in JSON its times and its probabilities.  Each is the number of
-# distinct texts of the block written: a key is formatted once, and here no
-# two keys print alike.  A default grid covers one period, so under %.12g
-# row 255 - k prints as row k: 256 times and 128 texts per distinct column
-# (129 for h8's c1; its c2 and s2 print as c1 and s1), less one for the time
-# 0, which prints as s1's +0.0 at t = 0.  Under %r only cells equal in bits
-# print alike: 43 facing cells per column for sfdm and h8v, and for h8 also
-# cells of c2 and s2 equal to cells of c1 and s1.
-FORMATTED = {"sfdm": [511, 256, 426], "h8v_p1": [511, 256, 426], "h8r": [511, 256, 469], "h8": [512, 256, 939]}
+# then in JSON its times and its probabilities.  CSV formats the distinct
+# texts of the block written: a key is formatted once, and here no two keys
+# print alike.  A default grid covers one period, so under %.12g row 255 - k
+# prints as row k: 256 times and 128 texts per distinct column (129 for h8's
+# c1; its c2 and s2 print as c1 and s1), less one for the time 0, which
+# prints as s1's +0.0 at t = 0.  JSON formats every cell of the block once:
+# its times, and 2 probability columns where c2 and s2 are c1 and s1 in
+# bits, else 4 (h8).
+FORMATTED = {"sfdm": [511, 256, 512], "h8v_p1": [511, 256, 512], "h8r": [511, 256, 512], "h8": [512, 256, 1024]}
 
 
 @pytest.mark.parametrize("name", sorted(CATALOGUE))
@@ -448,8 +448,8 @@ def test_each_printed_text_is_formatted_once(name):
         table.to_json()
     # CSV: t and the distinct columns, in one block; JSON: its times, then the distinct columns
     [(block, _)] = table._blocks()
-    csv, times, probs = ({spec % x for x in values.ravel().tolist()} for spec, values in (("%.12g", block), ("%r", block[:, 0]), ("%r", block[:, 1:])))
-    assert formatted == [len(csv), len(times), len(probs)] == FORMATTED[name]
+    csv = {"%.12g" % x for x in block.ravel().tolist()}
+    assert formatted == [len(csv), block[:, 0].size, block[:, 1:].size] == FORMATTED[name]
 
 
 def test_writers_keep_signed_zeros_apart():
@@ -507,8 +507,8 @@ def test_json_chunks_join_to_the_reference_a_quarter_block_each(kind, n):
 
 
 # ---------------------------------------------------------------------------
-# tables written in sequence: each takes the text of every key that the
-# table written before it holds
+# tables written in sequence: each CSV table takes the text of every key that
+# the table written before it holds
 
 
 def assert_json_matches_reference(text, table):
@@ -601,12 +601,12 @@ def test_json_time_grid_reused_only_when_bit_equal():
     probs = np.array([np.eye(4)] * 2)
     grids = ([0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 1.0 + 2.0**-52])
     counts = formatted_per_table([TransitionTable(np.array(times), probs) for times in grids], "json")
-    # values formatted per table, times then probabilities: the
-    # probabilities print as 1.0 and 0.0, formatted with the first grid.
-    # The second table is the first in bits and takes its whole text; later
-    # a time takes the text of the time before it only where the two are
-    # equal with equal signs
-    assert counts == [[2, 2], [], [1, 0], [1, 0], [1, 0]]
+    # values formatted per table, times then probabilities.  The second
+    # table is the first in bits and takes its whole text; a time that is
+    # equal to the one before it but for its sign, or an ulp off it, makes
+    # the table format each of its 2 times and 32 probabilities, as JSON
+    # takes no text of a single value from the table before
+    assert counts == [[2, 32], [], [2, 32], [2, 32], [2, 32]]
 
 
 def test_json_sequences_keep_the_sign_of_each_zero():
@@ -657,14 +657,14 @@ def test_sweep_json_tables_format_only_new_values():
     specs = [sfdm_spec(chi) for chi in np.linspace(0.2, 1.6, 8)]
     counts = formatted_per_table(transition_tables([realize(spec) for spec in specs], 256), "json")
     # per table: the time grid, then the two distinct live probability
-    # columns (cos^2 and sin^2 of one gap), less the 43 cells of each that
-    # equal in bits the cell facing them on one period
-    assert counts == [[256, 2 * (256 - 43)]] + [[]] * 7
+    # columns (cos^2 and sin^2 of one gap), every cell once
+    assert counts == [[256, 2 * 256]] + [[]] * 7
     # an h8v m2 axis on a set grid end shares its times but changes its gap,
-    # and so its probabilities, at every point but t = 0, where they are 1.0 and 0.0
+    # and so its probabilities: each table formats all its cells, as JSON
+    # takes no text of a single value from the table before
     specs = [ModelSpec("h8v", {"m0": 2.0, "m2": m2}, {"p": 0.7}) for m2 in np.linspace(0.2, 1.6, 8)]
     counts = formatted_per_table(transition_tables([realize(spec) for spec in specs], 256, t_max=12.5), "json")
-    assert counts == [[256, 2 * 256]] + [[0, 2 * 256 - 2]] * 7
+    assert counts == [[256, 2 * 256]] * 8
 
 
 # ---------------------------------------------------------------------------
@@ -783,16 +783,19 @@ def test_table_of_another_shape_takes_the_texts_of_the_one_before(case, fmt):
     before, after = RESHAPED[case]
     [alone] = formatted_per_table([after], fmt)
     _, taken = formatted_per_table([before, after], fmt)
-    # per part, the values formatted: the new row's, or half the cells of the
-    # new columns c2 and s2, as 2 t_k = t_2k puts row k <= 127 of each on a
-    # cell of c1 or s1
-    assert taken == {"rows": {"csv": [3], "json": [1, 2]}, "columns": {"csv": [256], "json": [0, 256]}}[case][fmt]
-    assert sum(taken) < sum(alone)
+    # per part, the values formatted.  CSV formats the new row's, or half the
+    # cells of the new columns c2 and s2, as 2 t_k = t_2k puts row k <= 127
+    # of each on a cell of c1 or s1.  JSON takes no text of a single value
+    # from the table before, and formats every cell as if written alone.
+    if fmt == "csv":
+        assert taken == {"rows": [3], "columns": [256]}[case] and sum(taken) < sum(alone)
+    else:
+        assert taken == alone == {"rows": [256, 2 * 256], "columns": [256, 4 * 256]}[case]
 
 
 # ---------------------------------------------------------------------------
-# columns that take their texts from a near twin in their own block, or from
-# their own rows reversed
+# columns that take their CSV texts from a near twin in their own block, or
+# from their own rows reversed
 
 
 @st.composite
@@ -848,10 +851,9 @@ def test_near_twin_across_a_rounding_edge_matches_references(fmt):
     # values formatted per table (JSON: times, then probabilities).  In CSV,
     # each table alone formats its 9 keys, which print 8 texts: the guard
     # proves no rounding at the edge, so two cells there print alike from
-    # their bits; after ``before``, ``twin`` formats nothing.  Under %r a key
-    # is the bits: each table formats its distinct floats, and ``twin`` after
-    # ``before`` the 2 that ``before`` lacks.
-    assert formatted == {"csv": [9, 9, 0], "json": [5, 11, 5, 12, 0, 2]}[fmt]
+    # their bits; after ``before``, ``twin`` formats nothing.  JSON formats
+    # every cell of each table: its 5 times and 80 probabilities.
+    assert formatted == {"csv": [9, 9, 0], "json": [5, 80] * 3}[fmt]
 
 
 def test_writers_keep_the_sign_of_negative_zero_times():
