@@ -160,7 +160,9 @@ MODEL_FILE = ("verify", "--model-file", "{dir}/model.json")
 # and in JSON, h8 in JSON at 4,096 times (near twin columns under %r),
 # sfdm in CSV at 4,095 and at 2 times (mirrored rows, an odd count with a
 # middle row and one row facing the other), the h8 m3 sweep in JSON, and
-# the h8v theta sweep in JSON and the sfdm psi sweep in CSV.
+# the h8v theta sweep in JSON and the sfdm psi sweep in CSV, then verify on
+# the two spectra with no nonzero gap, where H is proportional to 1: h8 with
+# every mass 0 at p = 0, and a generic model with a = d and b = 0.
 EXTRA = (
     ("readme_verify_sfdm", ("verify", "--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
     ("readme_verify_h8v", ("verify", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"), {}),
@@ -196,6 +198,8 @@ EXTRA = (
     ("h8_m3_json_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8_M3_JSON_SWEEP)}),
     ("h8v_theta_json_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(H8V_THETA_JSON_SWEEP)}),
     ("sfdm_psi_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(SFDM_PSI_SWEEP)}),
+    ("h8_m0_0_verify", ("verify", "--model", "h8", "--m0", "0"), {}),
+    ("generic_scalar_verify", MODEL_FILE, {"model.json": json.dumps({"model": "generic", "params": {"a": EYE2, "d": EYE2, "b": [[0, 0], [0, 0]]}})}),
 )
 
 

@@ -6,8 +6,8 @@ spectral and probabilities are squared CPT amplitudes, so every table is
 row-stochastic.  Once the CPT Gram (C(-p) B)^dag S K = 1 holds, those
 amplitudes are exactly F^T e^(-i Lambda t) F with F the constant flavour
 matrix: the CLI emits the cos^2/sin^2 :meth:`TransitionTable.pattern` of
-the spectrum.  The CPT route (:func:`transition_table`) stays for ``verify``,
-and ``--golden`` bounds it against the pattern over every t (:func:`_certificate`).
+the spectrum.  The CPT route (:func:`transition_table`) stays as the tests' reference;
+``--golden`` and ``verify`` bound it over every t (:func:`_certificate`).
 """
 
 import math

@@ -21,7 +21,7 @@ from .errors import PtoscError
 from .inner import pt_adjoint
 from .linalg import DEFAULT_TOL, Eigendecomposition, eig_oracle, operator_norm, require_square
 from .models import EigenSystem, ModelSpec, model_full_hamiltonian, realize
-from .oscillate import default_t_grid, standard_flavour_basis, transition_table
+from .oscillate import _certificate, _cpt_bras, standard_flavour_basis
 from .symmetry import SymmetryPair, dirac_pair
 
 
@@ -156,8 +156,11 @@ SUITE_NAMES = (
 def run_full_suite(spec: ModelSpec, tol: float = DEFAULT_TOL, n_random: int = 1000) -> list[CheckReport]:
     """Ordered axiom checks for one model; downstream checks are skipped
     (reported failed with a reason) when the spectrum is broken or no
-    PT-orthonormal eigenbasis exists.  Raises the error of a Hamiltonian
-    that :func:`realize` could not build."""
+    PT-orthonormal eigenbasis exists.  ``row_stochastic_table`` reports the
+    ``--golden`` row bound of :func:`ptosc.oscillate._certificate`: how far
+    a CPT-route row can sum from 1 over every real t, in exact arithmetic
+    (a table sampled in fp64 adds a few eps).  Raises the error of a
+    Hamiltonian that :func:`realize` could not build."""
     real = realize(spec)
     if real.hamiltonian is None:
         raise real.error
@@ -197,12 +200,7 @@ def run_full_suite(spec: ModelSpec, tol: float = DEFAULT_TOL, n_random: int = 10
     reports.append(_report("completeness", completeness_defect(sym, eigsys), tol))
     try:
         basis = standard_flavour_basis(sym, eigsys, c)
-        table = transition_table(sym, basis, eigsys, c, default_t_grid(eigsys))
-        row_defect = float(np.max(np.abs(table.probs.sum(axis=2) - 1.0)))
     except PtoscError as exc:
-        # a table refused for its rows carries the residual it measured
-        row_defect = getattr(exc, "residual", None)
-        if row_defect is None:
-            return skip_rest(f"oscillation table unavailable: {exc}")
-    reports.append(_report("row_stochastic_table", row_defect, tol))
+        return skip_rest(f"oscillation table unavailable: {exc}")
+    reports.append(_report("row_stochastic_table", _certificate(_cpt_bras(sym, c.reflected, eigsys.B) @ basis)[1], tol))
     return reports

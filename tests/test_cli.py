@@ -13,8 +13,10 @@ import pytest
 from ptosc import cli
 from ptosc.cli import build_parser, main
 from ptosc.oscillate import TransitionTable
+from ptosc.verify import SUITE_NAMES
 
 SFDM_FLAGS = ["--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"]
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
 
 
 def run(argv):
@@ -42,6 +44,25 @@ def test_verify_broken_phase_exit_1(capsys):
 
 def test_verify_hermitian_limit(capsys):
     assert run(["verify", "--model", "h8v", "--m0", "2", "--m2", "0"]) == 0
+
+
+# H proportional to 1: every gap is zero, so no oscillation has a period
+SCALAR_H = [
+    (["--model", "h8", "--m0", "0"], None),
+    (["--model-file", "{dir}/model.json"], {"model": "generic", "params": {"a": EYE2, "d": EYE2, "b": [[0, 0], [0, 0]]}}),
+]
+
+
+@pytest.mark.parametrize("flags, doc", SCALAR_H, ids=["h8", "generic"])
+def test_verify_passes_a_spectrum_with_no_gap_that_oscillate_refuses(tmp_path, flags, doc, capsys):
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    flags = [flag.replace("{dir}", str(tmp_path)) for flag in flags]
+    assert run(["verify", *flags]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["name"] for r in reports] == list(SUITE_NAMES) and all(r["passed"] for r in reports)
+    # the row bound needs no time grid; oscillate's default grid needs a period
+    assert run(["oscillate", *flags]) == 1
+    assert capsys.readouterr() == ("", "physics failure: spectrum has no nonzero gap; no oscillation period\n")
 
 
 def test_missing_flag_is_usage_error(capsys):
@@ -203,7 +224,6 @@ def test_eigensystem_failure_still_gets_a_report(capsys):
     assert len(reports) == 9 and not all(r["passed"] for r in reports)
 
 
-EYE2 = [[1.0, 0.0], [0.0, 1.0]]
 # generic blocks A that are not a 2x2 matrix, with the error each one gives
 MALFORMED_BLOCKS = [
     (5, "params.a must be a list of equal-length lists, got 5"),

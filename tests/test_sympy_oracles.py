@@ -1,15 +1,27 @@
-"""Symbolic oracles for the closed forms: sfdm's H^2 = 1 and the reduced h8v
-C = H / eps, and the numeric Hamiltonians against the same sympy matrices."""
+"""Symbolic oracles for the closed forms: sfdm's H^2 = 1, the reduced h8v
+C = H / eps, and the eigen-equations of the h8r (p = 0) and reduced h8v
+kets; and the numeric Hamiltonians and kets against the same sympy ones."""
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from ptosc.coperator import closed_form_C_h8v
-from ptosc.models import SfdmParams, h8v_reduced_hamiltonian, sfdm_hamiltonian
+from ptosc.models import (
+    ModelSpec,
+    SfdmParams,
+    h8r_p0_eigensystem,
+    h8v_reduced_eigensystem,
+    h8v_reduced_hamiltonian,
+    model_hamiltonian,
+    sfdm_hamiltonian,
+)
 
 CHI, PSI, THETA, PHI = sp.symbols("chi psi theta phi", real=True)
-M0, M2, P = sp.symbols("m0 m2 p", real=True)
+M0, M1, M2, P = sp.symbols("m0 m1 m2 p", real=True)
+# s = sqrt(m0^2 - m2^2) and eps = sqrt(p^2 + s^2), kept as symbols; the
+# kets are checked with their squares replaced by those of the roots
+S, EPS = sp.symbols("s epsilon", positive=True)
 I2 = sp.eye(2)
 PAULI = [sp.Matrix([[0, 1], [1, 0]]), sp.Matrix([[0, -sp.I], [sp.I, 0]]), sp.Matrix([[1, 0], [0, -1]])]
 
@@ -22,6 +34,38 @@ def sfdm_matrix() -> sp.Matrix:
     b = sp.sinh(CHI) * (sp.cos(PSI) * I2 + sp.I * sum((n * s for n, s in zip(direction, PAULI)), sp.zeros(2)))
     a = sp.cosh(CHI) * I2
     return sp.BlockMatrix([[a, sp.I * b], [sp.I * b.H, -a]]).as_explicit()
+
+
+def h8r_p0_matrix() -> sp.Matrix:
+    """The h8r block at p = 0: the m0, m1, m2 mass block."""
+    return sp.Matrix(
+        [
+            [0, 0, M0, M1 - sp.I * M2],
+            [0, 0, M1 + sp.I * M2, M0],
+            [M0, M1 + sp.I * M2, 0, 0],
+            [M1 - sp.I * M2, M0, 0, 0],
+        ]
+    )
+
+
+def h8r_p0_kets() -> list:
+    """(eigenvalue, unnormalized ket) of ``h8r_p0_eigensystem``, in its
+    order, with a = (s + i m2) / m0."""
+    a, a_bar = (S + sp.I * M2) / M0, (S - sp.I * M2) / M0
+    kets = [[-1, -a, a, 1], [1, -a_bar, -a_bar, 1], [-1, a_bar, -a_bar, 1], [1, a, a, 1]]
+    return list(zip([-M1 - S, M1 - S, S - M1, S + M1], map(sp.Matrix, kets)))
+
+
+def h8v_kets(q) -> list:
+    """(eigenvalue, unnormalized ket) of ``h8v_reduced_eigensystem``'s
+    ``rows_at(q)``, in its order: v1, v2 at -eps and u1, u2 at +eps."""
+    kets = [
+        [sp.I * M2 * (EPS - q) / S, M0 * (q - EPS) / S, 0, S],
+        [sp.I * (q - EPS), 0, sp.I * M0, M2],
+        [-sp.I * M2 * (EPS + q) / S, M0 * (q + EPS) / S, 0, S],
+        [sp.I * (q + EPS), 0, sp.I * M0, M2],
+    ]
+    return list(zip([-EPS, -EPS, EPS, EPS], map(sp.Matrix, kets)))
 
 
 def h8v_matrix() -> sp.Matrix:
@@ -78,3 +122,59 @@ def test_h8v_hamiltonian_and_closed_form_c_match_the_sympy_matrices(m0, m2, p):
     assert np.abs(h8v_reduced_hamiltonian(*args) - as_complex(exact)).max() <= 1e-15
     c = exact / sp.sqrt(point[P] ** 2 + point[M0] ** 2 - point[M2] ** 2)
     assert np.abs(closed_form_C_h8v(*args) - as_complex(c)).max() <= 1e-15
+
+
+def with_roots(x: sp.Expr, *squares) -> sp.Expr:
+    """``x`` times s (clearing the 1/s of the h8v kets), expanded with each
+    (root, square) of ``squares`` substituted in turn for root^2."""
+    x = sp.expand(x * S)
+    for root, square in squares:
+        x = sp.expand(x.subs(root**2, square))
+    return x
+
+
+def test_h8r_p0_kets_solve_the_eigen_equation():
+    h = h8r_p0_matrix()
+    for value, ket in h8r_p0_kets():
+        assert (h * ket - value * ket).applyfunc(lambda x: with_roots(x, (S, M0**2 - M2**2))) == sp.zeros(4, 1)
+
+
+def test_h8v_kets_solve_the_eigen_equation_at_any_momentum():
+    # rows_at(q) holds the kets at q = p and, for the bra side, at q = -p
+    q = sp.Symbol("q", real=True)
+    h = h8v_matrix().subs(P, q)
+    for value, ket in h8v_kets(q):
+        residual = h * ket - value * ket
+        assert residual.applyfunc(lambda x: with_roots(x, (EPS, q**2 + S**2), (S, M0**2 - M2**2))) == sp.zeros(4, 1)
+
+
+def parallel(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the complex vectors u and v are parallel to 1e-14."""
+    return abs(abs(np.vdot(u, v)) - np.linalg.norm(u) * np.linalg.norm(v)) <= 1e-14 * np.linalg.norm(u) * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("m0, m1, m2", [(2, "1/2", 1), ("5/4", "1/4", "3/4"), (5, 1, -3)])
+def test_h8r_p0_eigensystem_matches_the_sympy_kets(m0, m1, m2):
+    point = {M0: sp.Rational(m0), M1: sp.Rational(m1), M2: sp.Rational(m2)}
+    point[S] = sp.sqrt(point[M0] ** 2 - point[M2] ** 2)
+    args = [float(point[s]) for s in (M0, M1, M2)]
+    exact = h8r_p0_matrix().subs(point)
+    assert np.abs(model_hamiltonian(ModelSpec("h8r", dict(zip(("m0", "m1", "m2"), args)))) - as_complex(exact)).max() <= 1e-15
+    es = h8r_p0_eigensystem(*args)
+    for k, (value, ket) in enumerate(h8r_p0_kets()):
+        assert abs(es.values[k] - float(value.subs(point))) <= 1e-15 * max(1.0, abs(es.values[k]))
+        assert parallel(es.K[:, k], as_complex(ket.subs(point))[:, 0])
+
+
+@pytest.mark.parametrize("m0, m2, p", [(2, 1, 0), (2, "-1/2", "7/10"), ("5/4", "3/4", -3)])
+def test_h8v_reduced_eigensystem_matches_the_sympy_kets(m0, m2, p):
+    point = {M0: sp.Rational(m0), M2: sp.Rational(m2), P: sp.Rational(p)}
+    point[S] = sp.sqrt(point[M0] ** 2 - point[M2] ** 2)
+    point[EPS] = sp.sqrt(point[P] ** 2 + point[S] ** 2)
+    es = h8v_reduced_eigensystem(*(float(point[s]) for s in (M0, M2, P)))
+    norm = 1 / sp.sqrt(2 * point[M0] * point[EPS])
+    for k, (value, ket) in enumerate(h8v_kets(P)):
+        assert abs(es.values[k] - float(value.subs(point))) <= 1e-15 * abs(es.values[k])
+        assert np.abs(es.K[:, k] - as_complex(norm * ket.subs(point))[:, 0]).max() <= 1e-15
+    for k, (_, ket) in enumerate(h8v_kets(-P)):
+        assert np.abs(es.reflected[:, k] - as_complex(norm * ket.subs(point))[:, 0]).max() <= 1e-15

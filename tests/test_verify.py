@@ -18,6 +18,7 @@ from ptosc.models import (
     real_quaternion,
     sfdm_hamiltonian,
 )
+from ptosc.oscillate import _certificate, _gated, default_t_grid, standard_flavour_basis, transition_table
 from ptosc.symmetry import canonical_pair, dirac_pair
 from ptosc.verify import (
     DEFAULT_TOL,
@@ -207,13 +208,30 @@ def test_full_suite_broken_phase_skips_downstream():
 
 @pytest.mark.parametrize("tol, passed", [(DEFAULT_TOL, False), (1e-6, True)])
 def test_row_check_reports_the_residual_of_a_refused_table(tol, passed):
-    # near h8v's exceptional point the CPT-route rows sum to 1 within 1.6e-10
-    # only, so the table is refused; the check reports that residual
+    # near h8v's exceptional point the CPT-route rows are bounded only to
+    # 1.6e-10 of 1; the check reports that bound against its tolerance
     reports = run_full_suite(ModelSpec("h8v", {"m0": 2.0, "m2": 1.999998}, {"p": 0.0}), tol=tol, n_random=100)
     row = reports[-1]
     assert row.name == "row_stochastic_table" and row.passed is passed and row.note == ""
     assert 1e-10 < row.defect < 1e-9 and row.tolerance == tol
     assert all(r.passed for r in reports[:-1])
+
+
+@pytest.mark.parametrize("spec", CATALOGUE, ids=lambda s: f"{s.model}-p{s.p}")
+def test_row_check_reports_the_golden_row_bound(spec):
+    real = realize(spec)
+    row = run_full_suite(spec, n_random=10)[-1]
+    assert row.name == "row_stochastic_table" and row.passed and row.note == ""
+    # the bound --golden takes from the CPT coefficients of the same point
+    [(_, coeff, _)] = _gated([real], 2, 1.0, DEFAULT_TOL)
+    bound = _certificate(coeff)[1]
+    assert row.defect == bound
+    # it holds in exact arithmetic over every t; a CPT-route table sampled
+    # in fp64 over three default periods adds only its rounding
+    es, c = real.eigensystem, build_C(real.sym, real.eigensystem, hamiltonian=real.hamiltonian)
+    grid = np.linspace(0.0, 3 * default_t_grid(es)[-1], 4096)
+    table = transition_table(real.sym, standard_flavour_basis(real.sym, es, c), es, c, grid)
+    assert np.abs(table.probs.sum(axis=2) - 1.0).max() <= bound + 8 * np.finfo(float).eps
 
 
 def test_realize_records_every_failure_with_its_type(monkeypatch):
