@@ -6,6 +6,7 @@ dimension cap, finite entries) and a numerical eigensolver that is used as an
 independent cross-check against the analytic eigensystems.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,13 @@ def kron(a, b) -> np.ndarray:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value; the defect measure used throughout."""
-    return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)[0])
+    """Largest singular value; the defect measure used throughout.  inf for
+    a matrix with a non-finite entry, on which the SVD fails or gives NaN."""
+    try:
+        norm = float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)[0])
+    except np.linalg.LinAlgError:
+        return math.inf
+    return math.inf if math.isnan(norm) else norm
 
 
 def operator_norms(a) -> np.ndarray:

@@ -361,11 +361,15 @@ def h8v_reduced_eigensystem(m0: float, m2: float, p: float) -> EigenSystem:
     eps = sqrt(p^2 + m0^2 - m2^2); the kets carry the 1/sqrt(2 m0 eps)
     normalization.  The closed form is evaluated at p for the kets and at -p
     for the reflected kets that the CS convention uses on the bra side.
+    Raises :class:`NumericalError` where m_eff or 2 m0 eps underflows to 0.
     """
     _require_unbroken(m0, m2)
     meff = effective_mass(m0, m2)
     eps = math.hypot(p, meff)
-    norm = 1.0 / math.sqrt(2.0 * m0 * eps)
+    two_m0_eps = 2.0 * m0 * eps
+    if meff == 0.0 or two_m0_eps == 0.0:
+        raise NumericalError(f"h8v kets underflow (m_eff or 2 m0 eps is 0) at m0 = {m0}, m2 = {m2}, p = {p}")
+    norm = 1.0 / math.sqrt(two_m0_eps)
 
     def rows_at(q: float) -> np.ndarray:
         return norm * np.array(

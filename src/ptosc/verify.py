@@ -118,24 +118,42 @@ def _cpt_samples(n_random: int, rows: int, dim: int) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=16)
+def _cpt_sample_forms(n_random: int, rows: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The samples x of :func:`_cpt_samples` as the (n_random, dim^2) outer
+    products conj(x_i) x_j, one row each, and their norms |x|^2: x^dag M x of
+    every sample is then one product with M raveled.  Made once per argument
+    tuple and shared, read-only."""
+    x = _cpt_samples(n_random, rows, dim)
+    pairs = (x.conj()[:, :, None] * x[:, None, :]).reshape(n_random, dim * dim)
+    scale = np.einsum("ni,ni->n", x.conj(), x).real
+    pairs.flags.writeable = scale.flags.writeable = False
+    return pairs, scale
+
+
 def _cpt_positivity_defect(sym: SymmetryPair, c: COperator, eigsys: EigenSystem, n_random: int) -> float:
     """Worst deviation from positivity/reality of random CPT self-overlaps.
 
     Static models sample coordinate vectors v, with self-overlap
-    (C v)^dag S v; momentum models sample coefficient vectors x on the
-    eigenbasis, with self-overlap (C(-p) B x)^dag S K x.  Each sample draws a
-    coefficient vector first, then (static only) the coordinate vector.
+    (C v)^dag S v = v^dag M v for the metric M = C^dag S; momentum models
+    sample coefficient vectors x on the eigenbasis, with self-overlap
+    (C(-p) B x)^dag S K x = x^dag M x for M = (C(-p) B)^dag S K.  Each sample
+    draws a coefficient vector first, then (static only) the coordinate
+    vector.  Every self-overlap comes from one matrix-vector product of the
+    cached :func:`_cpt_sample_forms` with M raveled, and is divided by |x|^2
+    once.  The defect is the worst |Im| or -Re of those ratios, and at least
+    1.0 if any Re <= 0.
     """
     static = eigsys.reflected is None
-    x = _cpt_samples(n_random, 4 if static else 2, sym.dim)
+    pairs, scale = _cpt_sample_forms(n_random, 4 if static else 2, sym.dim)
     if static:
         metric = c.matrix.conj().T @ sym.s
     else:
         metric = (c.reflected @ eigsys.B).conj().T @ sym.s @ eigsys.K
-    norms = np.einsum("ni,ij,nj->n", x.conj(), metric, x)
-    scale = np.einsum("ni,ni->n", x.conj(), x).real
-    worst = max(np.max(np.abs(norms.imag) / scale, initial=0.0), np.max(-norms.real / scale, initial=0.0))
-    if np.any(norms.real <= 0):
+    norms = pairs @ metric.ravel()
+    ratios = norms / scale
+    worst = max(np.abs(ratios.imag).max(initial=0.0), (-ratios.real).max(initial=0.0))
+    if (norms.real <= 0).any():
         worst = max(worst, 1.0)
     return float(worst)
 

@@ -343,6 +343,41 @@ def test_spectrum_and_verify_at_a_huge_momentum(p, capsys):
     assert len(reports) == 9 and all(r["passed"] for r in reports)
 
 
+def test_verify_fails_pt_orthonormality_where_the_kets_overflow(capsys):
+    # m0^2 - m2^2 overflows, so the kets hold NaN: the PT Gram defect is
+    # inf, not an SVD that fails to converge
+    assert run(["verify", "--model", "h8v", "--m0", "1e200", "--m2", "1e199", "--p", "1"]) == 1
+    out, err = capsys.readouterr()
+    reports = [json.loads(line) for line in out.strip().split("\n")]
+    assert [r["name"] for r in reports] == list(SUITE_NAMES) and err == ""
+    assert all(r["passed"] for r in reports[:3])
+    assert reports[3]["defect"] == math.inf and not reports[3]["passed"] and '"defect": Infinity' in out.split("\n")[3]
+    assert all(r["note"] == "skipped: C construction failed: C^2 != 1 (defect inf > 1.0e-10)" for r in reports[4:])
+
+
+H8V_UNDERFLOW = ["--model", "h8v", "--m0", "1e-200", "--m2", "0", "--p", "1e-200"]
+UNDERFLOW_NOTE = "h8v kets underflow (m_eff or 2 m0 eps is 0) at m0 = 1e-200, m2 = 0.0, p = 1e-200"
+
+
+def test_verify_skips_with_the_note_of_kets_that_underflow(capsys):
+    assert run(["verify", *H8V_UNDERFLOW]) == 1
+    out, err = capsys.readouterr()
+    reports = [json.loads(line) for line in out.strip().split("\n")]
+    assert all(r["passed"] for r in reports[:3]) and err == ""
+    assert [r["note"] for r in reports[3:]] == [f"skipped: {UNDERFLOW_NOTE}"] * 6
+
+
+def test_oscillate_reports_kets_that_underflow_as_a_physics_failure(capsys):
+    assert run(["oscillate", *H8V_UNDERFLOW]) == 1
+    assert capsys.readouterr() == ("", f"physics failure: {UNDERFLOW_NOTE}\n")
+
+
+def test_spectrum_where_the_kets_underflow_comes_from_the_oracle(capsys):
+    assert run(["spectrum", *H8V_UNDERFLOW]) == 0
+    out, err = capsys.readouterr()
+    assert out.split() == ["-1.41421356237e-200"] * 2 + ["1.41421356237e-200"] * 2 and err == ""
+
+
 # ---------------------------------------------------------------------------
 # oscillate
 

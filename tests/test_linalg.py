@@ -56,6 +56,15 @@ def test_operator_norm_matches_numpy_2_norm(dim):
         assert operator_norm(a) == np.linalg.norm(a, 2)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)], ids=["nan", "inf", "-inf", "inf+nanj"])
+def test_operator_norm_of_a_non_finite_matrix_is_inf(entry):
+    # LAPACK's SVD either fails to converge or returns NaN on such a matrix
+    a = np.eye(4, dtype=complex)
+    a[1, 2] = entry
+    assert operator_norm(a) == np.inf
+    assert operator_norm(np.full((4, 4), entry)) == np.inf
+
+
 def test_cluster_indices_groups_degenerate_values():
     values = np.array([-1.0, -1.0 + 1e-12, 0.5, 2.0, 2.0])
     clusters = cluster_indices(values, scale=2.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ptosc.errors import BrokenPTError, ParameterError
+from ptosc.errors import BrokenPTError, NumericalError, ParameterError
 from ptosc.linalg import SIGMA, eig_oracle, operator_norm
 from ptosc.models import (
     ModelSpec,
@@ -24,6 +24,7 @@ from ptosc.models import (
     pt_orthonormal_eigensystem,
     quaternion_coefficients,
     real_quaternion,
+    realize,
     sfdm_eigensystem,
     sfdm_hamiltonian,
     sigma_dot_n,
@@ -246,6 +247,22 @@ def test_broken_phase_raises(p):
         h8v_reduced_eigensystem(1.0, 2.0, p)
     with pytest.raises(BrokenPTError):
         h8r_p0_eigensystem(1.0, 0.5, 1.0)  # boundary |m2| = m0 counts as broken
+
+
+# m_eff = sqrt(m0^2 - m2^2) or the normalization's 2 m0 eps underflows to 0
+@pytest.mark.parametrize("m0, m2, p", [(1e-200, 0.0, 1e-200), (1e-200, 0.0, 1.0), (1e-170, 5e-171, 1e-170)])
+def test_h8v_kets_that_underflow_raise_a_numerical_error(m0, m2, p):
+    with pytest.raises(NumericalError, match=r"^h8v kets underflow \(m_eff or 2 m0 eps is 0\) at "):
+        h8v_reduced_eigensystem(m0, m2, p)
+    real = realize(ModelSpec("h8v", {"m0": m0, "m2": m2}, {"p": p}))
+    assert real.eigensystem is None and type(real.error) is NumericalError
+
+
+def test_h8v_kets_with_a_subnormal_normalization_product_are_finite():
+    # m0^2 and 2 m0 eps are subnormal, not 0: the kets are built as before
+    es = h8v_reduced_eigensystem(1e-160, 0.0, 1e-160)
+    assert np.isfinite(es.K).all() and np.isfinite(es.reflected).all()
+    assert es.values.tolist() == [-es.values[-1]] * 2 + [es.values[-1]] * 2
 
 
 def test_pt_orthonormal_eigensystem_oracle_route():

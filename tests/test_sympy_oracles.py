@@ -1,6 +1,6 @@
 """Symbolic oracles for the closed forms: sfdm's H^2 = 1, the reduced h8v
-C = H / eps, and the eigen-equations of the h8r (p = 0) and reduced h8v
-kets; and the numeric Hamiltonians and kets against the same sympy ones."""
+C = H / eps, and the eigen-equations of the sfdm, h8r (p = 0) and reduced
+h8v kets; and the numeric Hamiltonians and kets against the same sympy ones."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from ptosc.models import (
     h8v_reduced_eigensystem,
     h8v_reduced_hamiltonian,
     model_hamiltonian,
+    sfdm_eigensystem,
     sfdm_hamiltonian,
 )
 
@@ -178,3 +179,50 @@ def test_h8v_reduced_eigensystem_matches_the_sympy_kets(m0, m2, p):
         assert np.abs(es.K[:, k] - as_complex(norm * ket.subs(point))[:, 0]).max() <= 1e-15
     for k, (_, ket) in enumerate(h8v_kets(-P)):
         assert np.abs(es.reflected[:, k] - as_complex(norm * ket.subs(point))[:, 0]).max() <= 1e-15
+
+
+# sinh and cosh of chi / 2 and the sine and cosine of each angle, as symbols
+# bound by sinh^2 = cosh^2 - 1 and sin^2 = 1 - cos^2
+SH, CH = sp.symbols("sh ch", real=True)
+SIN = {x: sp.Symbol(f"sin_{x}", real=True) for x in (PSI, THETA, PHI)}
+COS = {x: sp.Symbol(f"cos_{x}", real=True) for x in (PSI, THETA, PHI)}
+AS_SYMBOLS = {sp.cosh(CHI): CH**2 + SH**2, sp.sinh(CHI): 2 * SH * CH, **{sp.sin(x): SIN[x] for x in SIN}, **{sp.cos(x): COS[x] for x in COS}}
+HALF_ANGLE_IDENTITIES = [(SH, CH**2 - 1)] + [(SIN[x], 1 - COS[x] ** 2) for x in SIN]
+
+
+def sfdm_kets() -> list:
+    """(eigenvalue, ket) of ``sfdm_eigensystem`` at chi != 0, in its order,
+    written as the code writes them: with sech and csch of chi / 2, sinh chi
+    and exp(+-i phi)."""
+    sin, cos = SIN, COS
+    sech, csch, sinh_chi = 1 / CH, 1 / SH, 2 * SH * CH
+    e_phi, e_phi_bar = cos[PHI] + sp.I * sin[PHI], cos[PHI] - sp.I * sin[PHI]
+    e1 = [sin[THETA] * e_phi_bar * sin[PSI] * SH, -sp.I / 2 * sech * sinh_chi * (cos[PSI] - sp.I * sin[PSI] * cos[THETA]), 0, CH]
+    e2 = [sech / 2 * (-sp.I * cos[PSI] + sin[PSI] * cos[THETA]) * sinh_chi, sin[THETA] * e_phi * sin[PSI] * SH, CH, 0]
+    e3 = [CH * sin[THETA] * sin[PSI] * e_phi_bar, -sp.I / 2 * csch * (cos[PSI] - sp.I * cos[THETA] * sin[PSI]) * sinh_chi, 0, SH]
+    e4 = [csch / 2 * (-sp.I * cos[PSI] + cos[THETA] * sin[PSI]) * sinh_chi, CH * sin[THETA] * sin[PSI] * e_phi, SH, 0]
+    return list(zip([-1, -1, 1, 1], map(sp.Matrix, [e1, e2, e3, e4])))
+
+
+def on_half_angle_identities(x: sp.Expr) -> sp.Expr:
+    """The polynomial ``x`` reduced by :data:`HALF_ANGLE_IDENTITIES`: of degree at most 1 in sh and each sine."""
+    x = sp.expand(x)
+    for root, square in HALF_ANGLE_IDENTITIES:
+        x = sp.expand(sp.rem(x, root**2 - square, root))
+    return x
+
+
+def test_sfdm_kets_solve_the_eigen_equation():
+    h = sfdm_matrix().subs(AS_SYMBOLS)
+    for value, ket in sfdm_kets():
+        assert (h * ket - value * ket).applyfunc(on_half_angle_identities) == sp.zeros(4, 1)
+
+
+@pytest.mark.parametrize("chi, psi, theta, phi", [("1/2", "3/10", "7/10", "1/5"), ("3/2", "-5/4", "2", "13/4"), ("-1", "1/3", "5/2", "-7/4")])
+def test_sfdm_eigensystem_matches_the_sympy_kets(chi, psi, theta, phi):
+    point = {CHI: sp.Rational(chi), PSI: sp.Rational(psi), THETA: sp.Rational(theta), PHI: sp.Rational(phi)}
+    values = {SH: sp.sinh(point[CHI] / 2), CH: sp.cosh(point[CHI] / 2), **{SIN[x]: sp.sin(point[x]) for x in SIN}, **{COS[x]: sp.cos(point[x]) for x in COS}}
+    es = sfdm_eigensystem(SfdmParams(*(float(point[s]) for s in (CHI, PSI, THETA, PHI))))
+    for k, (value, ket) in enumerate(sfdm_kets()):
+        assert es.values[k] == value
+        assert parallel(es.K[:, k], as_complex(ket.subs(values))[:, 0])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ptosc.symmetry import canonical_pair, dirac_pair
 from ptosc.verify import (
     DEFAULT_TOL,
     _cpt_positivity_defect,
+    _cpt_sample_forms,
     _cpt_samples,
     _report,
     check_alpha_beta_conditions,
@@ -450,3 +452,62 @@ def test_generic_blocks_are_checked_once_per_spec(monkeypatch):
     counts = count_linalg_calls(monkeypatch)
     run_full_suite(ModelSpec("generic", dict(GENERIC.params)), n_random=10)
     assert counts["svd"] <= 10 and counts["eig"] <= 1, counts
+
+
+# ---------------------------------------------------------------------------
+# the positivity check as one product against cached sample forms
+
+
+@pytest.mark.parametrize("rows", [4, 2], ids=["static", "momentum"])
+def test_cpt_sample_forms_are_made_once_read_only_and_pair_the_samples(rows):
+    pairs, scale = _cpt_sample_forms(1000, rows, 4)
+    assert _cpt_sample_forms(1000, rows, 4)[0] is pairs
+    assert not pairs.flags.writeable and not scale.flags.writeable
+    with pytest.raises(ValueError):
+        pairs[0, 0] = 0.0
+    x = _cpt_samples(1000, rows, 4)
+    assert pairs.shape == (1000, 16)
+    np.testing.assert_array_equal(pairs.reshape(1000, 4, 4), x.conj()[:, :, None] * x[:, None, :])
+    np.testing.assert_array_equal(scale, np.einsum("ni,ni->n", x.conj(), x).real)
+    assert [a.shape for a in _cpt_sample_forms(0, rows, 4)] == [(0, 16), (0,)]
+
+
+# the cpt_positive_definite verdict, note and (where it exceeds the
+# tolerance) defect of the einsum form the product replaced, at the default
+# n_random; the near-EP points are from the verify_mix known-defect panel
+NEAR_EP_H8V = ModelSpec("h8v", {"m0": 1.5783471567571812, "m2": -1.5783471355388465}, {"p": 0.8150761002674146, "theta": 1.6863826053800641, "phi": 4.232023261829216})
+NEAR_EP_H8R = ModelSpec("h8r", {"m0": 2.996905348603211, "m1": -0.2936606030670332, "m2": 2.9969053364500016})
+NEAR_EP_H8V_NO_C = ModelSpec("h8v", {"m0": 1.403127791707167, "m2": 1.4031277682447567}, {"p": 0.49615810003870153, "theta": 1.8298794509115257, "phi": 5.024364898580005})
+POSITIVITY_PANEL = [
+    (CATALOGUE[0], True, "", None),
+    (CATALOGUE[2], True, "", None),
+    (CATALOGUE[4], True, "", None),
+    (CATALOGUE[5], True, "", None),
+    (GENERIC, True, "", None),
+    (NEAR_EP_H8V, False, "", 5.569242788798765e-09),
+    (NEAR_EP_H8R, True, "", None),
+    (NEAR_EP_H8V_NO_C, False, "skipped: C construction failed: [C, H] != 0 (defect 9.948e-10)", math.inf),
+]
+PANEL_IDS = ["sfdm", "h8v-p", "h8r", "h8", "generic", "near-ep-h8v", "near-ep-h8r", "near-ep-h8v-no-c"]
+
+
+@pytest.mark.parametrize("spec, passed, note, defect", POSITIVITY_PANEL, ids=PANEL_IDS)
+def test_cpt_positivity_keeps_the_verdicts_and_notes_of_the_einsum_form(spec, passed, note, defect):
+    report = {r.name: r for r in run_full_suite(spec)}["cpt_positive_definite"]
+    assert (report.passed, report.note) == (passed, note)
+    if defect is not None:
+        assert report.defect == pytest.approx(defect, rel=1e-6)
+
+
+@pytest.mark.parametrize("factor", [-1.0, -1e-3])
+@pytest.mark.parametrize("spec", [CATALOGUE[0], CATALOGUE[2]], ids=["static", "momentum"])
+def test_suite_fails_the_positivity_of_a_negated_c(spec, factor, monkeypatch):
+    # C -> -C negates every CPT self-overlap, so every sample's Re < 0; at
+    # -1e-3 C the overlaps are small too, and only the Re <= 0 rule gives 1.0
+    def negated(*args, **kwargs):
+        c = build_C(*args, **kwargs)
+        return COperator(factor * c.matrix, factor * c.reflected, c.square_defect, c.commutator_defect)
+
+    monkeypatch.setattr("ptosc.verify.build_C", negated)
+    report = {r.name: r for r in run_full_suite(spec)}["cpt_positive_definite"]
+    assert not report.passed and report.defect >= 1.0 and report.note == ""
