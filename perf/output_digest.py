@@ -10,12 +10,19 @@ workload's known-defect panel.  Each op runs in-process through
 ``ptosc.cli.main`` in a fresh directory.  One line per op gives the
 workload, the seed (``known`` for the panel), the op's index and kind, the
 SHA-256 of its exit code, stdout, stderr and every file it wrote (name and
-bytes), and the SHA-256 of the same without the file bytes, with the op
-directory written as ``{dir}``.  A change that may move only table cells
-shows it where the first hash differs and the second does not:
+bytes), the SHA-256 of the same without the file bytes, and the SHA-256 of
+the files alone (names and bytes), with the op directory written as
+``{dir}``.  A change that may move only table cells shows it where the first
+hash differs and the second does not:
 
     diff <(python3 perf/output_digest.py --src PARENT/src | cut -d' ' -f1-4,6) \\
          <(python3 perf/output_digest.py | cut -d' ' -f1-4,6)
+
+and one that may move only stderr digits (a ``--golden`` bound, a defect in
+a note) shows its files unchanged in the third:
+
+    diff <(python3 perf/output_digest.py --src PARENT/src | cut -d' ' -f1-4,7) \\
+         <(python3 perf/output_digest.py | cut -d' ' -f1-4,7)
 
 The ``all`` line digests all the lines before it.  After it come the ``extra`` lines, one per
 command of :data:`EXTRA`, which no benchmark deck runs.
@@ -162,7 +169,11 @@ MODEL_FILE = ("verify", "--model-file", "{dir}/model.json")
 # middle row and one row facing the other), the h8 m3 sweep in JSON, and
 # the h8v theta sweep in JSON and the sfdm psi sweep in CSV, then verify on
 # the two spectra with no nonzero gap, where H is proportional to 1: h8 with
-# every mass 0 at p = 0, and a generic model with a = d and b = 0.
+# every mass 0 at p = 0, and a generic model with a = d and b = 0; then
+# oscillate where the h8r kets overflow to non-finite entries (a physics
+# failure, once a usage error), where the h8v normalization 2 m0 eps
+# overflows (once with a numpy warning), and on h8's spectrum of +-1e-9,
+# whose two levels once merged into one cluster.
 EXTRA = (
     ("readme_verify_sfdm", ("verify", "--model", "sfdm", "--chi", "0.5", "--psi", "0.3", "--theta", "0.7", "--phi", "0.2"), {}),
     ("readme_verify_h8v", ("verify", "--model", "h8v", "--m0", "2", "--m2", "1", "--p", "1"), {}),
@@ -200,20 +211,24 @@ EXTRA = (
     ("sfdm_psi_sweep", ("sweep", "--config", "{dir}/sweep.json"), {"sweep.json": json.dumps(SFDM_PSI_SWEEP)}),
     ("h8_m0_0_verify", ("verify", "--model", "h8", "--m0", "0"), {}),
     ("generic_scalar_verify", MODEL_FILE, {"model.json": json.dumps({"model": "generic", "params": {"a": EYE2, "d": EYE2, "b": [[0, 0], [0, 0]]}})}),
+    ("h8r_kets_overflow_oscillate", ("oscillate", "--model", "h8r", "--m0", "1e200", "--m1", "0", "--m2", "1e199"), {}),
+    ("h8v_norm_overflow_oscillate", ("oscillate", "--model", "h8v", "--m0", "1e200", "--m2", "0", "--p", "1e200"), {}),
+    ("h8_tiny_spectrum_oscillate", ("oscillate", "--model", "h8", "--m0", "0", "--m1", "1e-9", "--t-points", "4"), {}),
 )
 
 
 def op_digest(main, op, op_dir: str) -> str:
     """Run one op in ``op_dir`` and digest what it returned, printed and
     wrote: the digest of all of it, then that of its streams (the exit code,
-    stdout, stderr and the names of the files it wrote, without their bytes)."""
+    stdout, stderr and the names of the files it wrote, without their bytes),
+    then that of the files it wrote alone (names and bytes)."""
     for name, text in op.files.items():
         with open(os.path.join(op_dir, name), "w") as fh:
             fh.write(text.replace("{dir}", op_dir))
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         rc = main([arg.replace("{dir}", op_dir) for arg in op.argv])
-    digest, streams = hashlib.sha256(), hashlib.sha256()
+    digest, streams, files = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for part in (str(rc), stdout.getvalue(), stderr.getvalue()):
         for each in (digest, streams):
             each.update(part.replace(op_dir, "{dir}").encode() + b"\0")
@@ -225,9 +240,11 @@ def op_digest(main, op, op_dir: str) -> str:
                 continue
             name = os.path.relpath(path, op_dir).encode()
             with open(path, "rb") as fh:
-                digest.update(name + b"\0" + fh.read() + b"\0")
+                named = name + b"\0" + fh.read() + b"\0"
+            digest.update(named)
+            files.update(named)
             streams.update(name + b"\0")
-    return f"{digest.hexdigest()} {streams.hexdigest()}"
+    return f"{digest.hexdigest()} {streams.hexdigest()} {files.hexdigest()}"
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,7 @@ state has a nonvanishing overlap with itself.
 
 import numpy as np
 
-from .errors import DegenerateNormError, ParameterError
+from .errors import DegenerateNormError, NumericalError, ParameterError
 from .linalg import as_cvector, require_square
 from .symmetry import SymmetryPair
 
@@ -32,7 +32,7 @@ def pt_normalize_rows(sym: SymmetryPair, vs) -> tuple[np.ndarray, np.ndarray]:
     The overall phase of each ket is fixed by making its first component of
     magnitude above 1e-12 real and positive, so normalized kets are
     reproducible.  The first row that fails raises: DegenerateNormError for a
-    vanishing PT norm, ParameterError for a non-finite entry.
+    vanishing PT norm, NumericalError for a non-finite (overflowed) entry.
     """
     vs = np.asarray(vs, dtype=complex)
     if vs.ndim != 2 or vs.shape[1] != sym.dim:
@@ -47,7 +47,7 @@ def pt_normalize_rows(sym: SymmetryPair, vs) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.abs(norms) <= NORM_FLOOR * (bras @ head[:, :, None])[:, 0, 0].real):
         raise DegenerateNormError("vector has vanishing PT norm")
     if len(head) < len(vs):
-        raise ParameterError("vector entries must be finite")
+        raise NumericalError("vector entries must be finite")
     out = head / np.sqrt(np.abs(norms))[:, None]
     first = np.argmax(np.abs(out) > 1e-12, axis=1)
     out = out * np.exp(-1j * np.angle(out[np.arange(len(out)), first]))[:, None]

@@ -115,8 +115,8 @@ def span_projector(vectors: np.ndarray) -> np.ndarray:
 
 
 def cluster_indices(values: np.ndarray, scale: float) -> list[list[int]]:
-    """Group sorted eigenvalues that lie within 1e-8 * max(1, scale) of each other."""
-    gap = 1e-8 * max(scale, 1.0)
+    """Group sorted eigenvalues within 1e-8 * scale of each other (all of them at scale 0)."""
+    gap = 1e-8 * scale
     clusters: list[list[int]] = []
     for k, lam in enumerate(values):
         if clusters and abs(lam - values[clusters[-1][0]]) <= gap:

@@ -5,8 +5,9 @@ and the 8D Dirac-representation family ``h8`` with its restrictions
 ``h8r`` (m3 = 0) and ``h8v`` (m1 = m3 = 0), at zero and nonzero momentum;
 :func:`realize` builds a spec's working model and records what fails.
 
-Closed-form eigenvectors follow the published displays with two corrections,
-both fixed against the numerical eigensolver:
+Closed-form eigenvectors follow the published displays; sfdm writes one ket
+per level and takes the other as its Kramers partner under Theta = PT
+(T^2 = -1).  Two corrections were fixed against the numerical eigensolver:
 
 * the 4D model's second eigenvalue pair is +1 (the appendix restates -1);
 * the ``h8r`` kets' third component carries an overall sign flip relative to
@@ -14,6 +15,7 @@ both fixed against the numerical eigensolver:
   and its conjugate, and the printed normalization n is then exact.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -186,55 +188,23 @@ def sfdm_hamiltonian(params: SfdmParams) -> np.ndarray:
 def sfdm_eigensystem(params: SfdmParams) -> EigenSystem:
     """Closed-form eigensystem: eigenvalues (-1, -1, +1, +1).
 
-    At chi = 0 the parametrization of the eigenvectors degenerates (the
-    Hamiltonian is diag(1, 1, -1, -1)); coordinate eigenvectors are used.
+    One ket per level, [tilt a, twist / b, 0, b] with (a, b) the (sinh, cosh)
+    of chi/2 at -1 and their swap at +1, and its Kramers partner -S Z conj(v),
+    as Theta = S Z K commutes with H: the published e1..e4.  At chi = 0, where
+    H = diag(1, 1, -1, -1), the coordinate kets e2, e0 and their partners.
     """
-    chi, psi, th, ph = params.chi, params.psi, params.theta, params.phi
-    if abs(math.sinh(chi / 2)) < 1e-12:
-        kets = [
-            np.array([0, 0, 1, 0], dtype=complex),
-            np.array([0, 0, 0, 1], dtype=complex),
-            np.array([1, 0, 0, 0], dtype=complex),
-            np.array([0, 1, 0, 0], dtype=complex),
-        ]
+    sym = canonical_pair(2)
+    sh, ch = math.sinh(params.chi / 2), math.cosh(params.chi / 2)
+    if abs(sh) < 1e-12:
+        kets = np.eye(4, dtype=complex)[[2, 0]]
     else:
-        sech = 1 / math.cosh(chi / 2)
-        csch = 1 / math.sinh(chi / 2)
-        sh = math.sinh(chi)
-        e1 = np.array(
-            [
-                math.sin(th) * np.exp(-1j * ph) * math.sin(psi) * math.sinh(chi / 2),
-                -0.5j * sech * sh * (math.cos(psi) - 1j * math.sin(psi) * math.cos(th)),
-                0,
-                math.cosh(chi / 2),
-            ]
-        )
-        e2 = np.array(
-            [
-                0.5 * sech * (-1j * math.cos(psi) + math.sin(psi) * math.cos(th)) * sh,
-                math.sin(th) * np.exp(1j * ph) * math.sin(psi) * math.sinh(chi / 2),
-                math.cosh(chi / 2),
-                0,
-            ]
-        )
-        e3 = np.array(
-            [
-                math.cosh(chi / 2) * math.sin(th) * math.sin(psi) * np.exp(-1j * ph),
-                -0.5j * csch * (math.cos(psi) - 1j * math.cos(th) * math.sin(psi)) * sh,
-                0,
-                math.sinh(chi / 2),
-            ]
-        )
-        e4 = np.array(
-            [
-                0.5 * csch * (-1j * math.cos(psi) + math.cos(th) * math.sin(psi)) * sh,
-                math.cosh(chi / 2) * math.sin(th) * math.sin(psi) * np.exp(1j * ph),
-                math.sinh(chi / 2),
-                0,
-            ]
-        )
-        kets = [e1, e2, e3, e4]
-    return pt_normalized_eigensystem(canonical_pair(2), zip((-1.0, -1.0, 1.0, 1.0), kets))
+        psi, th, ph = params.psi, params.theta, params.phi
+        tilt = math.sin(th) * cmath.exp(-1j * ph) * math.sin(psi)
+        twist = -0.5j * math.sinh(params.chi) * (math.cos(psi) - 1j * math.sin(psi) * math.cos(th))
+        kets = np.array([[tilt * a, twist / b, 0, b] for a, b in ((sh, ch), (ch, sh))])
+    # -S Z is a signed permutation, so each partner is exact
+    partners = kets.conj() @ (-sym.s @ sym.z).T
+    return pt_normalized_eigensystem(sym, zip((-1.0, -1.0, 1.0, 1.0), (kets[0], partners[0], kets[1], partners[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +331,8 @@ def h8v_reduced_eigensystem(m0: float, m2: float, p: float) -> EigenSystem:
     eps = sqrt(p^2 + m0^2 - m2^2); the kets carry the 1/sqrt(2 m0 eps)
     normalization.  The closed form is evaluated at p for the kets and at -p
     for the reflected kets that the CS convention uses on the bra side.
-    Raises :class:`NumericalError` where m_eff or 2 m0 eps underflows to 0.
+    Raises :class:`NumericalError` where m_eff or 2 m0 eps underflows to 0,
+    or 2 m0 eps overflows to inf.
     """
     _require_unbroken(m0, m2)
     meff = effective_mass(m0, m2)
@@ -369,6 +340,8 @@ def h8v_reduced_eigensystem(m0: float, m2: float, p: float) -> EigenSystem:
     two_m0_eps = 2.0 * m0 * eps
     if meff == 0.0 or two_m0_eps == 0.0:
         raise NumericalError(f"h8v kets underflow (m_eff or 2 m0 eps is 0) at m0 = {m0}, m2 = {m2}, p = {p}")
+    if math.isinf(two_m0_eps):
+        raise NumericalError(f"h8v kets overflow (2 m0 eps is inf) at m0 = {m0}, m2 = {m2}, p = {p}")
     norm = 1.0 / math.sqrt(two_m0_eps)
 
     def rows_at(q: float) -> np.ndarray:

@@ -378,6 +378,54 @@ def test_spectrum_where_the_kets_underflow_comes_from_the_oracle(capsys):
     assert out.split() == ["-1.41421356237e-200"] * 2 + ["1.41421356237e-200"] * 2 and err == ""
 
 
+# m0^2 overflows, so the h8r kets hold non-finite entries: a numerical
+# failure of valid flags, not a usage error
+H8R_KETS_OVERFLOW = ["--model", "h8r", "--m0", "1e200", "--m1", "0", "--m2", "1e199"]
+
+
+def test_oscillate_reports_non_finite_kets_as_a_physics_failure(capsys):
+    assert run(["oscillate", *H8R_KETS_OVERFLOW]) == 1
+    assert capsys.readouterr() == ("", "physics failure: vector entries must be finite\n")
+
+
+def test_verify_skips_with_the_note_of_non_finite_kets(capsys):
+    assert run(["verify", *H8R_KETS_OVERFLOW]) == 1
+    out, err = capsys.readouterr()
+    reports = [json.loads(line) for line in out.strip().split("\n")]
+    assert all(r["passed"] for r in reports[:3]) and err == ""
+    assert [r["note"] for r in reports[3:]] == ["skipped: vector entries must be finite"] * 6
+
+
+H8V_NORM_OVERFLOW = ["--model", "h8v", "--m0", "1e200", "--m2", "0", "--p", "1e200"]
+OVERFLOW_NOTE = "h8v kets overflow (2 m0 eps is inf) at m0 = 1e+200, m2 = 0.0, p = 1e+200"
+
+
+def test_oscillate_reports_an_overflowing_h8v_normalization_without_a_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["oscillate", *H8V_NORM_OVERFLOW]) == 1
+    assert capsys.readouterr() == ("", f"physics failure: {OVERFLOW_NOTE}\n")
+
+
+def test_verify_skips_with_the_note_of_an_overflowing_h8v_normalization(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify", *H8V_NORM_OVERFLOW]) == 1
+    out, err = capsys.readouterr()
+    reports = [json.loads(line) for line in out.strip().split("\n")]
+    assert all(r["passed"] for r in reports[:3]) and err == ""
+    assert [r["note"] for r in reports[3:]] == [f"skipped: {OVERFLOW_NOTE}"] * 6
+
+
+def test_oscillate_tables_a_tiny_spectrum(capsys):
+    # h8's levels at +-1e-9 stay apart, so the table has a period
+    assert run(["oscillate", "--model", "h8", "--m0", "0", "--m1", "1e-9", "--t-points", "4"]) == 0
+    out, err = capsys.readouterr()
+    lines = out.strip().split("\n")
+    assert err == "" and len(lines) == 5 and lines[0].startswith("t,P11,")
+    assert lines[1] == "0," + ",".join("1" if i % 5 == 0 else "0" for i in range(16))
+
+
 # ---------------------------------------------------------------------------
 # oscillate
 

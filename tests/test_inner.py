@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ptosc.errors import DegenerateNormError
+from ptosc.errors import DegenerateNormError, NumericalError
 from ptosc.inner import cpt_ip, pt_adjoint, pt_normalize_rows
 from ptosc.linalg import operator_norm
 from ptosc.models import h8v_reduced_eigensystem
@@ -35,6 +35,14 @@ def test_pt_normalize_rows_fixes_phase_and_sign():
     assert ket[np.argmax(np.abs(ket) > 1e-12)].imag == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(DegenerateNormError):
         pt_normalize_rows(SYM4, np.array([[1.0, 0, 1.0, 0]]))  # null vector of the metric
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan, complex(0, np.inf)])
+def test_pt_normalize_rows_reports_a_non_finite_row_as_numerical(entry):
+    rows = np.eye(4, dtype=complex)[[0, 3]]
+    rows[1, 2] = entry
+    with pytest.raises(NumericalError, match="^vector entries must be finite$"):
+        pt_normalize_rows(SYM4, rows)
 
 
 def test_cs_self_overlap_of_a_moving_state():

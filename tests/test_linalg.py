@@ -71,6 +71,16 @@ def test_cluster_indices_groups_degenerate_values():
     assert clusters == [[0, 1], [2], [3, 4]]
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-9, 1.0, 1e9, 1e300])
+def test_cluster_indices_splits_a_spectrum_alike_at_any_scale(scale):
+    values = scale * np.array([-1.0, -1.0 + 1e-12, 0.5, 2.0, 2.0])
+    assert cluster_indices(values, scale=2.0 * scale) == [[0, 1], [2], [3, 4]]
+
+
+def test_cluster_indices_of_a_zero_spectrum_is_one_cluster():
+    assert cluster_indices(np.zeros(4), scale=0.0) == [[0, 1, 2, 3]]
+
+
 def test_eig_oracle_residuals_and_order():
     rng = np.random.default_rng(23)
     for _ in range(10):

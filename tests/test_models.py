@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,50 @@ def test_sfdm_chi_zero_coordinate_basis():
     h = sfdm_hamiltonian(SfdmParams(chi=0.0, psi=0.3, theta=0.7, phi=0.2))
     for pair in es.pairs:
         assert np.linalg.norm(h @ pair.ket - pair.value * pair.ket) < 1e-14
+
+
+def kramers(v: np.ndarray) -> np.ndarray:
+    """Theta v = S Z conj(v) with the canonical pair's S and Z (Theta = PT)."""
+    sym = canonical_pair(2)
+    return sym.s @ sym.z @ v.conj()
+
+
+def wide_sfdm_draws(seed: int, n: int = 50):
+    """sfdm parameters with chi in [-8, 8] and the angles in [-4, 4], and the Hamiltonian."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        params = SfdmParams(rng.uniform(-8, 8), *rng.uniform(-4, 4, 3))
+        yield rng, params, sfdm_hamiltonian(params)
+
+
+def test_sfdm_hamiltonian_commutes_with_kramers_bit_for_bit():
+    for rng, _, h in wide_sfdm_draws(61):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        assert np.array_equal(h @ kramers(v), kramers(h @ v))
+
+
+def test_sfdm_partner_kets_have_their_sources_residuals():
+    # each level's second ket is the Kramers partner of its first, so
+    # Theta of the normalized first ket is the second up to a phase, and its
+    # residual is Theta of the first ket's residual, bit for bit
+    for _, params, h in wide_sfdm_draws(67):
+        es = sfdm_eigensystem(params)
+        for source in (0, 2):
+            lam, ket, partner = es.values[source], es.K[:, source], es.K[:, source + 1]
+            derived = kramers(ket)
+            top = np.argmax(np.abs(partner))
+            phase = derived[top] / partner[top]
+            assert abs(abs(phase) - 1) < 1e-12 and np.abs(derived - phase * partner).max() < 1e-12
+            residual = h @ ket - lam * ket
+            assert np.array_equal(h @ derived - lam * derived, kramers(residual))
+            assert np.array_equal(np.sort(np.abs(h @ derived - lam * derived)), np.sort(np.abs(residual)))
+
+
+@pytest.mark.parametrize("chi", [0.0, 1e-13, -1e-13])
+def test_sfdm_near_zero_chi_keeps_the_coordinate_kets(chi):
+    es = sfdm_eigensystem(SfdmParams(chi=chi, psi=0.3, theta=0.7, phi=0.2))
+    assert es.values.tolist() == [-1.0, -1.0, 1.0, 1.0] and es.signs == [-1, -1, 1, 1]
+    assert np.abs(es.K - np.eye(4)[:, [2, 3, 0, 1]]).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +303,16 @@ def test_h8v_kets_that_underflow_raise_a_numerical_error(m0, m2, p):
     assert real.eigensystem is None and type(real.error) is NumericalError
 
 
+# 2 m0 eps overflows to inf, with m_eff itself inf or finite; m2 = 1e199
+# is left out, as m0^2 - m2^2 is NaN there
+@pytest.mark.parametrize("m0, m2, p", [(1e200, 0.0, 1e200), (1e200, 0.0, 1.0), (1e154, 0.0, 1e154)])
+def test_h8v_kets_that_overflow_raise_a_numerical_error(m0, m2, p):
+    with pytest.raises(NumericalError, match=f"^{re.escape(f'h8v kets overflow (2 m0 eps is inf) at m0 = {m0}, m2 = {m2}, p = {p}')}$"):
+        h8v_reduced_eigensystem(m0, m2, p)
+    real = realize(ModelSpec("h8v", {"m0": m0, "m2": m2}, {"p": p}))
+    assert real.eigensystem is None and type(real.error) is NumericalError
+
+
 def test_h8v_kets_with_a_subnormal_normalization_product_are_finite():
     # m0^2 and 2 m0 eps are subnormal, not 0: the kets are built as before
     es = h8v_reduced_eigensystem(1e-160, 0.0, 1e-160)
@@ -282,6 +337,16 @@ def test_pt_orthonormal_eigensystem_broken_raises():
     h = h8v_reduced_hamiltonian(1.0, 2.0, 0.0)
     with pytest.raises(BrokenPTError):
         pt_orthonormal_eigensystem(sym, eig_oracle(h))
+
+
+@pytest.mark.parametrize("m1", [1e-9, 1e-30, 1e-300])
+def test_oracle_route_keeps_the_levels_of_a_tiny_spectrum_apart(m1):
+    # the clusters' gap is relative to the spectrum, so +-m1 stay two levels
+    es = realize(ModelSpec("h8", {"m0": 0.0, "m1": m1})).eigensystem
+    np.testing.assert_allclose(es.values, [-m1, -m1, m1, m1], rtol=1e-14)
+    assert es.clusters == ((0, 1), (2, 3))
+    gram = pt_gram(block_pair(), es)
+    np.testing.assert_allclose(gram, np.diag(np.array(es.signs, dtype=float)), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

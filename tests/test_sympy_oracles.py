@@ -1,6 +1,7 @@
 """Symbolic oracles for the closed forms: sfdm's H^2 = 1, the reduced h8v
-C = H / eps, and the eigen-equations of the sfdm, h8r (p = 0) and reduced
-h8v kets; and the numeric Hamiltonians and kets against the same sympy ones."""
+C = H / eps, the eigen-equations of the sfdm, h8r (p = 0) and reduced h8v
+kets, and sfdm's kets as one formula per level and its Kramers partner; and
+the numeric Hamiltonians and kets against the same sympy ones."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ptosc.models import (
     sfdm_eigensystem,
     sfdm_hamiltonian,
 )
+from ptosc.symmetry import canonical_pair
 
 CHI, PSI, THETA, PHI = sp.symbols("chi psi theta phi", real=True)
 M0, M1, M2, P = sp.symbols("m0 m1 m2 p", real=True)
@@ -191,9 +193,9 @@ HALF_ANGLE_IDENTITIES = [(SH, CH**2 - 1)] + [(SIN[x], 1 - COS[x] ** 2) for x in 
 
 
 def sfdm_kets() -> list:
-    """(eigenvalue, ket) of ``sfdm_eigensystem`` at chi != 0, in its order,
-    written as the code writes them: with sech and csch of chi / 2, sinh chi
-    and exp(+-i phi)."""
+    """(eigenvalue, ket) of ``sfdm_eigensystem`` at chi != 0, in its order:
+    the published e1..e4, with sech and csch of chi / 2, sinh chi and
+    exp(+-i phi)."""
     sin, cos = SIN, COS
     sech, csch, sinh_chi = 1 / CH, 1 / SH, 2 * SH * CH
     e_phi, e_phi_bar = cos[PHI] + sp.I * sin[PHI], cos[PHI] - sp.I * sin[PHI]
@@ -216,6 +218,25 @@ def test_sfdm_kets_solve_the_eigen_equation():
     h = sfdm_matrix().subs(AS_SYMBOLS)
     for value, ket in sfdm_kets():
         assert (h * ket - value * ket).applyfunc(on_half_angle_identities) == sp.zeros(4, 1)
+
+
+def kramers_partner(v: sp.Matrix) -> sp.Matrix:
+    """-S Z conj(v), with the S and Z of ``canonical_pair(2)`` as integer matrices."""
+    sym = canonical_pair(2)
+    return -sp.Matrix(sym.s.real.astype(int)) * sp.Matrix(sym.z.real.astype(int)) * v.conjugate()
+
+
+def test_sfdm_kets_are_one_formula_per_level_and_its_kramers_partner():
+    sin, cos = SIN, COS
+    tilt = sin[THETA] * (cos[PHI] - sp.I * sin[PHI]) * sin[PSI]
+    twist = -sp.I / 2 * 2 * SH * CH * (cos[PSI] - sp.I * sin[PSI] * cos[THETA])
+    (_, e1), (_, e2), (_, e3), (_, e4) = sfdm_kets()
+    for (a, b), source, partner in (((SH, CH), e1, e2), ((CH, SH), e3, e4)):
+        ket = sp.Matrix([tilt * a, twist / b, 0, b])
+        # equal, so parallel: the code's ket is the published one, and the
+        # published partner is its Kramers image
+        assert (ket - source).applyfunc(sp.expand) == sp.zeros(4, 1)
+        assert (kramers_partner(source) - partner).applyfunc(sp.expand) == sp.zeros(4, 1)
 
 
 @pytest.mark.parametrize("chi, psi, theta, phi", [("1/2", "3/10", "7/10", "1/5"), ("3/2", "-5/4", "2", "13/4"), ("-1", "1/3", "5/2", "-7/4")])
